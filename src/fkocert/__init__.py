@@ -44,6 +44,7 @@ from .tuples import (
 from .witness import (
     FkoWitness,
     Verdict,
+    WitnessFormatError,
     build_witness,
     nae_upper_bound,
     unsat3xor_lower_bound,
@@ -101,6 +102,7 @@ __all__ = [
     "is_inconsistent_tuple",
     "FkoWitness",
     "Verdict",
+    "WitnessFormatError",
     "build_witness",
     "nae_upper_bound",
     "unsat3xor_lower_bound",

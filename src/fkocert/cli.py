@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .cnf import Cnf, DimacsError, gen_random_3cnf, imbalance, parse_dimacs, to_dimacs
-from .spectral import (
+# approx_eigen, build_m and certify_eigvalbound stay importable from this
+# module: perfbench/spans.py traces the pipeline stages through these names
+from .spectral import (  # noqa: F401
     CertificationError,
     SpectralPrecisionError,
     approx_eigen,
@@ -28,6 +28,9 @@ from .spectral import (
 from .tc0frege import check_proof, parse_proof
 from .tuples import CollectionSearchError
 from .witness import (
+    _collect,
+    _spectral_stage,
+    _t_needed,
     build_witness,
     verify_witness,
     witness_from_json,
@@ -172,27 +175,25 @@ def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
     """One pipeline run.  Module-level so it pickles for worker processes."""
     n, m, seed, c, d, k_max, budget = job
     cnf = gen_random_3cnf(n, m, seed)
-    imb = imbalance(cnf)
     t_found = ""
     t_needed = ""
     lam = ""
     accepted = 0
     try:
-        mat = build_m(cnf)
-        cert = approx_eigen(mat, c)
-        report = certify_eigvalbound(mat, cert)
+        stage = _spectral_stage(cnf, c)
+    except SpectralPrecisionError:
+        return (n, m, seed, t_found, t_needed, lam, str(imbalance(cnf)), accepted)
+    imb, _, cert, report = stage
+    try:
         if report.passed:
             lam = str(cert.lambdas[0])
-            u = cert.lambdas[0] * n + report.slack
-            # minimal integer t with t > d*(I+U)/2, strictly
-            half = Fraction(d) * (imb + u) / 2
-            t_needed = str(math.floor(half) + 1)
-        wit = build_witness(cnf, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
+            t_needed = str(_t_needed(d, imb, cert.lambdas[0] * n + report.slack))
+        wit = _collect(cnf, *stage, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
         t_found = str(wit.coll.t)
         accepted = int(verify_witness(cnf, wit).accepted)
     except CollectionSearchError as e:
         t_found = str(e.best.t)
-    except (CertificationError, SpectralPrecisionError):
+    except CertificationError:
         pass
     return (n, m, seed, t_found, t_needed, lam, str(imb), accepted)
 

@@ -1,16 +1,21 @@
 """Exact rational vectors and matrices.
 
-Everything on the certified verification path is computed with
-`fractions.Fraction`; floating point never enters any accept/reject
-decision.  Vectors are tuples of Fractions, matrices are tuples of row
-tuples.  Certificate entries live on the grid of integer multiples of
-1/n^(2c) -- `snap_to_grid` rounds onto that grid and `is_grid_multiple`
-checks membership.
+Vectors are tuples of Fractions, matrices are tuples of row tuples.  The
+verifier's cubic work runs as exact integer dot products over per-row
+common denominators: `scale_rows` turns each row into Python ints and the
+lcm L of that row's denominators, so a product of two rows is one int
+dot product over L_i * L_j.  Residuals are reported as Fractions; no
+floats and no numpy enter any accept/reject decision.  Certificate
+entries live on the grid of integer multiples of 1/n^(2c) --
+`snap_to_grid` rounds onto that grid and `is_grid_multiple` checks
+membership.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -28,6 +33,7 @@ __all__ = [
     "mat_vec",
     "quadratic_form",
     "norm_inf",
+    "scale_rows",
     "gram_dev",
     "grid_denominator",
     "is_grid_multiple",
@@ -71,21 +77,44 @@ def norm_inf(v: QVec) -> Fraction:
     return max((abs(x) for x in v), default=Fraction(0))
 
 
+def scale_rows(rows: QMat) -> list[tuple[tuple[int, ...], int]]:
+    """Each row as (integer entries, L) with row == entries / L, where L
+    is the lcm of the row's denominators.
+
+    Per-row denominators keep the integers as small as each row allows:
+    on a hostile matrix whose n^2 entries have distinct prime
+    denominators, one lcm over all of them would be n times longer.
+    """
+    out = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append((tuple(x.numerator * (den // x.denominator) for x in row), den))
+    return out
+
+
 def gram_dev(rows: QMat) -> tuple[Fraction, Fraction]:
     """Deviation of the rows' Gram matrix from the identity.
 
-    Returns (max |<v_i, v_j>| over i != j, max |<v_i, v_i> - 1|).
+    Returns (max |<v_i, v_j>| over i != j, max |<v_i, v_i> - 1|).  Each
+    running max is kept as an integer pair (num, den) and compared by
+    cross-multiplication.
     """
-    off = Fraction(0)
-    diag = Fraction(0)
-    for i, vi in enumerate(rows):
-        for j in range(i, len(rows)):
-            g = inner_prod(vi, rows[j])
-            if i == j:
-                diag = max(diag, abs(g - 1))
-            else:
-                off = max(off, abs(g))
-    return off, diag
+    scaled = scale_rows(rows)
+    if any(len(w) != len(scaled[0][0]) for w, _ in scaled):
+        raise ValueError("ragged matrix")
+    off, off_den = 0, 1
+    diag, diag_den = 0, 1
+    for i, (wi, li) in enumerate(scaled):
+        den = li * li
+        dev = abs(sum(map(mul, wi, wi)) - den)
+        if dev * diag_den > diag * den:
+            diag, diag_den = dev, den
+        for wj, lj in scaled[i + 1:]:
+            g = abs(sum(map(mul, wi, wj)))
+            den = li * lj
+            if g * off_den > off * den:
+                off, off_den = g, den
+    return Fraction(off, off_den), Fraction(diag, diag_den)
 
 
 def grid_denominator(n: int, c: int) -> int:

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cnf import Cnf
 from .exactq import (
     QMat,
     gram_dev,
-    is_grid_multiple,
+    grid_denominator,
+    scale_rows,
     snap_to_grid,
 )
 
@@ -254,42 +256,55 @@ def approx_eigen(
 
 
 def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
-    """Check the five certificate conditions in exact rational arithmetic.
+    """Check the five certificate conditions in exact arithmetic.
 
-    Also computes the certified slack (see certified_quadform_bound); the
-    slack formula is valid regardless of the pass flags, since it only
-    uses the exactly recomputed residuals.
+    The cubic products are integer dot products over per-row common
+    denominators (see exactq.scale_rows); the residuals come out as exact
+    Fractions.  Also computes the certified slack (see
+    certified_quadform_bound); the slack formula is valid regardless of
+    the pass flags, since it only uses the exactly recomputed residuals.
     """
     n = cert.n
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("matrix/certificate dimension mismatch")
     v = cert.v
+    if len(v) != n or any(len(row) != n for row in v):
+        raise ValueError("V is not n x n")
     lambdas = cert.lambdas
     c = cert.c
 
-    grid_ok = all(is_grid_multiple(x, n, c) for x in lambdas) and all(
-        is_grid_multiple(x, n, c) for row in v for x in row
+    rows = scale_rows(v)
+    grid = grid_denominator(n, c)
+    grid_ok = all(grid % x.denominator == 0 for x in lambdas) and all(
+        grid % den == 0 for _, den in rows
     )
-    entry_bound_ok = all(abs(x) <= 2 for row in v for x in row)
+    entry_bound_ok = all(max(map(abs, w)) <= 2 * den for w, den in rows)
 
-    # condition 3: rows of V^T V reconstruct the standard basis
-    rho = Fraction(0)
-    for i in range(n):
-        for ell in range(n):
-            e = sum((v[j][i] * v[j][ell] for j in range(n)), Fraction(0))
-            if i == ell:
-                e -= 1
-            rho = max(rho, abs(e))
+    # condition 3: V^T V - I is the Gram deviation of V's columns
+    rho = max(gram_dev(tuple(zip(*v))))
 
     gram_off, gram_diag = gram_dev(v)
 
-    tau = Fraction(0)
-    for i in range(n):
-        vi = v[i]
-        lam = lambdas[i]
-        for ell in range(n):
-            resid = sum((m[ell][j] * vi[j] for j in range(n)), Fraction(0)) - lam * vi[ell]
-            tau = max(tau, abs(resid))
+    # tau = max over i, ell of |(M v_i)_ell - lambda_i v_i[ell]|; with
+    # M = A / m_den and v_i = w / den the residual row has the single
+    # denominator m_den * den * lambda_i.denominator
+    m_den = math.lcm(*(x.denominator for row in m for x in row))
+    m_sparse = []
+    for row in m:
+        nz = [(j, x.numerator * (m_den // x.denominator)) for j, x in enumerate(row) if x]
+        m_sparse.append((tuple(j for j, _ in nz), tuple(a for _, a in nz)))
+    tau, tau_den = 0, 1
+    for (w, den), lam in zip(rows, lambdas):
+        p, q = lam.numerator, lam.denominator
+        mp = m_den * p
+        top = max(
+            abs(q * sum(map(mul, vals, map(w.__getitem__, cols))) - mp * w_ell)
+            for (cols, vals), w_ell in zip(m_sparse, w)
+        )
+        row_den = m_den * den * q
+        if top * tau_den > tau * row_den:
+            tau, tau_den = top, row_den
+    tau = Fraction(tau, tau_den)
 
     tol_basis = cert.k3 * Fraction(n) ** (1 - c)
     tol_gram = cert.k4 * Fraction(n) ** (1 - c)

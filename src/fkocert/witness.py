@@ -28,6 +28,7 @@ from .cnf import Cnf, imbalance
 from .exactq import QMat, grid_denominator, rat, snap_up_to_grid
 from .spectral import (
     CertificationError,
+    CertReport,
     SpectralCert,
     approx_eigen,
     build_m,
@@ -38,6 +39,7 @@ from .tuples import TupleCollection, check_collection, find_collection
 __all__ = [
     "FkoWitness",
     "Verdict",
+    "WitnessFormatError",
     "build_witness",
     "verify_witness",
     "nae_upper_bound",
@@ -97,34 +99,29 @@ class Verdict:
         return json.dumps(payload, sort_keys=True)
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _t_needed(d: int, imb: int, u: Fraction) -> int:
+    """Least t the verifier accepts: t > d*(I+U)/2, i.e. floor(d*(I+U)/2) + 1."""
+    return math.floor(Fraction(d) * (imb + u) / 2) + 1
 
 
-def build_witness(
-    cnf: Cnf,
-    c: int = 8,
-    d: int = 4,
-    k_max: int = 4,
-    seed: int = 0,
-    budget: int = 50_000,
-) -> FkoWitness:
-    """Construct a witness: certificate first, then a collection with
-    t_target = ceil(d*(I+U)/2) + 1.
-
-    Raises CertificationError when the snapped eigendata fails its own
-    certification, CollectionSearchError when the tuple search cannot
-    reach t_target within budget (carrying the best collection found).
-    """
+def _spectral_stage(
+    cnf: Cnf, c: int
+) -> tuple[int, QMat, SpectralCert, CertReport]:
+    """Imbalance, clause-polarity matrix, snapped eigendata and its
+    certification report (pass or fail) -- the builder's spectral half."""
     imb = imbalance(cnf)
     mat = build_m(cnf)
     cert = approx_eigen(mat, c)
-    report = certify_eigvalbound(mat, cert)
+    return imb, mat, cert, certify_eigvalbound(mat, cert)
+
+
+def _collect(cnf: Cnf, imb: int, mat: QMat, cert: SpectralCert, report: CertReport,
+             c: int, d: int, k_max: int, seed: int, budget: int) -> FkoWitness:
+    """The builder's collection half, on a spectral stage's results."""
     if not report.passed:
         raise CertificationError(report)
     bound = cert.lambdas[0] * cnf.n + report.slack
-    t_target = _ceil(Fraction(d) * (imb + bound) / 2) + 1
-    coll = find_collection(cnf, k_max=k_max, d=d, t_target=t_target,
+    coll = find_collection(cnf, k_max=k_max, d=d, t_target=_t_needed(d, imb, bound),
                            seed=seed, budget=budget)
     grid_unit = Fraction(1, grid_denominator(max(cnf.n, 1), c))
     epsilon = snap_up_to_grid(max(report.slack, grid_unit), max(cnf.n, 1), c)
@@ -139,6 +136,25 @@ def build_witness(
         coll=coll,
         epsilon=epsilon,
     )
+
+
+def build_witness(
+    cnf: Cnf,
+    c: int = 8,
+    d: int = 4,
+    k_max: int = 4,
+    seed: int = 0,
+    budget: int = 50_000,
+) -> FkoWitness:
+    """Construct a witness: certificate first, then a collection with
+    t_target = floor(d*(I+U)/2) + 1, the least t the verifier accepts.
+
+    Raises CertificationError when the snapped eigendata fails its own
+    certification, CollectionSearchError when the tuple search cannot
+    reach t_target within budget (carrying the best collection found).
+    """
+    return _collect(cnf, *_spectral_stage(cnf, c), c=c, d=d, k_max=k_max,
+                    seed=seed, budget=budget)
 
 
 def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
@@ -174,6 +190,8 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if wit.cert.n != cnf.n:
         return Verdict(False, "EigValBound",
                        f"certificate dimension {wit.cert.n} != n={cnf.n}")
+    if len(wit.cert.v) != cnf.n or any(len(row) != cnf.n for row in wit.cert.v):
+        return Verdict(False, "EigValBound", "V is not n x n")
     report = certify_eigvalbound(mat, wit.cert)
     if not report.passed:
         return Verdict(False, "EigValBound",
@@ -227,9 +245,20 @@ def _rat_out(x: Fraction | None) -> dict[str, str] | None:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+class WitnessFormatError(ValueError):
+    """Witness JSON that does not describe a witness: a missing key, a
+    zero or non-integer denominator, or a non-integer field."""
+
+
+def _int_in(obj) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        raise ValueError(f"not an integer: {obj!r}")
+    return int(obj)
+
+
 def _rat_in(obj) -> Fraction:
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_int_in(obj["num"]), _int_in(obj["den"]))
     return rat(obj)
 
 
@@ -262,27 +291,38 @@ def _k_out(x: Fraction):
 
 
 def witness_from_json(text: str) -> FkoWitness:
-    obj = json.loads(text)
+    """Parse witness JSON; any malformed text raises WitnessFormatError."""
+    try:
+        return _witness_from_obj(json.loads(text))
+    except KeyError as e:
+        raise WitnessFormatError(f"witness JSON: missing key {e}") from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise WitnessFormatError(f"witness JSON: {e}") from None
+
+
+def _witness_from_obj(obj) -> FkoWitness:
+    if not isinstance(obj, dict):
+        raise TypeError("top level is not an object")
     cert = SpectralCert(
         lambdas=tuple(_rat_in(x) for x in obj["lambdas"]),
         v=tuple(tuple(_rat_in(x) for x in row) for row in obj["V"]),
-        c=int(obj["c"]),
+        c=_int_in(obj["c"]),
         k3=_rat_in(obj.get("K3", 16)),
         k4=_rat_in(obj.get("K4", 16)),
         k5=_rat_in(obj.get("K5", 16)),
     )
     d = obj["D"]
     coll = TupleCollection(
-        tuples=tuple(tuple(int(i) for i in tup) for tup in d["tuples"]),
-        t=int(d["t"]),
-        k=int(d["k"]),
-        d=int(d["d"]),
+        tuples=tuple(tuple(_int_in(i) for i in tup) for tup in d["tuples"]),
+        t=_int_in(d["t"]),
+        k=_int_in(d["k"]),
+        d=_int_in(d["d"]),
     )
     return FkoWitness(
-        n=int(obj["n"]),
-        m=int(obj["m"]),
-        c=int(obj["c"]),
-        imb=int(obj["I"]),
+        n=_int_in(obj["n"]),
+        m=_int_in(obj["m"]),
+        c=_int_in(obj["c"]),
+        imb=_int_in(obj["I"]),
         mat=None,
         cert=cert,
         lam=_rat_in(obj["lambda"]),

@@ -8,6 +8,7 @@ captured-output section of any failure.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -63,17 +64,24 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _bundle(cnf: Cnf, coll: TupleCollection, c: int = 8) -> FkoWitness | None:
+@functools.lru_cache(maxsize=None)
+def _honest_cert(cnf: Cnf):
+    """M and its c=8 Jacobi certificate, cached per formula so that the
+    Fraction-reference check in test_spectral reuses the gate's work."""
+    mat = build_m(cnf)
+    return mat, approx_eigen(mat, 8)
+
+
+def _bundle(cnf: Cnf, coll: TupleCollection) -> FkoWitness | None:
     """Assemble a witness around a pre-found collection; None when the
     spectral stage itself cannot certify."""
-    mat = build_m(cnf)
-    cert = approx_eigen(mat, c)
+    mat, cert = _honest_cert(cnf)
     rep = certify_eigvalbound(mat, cert)
     if not rep.passed:
         return None
-    unit = Fraction(1, grid_denominator(cnf.n, c))
-    eps = snap_up_to_grid(max(rep.slack, unit), cnf.n, c)
-    return FkoWitness(n=cnf.n, m=cnf.m, c=c, imb=imbalance(cnf), mat=mat,
+    unit = Fraction(1, grid_denominator(cnf.n, 8))
+    eps = snap_up_to_grid(max(rep.slack, unit), cnf.n, 8)
+    return FkoWitness(n=cnf.n, m=cnf.m, c=8, imb=imbalance(cnf), mat=mat,
                       cert=cert, lam=cert.lambdas[0], coll=coll, epsilon=eps)
 
 
@@ -101,6 +109,25 @@ def _noisy_blocks(blocks: int, extra: int, seed: int) -> Cnf:
 # ----------------------------------------------------------- criterion 1
 
 
+def _soundness_formulas():
+    """(formula, search seed) for every honest build of the soundness gate:
+    random formulas across densities, mostly small n, then planted
+    families -- pure blocks and noisy blocks (n <= 24 so every acceptance
+    stays inside the brute-force cap)."""
+    ratios = (2.0, 3.0, 4.5, 6.0, 8.0)
+    for i in range(420):
+        n = 6 + (i % 7)  # 6..12
+        m = max(4, int(n * ratios[i % len(ratios)]))
+        yield gen_random_3cnf(n, m, seed=1000 + i), i
+    for i in range(30):
+        n = (14, 16, 18)[i % 3]
+        yield gen_random_3cnf(n, 6 * n, seed=5000 + i), i
+    for t in range(1, 9):
+        yield planted_block(t), 0
+    for i in range(20):
+        yield _noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i), i
+
+
 def test_soundness_zero_tolerance():
     t0 = time.time()
     checked = 0
@@ -117,28 +144,8 @@ def test_soundness_zero_tolerance():
             if not brute_force_unsat(cnf):
                 counterexamples += 1
 
-    # random formulas across densities, mostly small n
-    ratios = (2.0, 3.0, 4.5, 6.0, 8.0)
-    seed = 0
-    for i in range(420):
-        n = 6 + (i % 7)  # 6..12
-        m = max(4, int(n * ratios[i % len(ratios)]))
-        cnf = gen_random_3cnf(n, m, seed=1000 + i)
-        judge(cnf, _try_witness(cnf, seed=i))
-        seed += 1
-    for i in range(30):
-        n = (14, 16, 18)[i % 3]
-        cnf = gen_random_3cnf(n, 6 * n, seed=5000 + i)
-        judge(cnf, _try_witness(cnf, seed=i))
-
-    # planted families: pure blocks and noisy blocks (n <= 24 so every
-    # acceptance stays inside the brute-force cap)
-    for t in range(1, 9):
-        cnf = planted_block(t)
-        judge(cnf, _try_witness(cnf))
-    for i in range(20):
-        cnf = _noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i)
-        judge(cnf, _try_witness(cnf, seed=i))
+    for cnf, seed in _soundness_formulas():
+        judge(cnf, _try_witness(cnf, seed=seed))
 
     # adversarially mutated witnesses: donor certificates and collections
     # grafted onto satisfiable formulas, plus tampered genuine witnesses
@@ -258,18 +265,22 @@ def test_nae_identity_exact():
 # ----------------------------------------------------------- criterion 4
 
 
+def _lemma_chain_formulas():
+    for i in range(50):
+        n = (6, 8, 10, 12)[i % 4]
+        m = int(n * (3.0, 3.5, 4.0, 5.0)[(i // 4) % 4])
+        yield gen_random_3cnf(n, m, seed=400 + i)
+
+
 def test_lemma_chain_small_scale():
     violations = 0
     instances = 0
     collections = 0
-    for i in range(50):
-        n = (6, 8, 10, 12)[i % 4]
-        m = int(n * (3.0, 3.5, 4.0, 5.0)[(i // 4) % 4])
-        cnf = gen_random_3cnf(n, m, seed=400 + i)
+    for i, cnf in enumerate(_lemma_chain_formulas()):
+        n, m = cnf.n, cnf.m
         instances += 1
         imb = imbalance(cnf)
-        mat = build_m(cnf)
-        cert = approx_eigen(mat, 8)
+        mat, cert = _honest_cert(cnf)
         rep = certify_eigvalbound(mat, cert)
         assert rep.passed
         if int(sat_literal_counts(cnf).max()) > Fraction(3 * m + imb, 2):
@@ -297,19 +308,24 @@ def test_lemma_chain_small_scale():
 # ----------------------------------------------------------- criterion 5
 
 
-def test_spectral_certification_rate_and_bound():
-    ladder = ([6] * 25 + [8] * 20 + [10] * 15 + [12] * 10 + [14] * 10
-              + [18] * 6 + [22] * 4 + [26] * 3 + [30] * 2 + [38] * 2
-              + [44] * 2 + [50])
+LADDER = ([6] * 25 + [8] * 20 + [10] * 15 + [12] * 10 + [14] * 10
+          + [18] * 6 + [22] * 4 + [26] * 3 + [30] * 2 + [38] * 2
+          + [44] * 2 + [50])
+
+
+def _ladder_formulas():
     ratios = (3.0, 4.2, 6.0)
+    for i, n in enumerate(LADDER):
+        yield gen_random_3cnf(n, int(n * ratios[i % 3]), seed=600 + i)
+
+
+def test_spectral_certification_rate_and_bound():
     failures = []
     bound_violations = 0
     brute_checked = 0
-    for i, n in enumerate(ladder):
-        m = int(n * ratios[i % 3])
-        cnf = gen_random_3cnf(n, m, seed=600 + i)
-        mat = build_m(cnf)
-        cert = approx_eigen(mat, 8)
+    for cnf in _ladder_formulas():
+        n, m = cnf.n, cnf.m
+        mat, cert = _honest_cert(cnf)
         rep = certify_eigvalbound(mat, cert)
         if not rep.passed:
             failures.append((n, m, rep.failed_conditions(),
@@ -320,7 +336,7 @@ def test_spectral_certification_rate_and_bound():
             m2 = [[int(2 * x) for x in row] for row in mat]
             if max_quadform(m2) > certified_quadform_bound(mat, cert, rep):
                 bound_violations += 1
-    total = len(ladder)
+    total = len(LADDER)
     rate = (total - len(failures)) / total
     ok = rate >= 0.99 and bound_violations == 0
     detail = (f"{total - len(failures)}/{total} certified ({rate:.1%}), "

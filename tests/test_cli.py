@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fkocert.witness
 from fkocert.cli import build_parser, main
 from fkocert.cnf import gen_random_3cnf, to_dimacs
 from fkocert.witness import witness_from_json, witness_to_json
@@ -201,3 +202,41 @@ def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize("edit", ["den 0", "missing D", "num x"])
+def test_verify_malformed_witness_is_usage_error(tmp_path, capsys, edit):
+    cnf_path = _block_path(tmp_path)
+    wit_path = tmp_path / "w.json"
+    assert main(["witness", "--cnf", str(cnf_path), "--out", str(wit_path)]) == 0
+    blob = json.loads(wit_path.read_text())
+    if edit == "den 0":
+        blob["lambdas"][0]["den"] = "0"
+    elif edit == "missing D":
+        del blob["D"]
+    else:
+        blob["V"][0][0]["num"] = "x"
+    wit_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    rc = main(["verify", "--cnf", str(cnf_path), "--witness", str(wit_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness JSON:")
+
+
+def test_sweep_runs_jacobi_once_per_row(capsys, monkeypatch):
+    monkeypatch.setenv("FKO_THREADS", "1")
+    calls = []
+    real = fkocert.witness.approx_eigen
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fkocert.witness, "approx_eigen", counting)
+    monkeypatch.setattr(fkocert.cli, "approx_eigen", counting)
+    assert main(["sweep", "--n", "6,8", "--m", "24", "--seeds", "2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert len(calls) == len(rows)

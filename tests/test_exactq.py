@@ -13,6 +13,7 @@ from fkocert.exactq import (
     norm_inf,
     quadratic_form,
     rat,
+    scale_rows,
     snap_to_grid,
     snap_up_to_grid,
     vec,
@@ -56,6 +57,29 @@ def test_norm_and_gram():
     # so the diagonal deviates by 1 as well
     assert gram_dev(mat([[1, 1], [0, 1]])) == (1, 1)
     assert gram_dev(mat([[0, 1], [1, 0]])) == (0, 0)
+
+
+def test_scale_rows_per_row_lcm():
+    rows = mat([[F(1, 2), F(-1, 3)], [1, 2], [F(5, 4), F(1, 6)]])
+    assert scale_rows(rows) == [((3, -2), 6), ((1, 2), 1), ((15, 2), 12)]
+
+
+def test_gram_dev_rejects_ragged_rows():
+    try:
+        gram_dev(((F(1), F(0)), (F(0),)))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("ragged rows not reported")
+
+
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_gram_dev_matches_inner_products(rows):
+    rows = mat(rows)
+    off = max((abs(inner_prod(rows[i], rows[j])) for i in range(len(rows))
+               for j in range(i + 1, len(rows))), default=F(0))
+    diag = max(abs(inner_prod(r, r) - 1) for r in rows)
+    assert gram_dev(rows) == (off, diag)
 
 
 def test_grid_denominator_and_membership():

@@ -1,7 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fkocert import (
     Clause,
@@ -16,9 +18,16 @@ from fkocert import (
     gen_random_3cnf,
 )
 from fkocert.cnf import all_assignments, count_nae, to_signs
-from fkocert.exactq import is_grid_multiple, mat, quadratic_form, vec
+from fkocert.exactq import inner_prod, is_grid_multiple, mat, quadratic_form, vec
 from fkocert.oracle import max_quadform
+from fkocert.spectral import CertReport
 from conftest import planted_block
+from test_acceptance import (
+    _honest_cert,
+    _ladder_formulas,
+    _lemma_chain_formulas,
+    _soundness_formulas,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -213,3 +222,131 @@ def test_planted_block_spectrum_is_zero():
     rep = certify_eigvalbound(m, cert)
     assert rep.passed
     assert certified_quadform_bound(m, cert, rep) == 0
+
+
+def test_certify_rejects_non_square_v():
+    m = build_m(gen_random_3cnf(5, 20, 1))
+    cert = approx_eigen(m, 8)
+    rows = [list(r) for r in cert.v]
+    short = rows[:2] + [rows[2][:-1]] + rows[3:]
+    long = rows[:2] + [rows[2] + [F(0)]] + rows[3:]
+    for v in (short, long, rows[:-1]):
+        with pytest.raises(ValueError, match="V is not n x n"):
+            certify_eigvalbound(m, replace(cert, v=tuple(tuple(r) for r in v)))
+
+
+# ------------------------------------------- Fraction reference certifier
+# The triple loops certify_eigvalbound ran in plain Fraction arithmetic
+# before its integer core; the report must agree field by field.
+
+
+def _reference_gram_dev(rows):
+    off = Fraction(0)
+    diag = Fraction(0)
+    for i, vi in enumerate(rows):
+        for j in range(i, len(rows)):
+            g = inner_prod(vi, rows[j])
+            if i == j:
+                diag = max(diag, abs(g - 1))
+            else:
+                off = max(off, abs(g))
+    return off, diag
+
+
+def reference_certify(m, cert) -> CertReport:
+    n = cert.n
+    v, lambdas, c = cert.v, cert.lambdas, cert.c
+    grid_ok = all(is_grid_multiple(x, n, c) for x in lambdas) and all(
+        is_grid_multiple(x, n, c) for row in v for x in row
+    )
+    entry_bound_ok = all(abs(x) <= 2 for row in v for x in row)
+    rho = Fraction(0)
+    for i in range(n):
+        for ell in range(n):
+            e = sum((v[j][i] * v[j][ell] for j in range(n)), Fraction(0))
+            if i == ell:
+                e -= 1
+            rho = max(rho, abs(e))
+    gram_off, gram_diag = _reference_gram_dev(v)
+    tau = Fraction(0)
+    for i in range(n):
+        vi, lam = v[i], lambdas[i]
+        for ell in range(n):
+            resid = sum((m[ell][j] * vi[j] for j in range(n)), Fraction(0)) - lam * vi[ell]
+            tau = max(tau, abs(resid))
+    tol_basis = cert.k3 * Fraction(n) ** (1 - c)
+    tol_gram = cert.k4 * Fraction(n) ** (1 - c)
+    tol_eigen = cert.k5 * Fraction(n) ** (3 - c)
+    descending = all(lambdas[i] >= lambdas[i + 1] for i in range(n - 1))
+    mu = max((abs(x) for row in m for x in row), default=Fraction(0))
+    lam_abs = max(abs(x) for x in lambdas)
+    lam1 = max(lambdas)
+    nrho = n * rho
+    slack = (
+        abs(lam1) * n * nrho
+        + lam_abs * (gram_diag + (n - 1) * gram_off) * (n + n * nrho)
+        + 2 * n**3 * tau * (1 + nrho)
+        + 2 * n**2 * mu * nrho * (1 + nrho)
+        + n**2 * mu * nrho * nrho
+    )
+    return CertReport(
+        rho=rho, gram_off=gram_off, gram_diag=gram_diag, tau=tau, slack=slack,
+        grid_ok=grid_ok, entry_bound_ok=entry_bound_ok,
+        basis_ok=rho <= tol_basis,
+        gram_ok=gram_off <= tol_gram and gram_diag <= tol_gram,
+        eigen_ok=tau <= tol_eigen and descending,
+    )
+
+
+def _assert_same_report(m, cert):
+    got, want = certify_eigvalbound(m, cert), reference_certify(m, cert)
+    for f in fields(CertReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and a == b, f.name
+
+
+@st.composite
+def certificates(draw):
+    """A half-integer symmetric M and a rational certificate for it: the
+    honest Jacobi output with some entries overwritten, or arbitrary
+    data -- on- and off-grid entries, mixed denominators, |v| up to 3,
+    lambdas in any order, K multipliers including 0."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 3))
+    upper = {(i, j): F(draw(st.integers(-6, 6)), 2)
+             for i in range(n) for j in range(i, n)}
+    m = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    grid = n ** (2 * c)
+    entry = st.one_of(
+        st.integers(-3 * grid, 3 * grid).map(lambda k: F(k, grid)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+        st.sampled_from([F(0), F(1), F(-1), F(5, 2)]),
+    )
+    cert = approx_eigen(m, c)
+    lambdas, v = list(cert.lambdas), [list(r) for r in cert.v]
+    if draw(st.booleans()):  # arbitrary data instead of the honest output
+        lambdas = [draw(entry) for _ in range(n)]
+        v = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        v[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entry)
+    if draw(st.booleans()):
+        lambdas[draw(st.integers(0, n - 1))] = draw(entry)
+    if draw(st.booleans()):
+        lambdas = draw(st.permutations(lambdas))
+    k = st.sampled_from([F(0), F(1, 3), F(16), F(10**6)])
+    cert = SpectralCert(tuple(lambdas), tuple(tuple(r) for r in v), c,
+                        draw(k), draw(k), draw(k))
+    return m, cert
+
+
+@settings(max_examples=300)
+@given(certificates())
+def test_integer_core_matches_fraction_reference(case):
+    _assert_same_report(*case)
+
+
+@pytest.mark.parametrize("formulas", [_soundness_formulas, _lemma_chain_formulas,
+                                      _ladder_formulas])
+def test_gate_certificates_match_fraction_reference(formulas):
+    for item in formulas():
+        _assert_same_report(*_honest_cert(item[0] if isinstance(item, tuple) else item))

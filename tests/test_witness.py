@@ -10,6 +10,8 @@ from fkocert import (
     CollectionSearchError,
     FkoWitness,
     TupleCollection,
+    Verdict,
+    WitnessFormatError,
     approx_eigen,
     build_m,
     build_witness,
@@ -25,6 +27,7 @@ from fkocert import (
 from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
 from fkocert.oracle import brute_force_unsat, nae_counts, not3xor_counts
+from fkocert.witness import _t_needed
 from conftest import planted_block
 
 F = Fraction
@@ -253,3 +256,74 @@ def test_verify_is_pure():
     cnf = planted_block(1)
     wit = build_witness(cnf)
     assert verify_witness(cnf, wit) == verify_witness(cnf, wit)
+
+
+@pytest.mark.parametrize("shape", ["short row", "long row", "missing row"])
+def test_verify_rejects_non_square_v(shape):
+    cnf = gen_random_3cnf(6, 28, 2)
+    wit = manual_witness(cnf)
+    rows = [list(r) for r in wit.cert.v]
+    if shape == "short row":
+        rows[-1].pop()
+    elif shape == "long row":
+        rows[0].append(F(0))
+    else:
+        rows.pop()
+    bad = replace(wit, cert=replace(wit.cert, v=tuple(tuple(r) for r in rows)))
+    v = verify_witness(cnf, bad)
+    assert v == Verdict(False, "EigValBound", "V is not n x n")
+
+
+def _honest_json() -> dict:
+    return json.loads(witness_to_json(build_witness(planted_block(1))))
+
+
+def _den_zero(obj):
+    obj["lambdas"][0]["den"] = "0"
+
+
+def _missing_d(obj):
+    del obj["D"]
+
+
+def _num_x(obj):
+    obj["V"][0][0]["num"] = "x"
+
+
+def _float_n(obj):
+    obj["n"] = 3.5
+
+
+def _v_not_a_list(obj):
+    obj["V"] = 7
+
+
+MALFORMED = {"den 0": _den_zero, "missing D": _missing_d, "num x": _num_x,
+             "float n": _float_n, "V not a list": _v_not_a_list}
+
+
+@pytest.mark.parametrize("how", sorted(MALFORMED))
+def test_witness_from_json_format_errors(how):
+    obj = _honest_json()
+    MALFORMED[how](obj)
+    with pytest.raises(WitnessFormatError):
+        witness_from_json(json.dumps(obj))
+
+
+def test_witness_from_json_bad_json_text():
+    with pytest.raises(WitnessFormatError):
+        witness_from_json("{not json")
+    with pytest.raises(WitnessFormatError):
+        witness_from_json("[1, 2]")
+    assert issubclass(WitnessFormatError, ValueError)
+
+
+def test_t_needed_is_least_accepted_t():
+    # d*(I+U)/2 = 4*(3 + 1/2)/2 = 7: integral, the verifier needs t >= 8
+    assert _t_needed(4, 3, F(1, 2)) == 8
+    # d*(I+U)/2 = 1*(3 + 0)/2 = 3/2: fractional, t = 2 already exceeds it
+    assert _t_needed(1, 3, F(0)) == 2
+    for d, imb, u in ((4, 3, F(1, 2)), (1, 3, F(0)), (3, 5, F(7, 3))):
+        t = _t_needed(d, imb, u)
+        rhs = F(d) * (imb + u) / 2
+        assert t > rhs and not t - 1 > rhs
