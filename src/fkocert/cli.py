@@ -19,6 +19,7 @@ from .cnf import Cnf, DimacsError, gen_random_3cnf, imbalance, parse_dimacs, to_
 # approx_eigen, build_m and certify_eigvalbound stay importable from this
 # module: perfbench/spans.py traces the pipeline stages through these names
 from .spectral import (  # noqa: F401
+    C_MAX,
     CertificationError,
     SpectralPrecisionError,
     approx_eigen,
@@ -242,8 +243,16 @@ def _thread_cap() -> int:
 # ------------------------------------------------------------------ parsing
 
 
+def _grid_exponent(text: str) -> int:
+    c = int(text)
+    if not 1 <= c <= C_MAX:
+        raise argparse.ArgumentTypeError(f"grid exponent must be in 1..{C_MAX}, got {c}")
+    return c
+
+
 def _add_builder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=int, default=8, help="grid exponent (default 8)")
+    p.add_argument("--c", type=_grid_exponent, default=8,
+                   help=f"grid exponent, 1..{C_MAX} (default 8)")
     p.add_argument("--d", type=int, default=4, help="clause reuse bound (default 4)")
     p.add_argument("--k-max", type=int, default=4, dest="k_max",
                    help="largest tuple size to try (default 4)")

@@ -142,7 +142,12 @@ def i_imbalance(cnf: Cnf, var: int) -> int:
 
 
 def imbalance(cnf: Cnf) -> int:
-    return sum(i_imbalance(cnf, i) for i in range(1, cnf.n + 1))
+    """Sum of i_imbalance over all variables, in one pass over the clauses."""
+    skew = [0] * (cnf.n + 1)
+    for cl in cnf.clauses:
+        for v, p in zip(cl.vars, cl.pols):
+            skew[v] += 2 * p - 1
+    return sum(map(abs, skew))
 
 
 def to_signs(assignment: Assignment) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ from .exactq import (
 )
 
 __all__ = [
+    "C_MAX",
     "SpectralCert",
     "CertReport",
     "SpectralPrecisionError",
@@ -44,10 +45,15 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 DEFAULT_K = Fraction(16)
+# largest grid exponent c accepted: certificates live on the 1/n^(2c) grid,
+# so c bounds the size of every integer the certification forms
+C_MAX = 64
 
 
 class SpectralPrecisionError(RuntimeError):
-    """Jacobi iteration failed to reach the working-precision target."""
+    """approx_eigen missed its precision target: the float Jacobi seed did
+    not converge within max_sweeps, or the integer refinement did not bring
+    its correction below n^-(2c+4) within its step budget."""
 
 
 class CertificationError(ValueError):
@@ -56,6 +62,11 @@ class CertificationError(ValueError):
     def __init__(self, report: "CertReport"):
         super().__init__(f"certificate rejected: {report.failed_conditions()}")
         self.report = report
+
+
+def _check_c(c: int) -> None:
+    if not 1 <= c <= C_MAX:
+        raise ValueError(f"grid exponent c={c} is outside 1..{C_MAX}")
 
 
 def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
@@ -135,28 +146,165 @@ class CertReport:
         return [name for name, ok in names if not ok]
 
 
-# ------------------------------------------------------- fixed-point Jacobi
+# --------------------------------------- float seed, exact-int refinement
+
+_EPS = 2.0 ** -52
 
 
-def _round_div(a: int, b: int) -> int:
-    """Round a/b to nearest (ties away from zero); b > 0."""
-    if a >= 0:
-        return (2 * a + b) // (2 * b)
-    return -((-2 * a + b) // (2 * b))
+def _jacobi_seed(a: list[list[float]], max_sweeps: int) -> list[list[float]]:
+    """Cyclic Jacobi on floats, in place; returns the eigenvector estimates
+    as rows.
+
+    Sweeps run until the off-diagonal Frobenius mass of `a` is below
+    n * 2^-52 * ||a||_F; rotations on entries below 2^-52 * ||a||_F are
+    skipped, so an exact zero is never rotated and every eigenvector stays
+    inside the connected component of its index.
+    """
+    n = len(a)
+    norm2 = sum(x * x for row in a for x in row)
+    thresh2 = (n * _EPS) ** 2 * norm2
+    skip2 = _EPS * _EPS * norm2
+    jt = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for _ in range(max_sweeps):
+        if 2 * sum(x * x for p in range(n) for x in a[p][p + 1:]) <= thresh2:
+            return jt
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rp, rq = a[p], a[q]
+                apq = rp[q]
+                if apq * apq <= skip2:
+                    continue
+                app, aqq = rp[p], rq[q]
+                beta = (aqq - app) / (2 * apq)
+                t = 1 / (abs(beta) + math.sqrt(beta * beta + 1))
+                if beta < 0:
+                    t = -t
+                cos = 1 / math.sqrt(t * t + 1)
+                sin = t * cos
+                rp, rq = a[p], a[q] = (
+                    [cos * x - sin * y for x, y in zip(rp, rq)],
+                    [sin * x + cos * y for x, y in zip(rp, rq)],
+                )
+                for row, x, y in zip(a, rp, rq):
+                    row[p] = x
+                    row[q] = y
+                rp[p] = app - t * apq
+                rq[q] = aqq + t * apq
+                rp[q] = rq[p] = 0.0
+                jp, jq = jt[p], jt[q]
+                jt[p] = [cos * x - sin * y for x, y in zip(jp, jq)]
+                jt[q] = [sin * x + cos * y for x, y in zip(jp, jq)]
+    raise SpectralPrecisionError(
+        f"float Jacobi did not converge within {max_sweeps} sweeps (n={n})"
+    )
 
 
-def _jacobi_rotation(one: int, app: int, aqq: int, apq: int) -> tuple[int, int]:
-    """Fixed-point (cos, sin) zeroing the (p,q) entry; scale `one` = 2^F."""
-    beta = _round_div((aqq - app) * one, 2 * apq)
-    root = math.isqrt(beta * beta + one * one)
-    denom = abs(beta) + root
-    t = _round_div(one * one, denom)
-    if beta < 0:
-        t = -t
-    hyp = math.isqrt(t * t + one * one)
-    cos = _round_div(one * one, hyp)
-    sin = _round_div(t * cos, one)
-    return cos, sin
+def _components(a: list[list[int]]) -> list[list[int]]:
+    """Index sets of the connected components of a's nonzero pattern."""
+    n = len(a)
+    comp = list(range(n))
+
+    def root(i: int) -> int:
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            if a[p][q]:
+                comp[root(p)] = root(q)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def _sparse_rows(a: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Each row's nonzero columns and values.
+
+    Lists, not tuple(generator): such a tuple is allocated at one length
+    and resized, and when freed it goes to the interpreter's tuple free
+    list for its final length, so each call would leave its memory there.
+    """
+    out = []
+    for row in a:
+        cols = [j for j, v in enumerate(row) if v]
+        out.append((cols, [row[j] for j in cols]))
+    return out
+
+
+def _to_fixed(x: float, f_bits: int) -> int:
+    """x * 2^f_bits rounded to the nearest int, exactly, for any f_bits."""
+    num, den = x.as_integer_ratio()
+    return ((num << (f_bits + 1)) // den + 1) >> 1
+
+
+def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
+            thresh: int, steps: int) -> list[Fraction]:
+    """Ogita-Aishima refinement (RefSyEv) of eigenvector estimates, in place.
+
+    `a / m_den` is the symmetric matrix and `xs` holds the estimates as
+    rows of ints over 2^f_bits.  Each step forms R = I - X^T X and
+    S = X^T A X from exact int dot products, then in floats the
+    Rayleigh quotients lam_i = S_ii / (1 - R_ii) and the correction
+    E_ij = (S_ij + lam_j R_ij) / (lam_j - lam_i), or E_ij = R_ij / 2 when
+    |lam_i - lam_j| <= delta (the two belong to one cluster), and sets
+    X <- X + X E in ints.  delta is the bound 2(||S - diag(lam)|| +
+    ||A|| ||R||) of Ogita & Aishima, in Frobenius norms, plus the float
+    rounding of the lam_i, so an exactly repeated eigenvalue is always one
+    cluster.  Returns the exact Rayleigh quotients of the last step once
+    max |E| * 2^f_bits < thresh; raises SpectralPrecisionError after
+    `steps` steps.
+    """
+    s = len(xs)
+    one2 = 1 << (2 * f_bits)
+    s_den = m_den * one2
+    half = 1 << (f_bits - 1)
+    sparse = _sparse_rows(a)
+    norm_a = math.sqrt(sum(v * v for row in a for v in row)) / m_den
+    for _ in range(steps):
+        r = [[0.0] * s for _ in range(s)]
+        sm = [[0.0] * s for _ in range(s)]
+        quotients = []
+        for i, xi in enumerate(xs):
+            yi = [sum(map(mul, vals, map(xi.__getitem__, cols))) for cols, vals in sparse]
+            for j in range(i, s):
+                xj = xs[j]
+                g = sum(map(mul, xi, xj))
+                h = sum(map(mul, yi, xj))
+                if i == j:
+                    quotients.append((h, m_den * g))
+                    g -= one2
+                r[i][j] = r[j][i] = -g / one2
+                sm[i][j] = sm[j][i] = h / s_den
+        lam = [h / d for h, d in quotients]
+        # S - diag(lam) has the off-diagonal of S and the diagonal -lam_i R_ii
+        dev2 = sum(x * x for i, row in enumerate(sm) for j, x in enumerate(row) if i != j)
+        dev2 += sum((li * r[i][i]) ** 2 for i, li in enumerate(lam))
+        r2 = sum(x * x for row in r for x in row)
+        delta = 2 * (math.sqrt(dev2) + norm_a * math.sqrt(r2)) + 16 * _EPS * norm_a
+        # column j of E reads only row j of the symmetric R and S; rows are
+        # dropped as they are used, and X is updated one row at a time
+        ecols = []
+        for j, lj in enumerate(lam):
+            sj, rj = sm[j], r[j]
+            sm[j] = r[j] = None
+            ecols.append([
+                _to_fixed((s_ij + lj * r_ij) / (lj - li) if abs(lj - li) > delta
+                          else r_ij / 2, f_bits)
+                for li, s_ij, r_ij in zip(lam, sj, rj)
+            ])
+        big = max(abs(e) for col in ecols for e in col)
+        for k in range(s):
+            row = [x[k] for x in xs]
+            for x, col in zip(xs, ecols):
+                x[k] += (sum(map(mul, row, col)) + half) >> f_bits
+        if big < thresh:
+            return [Fraction(h, d) for h, d in quotients]
+    raise SpectralPrecisionError(
+        f"refinement did not reach 2^-{f_bits} * {thresh} within {steps} steps"
+    )
 
 
 def approx_eigen(
@@ -167,16 +315,25 @@ def approx_eigen(
     k5: Fraction = DEFAULT_K,
     max_sweeps: int = 64,
 ) -> SpectralCert:
-    """Cyclic Jacobi at fixed-point working precision, snapped to the grid.
+    """Approximate eigendecomposition of m, snapped to the 1/n^(2c) grid.
 
-    The scale 2^F with F = ceil((2c+4)*log2 n) + 64 keeps the iteration
-    well below the n^-(2c+4) working-precision target; the sweep order is
-    fixed, so the output is bit-deterministic.  Raises
-    SpectralPrecisionError if the off-diagonal mass does not converge.
+    This is the untrusted builder: certify_eigvalbound re-checks its output
+    exactly, so it may use floats.  It uses Python floats, never numpy, and
+    runs every operation in a fixed order, so the output is
+    bit-deterministic.  Two phases:
+
+    1. a cyclic Jacobi on floats (at most `max_sweeps` sweeps) gives
+       eigenvector estimates good to about n * 2^-52;
+    2. Ogita-Aishima refinement steps on ints over 2^F, with
+       F = ceil((2c+4)*log2 n) + 64, run on each connected component of
+       m's nonzero pattern until the correction is below n^-(2c+4).
+
+    Raises SpectralPrecisionError when either phase misses its target.
     """
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
+    _check_c(c)
     for i in range(n):
         if len(m[i]) != n:
             raise ValueError("matrix is not square")
@@ -187,68 +344,37 @@ def approx_eigen(
         lam = snap_to_grid(m[0][0], 1, c)
         return SpectralCert((lam,), ((Fraction(1),),), c, k3, k4, k5)
 
+    m_den = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (m_den // x.denominator) for x in row] for row in m]
+    seed = _jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
+
     f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
+    thresh = (1 << f_bits) // n ** (2 * c + 4)
+    # a float correction gains at least ~40 bits a step, so F bounds the steps
+    steps = 2 + f_bits // 40
+    blocks = [(comp, [[_to_fixed(seed[i][k], f_bits) for k in comp] for i in comp])
+              for comp in _components(a)]
+    del seed
+
+    # snap each refined vector as soon as its block is done, freeing its ints
+    grid = grid_denominator(n, c)
     one = 1 << f_bits
-    a = [
-        [_round_div(m[i][j].numerator * one, m[i][j].denominator) for j in range(n)]
-        for i in range(n)
-    ]
-    jmat = [[one if i == j else 0 for j in range(n)] for i in range(n)]
+    zero = Fraction(0)
+    lams: list[Fraction] = [zero] * n
+    vecs: list[tuple[Fraction, ...]] = [()] * n
+    for comp, xs in blocks:
+        sub = [[a[p][q] for q in comp] for p in comp]
+        quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
+        for idx, i in enumerate(comp):
+            row = [zero] * n
+            for k, xk in zip(comp, xs[idx]):  # snap_to_grid(xk / one), in ints
+                row[k] = Fraction((2 * xk * grid + one) // (2 * one), grid)
+            xs[idx] = None
+            lams[i], vecs[i] = quotients[idx], tuple(row)
 
-    # target: off-diagonal Frobenius mass below n^-(2c+4) (in scaled units)
-    thresh = one // n ** (2 * c + 4)
-    thresh2 = thresh * thresh
-    skip2 = thresh2 // (n * n) if n else thresh2
-
-    for _ in range(max_sweeps):
-        off2 = 0
-        for p in range(n):
-            row = a[p]
-            for q in range(p + 1, n):
-                off2 += row[q] * row[q]
-        if 2 * off2 < thresh2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq * apq <= skip2:
-                    continue
-                app, aqq = a[p][p], a[q][q]
-                cos, sin = _jacobi_rotation(one, app, aqq, apq)
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r][p], a[r][q]
-                    nrp = _round_div(cos * arp - sin * arq, one)
-                    nrq = _round_div(sin * arp + cos * arq, one)
-                    a[r][p] = a[p][r] = nrp
-                    a[r][q] = a[q][r] = nrq
-                one2 = one * one
-                a[p][p] = _round_div(
-                    cos * cos * app - 2 * cos * sin * apq + sin * sin * aqq, one2
-                )
-                a[q][q] = _round_div(
-                    sin * sin * app + 2 * cos * sin * apq + cos * cos * aqq, one2
-                )
-                napq = _round_div(
-                    (cos * cos - sin * sin) * apq + cos * sin * (app - aqq), one2
-                )
-                a[p][q] = a[q][p] = napq
-                for r in range(n):
-                    jrp, jrq = jmat[r][p], jmat[r][q]
-                    jmat[r][p] = _round_div(cos * jrp - sin * jrq, one)
-                    jmat[r][q] = _round_div(sin * jrp + cos * jrq, one)
-    else:
-        raise SpectralPrecisionError(
-            f"no convergence to n^-(2c+4) within {max_sweeps} sweeps (n={n}, c={c})"
-        )
-
-    order = sorted(range(n), key=lambda i: (-a[i][i], i))
-    lambdas = tuple(snap_to_grid(Fraction(a[i][i], one), n, c) for i in order)
-    rows = tuple(
-        tuple(snap_to_grid(Fraction(jmat[r][col], one), n, c) for r in range(n))
-        for col in order
-    )
+    order = sorted(range(n), key=lambda i: (-lams[i], i))
+    lambdas = tuple([snap_to_grid(lams[i], n, c) for i in order])
+    rows = tuple([vecs[i] for i in order])
     return SpectralCert(lambdas, rows, c, k3, k4, k5)
 
 
@@ -272,6 +398,7 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
         raise ValueError("V is not n x n")
     lambdas = cert.lambdas
     c = cert.c
+    _check_c(c)
 
     rows = scale_rows(v)
     grid = grid_denominator(n, c)
@@ -289,10 +416,9 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     # M = A / m_den and v_i = w / den the residual row has the single
     # denominator m_den * den * lambda_i.denominator
     m_den = math.lcm(*(x.denominator for row in m for x in row))
-    m_sparse = []
-    for row in m:
-        nz = [(j, x.numerator * (m_den // x.denominator)) for j, x in enumerate(row) if x]
-        m_sparse.append((tuple(j for j, _ in nz), tuple(a for _, a in nz)))
+    m_sparse = _sparse_rows(
+        [[x.numerator * (m_den // x.denominator) for x in row] for row in m]
+    )
     tau, tau_den = 0, 1
     for (w, den), lam in zip(rows, lambdas):
         p, q = lam.numerator, lam.denominator

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .cnf import Cnf, imbalance
 from .exactq import QMat, grid_denominator, rat, snap_up_to_grid
 from .spectral import (
+    C_MAX,
     CertificationError,
     CertReport,
     SpectralCert,
@@ -43,7 +44,6 @@ __all__ = [
     "build_witness",
     "verify_witness",
     "nae_upper_bound",
-    "two_lit_upper_bound",
     "unsat3xor_lower_bound",
     "witness_to_json",
     "witness_from_json",
@@ -192,6 +192,9 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                        f"certificate dimension {wit.cert.n} != n={cnf.n}")
     if len(wit.cert.v) != cnf.n or any(len(row) != cnf.n for row in wit.cert.v):
         return Verdict(False, "EigValBound", "V is not n x n")
+    if not 1 <= wit.cert.c <= C_MAX:
+        return Verdict(False, "EigValBound",
+                       f"grid exponent c={wit.cert.c} is outside 1..{C_MAX}")
     report = certify_eigvalbound(mat, wit.cert)
     if not report.passed:
         return Verdict(False, "EigValBound",
@@ -220,13 +223,6 @@ def nae_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:
     """(lambda*n + 3m + slack)/4: no assignment NAE-satisfies more."""
     report = certify_eigvalbound(build_m(cnf), wit.cert)
     return (wit.lam * cnf.n + 3 * cnf.m + report.slack) / 4
-
-
-def two_lit_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:
-    """(I + lambda*n + slack)/2: cap on clauses with exactly two true
-    literals under any assignment."""
-    report = certify_eigvalbound(build_m(cnf), wit.cert)
-    return (imbalance(cnf) + wit.lam * cnf.n + report.slack) / 2
 
 
 def unsat3xor_lower_bound(wit: FkoWitness) -> int:

@@ -240,3 +240,24 @@ def test_sweep_runs_jacobi_once_per_row(capsys, monkeypatch):
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert len(rows) == 4
     assert len(calls) == len(rows)
+
+
+@pytest.mark.parametrize("c", ["0", "-1", "1000000"])
+def test_verify_rejects_grid_exponent_out_of_range(tmp_path, capsys, c):
+    cnf_path = _block_path(tmp_path)
+    wit_path = tmp_path / "w.json"
+    assert main(["witness", "--cnf", str(cnf_path), "--out", str(wit_path)]) == 0
+    blob = json.loads(wit_path.read_text())
+    blob["c"] = int(c)
+    wit_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    rc = main(["verify", "--cnf", str(cnf_path), "--witness", str(wit_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "EigValBound"
+
+
+@pytest.mark.parametrize("c", ["0", "65", "eight"])
+def test_builder_rejects_grid_exponent_out_of_range(tmp_path, c):
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--cnf", str(_block_path(tmp_path)), "--c", c])
+    assert exc.value.code == 2

@@ -161,6 +161,12 @@ def test_dimacs_round_trip_property(cnf):
     assert parse_dimacs(to_dimacs(cnf)) == cnf
 
 
+@given(cnfs())
+@settings(max_examples=100)
+def test_imbalance_is_sum_of_per_variable_imbalances(cnf):
+    assert imbalance(cnf) == sum(i_imbalance(cnf, v) for v in range(1, cnf.n + 1))
+
+
 def test_gen_deterministic_and_well_formed():
     a = gen_random_3cnf(10, 200, 42)
     b = gen_random_3cnf(10, 200, 42)

@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -18,7 +21,14 @@ from fkocert import (
     gen_random_3cnf,
 )
 from fkocert.cnf import all_assignments, count_nae, to_signs
-from fkocert.exactq import inner_prod, is_grid_multiple, mat, quadratic_form, vec
+from fkocert.exactq import (
+    inner_prod,
+    is_grid_multiple,
+    mat,
+    quadratic_form,
+    snap_to_grid,
+    vec,
+)
 from fkocert.oracle import max_quadform
 from fkocert.spectral import CertReport
 from conftest import planted_block
@@ -350,3 +360,174 @@ def test_integer_core_matches_fraction_reference(case):
 def test_gate_certificates_match_fraction_reference(formulas):
     for item in formulas():
         _assert_same_report(*_honest_cert(item[0] if isinstance(item, tuple) else item))
+
+
+# ------------------------------------------ fixed-point Jacobi reference
+# A cyclic Jacobi on ints at the 2^F scale, in the rotation order of
+# approx_eigen's float seed.  On matrices with well-separated eigenvalues
+# both snap to the same grid certificate.
+
+
+def _round_div(a: int, b: int) -> int:
+    """Round a/b to nearest (ties away from zero); b > 0."""
+    if a >= 0:
+        return (2 * a + b) // (2 * b)
+    return -((-2 * a + b) // (2 * b))
+
+
+def _jacobi_rotation(one: int, app: int, aqq: int, apq: int) -> tuple[int, int]:
+    """Fixed-point (cos, sin) zeroing the (p,q) entry; scale `one` = 2^F."""
+    beta = _round_div((aqq - app) * one, 2 * apq)
+    root = math.isqrt(beta * beta + one * one)
+    denom = abs(beta) + root
+    t = _round_div(one * one, denom)
+    if beta < 0:
+        t = -t
+    hyp = math.isqrt(t * t + one * one)
+    cos = _round_div(one * one, hyp)
+    sin = _round_div(t * cos, one)
+    return cos, sin
+
+
+def reference_approx_eigen(m, c, max_sweeps=64) -> SpectralCert:
+    n = len(m)
+    if n == 1:
+        return SpectralCert((snap_to_grid(m[0][0], 1, c),), ((Fraction(1),),), c)
+    f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
+    one = 1 << f_bits
+    a = [
+        [_round_div(m[i][j].numerator * one, m[i][j].denominator) for j in range(n)]
+        for i in range(n)
+    ]
+    jmat = [[one if i == j else 0 for j in range(n)] for i in range(n)]
+    thresh = one // n ** (2 * c + 4)
+    thresh2 = thresh * thresh
+    skip2 = thresh2 // (n * n)
+    for _ in range(max_sweeps):
+        off2 = 0
+        for p in range(n):
+            for q in range(p + 1, n):
+                off2 += a[p][q] * a[p][q]
+        if 2 * off2 < thresh2:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq * apq <= skip2:
+                    continue
+                app, aqq = a[p][p], a[q][q]
+                cos, sin = _jacobi_rotation(one, app, aqq, apq)
+                for r in range(n):
+                    if r == p or r == q:
+                        continue
+                    arp, arq = a[r][p], a[r][q]
+                    nrp = _round_div(cos * arp - sin * arq, one)
+                    nrq = _round_div(sin * arp + cos * arq, one)
+                    a[r][p] = a[p][r] = nrp
+                    a[r][q] = a[q][r] = nrq
+                one2 = one * one
+                a[p][p] = _round_div(
+                    cos * cos * app - 2 * cos * sin * apq + sin * sin * aqq, one2
+                )
+                a[q][q] = _round_div(
+                    sin * sin * app + 2 * cos * sin * apq + cos * cos * aqq, one2
+                )
+                napq = _round_div(
+                    (cos * cos - sin * sin) * apq + cos * sin * (app - aqq), one2
+                )
+                a[p][q] = a[q][p] = napq
+                for r in range(n):
+                    jrp, jrq = jmat[r][p], jmat[r][q]
+                    jmat[r][p] = _round_div(cos * jrp - sin * jrq, one)
+                    jmat[r][q] = _round_div(sin * jrp + cos * jrq, one)
+    else:
+        raise SpectralPrecisionError("no convergence")
+    order = sorted(range(n), key=lambda i: (-a[i][i], i))
+    lambdas = tuple(snap_to_grid(Fraction(a[i][i], one), n, c) for i in order)
+    rows = tuple(
+        tuple(snap_to_grid(Fraction(jmat[r][col], one), n, c) for r in range(n))
+        for col in order
+    )
+    return SpectralCert(lambdas, rows, c)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 20, 28])
+def test_approx_eigen_matches_fixed_point_reference(n):
+    m_clauses = math.floor(3 * n ** 1.4)
+    for seed in range(6):
+        m = build_m(gen_random_3cnf(n, m_clauses, seed))
+        assert approx_eigen(m, 8) == reference_approx_eigen(m, 8), seed
+
+
+def _assert_certifies(m, c=8):
+    cert = approx_eigen(m, c)
+    rep = certify_eigvalbound(m, cert)
+    assert rep.passed, rep.failed_conditions()
+    return cert
+
+
+def _block_diagonal(block, copies):
+    k = len(block)
+    n = k * copies
+    return tuple(
+        tuple(block[i % k][j % k] if i // k == j // k else F(0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_approx_eigen_certifies_degenerate_spectra():
+    _assert_certifies(mat([[0] * 6 for _ in range(6)]))            # zero matrix
+    _assert_certifies(mat([[0, 1], [1, 0]]))                        # exchange
+    ones = _assert_certifies(mat([[1] * 7 for _ in range(7)]))      # rank one
+    assert ones.lambdas == (7,) + (0,) * 6
+    clause_m = build_m(Cnf(3, (Clause((1, 2, 3), (1, 0, 1)),)))
+    copies = _assert_certifies(_block_diagonal(clause_m, 4))        # repeated
+    assert len(set(copies.lambdas)) == 2
+
+
+def test_approx_eigen_certifies_noisy_planted_block():
+    # three blocks whose M cancels plus three clauses across them: M has a
+    # large exact zero eigenspace
+    extra = (
+        Clause((1, 4, 7), (1, 0, 1)),
+        Clause((2, 5, 8), (0, 0, 1)),
+        Clause((7, 8, 9), (1, 1, 0)),
+    )
+    base = planted_block(3)
+    cnf = Cnf(base.n, base.clauses + extra)
+    m = build_m(cnf)
+    cert = _assert_certifies(m)
+    assert cert.lambdas.count(0) >= 2
+
+
+@st.composite
+def half_integer_symmetric(draw):
+    n = draw(st.integers(1, 8))
+    upper = {(i, j): F(draw(st.integers(-4, 4)), 2)
+             for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=200)
+@given(half_integer_symmetric(), st.integers(1, 8))
+def test_approx_eigen_certifies_half_integer_matrices(m, c):
+    _assert_certifies(m, c)
+
+
+def test_approx_eigen_certifies_dense_n60():
+    n = 60
+    m = build_m(gen_random_3cnf(n, math.floor(3 * n ** 1.4), 1))
+    _assert_certifies(m)
+
+
+def test_builder_never_imports_numpy():
+    code = (
+        "import math, sys\n"
+        "from fkocert import CollectionSearchError, build_witness, gen_random_3cnf\n"
+        "try:\n"
+        "    build_witness(gen_random_3cnf(28, math.floor(3 * 28 ** 1.4), 0))\n"
+        "except CollectionSearchError:\n"
+        "    pass\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from fkocert import (
 from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
 from fkocert.oracle import brute_force_unsat, nae_counts, not3xor_counts
+from fkocert.spectral import C_MAX
 from fkocert.witness import _t_needed
 from conftest import planted_block
 
@@ -327,3 +329,27 @@ def test_t_needed_is_least_accepted_t():
         t = _t_needed(d, imb, u)
         rhs = F(d) * (imb + u) / 2
         assert t > rhs and not t - 1 > rhs
+
+
+@pytest.mark.parametrize("c", [0, -1, 10**6])
+def test_verify_rejects_grid_exponent_out_of_range(c):
+    cnf = planted_block(2)
+    obj = json.loads(witness_to_json(build_witness(cnf)))
+    obj["c"] = c
+    wit = witness_from_json(json.dumps(obj))
+    start = time.perf_counter()
+    verdict = verify_witness(cnf, wit)
+    assert time.perf_counter() - start < 0.5
+    assert not verdict.accepted
+    assert verdict.reason == "EigValBound"
+    assert f"c={c}" in verdict.detail
+
+
+def test_certify_rejects_grid_exponent_out_of_range():
+    m = build_m(planted_block(1))
+    cert = approx_eigen(m, 8)
+    for c in (0, C_MAX + 1):
+        with pytest.raises(ValueError, match="grid exponent"):
+            certify_eigvalbound(m, replace(cert, c=c))
+        with pytest.raises(ValueError, match="grid exponent"):
+            approx_eigen(m, c)
