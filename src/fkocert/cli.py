@@ -95,6 +95,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
                     "stage": "collection",
                     "best_t": e.best.t,
                     "t_target": e.t_target,
+                    "candidates": e.candidates,
+                    "budget_hit": e.budget_hit,
                 },
                 sort_keys=True,
             )
@@ -258,7 +260,8 @@ def _add_builder_flags(p: argparse.ArgumentParser) -> None:
                    help="largest tuple size to try (default 4)")
     p.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
     p.add_argument("--budget", type=int, default=50_000,
-                   help="candidate budget for the tuple search")
+                   help="tuple search cap: 4-tuple candidates taken, and kernel "
+                        "elements examined at --k-max >= 6 (default 50000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

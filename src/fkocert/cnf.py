@@ -207,8 +207,8 @@ def parse_dimacs(text: str) -> Cnf:
                     raise DimacsError(
                         f"line {lineno}: clause of width {len(lits)}, want 3"
                     )
-                vars_ = tuple(abs(x) for x in lits)
-                pols = tuple(1 if x > 0 else 0 for x in lits)
+                vars_ = tuple([abs(x) for x in lits])
+                pols = tuple([1 if x > 0 else 0 for x in lits])
                 if len(set(vars_)) != 3:
                     raise DimacsError(f"line {lineno}: repeated variable in clause")
                 if max(vars_) > n:

@@ -87,8 +87,10 @@ def scale_rows(rows: QMat) -> list[tuple[tuple[int, ...], int]]:
     """
     out = []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        out.append((tuple(x.numerator * (den // x.denominator) for x in row), den))
+        # lists, not generators: a tuple built from a generator (also as
+        # *args) is resized, and when freed it parks in the tuple free list
+        den = math.lcm(*[x.denominator for x in row])
+        out.append((tuple([x.numerator * (den // x.denominator) for x in row]), den))
     return out
 
 

@@ -408,7 +408,7 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     entry_bound_ok = all(max(map(abs, w)) <= 2 * den for w, den in rows)
 
     # condition 3: V^T V - I is the Gram deviation of V's columns
-    rho = max(gram_dev(tuple(zip(*v))))
+    rho = max(gram_dev(list(zip(*v))))
 
     gram_off, gram_diag = gram_dev(v)
 

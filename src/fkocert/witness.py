@@ -151,7 +151,8 @@ def build_witness(
 
     Raises CertificationError when the snapped eigendata fails its own
     certification, CollectionSearchError when the tuple search cannot
-    reach t_target within budget (carrying the best collection found).
+    reach t_target (carrying the best collection found, the candidates
+    per search source and whether `budget` cut the search short).
     """
     return _collect(cnf, *_spectral_stage(cnf, c), c=c, d=d, k_max=k_max,
                     seed=seed, budget=budget)
@@ -300,8 +301,8 @@ def _witness_from_obj(obj) -> FkoWitness:
     if not isinstance(obj, dict):
         raise TypeError("top level is not an object")
     cert = SpectralCert(
-        lambdas=tuple(_rat_in(x) for x in obj["lambdas"]),
-        v=tuple(tuple(_rat_in(x) for x in row) for row in obj["V"]),
+        lambdas=tuple([_rat_in(x) for x in obj["lambdas"]]),
+        v=tuple([tuple([_rat_in(x) for x in row]) for row in obj["V"]]),
         c=_int_in(obj["c"]),
         k3=_rat_in(obj.get("K3", 16)),
         k4=_rat_in(obj.get("K4", 16)),
@@ -309,7 +310,7 @@ def _witness_from_obj(obj) -> FkoWitness:
     )
     d = obj["D"]
     coll = TupleCollection(
-        tuples=tuple(tuple(_int_in(i) for i in tup) for tup in d["tuples"]),
+        tuples=tuple([tuple([_int_in(i) for i in tup]) for tup in d["tuples"]]),
         t=_int_in(d["t"]),
         k=_int_in(d["k"]),
         d=_int_in(d["d"]),

@@ -106,6 +106,21 @@ def test_witness_build_failure_exits_1(tmp_path, capsys):
     assert blob["stage"] == "collection"
 
 
+def test_witness_build_failure_reports_search_sources(tmp_path, capsys):
+    p = tmp_path / "one.cnf"
+    p.write_text("p cnf 5 1\n1 -2 3 0\n")
+    rc = main(["witness", "--cnf", str(p), "--out", str(tmp_path / "w.json")])
+    assert rc == 1
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["candidates"] == {"pairs": 0, "quads": 0, "elimination": 0}
+    assert blob["budget_hit"] is False
+    rc = main(["refute", "--cnf", str(p)])
+    assert rc == 1
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    assert "0 pairs, 0 quads, 0 elimination" in detail
+    assert "budget not hit" in detail
+
+
 def test_oracle_on_block(tmp_path, capsys):
     rc = main(["oracle", "--cnf", str(_block_path(tmp_path))])
     assert rc == 0

@@ -1,6 +1,8 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fkocert import (
     Clause,
@@ -14,7 +16,12 @@ from fkocert import (
     is_inconsistent_tuple,
 )
 from fkocert.cnf import all_assignments, is_3xor
-from fkocert.tuples import parity_vector
+from fkocert.tuples import (
+    _elimination_candidates,
+    _quad_candidates,
+    _triple_keys,
+    parity_vector,
+)
 from conftest import planted_block
 
 POS = Clause((1, 2, 3), (1, 1, 1))
@@ -196,3 +203,191 @@ def test_xor_lemma_on_quad():
     )
     for a in all_assignments(6):
         assert any(not is_3xor(k.clauses[i], a) for i in (0, 1, 2, 3))
+
+
+# ------------------------------------------------- variable-pair quad index
+
+
+def reference_quad_candidates(cnf, budget):
+    """The former O(m^2) search, kept as the reference: every 4-subset of
+    clauses that splits into two pairs with one nonzero occurrence XOR,
+    with an odd negation sum; nothing at all when m(m-1)/2 > budget."""
+    if cnf.m * (cnf.m - 1) // 2 > budget:
+        return []
+    masks = [parity_vector(cnf, i) >> 1 for i in range(cnf.m)]
+    negs = [parity_vector(cnf, i) & 1 for i in range(cnf.m)]
+    by_xor = {}
+    for i in range(cnf.m):
+        for j in range(i + 1, cnf.m):
+            x = masks[i] ^ masks[j]
+            if x:
+                by_xor.setdefault(x, []).append((i, j))
+    out = set()
+    for pairs in by_xor.values():
+        for a, b in itertools.combinations(pairs, 2):
+            quad = set(a) | set(b)
+            if len(quad) == 4 and sum(negs[i] for i in quad) % 2:
+                out.add(tuple(sorted(quad)))
+                if len(out) >= budget:
+                    return sorted(out)
+    return sorted(out)
+
+
+def _index_quads(cnf, budget=10**9):
+    return _quad_candidates(cnf.n, _triple_keys(cnf), budget)
+
+
+def _two_shared_pairing(cnf, quad):
+    """Some split of quad into two pairs whose clauses each share exactly
+    two variables: the 4-tuples the variable-pair index can see."""
+    def share_two(i, j):
+        return len(set(cnf.clauses[i].vars) & set(cnf.clauses[j].vars)) == 2
+    a, b, c, d = quad
+    return any(share_two(*p) and share_two(*q)
+               for p, q in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))))
+
+
+@st.composite
+def small_cnfs(draw):
+    """Few variables and a short list of triples, so that triples repeat
+    and share pairs often; literals in any order."""
+    n = draw(st.integers(4, 7))
+    pool = draw(st.lists(st.sets(st.integers(1, n), min_size=3, max_size=3),
+                         min_size=1, max_size=6))
+    m = draw(st.integers(0, 24))
+    clauses = []
+    for _ in range(m):
+        trip = tuple(draw(st.permutations(sorted(draw(st.sampled_from(pool))))))
+        pols = draw(st.tuples(*[st.integers(0, 1)] * 3))
+        clauses.append(Clause(trip, pols))
+    return Cnf(n, tuple(clauses))
+
+
+@settings(max_examples=300)
+@given(small_cnfs())
+def test_quad_index_matches_reference_on_two_shared_pairings(cnf):
+    want = [q for q in reference_quad_candidates(cnf, 10**9)
+            if _two_shared_pairing(cnf, q)]
+    got, hit = _index_quads(cnf)
+    assert got == want
+    assert not hit
+    for quad in got:
+        assert is_inconsistent_tuple(cnf, quad)
+
+
+def test_quad_index_matches_reference_on_random_formulas():
+    for seed in range(20):
+        cnf = gen_random_3cnf(6 + seed % 7, 20 + 4 * seed, seed)
+        want = [q for q in reference_quad_candidates(cnf, 10**9)
+                if _two_shared_pairing(cnf, q)]
+        assert _index_quads(cnf) == (want, False)
+
+
+def test_quad_index_misses_pasch_configuration():
+    # every two of the four clauses share exactly one variable
+    pasch = Cnf(6, (
+        Clause((1, 2, 3), (0, 1, 1)),
+        Clause((1, 4, 5), (1, 1, 1)),
+        Clause((2, 4, 6), (1, 1, 1)),
+        Clause((3, 5, 6), (1, 1, 1)),
+    ))
+    assert is_inconsistent_tuple(pasch, (0, 1, 2, 3))
+    assert reference_quad_candidates(pasch, 10**9) == [(0, 1, 2, 3)]
+    assert _index_quads(pasch) == ([], False)
+
+
+def test_quad_index_two_clauses_from_each_triple():
+    # {1,2,3} twice and {1,2,4} twice: one edge taken with itself
+    k = Cnf(4, (
+        Clause((1, 2, 3), (1, 1, 1)),
+        Clause((1, 2, 3), (0, 1, 1)),
+        Clause((1, 2, 4), (1, 1, 1)),
+        Clause((1, 2, 4), (1, 1, 1)),
+    ))
+    assert _index_quads(k) == ([(0, 1, 2, 3)], False)
+
+
+def test_quad_index_above_the_old_cliff():
+    cnf = gen_random_3cnf(28, 318, 1)
+    assert cnf.m * (cnf.m - 1) // 2 > 50_000
+    assert reference_quad_candidates(cnf, 50_000) == []
+    quads, hit = _index_quads(cnf, 50_000)
+    assert len(quads) >= 100 and not hit
+    for quad in quads[:50]:
+        assert is_inconsistent_tuple(cnf, quad)
+    coll = find_collection(cnf, k_max=4, d=4, t_target=100)
+    assert coll.k == 4 and check_collection(cnf, coll) == (True, None)
+
+
+def test_quad_budget_caps_count_deterministically():
+    cnf = gen_random_3cnf(12, 100, 3)
+    full, hit = _index_quads(cnf)
+    assert len(full) > 40 and not hit
+    capped, hit = _index_quads(cnf, 40)
+    assert len(capped) == 40 and hit
+    assert _index_quads(cnf, 40) == (capped, True)
+    assert set(capped) <= set(full)
+    assert _index_quads(cnf, 0) == ([], True)
+
+
+def _pair_list(cnf):
+    return [(i, j) for i, j in itertools.combinations(range(cnf.m), 2)
+            if is_inconsistent_tuple(cnf, (i, j))]
+
+
+def test_search_error_reports_sources_and_budget():
+    cnf = gen_random_3cnf(12, 100, 3)
+    with pytest.raises(CollectionSearchError) as ei:
+        find_collection(cnf, k_max=4, d=4, t_target=10**6, budget=40)
+    err = ei.value
+    assert err.candidates == {"pairs": len(_pair_list(cnf)), "quads": 40,
+                              "elimination": 0}
+    assert err.budget_hit
+    msg = str(err)
+    assert "40 quads" in msg and "0 elimination" in msg and "budget hit" in msg
+    with pytest.raises(CollectionSearchError) as ei:
+        find_collection(cnf, k_max=2, d=4, t_target=10**6)
+    assert ei.value.candidates["quads"] == 0
+    assert not ei.value.budget_hit
+    assert "budget not hit" in str(ei.value)
+
+
+def test_elimination_still_yields_six_tuples_at_k6():
+    # nine variables, each in exactly two of six clauses, no two clauses
+    # sharing two variables: the only even tuple is all six
+    six = Cnf(9, (
+        Clause((1, 2, 3), (0, 1, 1)),
+        Clause((1, 4, 5), (1, 1, 1)),
+        Clause((2, 6, 7), (1, 1, 1)),
+        Clause((3, 8, 9), (1, 1, 1)),
+        Clause((4, 6, 8), (1, 1, 1)),
+        Clause((5, 7, 9), (1, 1, 1)),
+    ))
+    with pytest.raises(CollectionSearchError) as ei:
+        find_collection(six, k_max=4, d=4, t_target=1)
+    assert ei.value.candidates == {"pairs": 0, "quads": 0, "elimination": 0}
+    coll = find_collection(six, k_max=6, d=4, t_target=1)
+    assert coll.k == 6 and coll.tuples == ((0, 1, 2, 3, 4, 5),)
+    # on a dense formula, elimination is still the source of 6-tuples
+    cnf = gen_random_3cnf(12, 100, 1)
+    with pytest.raises(CollectionSearchError) as ei:
+        find_collection(cnf, k_max=6, d=4, t_target=10**6, seed=0)
+    assert ei.value.candidates["elimination"] >= 100
+    longer, hit = _elimination_candidates(cnf, 6, 0, 50_000)
+    sixes = [t for t in longer if len(t) == 6]
+    assert len(sixes) >= 100 and not hit
+    assert all(is_inconsistent_tuple(cnf, t) for t in sixes)
+
+
+def test_check_collection_computes_each_parity_once(monkeypatch):
+    import fkocert.tuples as tuples_mod
+
+    cnf = gen_random_3cnf(12, 100, 1)
+    coll = find_collection(cnf, k_max=4, d=4, t_target=1)
+    calls = []
+    real = tuples_mod.parity_vector
+    monkeypatch.setattr(tuples_mod, "parity_vector",
+                        lambda k, idx: calls.append(idx) or real(k, idx))
+    assert check_collection(cnf, coll) == (True, None)
+    used = {i for tup in coll.tuples for i in tup}
+    assert sorted(calls) == sorted(used)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -353,3 +355,34 @@ def test_certify_rejects_grid_exponent_out_of_range():
             certify_eigvalbound(m, replace(cert, c=c))
         with pytest.raises(ValueError, match="grid exponent"):
             approx_eigen(m, c)
+
+
+def test_repeated_certify_and_parse_park_no_tuples():
+    # A tuple built from a generator is allocated at one length and resized;
+    # freed, it joins the interpreter's free list for its final length, so
+    # a loop of such builds parks up to 2000 tuples there.  A fresh
+    # interpreter keeps the free lists near empty, so growth shows.
+    code = (
+        "import sys\n"
+        "from fkocert import (build_m, approx_eigen, certify_eigvalbound,\n"
+        "                     gen_random_3cnf, find_collection, witness_from_json,\n"
+        "                     witness_to_json, FkoWitness)\n"
+        "from fractions import Fraction\n"
+        "cnf = gen_random_3cnf(12, 100, 1)\n"
+        "mat = build_m(cnf)\n"
+        "cert = approx_eigen(mat, 8)\n"
+        "coll = find_collection(cnf, k_max=4, d=4, t_target=1)\n"
+        "text = witness_to_json(FkoWitness(n=12, m=100, c=8, imb=0, mat=None,\n"
+        "    cert=cert, lam=cert.lambdas[0], coll=coll, epsilon=Fraction(1, 2)))\n"
+        "for f in (lambda: certify_eigvalbound(mat, cert),\n"
+        "          lambda: witness_from_json(text)):\n"
+        "    f()\n"
+        "    before = sys.getallocatedblocks()\n"
+        "    for _ in range(200):\n"
+        "        f()\n"
+        "    print(sys.getallocatedblocks() - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert len(out) == 2
+    assert all(int(grown) < 100 for grown in out), out
