@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 Assignment = Sequence[int]
 SignVector = Sequence[int]
+_T = TypeVar("_T", "Clause", "Cnf")
 
 __all__ = [
     "Clause",
@@ -28,7 +29,6 @@ __all__ = [
     "is_nae",
     "is_3xor",
     "true_literal_count",
-    "lit_positions",
     "count_sat_literals",
     "count_nae",
     "i_imbalance",
@@ -84,6 +84,18 @@ class Cnf:
         return len(self.clauses)
 
 
+def _unchecked(cls: type[_T], first: object, second: object) -> _T:
+    """`cls(first, second)` for Clause or Cnf without `__post_init__`, for
+    fields the caller has already checked: the frozen-dataclass `__init__`
+    sets its fields the same way, so instances compare, hash and print
+    alike."""
+    obj = object.__new__(cls)
+    name1, name2 = cls.__match_args__
+    object.__setattr__(obj, name1, first)
+    object.__setattr__(obj, name2, second)
+    return obj
+
+
 def lit_true(assignment: Assignment, var: int, pol: int) -> bool:
     return assignment[var - 1] == pol
 
@@ -105,19 +117,6 @@ def is_nae(clause: Clause, assignment: Assignment) -> bool:
 def is_3xor(clause: Clause, assignment: Assignment) -> bool:
     """Odd number (1 or 3) of true literals."""
     return true_literal_count(clause, assignment) % 2 == 1
-
-
-def lit_positions(cnf: Cnf, var: int, pol: int) -> set[tuple[int, int]]:
-    """All (clause index, slot) positions holding the literal x_var^pol.
-
-    Slots are 1-based.
-    """
-    out: set[tuple[int, int]] = set()
-    for k, cl in enumerate(cnf.clauses):
-        for slot, (v, p) in enumerate(cl.literals(), start=1):
-            if v == var and p == pol:
-                out.add((k, slot))
-    return out
 
 
 def count_sat_literals(cnf: Cnf, assignment: Assignment) -> int:
@@ -172,13 +171,33 @@ def all_assignments(n: int) -> Iterator[tuple[int, ...]]:
 def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF, requiring width-3 clauses on distinct variables.
 
-    Clause order and literal slot order are preserved as written.
+    Clause order and literal slot order are preserved as written.  Each
+    clause is checked once, here (width 3, distinct variables, range
+    1..n), and Clause and Cnf are built without repeating those checks.
+    A line holding exactly one valid clause, `a b c 0` as `to_dimacs`
+    writes it, takes a fast path.  Every other line goes through the
+    general tokenizer: comments, the header, several clauses on one line,
+    a clause split across lines, and every error, each raised as a
+    DimacsError naming its line.
     """
     n = None
     m = None
     lits: list[int] = []
     clauses: list[Clause] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) == 4 and n is not None and not lits:
+            try:
+                a, b, c, end = map(int, parts)
+            except ValueError:
+                pass  # a comment, a header or a bad literal
+            else:
+                x, y, z = abs(a), abs(b), abs(c)
+                if end == 0 and 0 < x <= n and 0 < y <= n and 0 < z <= n \
+                        and x != y != z != x:
+                    pols = (1 if a > 0 else 0, 1 if b > 0 else 0, 1 if c > 0 else 0)
+                    clauses.append(_unchecked(Clause, (x, y, z), pols))
+                    continue
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -213,7 +232,7 @@ def parse_dimacs(text: str) -> Cnf:
                     raise DimacsError(f"line {lineno}: repeated variable in clause")
                 if max(vars_) > n:
                     raise DimacsError(f"line {lineno}: variable beyond n={n}")
-                clauses.append(Clause(vars_, pols))  # type: ignore[arg-type]
+                clauses.append(_unchecked(Clause, vars_, pols))
                 lits = []
             else:
                 lits.append(lit)
@@ -223,7 +242,7 @@ def parse_dimacs(text: str) -> Cnf:
         raise DimacsError("trailing literals without terminating 0")
     if m is not None and m != len(clauses):
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    return Cnf(n, tuple(clauses))
+    return _unchecked(Cnf, n, tuple(clauses))
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -258,5 +277,5 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
         vars_ = tuple(sorted(trip))
         bits = rng.randrange(8)
         pols = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-        clauses.append(Clause(vars_, pols))  # type: ignore[arg-type]
-    return Cnf(n, tuple(clauses))
+        clauses.append(_unchecked(Clause, vars_, pols))
+    return _unchecked(Cnf, n, tuple(clauses))

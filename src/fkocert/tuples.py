@@ -18,9 +18,9 @@ leaves at least ceil(t/d) distinct clauses non-3XOR.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby, product
+from itertools import chain, combinations, compress, count, groupby, islice, product, repeat
+from operator import eq, floordiv, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
 from .cnf import Cnf
@@ -147,7 +147,7 @@ Picks = tuple[list[tuple[list[int], list[int]]], list[tuple[list[int], list[int]
 def _triple_keys(cnf: Cnf) -> list[int]:
     """One int per clause, (sorted variable triple, negation parity, clause
     index), in ascending order: each triple's clauses form a run, even
-    negation counts first.  A triple is named by where its run starts."""
+    negation counts first."""
     span, m = cnf.n + 1, cnf.m
     keys = []
     for idx, cl in enumerate(cnf.clauses):
@@ -157,37 +157,45 @@ def _triple_keys(cnf: Cnf) -> list[int]:
     return keys
 
 
-def _starts(keys: list[int], m: int) -> Iterator[int]:
-    """Where each triple's run starts, ascending."""
-    return (t for t in range(m) if t == 0 or keys[t] // (2 * m) != keys[t - 1] // (2 * m))
+def _agree(codes: Sequence[int], stride: int) -> Iterator[bool]:
+    """For each i, whether codes[i] and codes[i + 1] agree above `stride`
+    (equal quotients): on a sorted list, a scan for runs that takes no
+    Python-level step per code."""
+    return map(eq, map(floordiv, codes, repeat(stride)),
+               map(floordiv, islice(codes, 1, None), repeat(stride)))
 
 
-def _repeats(keys: list[int], t: int, m: int) -> bool:
-    """Whether the triple named t holds more than one clause."""
-    return t + 1 < m and keys[t + 1] // (2 * m) == keys[t] // (2 * m)
+def _triple_starts(keys: list[int]) -> list[int]:
+    """Where each triple's run of keys starts, ascending, then len(keys):
+    triple j holds keys[starts[j]:starts[j + 1]]."""
+    m = len(keys)
+    if not m:
+        return [0]
+    return [0, *compress(count(1), map(not_, _agree(keys, 2 * m))), m]
 
 
-def _members(keys: list[int], t: int, m: int) -> Side:
-    """Clause indices of the triple named t with an even and with an odd
-    negation count."""
+def _members(keys: list[int], starts: list[int], j: int) -> Side:
+    """Clause indices of triple j with an even and with an odd negation
+    count."""
+    m = len(keys)
     side: Side = ([], [])
-    for k in keys[t:bisect_left(keys, (keys[t] // (2 * m) + 1) * 2 * m, t)]:
+    for k in keys[starts[j]:starts[j + 1]]:
         side[k // m & 1].append(k % m)
     return side
 
 
-def _pair_candidates(keys: list[int], m: int) -> list[ClauseTuple]:
+def _pair_candidates(keys: list[int], starts: list[int]) -> list[ClauseTuple]:
     """All inconsistent 2-tuples: same variable triple, odd negation sum."""
     out: list[ClauseTuple] = []
-    for t in _starts(keys, m):
-        if _repeats(keys, t, m):
-            even, odd = _members(keys, t, m)
-            out += [(i, j) if i < j else (j, i) for i in odd for j in even]
+    for j in range(len(starts) - 1):
+        if starts[j + 1] - starts[j] > 1:
+            even, odd = _members(keys, starts, j)
+            out += [(i, k) if i < k else (k, i) for i in odd for k in even]
     return out
 
 
 def _quad_candidates(
-    n: int, keys: list[int], budget: int
+    n: int, keys: list[int], starts: list[int], budget: int
 ) -> tuple[list[ClauseTuple], bool]:
     """Inconsistent 4-tuples from a variable-pair index over the triples.
 
@@ -204,41 +212,58 @@ def _quad_candidates(
     share fewer than two variables.
 
     Incidences (per first variable, in int64 arrays) and edges are each
-    one int, sorted, and read as runs of equal pair or label.  At most
-    `budget` distinct tuples are taken, in label order; returns them
-    sorted and whether the cap cut the scan.
+    one int, sorted; one scan over each finds the runs of equal pair and
+    of equal label.  Only the edges that can yield a tuple are decoded
+    and expanded: those whose label is on two or more edges, and lone
+    edges whose two triples both repeat.  At most `budget` distinct
+    tuples are taken, in label order; returns them sorted and whether
+    the cap cut the scan.
     """
-    span, m = n + 1, len(keys)
+    span, nt = n + 1, len(starts) - 1
+    repeats = {j for j in range(nt) if starts[j + 1] - starts[j] > 1}
     # for each variable a, one int per (second variable b > a, third
     # variable x, triple), in a flat array
     by_first = [array("q") for _ in range(span)]
-    for t in _starts(keys, m):
-        uv, w = divmod(keys[t] // (2 * m), span)
-        u, v = divmod(uv, span)
-        by_first[u].extend(((v * span + w) * m + t, (w * span + v) * m + t))
-        by_first[v].append((w * span + u) * m + t)
+    triples = map(floordiv, map(keys.__getitem__, starts[:-1]), repeat(2 * len(keys)))
+    for j, triple in enumerate(triples):
+        u, vw = divmod(triple, span * span)
+        v, w = divmod(vw, span)
+        by_first[u].extend(((v * span + w) * nt + j, (w * span + v) * nt + j))
+        by_first[v].append((w * span + u) * nt + j)
     # one int per (label {x,y}, triple with x, triple with y); within the
     # run of one pair {a,b} the third variables are distinct and ascending
     edges: list[int] = []
-    for inc in by_first:
-        for _, run in groupby(sorted(inc), lambda code: code // (span * m)):
-            run = list(run)
-            if len(run) < 2:
-                continue
-            ends = [divmod(code % (span * m), m) for code in run]
-            for r, (x, a) in enumerate(ends):
-                for y, b in ends[r + 1:]:
-                    edges.append(((x * span + y) * m + a) * m + b)
+    doubled: list[int] = []  # edges whose two triples both repeat
+    pair_stride, label_stride = span * nt, nt * nt
+    for codes in by_first:
+        codes = sorted(codes)
+        for i in compress(count(), _agree(codes, pair_stride)):
+            pair, rest = divmod(codes[i], pair_stride)
+            x, a = divmod(rest, nt)
+            head = (x * span * nt + a) * nt
+            a_repeats = a in repeats
+            for later in islice(codes, i + 1, None):
+                if later // pair_stride != pair:
+                    break
+                y, b = divmod(later % pair_stride, nt)
+                edges.append(head + y * label_stride + b)
+                if a_repeats and b in repeats:
+                    doubled.append(edges[-1])
     del by_first
     edges.sort()
+    # an edge yields tuples when its label recurs, or with itself when
+    # both its triples repeat; no other edge is decoded
+    chosen = set(doubled)
+    for i in compress(count(), _agree(edges, label_stride)):
+        chosen.update(edges[i:i + 2])
+    del edges
     out: set[ClauseTuple] = set()
-    for _, run in groupby(edges, lambda code: code // (m * m)):
-        same_label = [divmod(code % (m * m), m) for code in run]
-        # an edge pairs with itself only when both its triples repeat
-        twice = [_repeats(keys, a, m) and _repeats(keys, b, m) for a, b in same_label]
-        if len(same_label) == 1 and not twice[0]:
-            continue
-        sides = [(_members(keys, a, m), _members(keys, b, m)) for a, b in same_label]
+    by_label = groupby((divmod(code, label_stride) for code in sorted(chosen)), itemgetter(0))
+    for _, run in by_label:
+        same_label = [divmod(ends, nt) for _, ends in run]
+        twice = [a in repeats and b in repeats for a, b in same_label]
+        sides = [(_members(keys, starts, a), _members(keys, starts, b))
+                 for a, b in same_label]
         picks = [_picks(a, b) for a, b in sides]
         for r, (a, b) in enumerate(sides):
             found = [_cross_quads(picks[r], other) for other in picks[r + 1:]]
@@ -366,12 +391,13 @@ def find_collection(
     if d < 1:
         raise ValueError("d must be at least 1")
     keys = _triple_keys(cnf)
-    pairs = _pair_candidates(keys, cnf.m)
+    starts = _triple_starts(keys)
+    pairs = _pair_candidates(keys, starts)
     quads: list[ClauseTuple] = []
     longer: list[ClauseTuple] = []
     quads_hit = longer_hit = False
     if k_max >= 4:
-        quads, quads_hit = _quad_candidates(cnf.n, keys, budget)
+        quads, quads_hit = _quad_candidates(cnf.n, keys, starts, budget)
     if k_max >= 6:
         longer, longer_hit = _elimination_candidates(cnf, k_max, seed, budget)
     ordered = sorted({*pairs, *quads, *longer}, key=lambda t: (len(t), t))

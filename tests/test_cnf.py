@@ -2,7 +2,7 @@ import itertools
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
 from fkocert.cnf import (
@@ -14,12 +14,25 @@ from fkocert.cnf import (
     imbalance,
     is_3xor,
     is_nae,
-    lit_positions,
     not_sat,
     to_signs,
     true_literal_count,
 )
 from conftest import planted_block
+
+
+def lit_positions(cnf, var, pol):
+    """All (clause index, slot) positions holding the literal x_var^pol.
+
+    Slots are 1-based.
+    """
+    out = set()
+    for k, cl in enumerate(cnf.clauses):
+        for slot, (v, p) in enumerate(cl.literals(), start=1):
+            if v == var and p == pol:
+                out.add((k, slot))
+    return out
+
 
 C123 = Clause((1, 2, 3), (1, 1, 1))          # x1 v x2 v x3
 C1n23 = Clause((1, 2, 3), (1, 0, 1))         # x1 v ~x2 v x3
@@ -33,6 +46,10 @@ def test_clause_validation():
         Clause((0, 1, 2), (1, 1, 1))
     with pytest.raises(ValueError):
         Clause((1, 2, 3), (1, 2, 1))
+    with pytest.raises(ValueError):
+        Cnf(3, (Clause((1, 2, 4), (1, 1, 1)),))
+    with pytest.raises(ValueError):
+        Cnf(-1, ())
 
 
 def test_predicate_examples():
@@ -140,6 +157,147 @@ def test_dimacs_round_trip_manual():
 def test_dimacs_rejects(bad):
     with pytest.raises(DimacsError):
         parse_dimacs(bad)
+
+
+# ------------------------------------------- parse against the former parser
+
+
+def reference_parse_dimacs(text):
+    """The parser as it was before the one-check-per-clause fast path:
+    every clause checked here, then again by Clause and Cnf."""
+    n = None
+    m = None
+    lits = []
+    clauses = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if n is not None:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
+            if n < 0 or m < 0:
+                raise DimacsError(f"line {lineno}: negative header counts")
+            continue
+        if n is None:
+            raise DimacsError(f"line {lineno}: clause before header")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: bad literal {tok!r}") from exc
+            if lit == 0:
+                if len(lits) != 3:
+                    raise DimacsError(
+                        f"line {lineno}: clause of width {len(lits)}, want 3"
+                    )
+                vars_ = tuple([abs(x) for x in lits])
+                pols = tuple([1 if x > 0 else 0 for x in lits])
+                if len(set(vars_)) != 3:
+                    raise DimacsError(f"line {lineno}: repeated variable in clause")
+                if max(vars_) > n:
+                    raise DimacsError(f"line {lineno}: variable beyond n={n}")
+                clauses.append(Clause(vars_, pols))
+                lits = []
+            else:
+                lits.append(lit)
+    if n is None:
+        raise DimacsError("missing header")
+    if lits:
+        raise DimacsError("trailing literals without terminating 0")
+    if m is not None and m != len(clauses):
+        raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
+    return Cnf(n, tuple(clauses))
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like texts: mostly one clause per line, sometimes several
+    clauses on a line or one split across lines, with comments, blank
+    lines, `+3` literals, and any of the parser's error classes."""
+    n = draw(st.integers(3, 6))
+    nonzero = st.integers(-n - 1, n + 1).filter(bool)
+    good = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)
+    clauses = []
+    picked = draw(st.lists(good, max_size=8))
+    if picked and draw(st.integers(0, 2)) == 0:  # width, repeats or range
+        picked[draw(st.integers(0, len(picked) - 1))] = draw(
+            st.lists(nonzero, max_size=5))
+    for vars_ in picked:
+        signs = draw(st.lists(st.sampled_from(["", "-", "+"]),
+                              min_size=len(vars_), max_size=len(vars_)))
+        clauses.append([f"{s}{abs(v)}" if s else str(v) for s, v in zip(signs, vars_)])
+    tokens = [tok for cl in clauses for tok in (*cl, "0")]
+    if draw(st.integers(0, 9)) == 0:  # a bad literal
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      draw(st.sampled_from(["x", "1.5", "--2", "3a", "0x1"])))
+    if draw(st.integers(0, 9)) == 0:  # trailing literals
+        tokens += [str(v) for v in draw(st.lists(nonzero, min_size=1, max_size=3))]
+    lines = []
+    line = []
+    one_per_line = draw(st.booleans())
+    for tok in tokens:
+        line.append(tok)
+        if (tok == "0") if one_per_line else draw(st.booleans()):
+            lines.append(" ".join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    m = len(clauses) if draw(st.integers(0, 9)) else draw(st.integers(0, 9))
+    header = draw(st.sampled_from(
+        [f"p cnf {n} {m}"] * 15
+        + ["p cnf", f"p dnf {n} {m}", f"p cnf x {m}", f"p cnf -1 {m}", f"p cnf {n - 1} {m}"]))
+    where = draw(st.sampled_from(["top"] * 15 + ["missing", "twice", "late"]))
+    if where != "missing":
+        lines.insert(0 if where != "late" else min(1, len(lines)), header)
+    if where == "twice":
+        lines.insert(draw(st.integers(1, len(lines))), header)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["c a comment", "", "   ", "c 1 2 3 0", "c"])))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return "\n".join(pad + ln + pad for ln in lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+@given(dimacs_texts())
+@settings(max_examples=500)
+@example("p cnf 4 2\n1 -2 3 0 -1 2 4 0\n")            # two clauses on one line
+@example("p cnf 4 2\n1 -2\n3 0\n-1 2\n4 0\n")        # clauses split across lines
+@example("c hi\n\np cnf 3 1\n  c x\n\n+1 -2 +3 0\n")  # comments, blanks, +3
+@example("p cnf 3 1\n1 2 0\n")                        # width
+@example("p cnf 3 1\n1 2 -2 0\n")                     # repeated variable
+@example("p cnf 3 1\n1 2 -1 0\n")                     # repeated, first and last
+@example("p cnf 4 1\n1 2 3 4\n0\n")                   # four literals, then 0
+@example("p cnf 4 1\n1\n2 3 4 0\n")                   # a clause's tail, width 4
+@example("p cnf 3 1\n1 2 4 0\n")                      # out of range
+@example("p cnf 3 1\n1 x 3 0\n")                      # bad token
+@example("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")           # duplicate header
+@example("1 2 3 0\np cnf 3 1\n")                      # clause before header
+@example("p cnf 3 1\n1 2 3 0\n1 2\n")                 # trailing literals
+@example("p cnf 3 2\n1 2 3 0\n")                      # count mismatch
+@example("p cnf 3 1\n1 2 3 -0\n")                     # a zero spelled -0
+@example("p cnf 3 1\n1 2 3 0 0\n")                    # an empty clause after one
+def test_parse_dimacs_matches_reference(text):
+    want = _outcome(reference_parse_dimacs, text)
+    got = _outcome(parse_dimacs, text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want and repr(got) == repr(want)
 
 
 @st.composite

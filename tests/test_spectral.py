@@ -531,3 +531,50 @@ def test_builder_never_imports_numpy():
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# ------------------------------- the slack bound, for arbitrary certificates
+
+
+@st.composite
+def on_grid_certs(draw):
+    """The M of a formula with n <= 6 and an arbitrary on-grid certificate
+    (sorted lambdas, |v| <= 2), in one of three forms: drawn outright; an
+    honest certificate with every entry moved a few grid steps and the
+    lambdas lowered by up to 2, so that lambdas[0]*n can fall below the
+    maximum and the residual tau must make up for it; or an honest one
+    whose top eigenpair is dropped for a zero row, which only the basis
+    and Gram deviations can make up for."""
+    n = draw(st.integers(3, 6))
+    m = build_m(gen_random_3cnf(n, draw(st.integers(1, 3 * n)), draw(st.integers(0, 999))))
+    c = draw(st.integers(1, 3))
+    d = n ** (2 * c)
+    form = draw(st.sampled_from(["drawn", "moved", "dropped"]))
+    if form == "drawn":
+        lams = draw(st.lists(st.integers(-4 * n * d, 4 * n * d), min_size=n, max_size=n))
+        v = [draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n, max_size=n))
+             for _ in range(n)]
+    else:
+        honest = approx_eigen(m, c)
+        lams = [int(x * d) for x in honest.lambdas]
+        v = [[int(x * d) for x in row] for row in honest.v]
+        if form == "moved":
+            lams = [x - draw(st.integers(-3, 2 * d)) for x in lams]
+            v = [[max(-2 * d, min(2 * d, x + draw(st.integers(-3, 3)))) for x in row]
+                 for row in v]
+        else:
+            lams = lams[1:] + [lams[-1] - draw(st.integers(0, d))]
+            v = v[1:] + [[0] * n]
+    pairs = sorted(zip(lams, v), key=lambda pair: -pair[0])
+    return m, SpectralCert(tuple(F(x, d) for x, _ in pairs),
+                           tuple(tuple(F(x, d) for x in row) for _, row in pairs), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(on_grid_certs())
+def test_slack_bound_holds_for_arbitrary_certificates(case):
+    m, cert = case
+    rep = certify_eigvalbound(m, cert)
+    assert rep.grid_ok and rep.entry_bound_ok
+    m2 = [[int(x * 2) for x in row] for row in m]
+    assert cert.lambdas[0] * cert.n + rep.slack >= max_quadform(m2)

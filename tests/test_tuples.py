@@ -1,3 +1,5 @@
+import array
+import bisect
 import itertools
 
 import hypothesis.strategies as st
@@ -20,6 +22,7 @@ from fkocert.tuples import (
     _elimination_candidates,
     _quad_candidates,
     _triple_keys,
+    _triple_starts,
     parity_vector,
 )
 from conftest import planted_block
@@ -234,7 +237,8 @@ def reference_quad_candidates(cnf, budget):
 
 
 def _index_quads(cnf, budget=10**9):
-    return _quad_candidates(cnf.n, _triple_keys(cnf), budget)
+    keys = _triple_keys(cnf)
+    return _quad_candidates(cnf.n, keys, _triple_starts(keys), budget)
 
 
 def _two_shared_pairing(cnf, quad):
@@ -391,3 +395,116 @@ def test_check_collection_computes_each_parity_once(monkeypatch):
     assert check_collection(cnf, coll) == (True, None)
     used = {i for tup in coll.tuples for i in tup}
     assert sorted(calls) == sorted(used)
+
+
+# ------------------------------------- the index as it was, before the scans
+
+
+def reference_index_quads(cnf, budget):
+    """The variable-pair index before its run scans: every incidence and
+    edge decoded through groupby, every edge's label run visited.  Kept to
+    pin the tuple list, the budget flag and the label-order cut."""
+    span, m = cnf.n + 1, cnf.m
+    keys = []
+    for idx, cl in enumerate(cnf.clauses):
+        u, v, w = sorted(cl.vars)
+        keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
+    keys.sort()
+
+    def repeats(t):
+        return t + 1 < m and keys[t + 1] // (2 * m) == keys[t] // (2 * m)
+
+    def members(t):
+        side = ([], [])
+        for k in keys[t:bisect.bisect_left(keys, (keys[t] // (2 * m) + 1) * 2 * m, t)]:
+            side[k // m & 1].append(k % m)
+        return side
+
+    def picks(a, b):
+        even = [(a[p], b[p]) for p in (0, 1) if a[p] and b[p]]
+        odd = [(a[p], b[1 - p]) for p in (0, 1) if a[p] and b[1 - p]]
+        return even, odd
+
+    def cross_quads(e, f):
+        for s in (0, 1):
+            for x, y in e[s]:
+                for z, w in f[1 - s]:
+                    for quad in itertools.product(x, y, z, w):
+                        yield tuple(sorted(quad))
+
+    def self_quads(a, b):
+        mixed = [list(itertools.product(*side)) for side in (a, b)]
+        same = [[*itertools.combinations(side[0], 2), *itertools.combinations(side[1], 2)]
+                for side in (a, b)]
+        for p, q in itertools.chain(itertools.product(mixed[0], same[1]),
+                                    itertools.product(same[0], mixed[1])):
+            yield tuple(sorted(p + q))
+
+    starts = (t for t in range(m)
+              if t == 0 or keys[t] // (2 * m) != keys[t - 1] // (2 * m))
+    by_first = [array.array("q") for _ in range(span)]
+    for t in starts:
+        uv, w = divmod(keys[t] // (2 * m), span)
+        u, v = divmod(uv, span)
+        by_first[u].extend(((v * span + w) * m + t, (w * span + v) * m + t))
+        by_first[v].append((w * span + u) * m + t)
+    edges = []
+    for inc in by_first:
+        for _, run in itertools.groupby(sorted(inc), lambda code: code // (span * m)):
+            run = list(run)
+            if len(run) < 2:
+                continue
+            ends = [divmod(code % (span * m), m) for code in run]
+            for r, (x, a) in enumerate(ends):
+                for y, b in ends[r + 1:]:
+                    edges.append(((x * span + y) * m + a) * m + b)
+    edges.sort()
+    out = set()
+    for _, run in itertools.groupby(edges, lambda code: code // (m * m)):
+        same_label = [divmod(code % (m * m), m) for code in run]
+        twice = [repeats(a) and repeats(b) for a, b in same_label]
+        if len(same_label) == 1 and not twice[0]:
+            continue
+        sides = [(members(a), members(b)) for a, b in same_label]
+        picked = [picks(a, b) for a, b in sides]
+        for r, (a, b) in enumerate(sides):
+            found = [cross_quads(picked[r], other) for other in picked[r + 1:]]
+            if twice[r]:
+                found.append(self_quads(a, b))
+            for quad in itertools.chain(*found):
+                if len(out) >= budget:
+                    return sorted(out), True
+                out.add(quad)
+    return sorted(out), False
+
+
+PASCH = Cnf(6, (
+    Clause((1, 2, 3), (0, 1, 1)),
+    Clause((1, 4, 5), (1, 1, 1)),
+    Clause((2, 4, 6), (1, 1, 1)),
+    Clause((3, 5, 6), (1, 1, 1)),
+))
+SELF_EDGE = Cnf(4, (
+    Clause((1, 2, 3), (1, 1, 1)),
+    Clause((1, 2, 3), (0, 1, 1)),
+    Clause((1, 2, 4), (1, 1, 1)),
+    Clause((1, 2, 4), (1, 1, 1)),
+))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100, 50_000])
+def test_quad_index_pinned_to_reference(budget):
+    formulas = [PASCH, SELF_EDGE]
+    for n, seeds in ((6, range(6)), (12, range(6)), (28, range(4)), (200, range(2))):
+        m = int(3 * n ** 1.4)
+        formulas += [gen_random_3cnf(n, m, s) for s in seeds]
+        # few triples, so that most repeat and lone edges pair with themselves
+        formulas += [gen_random_3cnf(n, 4 * n, s) for s in seeds if n <= 12]
+    for cnf in formulas:
+        assert _index_quads(cnf, budget) == reference_index_quads(cnf, budget)
+
+
+@settings(max_examples=200)
+@given(small_cnfs(), st.sampled_from([1, 7, 100, 50_000]))
+def test_quad_index_pinned_on_repeated_triples(cnf, budget):
+    assert _index_quads(cnf, budget) == reference_index_quads(cnf, budget)

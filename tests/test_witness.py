@@ -1,11 +1,16 @@
+import copy
+import functools
 import json
+import re
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from fkocert import (
     Clause,
@@ -21,6 +26,7 @@ from fkocert import (
     certify_eigvalbound,
     find_collection,
     gen_random_3cnf,
+    is_inconsistent_tuple,
     nae_upper_bound,
     unsat3xor_lower_bound,
     verify_witness,
@@ -31,7 +37,7 @@ from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
 from fkocert.oracle import brute_force_unsat, nae_counts, not3xor_counts
 from fkocert.spectral import C_MAX
-from fkocert.witness import _t_needed
+from fkocert.witness import _rat_out, _t_needed
 from conftest import planted_block
 
 F = Fraction
@@ -386,3 +392,106 @@ def test_repeated_certify_and_parse_park_no_tuples():
                          capture_output=True, text=True).stdout.split()
     assert len(out) == 2
     assert all(int(grown) < 100 for grown in out), out
+
+
+# ------------------------------------------- mutated witness files, fuzzed
+
+@functools.cache
+def _planted_text(blocks):
+    return witness_to_json(build_witness(planted_block(blocks)))
+
+
+def _planted_json(blocks):
+    """A fresh copy of a planted witness's JSON object."""
+    return json.loads(_planted_text(blocks))
+
+
+def _json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _json_paths(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _json_paths(item, path + (i,))
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 40), st.integers(), st.integers(-3, 40).map(str), st.text(max_size=3),
+    st.floats(), st.none(), st.booleans(), st.just([]), st.just({}),
+    st.just({"num": "1", "den": "0"}), st.just({"num": "1"}), st.just([[0, 1]]),
+)
+
+
+@st.composite
+def mutated_witnesses(draw):
+    """(satisfiable formula, witness JSON text): a planted witness with one
+    to three edits (a value replaced or nudged, a key or list item deleted
+    or duplicated), against a satisfiable formula with the same n and m --
+    drawn at random, or the planted formula with one clause of each block
+    replaced by a copy of another, so that most of the witness still fits.
+    Half the witnesses are first refitted as a forger would: the formula's
+    imbalance and its own spectral certificate, and only the tuples still
+    inconsistent on it, so that edits reach the inequality check."""
+    blocks = draw(st.integers(1, 4))
+    n, m = 3 * blocks, 8 * blocks
+    if draw(st.booleans()):
+        sat = gen_random_3cnf(n, m, draw(st.integers(0, 10**6)))
+    else:
+        clauses = list(planted_block(blocks).clauses)
+        for b in range(blocks):
+            lost, kept = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+            clauses[8 * b + lost] = clauses[8 * b + kept]
+        sat = Cnf(n, tuple(clauses))
+    assume(not brute_force_unsat(sat))
+    obj = _planted_json(blocks)
+    if draw(st.booleans()):
+        obj["I"] = imbalance(sat)
+        obj["D"]["tuples"] = [tup for tup in obj["D"]["tuples"]
+                              if is_inconsistent_tuple(sat, tup)]
+        obj["D"]["t"] = len(obj["D"]["tuples"])
+        cert = approx_eigen(build_m(sat), obj["c"])
+        obj["lambdas"] = [_rat_out(x) for x in cert.lambdas]
+        obj["V"] = [[_rat_out(x) for x in row] for row in cert.v]
+        obj["lambda"] = _rat_out(cert.lambdas[0])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(obj))[1:]))
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        key, old = path[-1], parent[path[-1]]
+        how = draw(st.sampled_from(["set", "nudge", "nudge", "nudge", "delete", "duplicate"]))
+        if how == "nudge" and re.fullmatch(r"-?[0-9]+", str(old)):
+            new = int(old) + draw(st.integers(-2, 2).filter(bool))
+            parent[key] = new if isinstance(old, int) else str(new)
+        elif how == "delete":
+            del parent[key]
+        elif how == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(old))
+        else:
+            parent[key] = copy.deepcopy(draw(_JSON_VALUES))  # st.just shares its value
+    return sat, json.dumps(obj)
+
+
+@settings(max_examples=300)
+@given(mutated_witnesses())
+def test_mutated_witness_never_raises_or_accepts_satisfiable(case):
+    sat, text = case
+    try:
+        wit = witness_from_json(text)
+    except WitnessFormatError:
+        return
+    verdict = verify_witness(sat, wit)
+    assert isinstance(verdict, Verdict) and not verdict.accepted
+
+
+def test_unmutated_planted_witness_rejects_satisfiable_neighbour():
+    for blocks in (1, 4):
+        clauses = list(planted_block(blocks).clauses)
+        for b in range(blocks):
+            clauses[8 * b] = clauses[8 * b + 1]
+        sat = Cnf(3 * blocks, tuple(clauses))
+        assert not brute_force_unsat(sat)
+        wit = witness_from_json(json.dumps(_planted_json(blocks)))
+        assert verify_witness(planted_block(blocks), wit).accepted
+        assert not verify_witness(sat, wit).accepted
