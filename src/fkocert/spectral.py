@@ -43,7 +43,6 @@ __all__ = [
     "certified_quadform_bound",
 ]
 
-HALF = Fraction(1, 2)
 DEFAULT_K = Fraction(16)
 # largest grid exponent c accepted: certificates live on the 1/n^(2c) grid,
 # so c bounds the size of every integer the certification forms
@@ -70,18 +69,28 @@ def _check_c(c: int) -> None:
 
 
 def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
-    """Clause-polarity matrix: symmetric, zero diagonal, entries in (1/2)Z."""
+    """Clause-polarity matrix: symmetric, zero diagonal, entries in (1/2)Z.
+
+    2M is accumulated in ints, +-1 per co-occurring pair; each entry is
+    then one shared Fraction(k, 2) per distinct k.
+    """
     n = cnf.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    twice = [[0] * n for _ in range(n)]
     for cl in cnf.clauses:
-        lits = list(cl.literals())
-        for s in range(3):
-            for t in range(s + 1, 3):
-                (vi, pi), (vj, pj) = lits[s], lits[t]
-                w = HALF if pi != pj else -HALF
-                rows[vi - 1][vj - 1] += w
-                rows[vj - 1][vi - 1] += w
-    return tuple(tuple(row) for row in rows)
+        (x, y, z), (px, py, pz) = cl.vars, cl.pols
+        for i, pi, j, pj in ((x, px, y, py), (x, px, z, pz), (y, py, z, pz)):
+            w = 1 if pi != pj else -1
+            twice[i - 1][j - 1] += w
+            twice[j - 1][i - 1] += w
+    halves = {k: Fraction(k, 2) for k in set().union(*twice)}
+    # lists, not generators: see _sparse_rows
+    return tuple([tuple([halves[k] for k in row]) for row in twice])
+
+
+def _int_matrix(m: QMat) -> tuple[list[list[int]], int]:
+    """(A, m_den) with m == A / m_den, m_den the lcm of m's denominators."""
+    m_den = math.lcm(*[x.denominator for row in m for x in row])
+    return [[x.numerator * (m_den // x.denominator) for x in row] for row in m], m_den
 
 
 @dataclass(frozen=True)
@@ -334,18 +343,15 @@ def approx_eigen(
     if n == 0:
         raise ValueError("empty matrix")
     _check_c(c)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    a, m_den = _int_matrix(m)
+    if [list(col) for col in zip(*a)] != a:
+        raise ValueError("matrix is not symmetric")
     if n == 1:
         lam = snap_to_grid(m[0][0], 1, c)
         return SpectralCert((lam,), ((Fraction(1),),), c, k3, k4, k5)
 
-    m_den = math.lcm(*(x.denominator for row in m for x in row))
-    a = [[x.numerator * (m_den // x.denominator) for x in row] for row in m]
     seed = _jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
 
     f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
@@ -408,17 +414,15 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     entry_bound_ok = all(max(map(abs, w)) <= 2 * den for w, den in rows)
 
     # condition 3: V^T V - I is the Gram deviation of V's columns
-    rho = max(gram_dev(list(zip(*v))))
+    rho = max(gram_dev(scale_rows(list(zip(*v)))))
 
-    gram_off, gram_diag = gram_dev(v)
+    gram_off, gram_diag = gram_dev(rows)
 
     # tau = max over i, ell of |(M v_i)_ell - lambda_i v_i[ell]|; with
     # M = A / m_den and v_i = w / den the residual row has the single
     # denominator m_den * den * lambda_i.denominator
-    m_den = math.lcm(*(x.denominator for row in m for x in row))
-    m_sparse = _sparse_rows(
-        [[x.numerator * (m_den // x.denominator) for x in row] for row in m]
-    )
+    a, m_den = _int_matrix(m)
+    m_sparse = _sparse_rows(a)
     tau, tau_den = 0, 1
     for (w, den), lam in zip(rows, lambdas):
         p, q = lam.numerator, lam.denominator
@@ -441,7 +445,7 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     gram_ok = gram_off <= tol_gram and gram_diag <= tol_gram
     eigen_ok = tau <= tol_eigen and descending
 
-    mu = max((abs(x) for row in m for x in row), default=Fraction(0))
+    mu = Fraction(max([max(max(row), -min(row)) for row in a]), m_den)
     lam_abs = max(abs(x) for x in lambdas)
     lam1 = max(lambdas)
     nrho = n * rho

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cnf import Cnf, imbalance
-from .exactq import QMat, grid_denominator, rat, snap_up_to_grid
+from .exactq import QMat, grid_denominator, snap_up_to_grid
 from .spectral import (
     C_MAX,
     CertificationError,
@@ -196,16 +196,19 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if not 1 <= wit.cert.c <= C_MAX:
         return Verdict(False, "EigValBound",
                        f"grid exponent c={wit.cert.c} is outside 1..{C_MAX}")
+    if cnf.n == 0:
+        return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
+    # O(n), so a wrong lambda costs no cubic certification
+    if wit.lam != max(wit.cert.lambdas):
+        return Verdict(False, "lambda-max",
+                       f"lambda={wit.lam} != max eigenvalue "
+                       f"{max(wit.cert.lambdas)}")
+
     report = certify_eigvalbound(mat, wit.cert)
     if not report.passed:
         return Verdict(False, "EigValBound",
                        f"failed conditions: {report.failed_conditions()}; "
                        f"rho={report.rho}, tau={report.tau}")
-
-    if wit.lam != max(wit.cert.lambdas):
-        return Verdict(False, "lambda-max",
-                       f"lambda={wit.lam} != max eigenvalue "
-                       f"{max(wit.cert.lambdas)}")
 
     bound = wit.lam * cnf.n + report.slack
     rhs = Fraction(wit.coll.d) * (imb + bound) / 2
@@ -244,7 +247,9 @@ def _rat_out(x: Fraction | None) -> dict[str, str] | None:
 
 class WitnessFormatError(ValueError):
     """Witness JSON that does not describe a witness: a missing key, a
-    zero or non-integer denominator, or a non-integer field."""
+    zero or non-integer denominator, a non-integer field, or a rational
+    field that is not a {"num", "den"} pair, an integer or an integer
+    string."""
 
 
 def _int_in(obj) -> int:
@@ -254,13 +259,18 @@ def _int_in(obj) -> int:
 
 
 def _rat_in(obj) -> Fraction:
+    """A {"num", "den"} pair, a JSON integer or an integer string."""
     if isinstance(obj, dict):
-        return Fraction(_int_in(obj["num"]), _int_in(obj["den"]))
-    return rat(obj)
+        num, den = obj["num"], obj["den"]
+        if type(num) is str and type(den) is str:  # what witness_to_json writes
+            return Fraction(int(num), int(den))
+        return Fraction(_int_in(num), _int_in(den))
+    return Fraction(_int_in(obj))
 
 
 def witness_to_json(wit: FkoWitness) -> str:
-    """Deterministic JSON; M is omitted (the verifier rebuilds it)."""
+    """Deterministic compact JSON with sorted keys, on one line; M is
+    omitted (the verifier rebuilds it)."""
     payload = {
         "n": wit.n,
         "m": wit.m,
@@ -280,7 +290,8 @@ def witness_to_json(wit: FkoWitness) -> str:
         "K4": _k_out(wit.cert.k4),
         "K5": _k_out(wit.cert.k5),
     }
-    return json.dumps(payload, sort_keys=True, indent=1)
+    # no indent: an indented dump runs CPython's pure-Python encoder
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _k_out(x: Fraction):

@@ -1,23 +1,58 @@
 from fractions import Fraction
+from typing import Iterable
 
 import hypothesis.strategies as st
 from hypothesis import given
 
 from fkocert.exactq import (
+    QMat,
+    QVec,
     gram_dev,
     grid_denominator,
-    inner_prod,
-    is_grid_multiple,
-    mat,
-    mat_vec,
-    norm_inf,
-    quadratic_form,
     rat,
     scale_rows,
     snap_to_grid,
     snap_up_to_grid,
-    vec,
 )
+
+# ------------------------------------------------ Fraction reference helpers
+# Plain-Fraction vectors and matrices for the tests' reference computations.
+
+
+def vec(entries: Iterable) -> tuple[Fraction, ...]:
+    return tuple(rat(x) for x in entries)
+
+
+def mat(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
+    out = tuple(vec(row) for row in rows)
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise ValueError("ragged matrix")
+    return out
+
+
+def inner_prod(u: QVec, v: QVec) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def mat_vec(m: QMat, v: QVec) -> tuple[Fraction, ...]:
+    return tuple(inner_prod(row, v) for row in m)
+
+
+def quadratic_form(a: QVec, m: QMat) -> Fraction:
+    """a^T m a, exactly."""
+    return inner_prod(a, mat_vec(m, a))
+
+
+def norm_inf(v: QVec) -> Fraction:
+    return max((abs(x) for x in v), default=Fraction(0))
+
+
+def is_grid_multiple(x: Fraction, n: int, c: int) -> bool:
+    """True iff x * n^(2c) is an integer."""
+    return grid_denominator(n, c) % rat(x).denominator == 0
+
 
 F = Fraction
 
@@ -52,11 +87,11 @@ def test_mat_vec_and_quadform():
 def test_norm_and_gram():
     assert norm_inf(vec([F(1, 3), F(-1, 2)])) == F(1, 2)
     ident = mat([[1, 0], [0, 1]])
-    assert gram_dev(ident) == (0, 0)
+    assert gram_dev(scale_rows(ident)) == (0, 0)
     # rows (1,1) and (0,1): cross product 1; (1,1) has squared norm 2,
     # so the diagonal deviates by 1 as well
-    assert gram_dev(mat([[1, 1], [0, 1]])) == (1, 1)
-    assert gram_dev(mat([[0, 1], [1, 0]])) == (0, 0)
+    assert gram_dev(scale_rows(mat([[1, 1], [0, 1]]))) == (1, 1)
+    assert gram_dev(scale_rows(mat([[0, 1], [1, 0]]))) == (0, 0)
 
 
 def test_scale_rows_per_row_lcm():
@@ -66,7 +101,7 @@ def test_scale_rows_per_row_lcm():
 
 def test_gram_dev_rejects_ragged_rows():
     try:
-        gram_dev(((F(1), F(0)), (F(0),)))
+        gram_dev(scale_rows(((F(1), F(0)), (F(0),))))
     except ValueError:
         pass
     else:
@@ -79,7 +114,7 @@ def test_gram_dev_matches_inner_products(rows):
     off = max((abs(inner_prod(rows[i], rows[j])) for i in range(len(rows))
                for j in range(i + 1, len(rows))), default=F(0))
     diag = max(abs(inner_prod(r, r) - 1) for r in rows)
-    assert gram_dev(rows) == (off, diag)
+    assert gram_dev(scale_rows(rows)) == (off, diag)
 
 
 def test_grid_denominator_and_membership():

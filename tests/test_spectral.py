@@ -21,14 +21,7 @@ from fkocert import (
     gen_random_3cnf,
 )
 from fkocert.cnf import all_assignments, count_nae, to_signs
-from fkocert.exactq import (
-    inner_prod,
-    is_grid_multiple,
-    mat,
-    quadratic_form,
-    snap_to_grid,
-    vec,
-)
+from fkocert.exactq import snap_to_grid
 from fkocert.oracle import max_quadform
 from fkocert.spectral import CertReport
 from conftest import planted_block
@@ -38,6 +31,7 @@ from test_acceptance import (
     _lemma_chain_formulas,
     _soundness_formulas,
 )
+from test_exactq import inner_prod, is_grid_multiple, mat, quadratic_form, vec
 
 F = Fraction
 HALF = F(1, 2)
@@ -72,6 +66,64 @@ def test_build_m_symmetric_zero_diag():
         assert m[i][i] == 0
         for j in range(9):
             assert m[i][j] == m[j][i]
+
+
+# ------------------------------------------- Fraction reference build_m
+# The accumulation build_m ran before its int core: three Fraction
+# additions per clause pair.  The output must agree entry by entry.
+
+
+def reference_build_m(cnf):
+    n = cnf.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for cl in cnf.clauses:
+        lits = list(cl.literals())
+        for s in range(3):
+            for t in range(s + 1, 3):
+                (vi, pi), (vj, pj) = lits[s], lits[t]
+                w = HALF if pi != pj else -HALF
+                rows[vi - 1][vj - 1] += w
+                rows[vj - 1][vi - 1] += w
+    return tuple(tuple(row) for row in rows)
+
+
+def _assert_same_m(cnf):
+    got = build_m(cnf)
+    assert got == reference_build_m(cnf)
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@st.composite
+def repeated_clause_formulas(draw):
+    """n <= 10, clauses over all 8 polarity patterns, some repeated."""
+    n = draw(st.integers(3, 10))
+    clause = st.builds(
+        lambda vs, bits: Clause(tuple(vs), (bits >> 2 & 1, bits >> 1 & 1, bits & 1)),
+        st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
+        st.integers(0, 7),
+    )
+    clauses = draw(st.lists(clause, max_size=30))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=10))
+    return Cnf(n, tuple(draw(st.permutations(clauses))))
+
+
+@settings(max_examples=200)
+@given(repeated_clause_formulas())
+def test_build_m_matches_fraction_reference(cnf):
+    _assert_same_m(cnf)
+
+
+def test_build_m_matches_fraction_reference_on_bench_shapes():
+    _assert_same_m(Cnf(0, ()))
+    _assert_same_m(planted_block(3))
+    for seed in range(3):
+        # dense-sweep / dense-verify: n = 28, m = floor(3 n^1.4)
+        _assert_same_m(gen_random_3cnf(28, math.floor(3 * 28 ** 1.4), seed))
+        # planted-refute: 10 blocks of all 8 patterns plus n/6 uniform clauses
+        extra = gen_random_3cnf(30, 5, seed).clauses
+        _assert_same_m(Cnf(30, planted_block(10).clauses + extra))
 
 
 def test_quadform_counts_nae():

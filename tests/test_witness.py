@@ -18,6 +18,7 @@ from fkocert import (
     CollectionSearchError,
     FkoWitness,
     TupleCollection,
+    SpectralCert,
     Verdict,
     WitnessFormatError,
     approx_eigen,
@@ -262,6 +263,86 @@ def test_witness_json_k_defaults():
     assert back.cert.k3 == 16 and back.cert.k4 == 16 and back.cert.k5 == 16
 
 
+def test_witness_json_is_compact_one_line_and_deterministic():
+    cnf = planted_block(2)
+    text = witness_to_json(build_witness(cnf))
+    assert "\n" not in text
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    assert witness_to_json(build_witness(cnf)) == text
+    assert witness_to_json(witness_from_json(text)) == text
+
+
+def test_indented_witness_parses_to_same_witness_and_verdict():
+    cnf = planted_block(2)
+    text = witness_to_json(build_witness(cnf))
+    indented = json.dumps(json.loads(text), sort_keys=True, indent=1)
+    assert indented != text
+    compact, loose = witness_from_json(text), witness_from_json(indented)
+    assert loose == compact
+    assert verify_witness(cnf, loose) == verify_witness(cnf, compact)
+    assert verify_witness(cnf, loose).accepted
+
+
+_RAT_FIELDS = {
+    "lambda": lambda obj: (obj, "lambda"),
+    "epsilon": lambda obj: (obj, "epsilon"),
+    "lambdas[0]": lambda obj: (obj["lambdas"], 0),
+    "V[0][0]": lambda obj: (obj["V"][0], 0),
+    "K3": lambda obj: (obj, "K3"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_RAT_FIELDS))
+@pytest.mark.parametrize("value", [True, False, 0.0, 0.1, "0/1", "1/2", None, [0]])
+def test_rational_fields_reject_bools_floats_and_fraction_strings(field, value):
+    obj = _honest_json()
+    parent, key = _RAT_FIELDS[field](obj)
+    parent[key] = value
+    with pytest.raises(WitnessFormatError):
+        witness_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [0, "0", "-0", {"num": 0, "den": "3"},
+                                   {"num": "0", "den": -1}])
+def test_rational_fields_take_pairs_integers_and_integer_strings(value):
+    cnf = planted_block(1)
+    obj = _honest_json()
+    assert obj["lambda"] == {"num": "0", "den": "1"}
+    obj["lambda"] = value
+    wit = witness_from_json(json.dumps(obj))
+    assert type(wit.lam) is Fraction and wit.lam == 0
+    assert verify_witness(cnf, wit).accepted
+
+
+def test_wrong_lambda_is_rejected_before_certification(monkeypatch):
+    import fkocert.witness as witness_mod
+
+    calls = []
+    certify = witness_mod.certify_eigvalbound
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    cnf = planted_block(2)
+    obj = json.loads(witness_to_json(build_witness(cnf)))
+    monkeypatch.setattr(witness_mod, "certify_eigvalbound", counting)
+    assert verify_witness(cnf, witness_from_json(json.dumps(obj))).accepted
+    assert len(calls) == 1
+    lam = obj["lambda"]
+    lam["num"] = str(int(lam["num"]) + int(lam["den"]))
+    verdict = verify_witness(cnf, witness_from_json(json.dumps(obj)))
+    assert verdict.reason == "lambda-max"
+    assert len(calls) == 1
+
+
+def test_verify_rejects_empty_formula_without_raising():
+    wit = FkoWitness(n=0, m=0, c=8, imb=0, mat=None, cert=SpectralCert((), (), 8),
+                     lam=F(0), coll=TupleCollection((), 0, 2, 4), epsilon=F(1))
+    assert verify_witness(Cnf(0, ()), wit) == Verdict(
+        False, "EigValBound", "n=0: no eigenvalue to certify")
+
+
 def test_verify_is_pure():
     cnf = planted_block(1)
     wit = build_witness(cnf)
@@ -363,11 +444,16 @@ def test_certify_rejects_grid_exponent_out_of_range():
             approx_eigen(m, c)
 
 
-def test_repeated_certify_and_parse_park_no_tuples():
-    # A tuple built from a generator is allocated at one length and resized;
-    # freed, it joins the interpreter's free list for its final length, so
-    # a loop of such builds parks up to 2000 tuples there.  A fresh
-    # interpreter keeps the free lists near empty, so growth shows.
+def _blocks_grown(*calls: str) -> list[int]:
+    """Growth of sys.getallocatedblocks over 200 runs of each call, in a
+    fresh interpreter with an n = 12 formula, its M, certificate and
+    witness (text) set up.
+
+    A tuple built from a generator is allocated at one length and resized;
+    freed, it joins the interpreter's free list for its final length, so
+    a loop of such builds parks up to 2000 tuples there.  A fresh
+    interpreter keeps the free lists near empty, so growth shows.
+    """
     code = (
         "import sys\n"
         "from fkocert import (build_m, approx_eigen, certify_eigvalbound,\n"
@@ -378,10 +464,10 @@ def test_repeated_certify_and_parse_park_no_tuples():
         "mat = build_m(cnf)\n"
         "cert = approx_eigen(mat, 8)\n"
         "coll = find_collection(cnf, k_max=4, d=4, t_target=1)\n"
-        "text = witness_to_json(FkoWitness(n=12, m=100, c=8, imb=0, mat=None,\n"
-        "    cert=cert, lam=cert.lambdas[0], coll=coll, epsilon=Fraction(1, 2)))\n"
-        "for f in (lambda: certify_eigvalbound(mat, cert),\n"
-        "          lambda: witness_from_json(text)):\n"
+        "wit = FkoWitness(n=12, m=100, c=8, imb=0, mat=None, cert=cert,\n"
+        "                 lam=cert.lambdas[0], coll=coll, epsilon=Fraction(1, 2))\n"
+        "text = witness_to_json(wit)\n"
+        f"for f in ({', '.join(f'lambda: {call}' for call in calls)},):\n"
         "    f()\n"
         "    before = sys.getallocatedblocks()\n"
         "    for _ in range(200):\n"
@@ -390,8 +476,18 @@ def test_repeated_certify_and_parse_park_no_tuples():
     )
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout.split()
-    assert len(out) == 2
-    assert all(int(grown) < 100 for grown in out), out
+    assert len(out) == len(calls)
+    return [int(grown) for grown in out]
+
+
+def test_repeated_certify_and_parse_park_no_tuples():
+    grown = _blocks_grown("certify_eigvalbound(mat, cert)", "witness_from_json(text)")
+    assert all(g < 100 for g in grown), grown
+
+
+def test_repeated_build_m_and_witness_to_json_stay_flat():
+    grown = _blocks_grown("build_m(cnf)", "witness_to_json(wit)")
+    assert all(g < 100 for g in grown), grown
 
 
 # ------------------------------------------- mutated witness files, fuzzed
