@@ -253,18 +253,16 @@ class WitnessFormatError(ValueError):
 
 
 def _int_in(obj) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise ValueError(f"not an integer: {obj!r}")
-    return int(obj)
+    # exact types: json.loads makes no subclasses, and bool is an int subclass
+    if type(obj) is int or type(obj) is str:
+        return int(obj)
+    raise ValueError(f"not an integer: {obj!r}")
 
 
 def _rat_in(obj) -> Fraction:
     """A {"num", "den"} pair, a JSON integer or an integer string."""
     if isinstance(obj, dict):
-        num, den = obj["num"], obj["den"]
-        if type(num) is str and type(den) is str:  # what witness_to_json writes
-            return Fraction(int(num), int(den))
-        return Fraction(_int_in(num), _int_in(den))
+        return Fraction(_int_in(obj["num"]), _int_in(obj["den"]))
     return Fraction(_int_in(obj))
 
 
