@@ -22,8 +22,10 @@ from .spectral import (  # noqa: F401
     C_MAX,
     CertificationError,
     SpectralPrecisionError,
+    _check_c,
     approx_eigen,
     build_m,
+    certified_quadform_bound,
     certify_eigvalbound,
 )
 from .tc0frege import check_proof, parse_proof
@@ -186,12 +188,11 @@ def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
         stage = _spectral_stage(cnf, c)
     except SpectralPrecisionError:
         return (n, m, seed, t_found, t_needed, lam, str(imbalance(cnf)), accepted)
-    imb, _, cert, report = stage
+    imb, mat, cert, report = stage
     try:
-        if report.passed:
-            lam = str(cert.lambdas[0])
-            t_needed = str(_t_needed(d, imb, cert.lambdas[0] * n + report.slack))
-        wit = _collect(cnf, *stage, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
+        need = _t_needed(d, imb, certified_quadform_bound(mat, cert, report))
+        lam, t_needed = str(cert.lambdas[0]), str(need)
+        wit = _collect(cnf, *stage, d=d, k_max=k_max, seed=seed, budget=budget)
         t_found = str(wit.coll.t)
         accepted = int(verify_witness(cnf, wit).accepted)
     except CollectionSearchError as e:
@@ -246,10 +247,10 @@ def _thread_cap() -> int:
 
 
 def _grid_exponent(text: str) -> int:
-    c = int(text)
-    if not 1 <= c <= C_MAX:
-        raise argparse.ArgumentTypeError(f"grid exponent must be in 1..{C_MAX}, got {c}")
-    return c
+    try:
+        return _check_c(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_builder_flags(p: argparse.ArgumentParser) -> None:

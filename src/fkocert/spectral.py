@@ -12,7 +12,10 @@ residuals feed an explicit slack term such that
 
     max over a in {-1,+1}^n of a^T M a  <=  lambdas[0] * n + slack
 
-holds unconditionally -- for arbitrary, even adversarial, (lambdas, V).
+for any (lambdas, V) with lambdas weakly decreasing and every |v_ij| <= 2,
+two of the certified conditions; the others only keep the slack small.
+Without the order it fails: M = diag(1, 0), lambdas = (0, 1) and V with
+rows e_2, e_1 give slack 0, yet max a^T M a = 1.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ class CertificationError(ValueError):
         self.report = report
 
 
-def _check_c(c: int) -> None:
+def _check_c(c: int) -> int:
     if not 1 <= c <= C_MAX:
         raise ValueError(f"grid exponent c={c} is outside 1..{C_MAX}")
+    return c
 
 
 def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
@@ -136,13 +140,7 @@ class CertReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.grid_ok
-            and self.entry_bound_ok
-            and self.basis_ok
-            and self.gram_ok
-            and self.eigen_ok
-        )
+        return not self.failed_conditions()
 
     def failed_conditions(self) -> list[str]:
         names = [
@@ -316,14 +314,7 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
     )
 
 
-def approx_eigen(
-    m: QMat,
-    c: int,
-    k3: Fraction = DEFAULT_K,
-    k4: Fraction = DEFAULT_K,
-    k5: Fraction = DEFAULT_K,
-    max_sweeps: int = 64,
-) -> SpectralCert:
+def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     """Approximate eigendecomposition of m, snapped to the 1/n^(2c) grid.
 
     This is the untrusted builder: certify_eigvalbound re-checks its output
@@ -350,7 +341,7 @@ def approx_eigen(
         raise ValueError("matrix is not symmetric")
     if n == 1:
         lam = snap_to_grid(m[0][0], 1, c)
-        return SpectralCert((lam,), ((Fraction(1),),), c, k3, k4, k5)
+        return SpectralCert((lam,), ((Fraction(1),),), c)
 
     seed = _jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
 
@@ -381,7 +372,7 @@ def approx_eigen(
     order = sorted(range(n), key=lambda i: (-lams[i], i))
     lambdas = tuple([snap_to_grid(lams[i], n, c) for i in order])
     rows = tuple([vecs[i] for i in order])
-    return SpectralCert(lambdas, rows, c, k3, k4, k5)
+    return SpectralCert(lambdas, rows, c)
 
 
 # ------------------------------------------------------ exact certification
@@ -392,9 +383,10 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
 
     The cubic products are integer dot products over per-row common
     denominators (see exactq.scale_rows); the residuals come out as exact
-    Fractions.  Also computes the certified slack (see
-    certified_quadform_bound); the slack formula is valid regardless of
-    the pass flags, since it only uses the exactly recomputed residuals.
+    Fractions.  Also computes the slack of certified_quadform_bound from
+    them, which bounds nothing on a failing report (see the module
+    docstring).  Raises ValueError on mismatched shapes or c outside
+    1..C_MAX, before any product is formed.
     """
     n = cert.n
     if len(m) != n or any(len(row) != n for row in m):

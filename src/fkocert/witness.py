@@ -27,12 +27,13 @@ from fractions import Fraction
 from .cnf import Cnf, imbalance
 from .exactq import QMat, grid_denominator, snap_up_to_grid
 from .spectral import (
-    C_MAX,
+    DEFAULT_K,
     CertificationError,
     CertReport,
     SpectralCert,
     approx_eigen,
     build_m,
+    certified_quadform_bound,
     certify_eigvalbound,
 )
 from .tuples import TupleCollection, check_collection, find_collection
@@ -99,9 +100,14 @@ class Verdict:
         return json.dumps(payload, sort_keys=True)
 
 
+def _threshold(d: int, imb: int, u: Fraction) -> Fraction:
+    """d*(I+U)/2: the verifier accepts exactly the t above it."""
+    return Fraction(d) * (imb + u) / 2
+
+
 def _t_needed(d: int, imb: int, u: Fraction) -> int:
-    """Least t the verifier accepts: t > d*(I+U)/2, i.e. floor(d*(I+U)/2) + 1."""
-    return math.floor(Fraction(d) * (imb + u) / 2) + 1
+    """Least t the verifier accepts: floor(d*(I+U)/2) + 1."""
+    return math.floor(_threshold(d, imb, u)) + 1
 
 
 def _spectral_stage(
@@ -116,15 +122,13 @@ def _spectral_stage(
 
 
 def _collect(cnf: Cnf, imb: int, mat: QMat, cert: SpectralCert, report: CertReport,
-             c: int, d: int, k_max: int, seed: int, budget: int) -> FkoWitness:
+             d: int, k_max: int, seed: int, budget: int) -> FkoWitness:
     """The builder's collection half, on a spectral stage's results."""
-    if not report.passed:
-        raise CertificationError(report)
-    bound = cert.lambdas[0] * cnf.n + report.slack
+    bound = certified_quadform_bound(mat, cert, report)
     coll = find_collection(cnf, k_max=k_max, d=d, t_target=_t_needed(d, imb, bound),
                            seed=seed, budget=budget)
-    grid_unit = Fraction(1, grid_denominator(max(cnf.n, 1), c))
-    epsilon = snap_up_to_grid(max(report.slack, grid_unit), max(cnf.n, 1), c)
+    n, c = max(cnf.n, 1), cert.c
+    epsilon = snap_up_to_grid(max(report.slack, Fraction(1, grid_denominator(n, c))), n, c)
     return FkoWitness(
         n=cnf.n,
         m=cnf.m,
@@ -154,7 +158,7 @@ def build_witness(
     reach t_target (carrying the best collection found, the candidates
     per search source and whether `budget` cut the search short).
     """
-    return _collect(cnf, *_spectral_stage(cnf, c), c=c, d=d, k_max=k_max,
+    return _collect(cnf, *_spectral_stage(cnf, c), d=d, k_max=k_max,
                     seed=seed, budget=budget)
 
 
@@ -191,11 +195,6 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if wit.cert.n != cnf.n:
         return Verdict(False, "EigValBound",
                        f"certificate dimension {wit.cert.n} != n={cnf.n}")
-    if len(wit.cert.v) != cnf.n or any(len(row) != cnf.n for row in wit.cert.v):
-        return Verdict(False, "EigValBound", "V is not n x n")
-    if not 1 <= wit.cert.c <= C_MAX:
-        return Verdict(False, "EigValBound",
-                       f"grid exponent c={wit.cert.c} is outside 1..{C_MAX}")
     if cnf.n == 0:
         return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
     # O(n), so a wrong lambda costs no cubic certification
@@ -204,29 +203,30 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                        f"lambda={wit.lam} != max eigenvalue "
                        f"{max(wit.cert.lambdas)}")
 
-    report = certify_eigvalbound(mat, wit.cert)
-    if not report.passed:
+    # V's shape and c are checked by certify_eigvalbound before its products
+    try:
+        u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
+    except CertificationError as e:
         return Verdict(False, "EigValBound",
-                       f"failed conditions: {report.failed_conditions()}; "
-                       f"rho={report.rho}, tau={report.tau}")
+                       f"failed conditions: {e.report.failed_conditions()}; "
+                       f"rho={e.report.rho}, tau={e.report.tau}")
+    except ValueError as e:
+        return Verdict(False, "EigValBound", str(e))
 
-    bound = wit.lam * cnf.n + report.slack
-    rhs = Fraction(wit.coll.d) * (imb + bound) / 2
+    rhs = _threshold(wit.coll.d, imb, u)
     if not wit.coll.t > rhs:
         return Verdict(False, "inequality",
                        f"t={wit.coll.t} <= d*(I+U)/2 = {rhs}")
-    return Verdict(
-        True,
-        u=bound,
-        tuple_bound=math.ceil(Fraction(wit.coll.t, wit.coll.d)) if wit.coll.d else 0,
-        margin=wit.coll.t - rhs,
-    )
+    return Verdict(True, u=u, tuple_bound=unsat3xor_lower_bound(wit),
+                   margin=wit.coll.t - rhs)
 
 
 def nae_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:
-    """(lambda*n + 3m + slack)/4: no assignment NAE-satisfies more."""
-    report = certify_eigvalbound(build_m(cnf), wit.cert)
-    return (wit.lam * cnf.n + 3 * cnf.m + report.slack) / 4
+    """(U + 3m)/4, U the certified bound: no assignment NAE-satisfies more.
+
+    Raises CertificationError when the certificate fails.
+    """
+    return (certified_quadform_bound(build_m(cnf), wit.cert) + 3 * cnf.m) / 4
 
 
 def unsat3xor_lower_bound(wit: FkoWitness) -> int:
@@ -254,7 +254,11 @@ class WitnessFormatError(ValueError):
 
 def _int_in(obj) -> int:
     # exact types: json.loads makes no subclasses, and bool is an int subclass
-    if type(obj) is int or type(obj) is str:
+    if type(obj) is int:
+        return obj
+    # a string is ASCII decimal with an optional "-": int() alone would also
+    # take spaces, "_", "+" and non-ASCII digits, and it refuses a second "-"
+    if type(obj) is str and obj.isascii() and obj.lstrip("-").isdigit():
         return int(obj)
     raise ValueError(f"not an integer: {obj!r}")
 
@@ -272,7 +276,7 @@ def witness_to_json(wit: FkoWitness) -> str:
     payload = {
         "n": wit.n,
         "m": wit.m,
-        "c": wit.c,
+        "c": wit.cert.c,
         "I": wit.imb,
         "lambda": _rat_out(wit.lam),
         "lambdas": [_rat_out(x) for x in wit.cert.lambdas],
@@ -313,9 +317,9 @@ def _witness_from_obj(obj) -> FkoWitness:
         lambdas=tuple([_rat_in(x) for x in obj["lambdas"]]),
         v=tuple([tuple([_rat_in(x) for x in row]) for row in obj["V"]]),
         c=_int_in(obj["c"]),
-        k3=_rat_in(obj.get("K3", 16)),
-        k4=_rat_in(obj.get("K4", 16)),
-        k5=_rat_in(obj.get("K5", 16)),
+        k3=_rat_in(obj["K3"]) if "K3" in obj else DEFAULT_K,
+        k4=_rat_in(obj["K4"]) if "K4" in obj else DEFAULT_K,
+        k5=_rat_in(obj["K5"]) if "K5" in obj else DEFAULT_K,
     )
     d = obj["D"]
     coll = TupleCollection(

@@ -630,3 +630,19 @@ def test_slack_bound_holds_for_arbitrary_certificates(case):
     assert rep.grid_ok and rep.entry_bound_ok
     m2 = [[int(x * 2) for x in row] for row in m]
     assert cert.lambdas[0] * cert.n + rep.slack >= max_quadform(m2)
+
+
+def test_slack_bound_needs_descending_lambdas():
+    # the module docstring's counterexample: every residual is exact, so
+    # slack is 0, but lambdas are ascending and lambdas[0]*n = 0 < max = 1
+    m = (F(1), F(0)), (F(0), F(0))
+    cert = SpectralCert((F(0), F(1)), ((F(0), F(1)), (F(1), F(0))), 1)
+    rep = certify_eigvalbound(m, cert)
+    assert rep.slack == 0 and rep.rho == rep.tau == rep.gram_off == rep.gram_diag == 0
+    assert cert.lambdas[0] * cert.n + rep.slack == 0
+    assert max_quadform([[2, 0], [0, 0]]) == 1
+    assert rep.failed_conditions() == ["eigen"]
+    with pytest.raises(CertificationError):
+        certified_quadform_bound(m, cert, rep)
+    with pytest.raises(CertificationError):
+        certified_quadform_bound(m, cert)

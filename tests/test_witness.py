@@ -19,6 +19,7 @@ from fkocert import (
     FkoWitness,
     TupleCollection,
     SpectralCert,
+    CertificationError,
     Verdict,
     WitnessFormatError,
     approx_eigen,
@@ -99,6 +100,31 @@ def test_nae_bound_example():
     # (lam*n + 3m + slack)/4 with lam = slack = 0 and m = 8
     assert nae_upper_bound(cnf, wit) == 6
     assert unsat3xor_lower_bound(wit) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nae_bound_ignores_a_lowered_lambda_field(seed):
+    cnf = gen_random_3cnf(8, 30, seed)
+    wit = manual_witness(cnf)
+    best = int(nae_counts(cnf).max())
+    assert nae_upper_bound(cnf, wit) >= best
+    low = replace(wit, lam=min(wit.cert.lambdas))
+    assert nae_upper_bound(cnf, low) == nae_upper_bound(cnf, wit)
+    # a lowered top eigenvalue in the certificate itself fails certification
+    lams = wit.cert.lambdas
+    forged = replace(wit, lam=lams[-1], cert=replace(wit.cert, lambdas=lams[::-1]))
+    with pytest.raises(CertificationError):
+        nae_upper_bound(cnf, forged)
+
+
+@pytest.mark.parametrize("cnf", [planted_block(2), gen_random_3cnf(6, 28, 2)],
+                         ids=["accepted", "inequality"])
+@pytest.mark.parametrize("c", [1, 7, C_MAX + 1])
+def test_witness_c_field_gives_one_verdict_in_memory_and_from_json(cnf, c):
+    wit = replace(manual_witness(cnf), c=c)
+    text = witness_to_json(wit)
+    assert json.loads(text)["c"] == wit.cert.c
+    assert verify_witness(cnf, witness_from_json(text)) == verify_witness(cnf, wit)
 
 
 def test_lower_bound_of_empty_collection():
@@ -303,7 +329,7 @@ def test_rational_fields_reject_bools_floats_and_fraction_strings(field, value):
 
 
 @pytest.mark.parametrize("value", [0, "0", "-0", {"num": 0, "den": "3"},
-                                   {"num": "0", "den": -1}])
+                                   {"num": "0", "den": -1}, {"num": "-0", "den": "1"}])
 def test_rational_fields_take_pairs_integers_and_integer_strings(value):
     cnf = planted_block(1)
     obj = _honest_json()
@@ -312,6 +338,35 @@ def test_rational_fields_take_pairs_integers_and_integer_strings(value):
     wit = witness_from_json(json.dumps(obj))
     assert type(wit.lam) is Fraction and wit.lam == 0
     assert verify_witness(cnf, wit).accepted
+
+
+_INT_SITES = {
+    "lambda": lambda obj: (obj, "lambda"),
+    "lambda.num": lambda obj: (obj["lambda"], "num"),
+    "lambda.den": lambda obj: (obj["lambda"], "den"),
+    "n": lambda obj: (obj, "n"),
+    "D.t": lambda obj: (obj["D"], "t"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_INT_SITES))
+@pytest.mark.parametrize("text", [" 0 ", "0 ", "0_0", "+1", "\u0660", "--1", "-", "",
+                                  "1e3", "0x1"])
+def test_integer_strings_are_ascii_decimal(site, text):
+    # int() takes " 0 ", "0_0", "+1" and the Arabic-Indic zero
+    obj = _honest_json()
+    parent, key = _INT_SITES[site](obj)
+    parent[key] = text
+    with pytest.raises(WitnessFormatError):
+        witness_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("site", ["n", "D.t"])
+def test_integer_fields_take_decimal_strings(site):
+    obj = _honest_json()
+    parent, key = _INT_SITES[site](obj)
+    parent[key] = str(parent[key])
+    assert witness_from_json(json.dumps(obj)) == witness_from_json(json.dumps(_honest_json()))
 
 
 def test_wrong_lambda_is_rejected_before_certification(monkeypatch):
