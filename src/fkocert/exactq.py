@@ -1,18 +1,16 @@
 """Exact rational numbers and the verifier's integer kernels.
 
-Vectors are tuples of Fractions, matrices are tuples of row tuples.  The
-verifier's cubic work runs as exact integer dot products over per-row
-common denominators: `scale_rows` turns each row into Python ints and the
-lcm L of that row's denominators, so a product of two rows is one int
-dot product over L_i * L_j, and `gram_dev` works on rows in that form.
-Residuals are reported as Fractions; no floats and no numpy enter any
-accept/reject decision.  Certificate entries live on the grid of integer
-multiples of 1/n^(2c); `snap_to_grid` rounds onto that grid.
+Vectors are tuples of Fractions, matrices are tuples of row tuples.
+Certificate entries live on the grid of integer multiples of 1/n^(2c);
+`snap_to_grid` rounds onto that grid.  The verifier checks that grid
+first and then scales every entry once by the one grid denominator, so
+its cubic work runs as exact integer dot products over a single known
+scale: `gram_dev` takes rows of Python ints.  No floats and no numpy
+enter any accept/reject decision.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -26,7 +24,6 @@ __all__ = [
     "QVec",
     "QMat",
     "rat",
-    "scale_rows",
     "gram_dev",
     "grid_denominator",
     "snap_to_grid",
@@ -39,46 +36,20 @@ def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def scale_rows(rows: QMat) -> list[tuple[tuple[int, ...], int]]:
-    """Each row as (integer entries, L) with row == entries / L, where L
-    is the lcm of the row's denominators.
+def gram_dev(rows: Sequence[Sequence[int]], one: int) -> tuple[int, int]:
+    """Deviation of the Gram matrix of integer rows from one * I.
 
-    Per-row denominators keep the integers as small as each row allows:
-    on a hostile matrix whose n^2 entries have distinct prime
-    denominators, one lcm over all of them would be n times longer.
+    Returns (max |<w_i, w_j>| over i != j, max |<w_i, w_i> - one|); for
+    rows V = W / s this is the Gram deviation of V scaled by s^2 = one.
     """
-    out = []
-    for row in rows:
-        # lists, not generators: a tuple built from a generator (also as
-        # *args) is resized, and when freed it parks in the tuple free list
-        den = math.lcm(*[x.denominator for x in row])
-        out.append((tuple([x.numerator * (den // x.denominator) for x in row]), den))
-    return out
-
-
-def gram_dev(scaled: list[tuple[tuple[int, ...], int]]) -> tuple[Fraction, Fraction]:
-    """Deviation of the Gram matrix of rows from the identity, the rows
-    given as scale_rows returns them.
-
-    Returns (max |<v_i, v_j>| over i != j, max |<v_i, v_i> - 1|).  Each
-    running max is kept as an integer pair (num, den) and compared by
-    cross-multiplication.
-    """
-    if any(len(w) != len(scaled[0][0]) for w, _ in scaled):
+    if any(len(w) != len(rows[0]) for w in rows):
         raise ValueError("ragged matrix")
-    off, off_den = 0, 1
-    diag, diag_den = 0, 1
-    for i, (wi, li) in enumerate(scaled):
-        den = li * li
-        dev = abs(sum(map(mul, wi, wi)) - den)
-        if dev * diag_den > diag * den:
-            diag, diag_den = dev, den
-        for wj, lj in scaled[i + 1:]:
-            g = abs(sum(map(mul, wi, wj)))
-            den = li * lj
-            if g * off_den > off * den:
-                off, off_den = g, den
-    return Fraction(off, off_den), Fraction(diag, diag_den)
+    off = diag = 0
+    for i, wi in enumerate(rows):
+        diag = max(diag, abs(sum(map(mul, wi, wi)) - one))
+        for wj in rows[i + 1:]:
+            off = max(off, abs(sum(map(mul, wi, wj))))
+    return off, diag
 
 
 def grid_denominator(n: int, c: int) -> int:

@@ -12,8 +12,8 @@ residuals feed an explicit slack term such that
 
     max over a in {-1,+1}^n of a^T M a  <=  lambdas[0] * n + slack
 
-for any (lambdas, V) with lambdas weakly decreasing and every |v_ij| <= 2,
-two of the certified conditions; the others only keep the slack small.
+for any (lambdas, V) with lambdas weakly decreasing, a certified condition,
+and every |v_ij| <= 2, a precondition; the others only keep slack small.
 Without the order it fails: M = diag(1, 0), lambdas = (0, 1) and V with
 rows e_2, e_1 give slack 0, yet max a^T M a = 1.
 """
@@ -30,7 +30,6 @@ from .exactq import (
     QMat,
     gram_dev,
     grid_denominator,
-    scale_rows,
     snap_to_grid,
 )
 
@@ -44,6 +43,7 @@ __all__ = [
     "approx_eigen",
     "certify_eigvalbound",
     "certified_quadform_bound",
+    "tolerances",
 ]
 
 DEFAULT_K = Fraction(16)
@@ -59,7 +59,7 @@ class SpectralPrecisionError(RuntimeError):
 
 
 class CertificationError(ValueError):
-    """Certificate failed one of the five certified conditions."""
+    """Certificate failed one of the three certified conditions."""
 
     def __init__(self, report: "CertReport"):
         super().__init__(f"certificate rejected: {report.failed_conditions()}")
@@ -70,6 +70,12 @@ def _check_c(c: int) -> int:
     if not 1 <= c <= C_MAX:
         raise ValueError(f"grid exponent c={c} is outside 1..{C_MAX}")
     return c
+
+
+def tolerances(cert: "SpectralCert") -> tuple[Fraction, Fraction, Fraction]:
+    """Bounds K3/n^(c-1), K4/n^(c-1), K5/n^(c-3) on rho, Gram deviations, tau."""
+    n, c = Fraction(cert.n), cert.c
+    return cert.k3 * n ** (1 - c), cert.k4 * n ** (1 - c), cert.k5 * n ** (3 - c)
 
 
 def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
@@ -121,10 +127,10 @@ class SpectralCert:
 class CertReport:
     """Exact certified residuals plus per-condition pass flags.
 
-    Conditions: (1) grid membership of every lambda / V entry,
-    (2) max |v_ij| <= 2, (3) basis reconstruction rho <= K3/n^(c-1),
-    (4) Gram deviations <= K4/n^(c-1), (5) eigen-residual tau <= K5/n^(c-3)
-    with lambdas weakly decreasing.
+    Conditions: (1) basis reconstruction rho <= K3/n^(c-1), (2) Gram
+    deviations <= K4/n^(c-1), (3) eigen-residual tau <= K5/n^(c-3) with
+    lambdas weakly decreasing.  Grid membership and |v_ij| <= 2 are
+    preconditions of certify_eigvalbound, not conditions.
     """
 
     rho: Fraction
@@ -132,8 +138,6 @@ class CertReport:
     gram_diag: Fraction
     tau: Fraction
     slack: Fraction
-    grid_ok: bool
-    entry_bound_ok: bool
     basis_ok: bool
     gram_ok: bool
     eigen_ok: bool
@@ -144,8 +148,6 @@ class CertReport:
 
     def failed_conditions(self) -> list[str]:
         names = [
-            ("grid", self.grid_ok),
-            ("entry-bound", self.entry_bound_ok),
             ("basis", self.basis_ok),
             ("gram", self.gram_ok),
             ("eigen", self.eigen_ok),
@@ -379,14 +381,14 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
 
 
 def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
-    """Check the five certificate conditions in exact arithmetic.
+    """Check the certificate conditions in exact arithmetic.
 
-    The cubic products are integer dot products over per-row common
-    denominators (see exactq.scale_rows); the residuals come out as exact
-    Fractions.  Also computes the slack of certified_quadform_bound from
-    them, which bounds nothing on a failing report (see the module
-    docstring).  Raises ValueError on mismatched shapes or c outside
-    1..C_MAX, before any product is formed.
+    Raises ValueError, before any product is formed, on mismatched shapes,
+    c outside 1..C_MAX, or an entry off the 1/n^(2c) grid or with
+    |v_ij| > 2, naming it.  Every entry is then scaled once by G = n^(2c),
+    so the products are int dot products and the residuals int maxima over
+    one denominator.  Also computes the slack of certified_quadform_bound,
+    which bounds nothing on a failing report (see the module docstring).
     """
     n = cert.n
     if len(m) != n or any(len(row) != n for row in m):
@@ -398,40 +400,36 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     c = cert.c
     _check_c(c)
 
-    rows = scale_rows(v)
     grid = grid_denominator(n, c)
-    grid_ok = all(grid % x.denominator == 0 for x in lambdas) and all(
-        grid % den == 0 for _, den in rows
-    )
-    entry_bound_ok = all(max(map(abs, w)) <= 2 * den for w, den in rows)
+    for name, row in [("lambdas", lambdas), *[(f"V[{i}]", row) for i, row in enumerate(v)]]:
+        for j, x in enumerate(row):
+            if grid % x.denominator:
+                raise ValueError(f"{name}[{j}] is off the 1/n^(2c) grid")
+    lam = [x.numerator * (grid // x.denominator) for x in lambdas]
+    w = [[x.numerator * (grid // x.denominator) for x in row] for row in v]
+    bound = 2 * grid
+    big = [(i, j) for i, row in enumerate(w) for j, x in enumerate(row) if abs(x) > bound]
+    if big:
+        raise ValueError("|V[%d][%d]| > 2" % big[0])
+    g2 = grid * grid
 
-    # condition 3: V^T V - I is the Gram deviation of V's columns
-    rho = max(gram_dev(scale_rows(list(zip(*v)))))
+    # condition 1: V^T V - I is the Gram deviation of V's columns
+    rho = Fraction(max(gram_dev(list(zip(*w)), g2)), g2)
 
-    gram_off, gram_diag = gram_dev(rows)
+    gram_off, gram_diag = [Fraction(x, g2) for x in gram_dev(w, g2)]
 
     # tau = max over i, ell of |(M v_i)_ell - lambda_i v_i[ell]|; with
-    # M = A / m_den and v_i = w / den the residual row has the single
-    # denominator m_den * den * lambda_i.denominator
+    # M = A / m_den, v_i = w_i / G and lambda_i = lam_i / G every residual
+    # is an integer over m_den * G^2
     a, m_den = _int_matrix(m)
     m_sparse = _sparse_rows(a)
-    tau, tau_den = 0, 1
-    for (w, den), lam in zip(rows, lambdas):
-        p, q = lam.numerator, lam.denominator
-        mp = m_den * p
-        top = max(
-            abs(q * sum(map(mul, vals, map(w.__getitem__, cols))) - mp * w_ell)
-            for (cols, vals), w_ell in zip(m_sparse, w)
-        )
-        row_den = m_den * den * q
-        if top * tau_den > tau * row_den:
-            tau, tau_den = top, row_den
-    tau = Fraction(tau, tau_den)
+    tau = Fraction(max([
+        abs(grid * sum(map(mul, vals, map(wi.__getitem__, cols))) - m_den * li * wi_ell)
+        for wi, li in zip(w, lam) for (cols, vals), wi_ell in zip(m_sparse, wi)
+    ]), m_den * g2)
 
-    tol_basis = cert.k3 * Fraction(n) ** (1 - c)
-    tol_gram = cert.k4 * Fraction(n) ** (1 - c)
-    tol_eigen = cert.k5 * Fraction(n) ** (3 - c)
-    descending = all(lambdas[i] >= lambdas[i + 1] for i in range(n - 1))
+    tol_basis, tol_gram, tol_eigen = tolerances(cert)
+    descending = all(lam[i] >= lam[i + 1] for i in range(n - 1))
 
     basis_ok = rho <= tol_basis
     gram_ok = gram_off <= tol_gram and gram_diag <= tol_gram
@@ -455,8 +453,6 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
         gram_diag=gram_diag,
         tau=tau,
         slack=slack,
-        grid_ok=grid_ok,
-        entry_bound_ok=entry_bound_ok,
         basis_ok=basis_ok,
         gram_ok=gram_ok,
         eigen_ok=eigen_ok,

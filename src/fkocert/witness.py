@@ -35,6 +35,7 @@ from .spectral import (
     build_m,
     certified_quadform_bound,
     certify_eigvalbound,
+    tolerances,
 )
 from .tuples import TupleCollection, check_collection, find_collection
 
@@ -203,13 +204,15 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                        f"lambda={wit.lam} != max eigenvalue "
                        f"{max(wit.cert.lambdas)}")
 
-    # V's shape and c are checked by certify_eigvalbound before its products
+    # V's shape, c, the grid and |v_ij| <= 2 are checked before any product
     try:
         u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
     except CertificationError as e:
+        tol_basis, _, tol_eigen = tolerances(wit.cert)
         return Verdict(False, "EigValBound",
                        f"failed conditions: {e.report.failed_conditions()}; "
-                       f"rho={e.report.rho}, tau={e.report.tau}")
+                       f"rho/tol={_ratio(e.report.rho, tol_basis)}, "
+                       f"tau/tol={_ratio(e.report.tau, tol_eigen)}")
     except ValueError as e:
         return Verdict(False, "EigValBound", str(e))
 
@@ -221,10 +224,23 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                    margin=wit.coll.t - rhs)
 
 
+def _ratio(x: Fraction, tol: Fraction) -> str:
+    """x/tol to 3 significant digits, or as a power of two when no float
+    holds it: an exact residual can have more digits than str() allows."""
+    if not tol:
+        return "inf" if x else "0"
+    r = x / tol
+    try:
+        return f"{float(r):.3g}"
+    except OverflowError:
+        return f"~2^{r.numerator.bit_length() - r.denominator.bit_length()}"
+
+
 def nae_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:
     """(U + 3m)/4, U the certified bound: no assignment NAE-satisfies more.
 
-    Raises CertificationError when the certificate fails.
+    Raises CertificationError when the certificate fails, and ValueError
+    when it is malformed (see certify_eigvalbound).
     """
     return (certified_quadform_bound(build_m(cnf), wit.cert) + 3 * cnf.m) / 4
 
@@ -247,9 +263,9 @@ def _rat_out(x: Fraction | None) -> dict[str, str] | None:
 
 class WitnessFormatError(ValueError):
     """Witness JSON that does not describe a witness: a missing key, a
-    zero or non-integer denominator, a non-integer field, or a rational
-    field that is not a {"num", "den"} pair, an integer or an integer
-    string."""
+    zero or non-integer denominator, a non-integer field, a rational field
+    that is not a {"num", "den"} pair, an integer or an integer string, a
+    list field that is not an array, or nesting too deep to parse."""
 
 
 def _int_in(obj) -> int:
@@ -306,16 +322,24 @@ def witness_from_json(text: str) -> FkoWitness:
         return _witness_from_obj(json.loads(text))
     except KeyError as e:
         raise WitnessFormatError(f"witness JSON: missing key {e}") from None
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+    # json.loads raises RecursionError on deep nesting
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as e:
         raise WitnessFormatError(f"witness JSON: {e}") from None
+
+
+def _array(obj) -> list:
+    # iterating a string or an object would read its characters or keys
+    if type(obj) is not list:
+        raise TypeError(f"not an array: {type(obj).__name__}")
+    return obj
 
 
 def _witness_from_obj(obj) -> FkoWitness:
     if not isinstance(obj, dict):
         raise TypeError("top level is not an object")
     cert = SpectralCert(
-        lambdas=tuple([_rat_in(x) for x in obj["lambdas"]]),
-        v=tuple([tuple([_rat_in(x) for x in row]) for row in obj["V"]]),
+        lambdas=tuple([_rat_in(x) for x in _array(obj["lambdas"])]),
+        v=tuple([tuple([_rat_in(x) for x in _array(row)]) for row in _array(obj["V"])]),
         c=_int_in(obj["c"]),
         k3=_rat_in(obj["K3"]) if "K3" in obj else DEFAULT_K,
         k4=_rat_in(obj["K4"]) if "K4" in obj else DEFAULT_K,
@@ -323,7 +347,8 @@ def _witness_from_obj(obj) -> FkoWitness:
     )
     d = obj["D"]
     coll = TupleCollection(
-        tuples=tuple([tuple([_int_in(i) for i in tup]) for tup in d["tuples"]]),
+        tuples=tuple([tuple([_int_in(i) for i in _array(tup)])
+                      for tup in _array(d["tuples"])]),
         t=_int_in(d["t"]),
         k=_int_in(d["k"]),
         d=_int_in(d["d"]),

@@ -219,7 +219,7 @@ def test_parser_rejects_unknown_command():
         parser.parse_args(["frobnicate"])
 
 
-@pytest.mark.parametrize("edit", ["den 0", "missing D", "num x"])
+@pytest.mark.parametrize("edit", ["den 0", "missing D", "num x", "deep nesting"])
 def test_verify_malformed_witness_is_usage_error(tmp_path, capsys, edit):
     cnf_path = _block_path(tmp_path)
     wit_path = tmp_path / "w.json"
@@ -229,9 +229,11 @@ def test_verify_malformed_witness_is_usage_error(tmp_path, capsys, edit):
         blob["lambdas"][0]["den"] = "0"
     elif edit == "missing D":
         del blob["D"]
-    else:
+    elif edit == "num x":
         blob["V"][0][0]["num"] = "x"
-    wit_path.write_text(json.dumps(blob))
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    text = "[" * 200_000 + "]" * 200_000 if edit == "deep nesting" else json.dumps(blob)
+    wit_path.write_text(text)
     capsys.readouterr()
     rc = main(["verify", "--cnf", str(cnf_path), "--witness", str(wit_path)])
     assert rc == 2

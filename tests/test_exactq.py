@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -10,7 +11,6 @@ from fkocert.exactq import (
     gram_dev,
     grid_denominator,
     rat,
-    scale_rows,
     snap_to_grid,
     snap_up_to_grid,
 )
@@ -86,35 +86,36 @@ def test_mat_vec_and_quadform():
 
 def test_norm_and_gram():
     assert norm_inf(vec([F(1, 3), F(-1, 2)])) == F(1, 2)
-    ident = mat([[1, 0], [0, 1]])
-    assert gram_dev(scale_rows(ident)) == (0, 0)
+    assert gram_dev([[1, 0], [0, 1]], 1) == (0, 0)
     # rows (1,1) and (0,1): cross product 1; (1,1) has squared norm 2,
     # so the diagonal deviates by 1 as well
-    assert gram_dev(scale_rows(mat([[1, 1], [0, 1]]))) == (1, 1)
-    assert gram_dev(scale_rows(mat([[0, 1], [1, 0]]))) == (0, 0)
-
-
-def test_scale_rows_per_row_lcm():
-    rows = mat([[F(1, 2), F(-1, 3)], [1, 2], [F(5, 4), F(1, 6)]])
-    assert scale_rows(rows) == [((3, -2), 6), ((1, 2), 1), ((15, 2), 12)]
+    assert gram_dev([[1, 1], [0, 1]], 1) == (1, 1)
+    assert gram_dev([[0, 1], [1, 0]], 1) == (0, 0)
+    # the same rows over the scale 2: V = W / 2, deviations scaled by 4
+    assert gram_dev([[2, 2], [0, 2]], 4) == (4, 4)
+    assert gram_dev([[2, 0], [0, 2]], 4) == (0, 0)
 
 
 def test_gram_dev_rejects_ragged_rows():
     try:
-        gram_dev(scale_rows(((F(1), F(0)), (F(0),))))
+        gram_dev([[1, 0], [0]], 1)
     except ValueError:
         pass
     else:
         raise AssertionError("ragged rows not reported")
 
 
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4))
-def test_gram_dev_matches_inner_products(rows):
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+       st.integers(1, 4))
+def test_gram_dev_matches_inner_products(rows, extra):
     rows = mat(rows)
     off = max((abs(inner_prod(rows[i], rows[j])) for i in range(len(rows))
                for j in range(i + 1, len(rows))), default=F(0))
     diag = max(abs(inner_prod(r, r) - 1) for r in rows)
-    assert gram_dev(scale_rows(rows)) == (off, diag)
+    # rows = W / s over a common denominator s, any multiple of the lcm
+    s = extra * math.lcm(*[x.denominator for r in rows for x in r])
+    w = [[int(x * s) for x in r] for r in rows]
+    assert gram_dev(w, s * s) == (off * s * s, diag * s * s)
 
 
 def test_grid_denominator_and_membership():

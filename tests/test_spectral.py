@@ -227,11 +227,14 @@ def test_certify_rejects_off_grid_entry():
     m = build_m(cnf)
     cert = approx_eigen(m, 8)
     rows = [list(r) for r in cert.v]
-    rows[0][0] += F(1, 3)
+    rows[2][5] += F(1, 3)
     forged = replace(cert, v=tuple(tuple(r) for r in rows))
-    rep = certify_eigvalbound(m, forged)
-    assert not rep.passed
-    assert not rep.grid_ok
+    with pytest.raises(ValueError, match=r"^V\[2\]\[5\] is off the 1/n\^\(2c\) grid$"):
+        certify_eigvalbound(m, forged)
+    lambdas = list(cert.lambdas)
+    lambdas[3] += F(1, 3)
+    with pytest.raises(ValueError, match=r"^lambdas\[3\] is off the"):
+        certify_eigvalbound(m, replace(cert, lambdas=tuple(lambdas)))
 
 
 def test_certify_rejects_oversized_entry():
@@ -239,11 +242,10 @@ def test_certify_rejects_oversized_entry():
     m = build_m(cnf)
     cert = approx_eigen(m, 8)
     rows = [list(r) for r in cert.v]
-    rows[0][0] = F(5, 2)
+    rows[0][0] = F(-3)  # on the grid, as every integer is
     forged = replace(cert, v=tuple(tuple(r) for r in rows))
-    rep = certify_eigvalbound(m, forged)
-    assert not rep.passed
-    assert not rep.entry_bound_ok
+    with pytest.raises(ValueError, match=r"^\|V\[0\]\[0\]\| > 2$"):
+        certify_eigvalbound(m, forged)
 
 
 def test_certify_rejects_non_orthonormal_basis():
@@ -299,7 +301,9 @@ def test_certify_rejects_non_square_v():
 
 # ------------------------------------------- Fraction reference certifier
 # The triple loops certify_eigvalbound ran in plain Fraction arithmetic
-# before its integer core; the report must agree field by field.
+# before its integer core.  Where the reference finds every entry on the
+# grid and every |v_ij| <= 2 the report must agree field by field; where
+# it does not, certify_eigvalbound must raise ValueError instead.
 
 
 def _reference_gram_dev(rows):
@@ -315,7 +319,9 @@ def _reference_gram_dev(rows):
     return off, diag
 
 
-def reference_certify(m, cert) -> CertReport:
+def reference_certify(m, cert) -> tuple[CertReport, bool, bool]:
+    """(report, grid_ok, entry_bound_ok), the last two the conditions
+    certify_eigvalbound checks as preconditions."""
     n = cert.n
     v, lambdas, c = cert.v, cert.lambdas, cert.c
     grid_ok = all(is_grid_multiple(x, n, c) for x in lambdas) and all(
@@ -351,17 +357,22 @@ def reference_certify(m, cert) -> CertReport:
         + 2 * n**2 * mu * nrho * (1 + nrho)
         + n**2 * mu * nrho * nrho
     )
-    return CertReport(
+    report = CertReport(
         rho=rho, gram_off=gram_off, gram_diag=gram_diag, tau=tau, slack=slack,
-        grid_ok=grid_ok, entry_bound_ok=entry_bound_ok,
         basis_ok=rho <= tol_basis,
         gram_ok=gram_off <= tol_gram and gram_diag <= tol_gram,
         eigen_ok=tau <= tol_eigen and descending,
     )
+    return report, grid_ok, entry_bound_ok
 
 
 def _assert_same_report(m, cert):
-    got, want = certify_eigvalbound(m, cert), reference_certify(m, cert)
+    want, grid_ok, entry_bound_ok = reference_certify(m, cert)
+    if not (grid_ok and entry_bound_ok):
+        with pytest.raises(ValueError):
+            certify_eigvalbound(m, cert)
+        return
+    got = certify_eigvalbound(m, cert)
     for f in fields(CertReport):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert type(a) is type(b) and a == b, f.name
@@ -626,8 +637,7 @@ def on_grid_certs(draw):
 @given(on_grid_certs())
 def test_slack_bound_holds_for_arbitrary_certificates(case):
     m, cert = case
-    rep = certify_eigvalbound(m, cert)
-    assert rep.grid_ok and rep.entry_bound_ok
+    rep = certify_eigvalbound(m, cert)  # raises unless on-grid with |v| <= 2
     m2 = [[int(x * 2) for x in row] for row in m]
     assert cert.lambdas[0] * cert.n + rep.slack >= max_quadform(m2)
 

@@ -1,13 +1,20 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps program functions
 by the "module:attribute" names in its TRACED table.  A name that stops
 resolving, say after a call moves between modules, would break every
-traced run, so each site is checked here; perfbench/ is only read."""
+traced run, so each site is checked here; so are the probes that read
+the calls' arguments and results.  perfbench/ is only read."""
 
 import ast
 import importlib
+import importlib.util
+import math
+import sys
+from numbers import Real
 from pathlib import Path
 
 import pytest
+
+from fkocert import approx_eigen, build_m, certify_eigvalbound, gen_random_3cnf
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -35,3 +42,23 @@ def test_traced_sites_resolve_to_one_program_function(span):
         assert fn.__name__ == attr and fn.__module__.startswith("fkocert."), site
         fns.append(fn)
     assert all(fn is fns[0] for fn in fns), f"{span}: sites name different functions"
+
+
+def _spans_module(monkeypatch):
+    """perfbench/spans.py, loaded from its path; it imports only the stdlib.
+    Its dataclasses look their module up in sys.modules while it runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_certify_probe_reads_a_real_certificate_and_report(monkeypatch):
+    m = build_m(gen_random_3cnf(12, 96, 0))
+    cert = approx_eigen(m, 8)
+    report = certify_eigvalbound(m, cert)
+    info = _spans_module(monkeypatch).PROBES["spectral.certify"]({"m": m, "cert": cert}, report)
+    assert info
+    for key, value in info.items():
+        assert isinstance(value, Real) and math.isfinite(value), key

@@ -39,7 +39,7 @@ from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
 from fkocert.oracle import brute_force_unsat, nae_counts, not3xor_counts
 from fkocert.spectral import C_MAX
-from fkocert.witness import _rat_out, _t_needed
+from fkocert.witness import _rat_in, _rat_out, _t_needed
 from conftest import planted_block
 
 F = Fraction
@@ -444,8 +444,32 @@ def _v_not_a_list(obj):
     obj["V"] = 7
 
 
+def _lambdas_a_string(obj):
+    # "000" would read as three zero eigenvalues, which planted_block(1) has
+    obj["lambdas"] = "0" * len(obj["lambdas"])
+
+
+def _v_row_an_object(obj):
+    obj["V"][0] = {str(j): x for j, x in enumerate(obj["V"][0])}
+
+
+def _v_row_a_string(obj):
+    obj["V"][0] = "1" * len(obj["V"][0])
+
+
+def _tuples_strings(obj):
+    obj["D"]["tuples"] = ["".join(map(str, tup)) for tup in obj["D"]["tuples"]]
+
+
+def _tuples_an_object(obj):
+    obj["D"]["tuples"] = {str(i): tup for i, tup in enumerate(obj["D"]["tuples"])}
+
+
 MALFORMED = {"den 0": _den_zero, "missing D": _missing_d, "num x": _num_x,
-             "float n": _float_n, "V not a list": _v_not_a_list}
+             "float n": _float_n, "V not a list": _v_not_a_list,
+             "lambdas a string": _lambdas_a_string, "V row an object": _v_row_an_object,
+             "V row a string": _v_row_a_string, "tuples strings": _tuples_strings,
+             "tuples an object": _tuples_an_object}
 
 
 @pytest.mark.parametrize("how", sorted(MALFORMED))
@@ -461,7 +485,67 @@ def test_witness_from_json_bad_json_text():
         witness_from_json("{not json")
     with pytest.raises(WitnessFormatError):
         witness_from_json("[1, 2]")
+    # json.loads raises RecursionError, a RuntimeError, on deep nesting
+    with pytest.raises(WitnessFormatError, match="recursion"):
+        witness_from_json("[" * 200_000 + "]" * 200_000)
     assert issubclass(WitnessFormatError, ValueError)
+
+
+# ------------------------------------- hostile certificates, dense formula
+
+@functools.cache
+def _dense_text() -> tuple[Cnf, str]:
+    """A dense n = 28 formula and an on-grid witness for it, which the
+    verifier rejects only at the inequality."""
+    cnf = gen_random_3cnf(28, 318, 1)  # m = floor(3 n^1.4)
+    return cnf, witness_to_json(manual_witness(cnf))
+
+
+def _off_grid_v(text: str, digits: int) -> str:
+    """The witness with every V entry rounded to a multiple of 1/p, for
+    one odd p of `digits` digits prime to 7: off the 1/28^16 grid."""
+    p = 10 ** (digits - 1) + 1
+    assert p % 7
+    obj = json.loads(text)
+    obj["V"] = [[_rat_out(F(round(_rat_in(x) * p), p)) for x in row] for row in obj["V"]]
+    return json.dumps(obj)
+
+
+def test_off_grid_v_is_rejected_before_any_product(monkeypatch):
+    import fkocert.spectral as spectral_mod
+
+    calls = []
+    gram_dev = spectral_mod.gram_dev
+
+    def counting(*args):
+        calls.append(args)
+        return gram_dev(*args)
+
+    cnf, text = _dense_text()
+    monkeypatch.setattr(spectral_mod, "gram_dev", counting)
+    assert verify_witness(cnf, witness_from_json(text)).reason == "inequality"
+    assert len(calls) == 2
+    for digits in (50, 200):
+        verdict = verify_witness(cnf, witness_from_json(_off_grid_v(text, digits)))
+        assert not verdict.accepted and verdict.reason == "EigValBound"
+        assert re.fullmatch(r"V\[\d+\]\[\d+\] is off the 1/n\^\(2c\) grid", verdict.detail)
+    assert len(calls) == 2
+
+
+def test_huge_lambda_residual_gives_a_bounded_detail():
+    # an on-grid lambda_0 with a 4300-digit numerator parses, but tau then
+    # has more digits than str() of an int allows
+    cnf, text = _dense_text()
+    obj = json.loads(text)
+    huge = {"num": str(10 ** 4299 + 7), "den": str(grid_denominator(28, 8))}
+    obj["lambdas"][0] = obj["lambda"] = huge
+    wit = witness_from_json(json.dumps(obj))
+    assert len(str(wit.lam.numerator)) == 4300
+    verdict = verify_witness(cnf, wit)
+    assert verdict == Verdict(False, "EigValBound", verdict.detail)
+    assert re.fullmatch(r"failed conditions: \['eigen'\]; rho/tol=\S+, tau/tol=~2\^\d+",
+                        verdict.detail)
+    json.loads(verdict.to_json())
 
 
 def test_t_needed_is_least_accepted_t():
