@@ -163,8 +163,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_checkproof(args: argparse.Namespace) -> int:
-    proof = parse_proof(_read(args.proof))
-    res = check_proof(proof)
+    try:
+        proof = parse_proof(_read(args.proof))
+        res = check_proof(proof)
+    except RecursionError:
+        raise ValueError("proof formulas are nested too deeply") from None
     if res.valid:
         print(json.dumps({"valid": True, "steps": len(proof.steps)}, sort_keys=True))
         return 0

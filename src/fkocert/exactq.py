@@ -15,12 +15,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-Rat = Fraction
 QVec = Sequence[Fraction]
 QMat = Sequence[Sequence[Fraction]]
 
 __all__ = [
-    "Rat",
     "QVec",
     "QMat",
     "rat",

@@ -341,10 +341,6 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     a, m_den = _int_matrix(m)
     if [list(col) for col in zip(*a)] != a:
         raise ValueError("matrix is not symmetric")
-    if n == 1:
-        lam = snap_to_grid(m[0][0], 1, c)
-        return SpectralCert((lam,), ((Fraction(1),),), c)
-
     seed = _jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
 
     f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64

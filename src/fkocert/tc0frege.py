@@ -10,8 +10,9 @@ so every inference has to match its rule shape exactly.
 `check_proof` validates a proof line by line; `decide_constant_formula`
 produces, for any variable-free formula, a checkable proof of it or of
 its negation; `substitute` maps variables to constants throughout a
-proof, which preserves validity (all rule matchers only test structural
-equalities, and substitution is a congruence for those).
+proof, which preserves validity (every rule derives its premises from
+its conclusion by structural operations, and substitution commutes with
+them and preserves equality).
 
 Proof text format (one step per line, 1-based ids):
 
@@ -24,8 +25,8 @@ Proof text format (one step per line, 1-based ids):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "TcFormula",
@@ -183,266 +184,184 @@ class CheckResult:
         return self.valid
 
 
-# ------------------------------------------------------------ rule matching
+# --------------------------------------------------------------- rule table
+#
+# Each rule is a premise builder: from the conclusion it derives the
+# premise sequents the rule needs, or None when the conclusion has no
+# principal formula for the rule.  It also gets the cited premises, but
+# only exchange (to pick the swap) and cut (to read the cut formula) look
+# at them.  check_proof compares the derived premises with the cited ones,
+# so a rule's shape lives in one place and its arity is their count.
+
+Builder = Callable[[Sequent, Sequence[Sequent]], list[Sequent] | None]
 
 
-def _is_axiom(s: Sequent) -> str | None:
+def _axiom(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    """A --> A, F -->, --> T, and the boundary shapes --> Th_0(...) and
+    Th_i(...) --> with i > n; no premises."""
     if len(s.ante) == 1 and s.ante == s.succ:
-        return None
-    if s.ante == (BOT,) and not s.succ:
-        return None
-    if not s.ante and s.succ == (TOP,):
-        return None
-    # boundary shapes: Th_0(...) is T, Th_i(...) with i > n is F
+        return []
     if not s.ante and len(s.succ) == 1:
         f = s.succ[0]
-        if isinstance(f, Th) and f.i == 0:
-            return None
-    if not s.succ and len(s.ante) == 1:
+        ok = isinstance(f, Top) or isinstance(f, Th) and f.i == 0
+    elif not s.succ and len(s.ante) == 1:
         f = s.ante[0]
-        if isinstance(f, Th) and f.i > len(f.children):
-            return None
-    return "not an axiom sequent"
+        ok = isinstance(f, Bot) or isinstance(f, Th) and f.i > len(f.children)
+    else:
+        ok = False
+    return [] if ok else None
 
 
-def _match_weaken_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.succ != p.succ:
-        return "succedent changed"
-    if len(s.ante) != len(p.ante) + 1 or s.ante[:-1] != p.ante:
-        return "antecedent is not the premise's plus one formula at the end"
-    return None
-
-
-def _match_weaken_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.ante != p.ante:
-        return "antecedent changed"
-    if len(s.succ) != len(p.succ) + 1 or s.succ[1:] != p.succ:
-        return "succedent is not one formula plus the premise's"
-    return None
+def _weaken_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    return [Sequent(s.ante[:-1], s.succ)] if s.ante else None
 
 
 def _swapped(seq: tuple, i: int) -> tuple:
     return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
 
 
-def _match_exchange_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.succ != p.succ:
-        return "succedent changed"
-    if len(s.ante) != len(p.ante):
-        return "antecedent length changed"
-    if any(_swapped(p.ante, i) == s.ante for i in range(len(p.ante) - 1)):
+def _exchange_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    """Swaps the adjacent pair that gives the cited premise's antecedent,
+    or the first pair when none does."""
+    if len(s.ante) < 2:
         return None
-    return "not an adjacent transposition of the premise antecedent"
+    cited = ps[0].ante if ps else None
+    i = next((i for i in range(len(s.ante) - 1) if _swapped(s.ante, i) == cited), 0)
+    return [Sequent(_swapped(s.ante, i), s.succ)]
 
 
-def _match_exchange_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.ante != p.ante:
-        return "antecedent changed"
-    if len(s.succ) != len(p.succ):
-        return "succedent length changed"
-    if any(_swapped(p.succ, i) == s.succ for i in range(len(p.succ) - 1)):
-        return None
-    return "not an adjacent transposition of the premise succedent"
+def _contract_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    return [Sequent(s.ante + s.ante[-1:], s.succ)] if s.ante else None
 
 
-def _match_contract_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.succ != p.succ:
-        return "succedent changed"
-    if not s.ante or p.ante != s.ante + (s.ante[-1],):
-        return "premise antecedent must end with the duplicated formula"
-    return None
-
-
-def _match_contract_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if s.ante != p.ante:
-        return "antecedent changed"
-    if not s.succ or p.succ != (s.succ[0],) + s.succ:
-        return "premise succedent must start with the duplicated formula"
-    return None
-
-
-def _match_not_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
+def _not_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
     if not s.ante or not isinstance(s.ante[-1], Not):
-        return "conclusion antecedent must end with a negation"
-    a = s.ante[-1].child
-    if p.ante != s.ante[:-1]:
-        return "premise antecedent mismatch"
-    if p.succ != (a,) + s.succ:
-        return "premise succedent must start with the negated formula"
-    return None
+        return None
+    return [Sequent(s.ante[:-1], (s.ante[-1].child,) + s.succ)]
 
 
-def _match_not_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    (p,) = ps
-    if not s.succ or not isinstance(s.succ[0], Not):
-        return "conclusion succedent must start with a negation"
-    a = s.succ[0].child
-    if p.succ != s.succ[1:]:
-        return "premise succedent mismatch"
-    if p.ante != s.ante + (a,):
-        return "premise antecedent must end with the negated formula"
-    return None
+def _mirror(s: Sequent) -> Sequent:
+    """Sides swapped and reversed: the head of the succedent becomes the
+    end of the antecedent."""
+    return Sequent(s.succ[::-1], s.ante[::-1])
 
 
-def _th_head(seq: tuple[TcFormula, ...], want_i=None) -> Th | None:
-    if seq and isinstance(seq[0], Th):
-        f = seq[0]
-        if want_i is None or f.i == want_i:
-            return f
-    return None
+def _mirrored(left: Builder) -> Builder:
+    """The right rule of a left rule: the left rule read through _mirror."""
+
+    def right(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+        want = left(_mirror(s), [_mirror(p) for p in ps])
+        return None if want is None else [_mirror(p) for p in want]
+
+    return right
 
 
-def _match_all_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+def _th_head(side: tuple[TcFormula, ...]) -> Th | None:
+    return side[0] if side and isinstance(side[0], Th) else None
+
+
+def _all_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
     f = _th_head(s.ante)
     if f is None or f.i != len(f.children):
-        return "conclusion antecedent must start with Th_n over n children"
-    (p,) = ps
-    if p.succ != s.succ:
-        return "succedent changed"
-    if p.ante != f.children + s.ante[1:]:
-        return "premise antecedent must list all children then the context"
-    return None
+        return None
+    return [Sequent(f.children + s.ante[1:], s.succ)]
 
 
-def _match_all_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+def _all_right(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
     f = _th_head(s.succ)
     if f is None or f.i != len(f.children):
-        return "conclusion succedent must start with Th_n over n children"
-    if len(ps) != len(f.children):
-        return f"need {len(f.children)} premises, got {len(ps)}"
-    for j, p in enumerate(ps):
-        if p.ante != s.ante:
-            return f"premise {j}: antecedent changed"
-        if p.succ != (f.children[j],) + s.succ[1:]:
-            return f"premise {j}: succedent must start with child {j}"
-    return None
+        return None
+    return [Sequent(s.ante, (g,) + s.succ[1:]) for g in f.children]
 
 
-def _match_one_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    f = _th_head(s.ante, want_i=1)
-    if f is None:
-        return "conclusion antecedent must start with Th_1"
-    if len(ps) != len(f.children):
-        return f"need {len(f.children)} premises, got {len(ps)}"
-    for j, p in enumerate(ps):
-        if p.succ != s.succ:
-            return f"premise {j}: succedent changed"
-        if p.ante != (f.children[j],) + s.ante[1:]:
-            return f"premise {j}: antecedent must start with child {j}"
-    return None
+def _one_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    f = _th_head(s.ante)
+    if f is None or f.i != 1:
+        return None
+    return [Sequent((g,) + s.ante[1:], s.succ) for g in f.children]
 
 
-def _match_one_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    f = _th_head(s.succ, want_i=1)
-    if f is None:
-        return "conclusion succedent must start with Th_1"
-    (p,) = ps
-    if p.ante != s.ante:
-        return "antecedent changed"
-    if p.succ != f.children + s.succ[1:]:
-        return "premise succedent must list all children then the context"
-    return None
+def _one_right(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    f = _th_head(s.succ)
+    if f is None or f.i != 1:
+        return None
+    return [Sequent(s.ante, f.children + s.succ[1:])]
 
 
-def _match_th_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+def _th_left(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
     f = _th_head(s.ante)
     if f is None or f.i < 1 or not f.children:
-        return "conclusion antecedent must start with Th_i, i >= 1, n >= 1"
-    p1, p2 = ps
-    tail = f.children[1:]
-    if p1.succ != s.succ or p2.succ != s.succ:
-        return "succedent changed"
-    if p1.ante != (Th(f.i, tail),) + s.ante[1:]:
-        return "first premise must drop the head child"
-    if p2.ante != (Th(f.i - 1, tail), f.children[0]) + s.ante[1:]:
-        return "second premise must lower the threshold and expose the head"
-    return None
+        return None
+    head, tail, rest = f.children[0], f.children[1:], s.ante[1:]
+    return [Sequent((Th(f.i, tail),) + rest, s.succ),
+            Sequent((Th(f.i - 1, tail), head) + rest, s.succ)]
 
 
-def _match_th_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+def _th_right(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
     f = _th_head(s.succ)
     if f is None or f.i < 1 or not f.children:
-        return "conclusion succedent must start with Th_i, i >= 1, n >= 1"
-    p1, p2 = ps
-    tail = f.children[1:]
-    if p1.ante != s.ante or p2.ante != s.ante:
-        return "antecedent changed"
-    if p1.succ != (Th(f.i, tail), f.children[0]) + s.succ[1:]:
-        return "first premise must drop the head child and expose it"
-    if p2.succ != (Th(f.i - 1, tail),) + s.succ[1:]:
-        return "second premise must lower the threshold"
-    return None
+        return None
+    head, tail, rest = f.children[0], f.children[1:], s.succ[1:]
+    return [Sequent(s.ante, (Th(f.i, tail), head) + rest),
+            Sequent(s.ante, (Th(f.i - 1, tail),) + rest)]
 
 
-def _match_cut(ps: Sequence[Sequent], s: Sequent) -> str | None:
-    p1, p2 = ps
-    if not p1.succ:
-        return "first premise succedent is empty"
-    a = p1.succ[0]
-    if p1.ante != s.ante or p1.succ != (a,) + s.succ:
-        return "first premise must be the conclusion with the cut formula in front"
-    if p2.ante != s.ante + (a,) or p2.succ != s.succ:
-        return "second premise must be the conclusion with the cut formula at the end"
-    return None
+def _cut(s: Sequent, ps: Sequence[Sequent]) -> list[Sequent] | None:
+    """The cut formula is the head of the first cited premise's succedent."""
+    if not ps or not ps[0].succ:
+        return None
+    a = ps[0].succ[0]
+    return [Sequent(s.ante, (a,) + s.succ), Sequent(s.ante + (a,), s.succ)]
 
 
-RULES: dict[str, tuple[int | None, Callable]] = {
-    "weaken-left": (1, _match_weaken_left),
-    "weaken-right": (1, _match_weaken_right),
-    "exchange-left": (1, _match_exchange_left),
-    "exchange-right": (1, _match_exchange_right),
-    "contract-left": (1, _match_contract_left),
-    "contract-right": (1, _match_contract_right),
-    "not-left": (1, _match_not_left),
-    "not-right": (1, _match_not_right),
-    "all-left": (1, _match_all_left),
-    "all-right": (None, _match_all_right),  # premise count depends on n
-    "one-left": (None, _match_one_left),
-    "one-right": (1, _match_one_right),
-    "th-left": (2, _match_th_left),
-    "th-right": (2, _match_th_right),
-    "cut": (2, _match_cut),
+RULES: dict[str, Builder] = {
+    "weaken-left": _weaken_left,
+    "weaken-right": _mirrored(_weaken_left),
+    "exchange-left": _exchange_left,
+    "exchange-right": _mirrored(_exchange_left),
+    "contract-left": _contract_left,
+    "contract-right": _mirrored(_contract_left),
+    "not-left": _not_left,
+    "not-right": _mirrored(_not_left),
+    "all-left": _all_left,
+    "all-right": _all_right,
+    "one-left": _one_left,
+    "one-right": _one_right,
+    "th-left": _th_left,
+    "th-right": _th_right,
+    "cut": _cut,
 }
 
 
+def _step_error(steps: Sequence[ProofStep], idx: int) -> str | None:
+    step = steps[idx]
+    build = _axiom if step.rule == "axiom" else RULES.get(step.rule)
+    if build is None:
+        return "unknown rule"
+    if any(not 0 <= p < idx for p in step.premises):
+        return "a premise does not precede the step"
+    cited = [steps[p].seq for p in step.premises]
+    want = build(step.seq, cited)
+    if want is None:
+        return "the conclusion does not have the rule's shape"
+    if len(want) != len(cited):
+        return f"needs {len(want)} premise(s), got {len(cited)}"
+    for j, (w, c) in enumerate(zip(want, cited)):
+        if w != c:
+            side = "antecedent" if w.ante != c.ante else "succedent"
+            return f"premise {j + 1} (step {step.premises[j] + 1}) differs in its {side}"
+    return None
+
+
 def check_proof(proof: TcProof) -> CheckResult:
-    """Validate every step: axiom shape or exact rule match on premises
-    that strictly precede it."""
-    for idx, step in enumerate(proof.steps):
-        if step.rule == "axiom":
-            if step.premises:
-                return CheckResult(False, idx, f"step {idx + 1}: axiom with premises")
-            why = _is_axiom(step.seq)
-            if why:
-                return CheckResult(False, idx, f"step {idx + 1}: {why}")
-            continue
-        if step.rule not in RULES:
-            return CheckResult(False, idx, f"step {idx + 1}: unknown rule {step.rule!r}")
-        arity, matcher = RULES[step.rule]
-        if any(not 0 <= p < idx for p in step.premises):
-            return CheckResult(
-                False, idx, f"step {idx + 1}: premise does not precede the step"
-            )
-        if arity is not None and len(step.premises) != arity:
-            return CheckResult(
-                False,
-                idx,
-                f"step {idx + 1}: {step.rule} takes {arity} premise(s), "
-                f"got {len(step.premises)}",
-            )
-        prem_seqs = [proof.steps[p].seq for p in step.premises]
-        why = matcher(prem_seqs, step.seq)
-        if why:
-            return CheckResult(False, idx, f"step {idx + 1}: {step.rule}: {why}")
+    """Validate every step: the premises its rule derives from the
+    conclusion must equal the cited steps, which strictly precede it."""
     if not proof.steps:
         return CheckResult(False, None, "empty proof")
+    for idx, step in enumerate(proof.steps):
+        why = _step_error(proof.steps, idx)
+        if why:
+            return CheckResult(False, idx, f"step {idx + 1}: {step.rule}: {why}")
     return CheckResult(True)
 
 

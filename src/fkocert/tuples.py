@@ -130,14 +130,6 @@ def check_collection(
 # ------------------------------------------------------------------ search
 
 
-def _occurrence_mask(cnf: Cnf, index: int) -> int:
-    return parity_vector(cnf, index) >> 1
-
-
-def _neg_parity(cnf: Cnf, index: int) -> int:
-    return parity_vector(cnf, index) & 1
-
-
 Side = tuple[list[int], list[int]]  # a triple's clauses: even, odd negation count
 # an edge's (clauses of one triple, clauses of the other) factor pairs,
 # listed for an even and for an odd negation sum of the two picked clauses
@@ -317,7 +309,7 @@ def _elimination_candidates(
     import random
 
     out: set[ClauseTuple] = set()
-    masks = [_occurrence_mask(cnf, i) for i in range(cnf.m)]
+    masks = [parity_vector(cnf, i) >> 1 for i in range(cnf.m)]
     examined = 0
     for r in range(rounds):
         order = list(range(cnf.m))
@@ -341,7 +333,7 @@ def _elimination_candidates(
                     members = [i for i in range(cnf.m) if sup >> i & 1]
                     parity = 0
                     for i in members:
-                        parity ^= _neg_parity(cnf, i)
+                        parity ^= parity_vector(cnf, i) & 1
                     if parity:
                         out.add(tuple(members))
             if examined >= budget:

@@ -219,7 +219,7 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     rhs = _threshold(wit.coll.d, imb, u)
     if not wit.coll.t > rhs:
         return Verdict(False, "inequality",
-                       f"t={wit.coll.t} <= d*(I+U)/2 = {rhs}")
+                       f"t={wit.coll.t} <= d*(I+U)/2 = {_show(rhs)}")
     return Verdict(True, u=u, tuple_bound=unsat3xor_lower_bound(wit),
                    margin=wit.coll.t - rhs)
 
@@ -233,7 +233,19 @@ def _ratio(x: Fraction, tol: Fraction) -> str:
     try:
         return f"{float(r):.3g}"
     except OverflowError:
-        return f"~2^{r.numerator.bit_length() - r.denominator.bit_length()}"
+        return _pow2(r)
+
+
+def _show(x: Fraction) -> str:
+    """str(x), or ~2^k when x has more digits than str() allows."""
+    try:
+        return str(x)
+    except ValueError:
+        return _pow2(x)
+
+
+def _pow2(x: Fraction) -> str:
+    return f"~2^{x.numerator.bit_length() - x.denominator.bit_length()}"
 
 
 def nae_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:

@@ -1,15 +1,18 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import sys
 
 import pytest
 
 import fkocert.witness
 from fkocert.cli import build_parser, main
 from fkocert.cnf import gen_random_3cnf, to_dimacs
+from fkocert.tc0frege import check_proof, parse_proof
 from fkocert.witness import witness_from_json, witness_to_json
 
 from conftest import planted_block
+from test_witness import _huge_d_text
 
 
 PROOF_OK = """\
@@ -168,6 +171,41 @@ def test_checkproof_malformed_is_usage_error(tmp_path):
     p = tmp_path / "junk.prf"
     p.write_text("this is not a proof\n")
     assert main(["checkproof", str(p)]) == 2
+
+
+@pytest.mark.parametrize("depth", [400, 100_000])
+def test_checkproof_deep_nesting_is_usage_error(tmp_path, capsys, depth):
+    # 100 000 levels overflow the parser; 400 levels parse, and on CPython
+    # 3.11 then overflow the checker's sequent comparisons
+    f = "~" * depth + "p1"
+    text = f"1: axiom |- {f} --> {f}\n"
+    p = tmp_path / "deep.prf"
+    p.write_text(text)
+    if depth == 400:
+        parse_proof(text)
+    try:
+        check_proof(parse_proof(text))
+        want = 0  # an interpreter that does not overflow on this proof
+    except RecursionError:
+        want = 2
+    if depth == 400 and sys.version_info[:2] == (3, 11):
+        assert want == 2
+    assert main(["checkproof", str(p)]) == want
+    captured = capsys.readouterr()
+    if want == 2:
+        assert captured.out == ""
+        assert captured.err == "error: proof formulas are nested too deeply\n"
+
+
+def test_verify_huge_d_is_a_rejection(tmp_path, capsys):
+    cnf, text = _huge_d_text()
+    cnf_path, wit_path = tmp_path / "f.cnf", tmp_path / "w.json"
+    cnf_path.write_text(to_dimacs(cnf))
+    wit_path.write_text(text)
+    assert main(["verify", "--cnf", str(cnf_path), "--witness", str(wit_path)]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["reason"] == "inequality"
+    assert blob["detail"].endswith("d*(I+U)/2 = ~2^14289")
 
 
 def test_missing_file_is_usage_error():

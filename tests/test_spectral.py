@@ -162,6 +162,18 @@ def test_approx_eigen_zero_and_one_by_one():
     snapped = approx_eigen(mat([[F(3, 4)]]), 3)
     assert snapped.lambdas == (1,)
 
+    # the general Jacobi and refinement path gives the snapped entry and
+    # the unit vector, which certify with U >= x, the largest a*x*a
+    for x in (F(0), F(1, 2), F(-1, 2), F(-3, 2), F(7), F(-1, 3), F(5, 7),
+              F(10**30 + 1, 2)):
+        for c in (1, 2, 8, 64):
+            m = mat([[x]])
+            cert = approx_eigen(m, c)
+            assert cert == SpectralCert((snap_to_grid(x, 1, c),), ((F(1),),), c)
+            rep = certify_eigvalbound(m, cert)
+            assert rep.passed
+            assert certified_quadform_bound(m, cert, rep) >= x
+
 
 def test_approx_eigen_rejects_bad_input():
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Checker tests: semantics, a hand-built proof library, a mutation
-corpus that must be rejected wholesale, substitution, and the constant-
-formula decision procedure.
+corpus that must be rejected wholesale, substitution, the constant-
+formula decision procedure, and the former per-rule matchers as a
+differential reference.
 
 Every mutation class below is engineered so the mutated step cannot
 match any reading of its rule: arity changes, length mismatches, or
@@ -10,16 +11,22 @@ the checker rather than a statistical observation.
 
 import itertools
 import random
+from typing import Callable, Sequence
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fkocert.tc0frege import (
     BOT,
+    RULES,
     TOP,
     Bot,
+    CheckResult,
     Not,
     ProofStep,
     Sequent,
+    TcFormula,
     TcProof,
     Th,
     Top,
@@ -346,6 +353,31 @@ def test_relabeled_not_right_is_invalid():
     assert not res.valid and res.step == 1
 
 
+def test_rejection_names_step_rule_and_premise():
+    def message(text):
+        res = check_proof(parse_proof(text))
+        assert not res.valid
+        return res.message
+
+    lib = dict(LIBRARY)
+    cut = lib["cut-demo"]
+    assert message(cut.replace("cut(2, 4)", "cut(4, 2)")) == \
+        "step 5: cut: premise 1 (step 4) differs in its antecedent"
+    assert message(cut.replace("cut(2, 4)", "cut(2, 3)")) == \
+        "step 5: cut: premise 2 (step 3) differs in its antecedent"
+    assert message(cut.replace("cut(2, 4)", "cut(2)")) == \
+        "step 5: cut: needs 2 premise(s), got 1"
+    assert message(lib["or-intro-middle"].replace("weaken-right(3)", "weaken-right(2)")) == \
+        "step 4: weaken-right: premise 1 (step 2) differs in its succedent"
+    em = lib["excluded-middle"]
+    assert message(em.replace("one-right", "all-right")) == \
+        "step 4: all-right: the conclusion does not have the rule's shape"
+    assert message(em.replace("not-right(1)", "not-right(3)")) == \
+        "step 2: not-right: a premise does not precede the step"
+    assert message(em.replace("not-right", "nat-right")) == \
+        "step 2: nat-right: unknown rule"
+
+
 def test_forward_and_out_of_range_premises():
     base = parse_proof(LIBRARY[1][1])
     fwd = TcProof(tuple(
@@ -497,3 +529,375 @@ def test_parse_proof_requires_sequential_ids():
 def test_parse_proof_skips_comments():
     proof = parse_proof("# leading note\n1: axiom |- p1 --> p1\n\n")
     assert len(proof.steps) == 1
+
+
+# ------------------------------------------------- differential reference
+#
+# The checker before premise builders: fifteen matchers, each testing its
+# rule's shape on the cited premises, and an arity table.  check_proof
+# must give the same (valid, step) on every proof below.
+
+
+def _ref_is_axiom(s: Sequent) -> str | None:
+    if len(s.ante) == 1 and s.ante == s.succ:
+        return None
+    if s.ante == (BOT,) and not s.succ:
+        return None
+    if not s.ante and s.succ == (TOP,):
+        return None
+    # boundary shapes: Th_0(...) is T, Th_i(...) with i > n is F
+    if not s.ante and len(s.succ) == 1:
+        f = s.succ[0]
+        if isinstance(f, Th) and f.i == 0:
+            return None
+    if not s.succ and len(s.ante) == 1:
+        f = s.ante[0]
+        if isinstance(f, Th) and f.i > len(f.children):
+            return None
+    return "not an axiom sequent"
+
+
+def _ref_weaken_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.succ != p.succ:
+        return "succedent changed"
+    if len(s.ante) != len(p.ante) + 1 or s.ante[:-1] != p.ante:
+        return "antecedent is not the premise's plus one formula at the end"
+    return None
+
+
+def _ref_weaken_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.ante != p.ante:
+        return "antecedent changed"
+    if len(s.succ) != len(p.succ) + 1 or s.succ[1:] != p.succ:
+        return "succedent is not one formula plus the premise's"
+    return None
+
+
+def _ref_swapped(seq: tuple, i: int) -> tuple:
+    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+
+
+def _ref_exchange_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.succ != p.succ:
+        return "succedent changed"
+    if len(s.ante) != len(p.ante):
+        return "antecedent length changed"
+    if any(_ref_swapped(p.ante, i) == s.ante for i in range(len(p.ante) - 1)):
+        return None
+    return "not an adjacent transposition of the premise antecedent"
+
+
+def _ref_exchange_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.ante != p.ante:
+        return "antecedent changed"
+    if len(s.succ) != len(p.succ):
+        return "succedent length changed"
+    if any(_ref_swapped(p.succ, i) == s.succ for i in range(len(p.succ) - 1)):
+        return None
+    return "not an adjacent transposition of the premise succedent"
+
+
+def _ref_contract_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.succ != p.succ:
+        return "succedent changed"
+    if not s.ante or p.ante != s.ante + (s.ante[-1],):
+        return "premise antecedent must end with the duplicated formula"
+    return None
+
+
+def _ref_contract_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if s.ante != p.ante:
+        return "antecedent changed"
+    if not s.succ or p.succ != (s.succ[0],) + s.succ:
+        return "premise succedent must start with the duplicated formula"
+    return None
+
+
+def _ref_not_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if not s.ante or not isinstance(s.ante[-1], Not):
+        return "conclusion antecedent must end with a negation"
+    a = s.ante[-1].child
+    if p.ante != s.ante[:-1]:
+        return "premise antecedent mismatch"
+    if p.succ != (a,) + s.succ:
+        return "premise succedent must start with the negated formula"
+    return None
+
+
+def _ref_not_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    (p,) = ps
+    if not s.succ or not isinstance(s.succ[0], Not):
+        return "conclusion succedent must start with a negation"
+    a = s.succ[0].child
+    if p.succ != s.succ[1:]:
+        return "premise succedent mismatch"
+    if p.ante != s.ante + (a,):
+        return "premise antecedent must end with the negated formula"
+    return None
+
+
+def _ref_th_head(seq: tuple[TcFormula, ...], want_i=None) -> Th | None:
+    if seq and isinstance(seq[0], Th):
+        f = seq[0]
+        if want_i is None or f.i == want_i:
+            return f
+    return None
+
+
+def _ref_all_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.ante)
+    if f is None or f.i != len(f.children):
+        return "conclusion antecedent must start with Th_n over n children"
+    (p,) = ps
+    if p.succ != s.succ:
+        return "succedent changed"
+    if p.ante != f.children + s.ante[1:]:
+        return "premise antecedent must list all children then the context"
+    return None
+
+
+def _ref_all_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.succ)
+    if f is None or f.i != len(f.children):
+        return "conclusion succedent must start with Th_n over n children"
+    if len(ps) != len(f.children):
+        return f"need {len(f.children)} premises, got {len(ps)}"
+    for j, p in enumerate(ps):
+        if p.ante != s.ante:
+            return f"premise {j}: antecedent changed"
+        if p.succ != (f.children[j],) + s.succ[1:]:
+            return f"premise {j}: succedent must start with child {j}"
+    return None
+
+
+def _ref_one_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.ante, want_i=1)
+    if f is None:
+        return "conclusion antecedent must start with Th_1"
+    if len(ps) != len(f.children):
+        return f"need {len(f.children)} premises, got {len(ps)}"
+    for j, p in enumerate(ps):
+        if p.succ != s.succ:
+            return f"premise {j}: succedent changed"
+        if p.ante != (f.children[j],) + s.ante[1:]:
+            return f"premise {j}: antecedent must start with child {j}"
+    return None
+
+
+def _ref_one_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.succ, want_i=1)
+    if f is None:
+        return "conclusion succedent must start with Th_1"
+    (p,) = ps
+    if p.ante != s.ante:
+        return "antecedent changed"
+    if p.succ != f.children + s.succ[1:]:
+        return "premise succedent must list all children then the context"
+    return None
+
+
+def _ref_th_left(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.ante)
+    if f is None or f.i < 1 or not f.children:
+        return "conclusion antecedent must start with Th_i, i >= 1, n >= 1"
+    p1, p2 = ps
+    tail = f.children[1:]
+    if p1.succ != s.succ or p2.succ != s.succ:
+        return "succedent changed"
+    if p1.ante != (Th(f.i, tail),) + s.ante[1:]:
+        return "first premise must drop the head child"
+    if p2.ante != (Th(f.i - 1, tail), f.children[0]) + s.ante[1:]:
+        return "second premise must lower the threshold and expose the head"
+    return None
+
+
+def _ref_th_right(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    f = _ref_th_head(s.succ)
+    if f is None or f.i < 1 or not f.children:
+        return "conclusion succedent must start with Th_i, i >= 1, n >= 1"
+    p1, p2 = ps
+    tail = f.children[1:]
+    if p1.ante != s.ante or p2.ante != s.ante:
+        return "antecedent changed"
+    if p1.succ != (Th(f.i, tail), f.children[0]) + s.succ[1:]:
+        return "first premise must drop the head child and expose it"
+    if p2.succ != (Th(f.i - 1, tail),) + s.succ[1:]:
+        return "second premise must lower the threshold"
+    return None
+
+
+def _ref_cut(ps: Sequence[Sequent], s: Sequent) -> str | None:
+    p1, p2 = ps
+    if not p1.succ:
+        return "first premise succedent is empty"
+    a = p1.succ[0]
+    if p1.ante != s.ante or p1.succ != (a,) + s.succ:
+        return "first premise must be the conclusion with the cut formula in front"
+    if p2.ante != s.ante + (a,) or p2.succ != s.succ:
+        return "second premise must be the conclusion with the cut formula at the end"
+    return None
+
+
+REFERENCE_RULES: dict[str, tuple[int | None, Callable]] = {
+    "weaken-left": (1, _ref_weaken_left),
+    "weaken-right": (1, _ref_weaken_right),
+    "exchange-left": (1, _ref_exchange_left),
+    "exchange-right": (1, _ref_exchange_right),
+    "contract-left": (1, _ref_contract_left),
+    "contract-right": (1, _ref_contract_right),
+    "not-left": (1, _ref_not_left),
+    "not-right": (1, _ref_not_right),
+    "all-left": (1, _ref_all_left),
+    "all-right": (None, _ref_all_right),  # premise count depends on n
+    "one-left": (None, _ref_one_left),
+    "one-right": (1, _ref_one_right),
+    "th-left": (2, _ref_th_left),
+    "th-right": (2, _ref_th_right),
+    "cut": (2, _ref_cut),
+}
+
+
+def reference_check_proof(proof: TcProof) -> CheckResult:
+    """The checker's predecessor: one hand-written matcher per rule, with
+    its own arity table."""
+    for idx, step in enumerate(proof.steps):
+        if step.rule == "axiom":
+            if step.premises:
+                return CheckResult(False, idx, f"step {idx + 1}: axiom with premises")
+            why = _ref_is_axiom(step.seq)
+            if why:
+                return CheckResult(False, idx, f"step {idx + 1}: {why}")
+            continue
+        if step.rule not in REFERENCE_RULES:
+            return CheckResult(False, idx, f"step {idx + 1}: unknown rule {step.rule!r}")
+        arity, matcher = REFERENCE_RULES[step.rule]
+        if any(not 0 <= p < idx for p in step.premises):
+            return CheckResult(
+                False, idx, f"step {idx + 1}: premise does not precede the step"
+            )
+        if arity is not None and len(step.premises) != arity:
+            return CheckResult(
+                False,
+                idx,
+                f"step {idx + 1}: {step.rule} takes {arity} premise(s), "
+                f"got {len(step.premises)}",
+            )
+        prem_seqs = [proof.steps[p].seq for p in step.premises]
+        why = matcher(prem_seqs, step.seq)
+        if why:
+            return CheckResult(False, idx, f"step {idx + 1}: {step.rule}: {why}")
+    if not proof.steps:
+        return CheckResult(False, None, "empty proof")
+    return CheckResult(True)
+
+
+
+def _same_verdict(proof):
+    got, want = check_proof(proof), reference_check_proof(proof)
+    assert (got.valid, got.step) == (want.valid, want.step), (got, want)
+
+
+def test_reference_has_the_same_rules():
+    assert set(REFERENCE_RULES) == set(RULES)
+
+
+@pytest.mark.parametrize("name,text", LIBRARY, ids=[n for n, _ in LIBRARY])
+def test_library_and_its_mutants_match_reference(name, text):
+    proof = parse_proof(text)
+    _same_verdict(proof)
+    for mutant in _mutants(proof):
+        _same_verdict(mutant)
+
+
+def _decided(seed, count):
+    rng = random.Random(seed)
+    return [decide_constant_formula(_random_constant(rng, rng.randrange(1, 5)))
+            for _ in range(count)]
+
+
+def test_decided_proofs_match_reference():
+    for proof in _decided(7, 200):
+        _same_verdict(proof)
+
+
+# Steps one edit away from a valid inference, each rejected at its last
+# line: a threshold of the wrong shape for its rule (th-left needs i >= 1
+# and a child to expose), an axiom just past a boundary, and an exchange
+# citing itself where the swap is the identity.
+NEAR_MISSES = [
+    "1: axiom |- p1 --> p1\n2: one-left(1, 1) |- Th2(p1, p1) --> p1",
+    "1: axiom |- p1 --> p1\n2: weaken-left(1) |- p1, p1 --> p1\n"
+    "3: all-left(2) |- Th1(p1, p1) --> p1",
+    "1: axiom |- p1 --> p1\n2: all-right(1, 1) |- p1 --> Th1(p1, p1)",
+    "1: axiom |- p1 --> p1\n2: weaken-right(1) |- p1 --> p1, p1\n"
+    "3: one-right(2) |- p1 --> Th2(p1, p1)",
+    "1: axiom |- Th1() -->\n2: th-left(1, 1) |- Th1() -->",
+    "1: axiom |- p1 --> p1\n2: weaken-left(1) |- p1, T --> p1\n"
+    "3: exchange-left(2) |- T, p1 --> p1\n4: weaken-left(3) |- T, p1, Th0() --> p1\n"
+    "5: exchange-left(4) |- T, Th0(), p1 --> p1\n6: exchange-left(5) |- Th0(), T, p1 --> p1\n"
+    "7: weaken-left(1) |- p1, Th1() --> p1\n8: exchange-left(7) |- Th1(), p1 --> p1\n"
+    "9: th-left(8, 6) |- Th1(), p1 --> p1",
+    "1: axiom |- Th2(p1, p2) -->",
+    "1: axiom |-  --> Th1()",
+    "1: axiom |- p1 --> p1\n2: weaken-left(1) |- p1, p1 --> p1\n"
+    "3: exchange-left(3) |- p1, p1 --> p1",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES)
+def test_near_misses_match_reference(text):
+    proof = parse_proof(text)
+    res = check_proof(proof)
+    assert not res.valid and res.step == len(proof.steps) - 1, res
+    _same_verdict(proof)
+
+
+_BASES = [parse_proof(text) for _, text in LIBRARY] + _decided(11, 20)
+_RULE_NAMES = sorted(RULES) + ["axiom", "bogus"]
+
+
+@st.composite
+def _mutated_proofs(draw):
+    """A library or decided proof with one to three edits: a rule swap, a
+    premise retarget, a formula added to a side, a side shuffled, or the
+    sides swapped."""
+    steps = list(draw(st.sampled_from(_BASES)).steps)
+    pool = sorted({f for s in steps for f in s.seq.ante + s.seq.succ}, key=repr)
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.integers(0, len(steps) - 1))
+        seq, rule, prem = steps[idx].seq, steps[idx].rule, steps[idx].premises
+        kind = draw(st.sampled_from(["rule", "retarget", "add", "shuffle", "swap"]))
+        if kind == "rule":
+            rule = draw(st.sampled_from(_RULE_NAMES))
+        elif kind == "retarget" and prem and draw(st.booleans()):
+            j = draw(st.integers(0, len(prem) - 1))
+            prem = prem[:j] + (draw(st.integers(-1, idx)),) + prem[j + 1:]
+        elif kind == "retarget":
+            prem = tuple(draw(st.lists(st.integers(-1, idx), max_size=3)))
+        elif kind == "add":
+            f = draw(st.sampled_from(pool + [FRESH]))
+            left = draw(st.booleans())
+            side = seq.ante if left else seq.succ
+            k = draw(st.integers(0, len(side)))
+            side = side[:k] + (f,) + side[k:]
+            seq = Sequent(side, seq.succ) if left else Sequent(seq.ante, side)
+        elif kind == "shuffle":
+            seq = Sequent(tuple(draw(st.permutations(seq.ante))),
+                          tuple(draw(st.permutations(seq.succ))))
+        else:
+            seq = Sequent(seq.succ, seq.ante)
+        steps[idx] = ProofStep(seq, rule, prem)
+    return TcProof(tuple(steps))
+
+
+@settings(max_examples=600)
+@given(_mutated_proofs())
+def test_mutated_proofs_match_reference(proof):
+    _same_verdict(proof)

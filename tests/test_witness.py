@@ -548,6 +548,26 @@ def test_huge_lambda_residual_gives_a_bounded_detail():
     json.loads(verdict.to_json())
 
 
+def _huge_d_text() -> tuple[Cnf, str]:
+    """The dense witness with a 4300-digit D.d, which parses: d*(I+U)/2
+    then has more digits than str() of an int allows."""
+    cnf, text = _dense_text()
+    obj = json.loads(text)
+    obj["D"]["d"] = "1" + "0" * 4299
+    return cnf, json.dumps(obj)
+
+
+def test_huge_d_gives_a_bounded_inequality_detail():
+    cnf, text = _dense_text()
+    plain = verify_witness(cnf, witness_from_json(text))
+    assert re.fullmatch(r"t=\d+ <= d\*\(I\+U\)/2 = \d+(/\d+)?", plain.detail)
+    cnf, text = _huge_d_text()
+    verdict = verify_witness(cnf, witness_from_json(text))
+    assert verdict == Verdict(False, "inequality", verdict.detail)
+    assert re.fullmatch(r"t=\d+ <= d\*\(I\+U\)/2 = ~2\^\d+", verdict.detail)
+    json.loads(verdict.to_json())
+
+
 def test_t_needed_is_least_accepted_t():
     # d*(I+U)/2 = 4*(3 + 1/2)/2 = 7: integral, the verifier needs t >= 8
     assert _t_needed(4, 3, F(1, 2)) == 8
