@@ -11,14 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Cnf
+from .cnf import Clause, Cnf
 
 __all__ = [
-    "truth_table",
-    "sat_literal_counts",
-    "nae_counts",
-    "not3xor_counts",
     "brute_force_unsat",
+    "brute_force_report",
     "max_quadform",
 ]
 
@@ -30,38 +27,20 @@ def _var_values(idx: np.ndarray, var: int) -> np.ndarray:
     return (idx >> (var - 1)) & 1
 
 
-def truth_table(cnf: Cnf) -> np.ndarray:
-    """(m, 2^n) uint8 matrix of per-clause true-literal counts.
-
-    Assignment j assigns bit i-1 of j to x_i.  Only for small n.
-    """
-    if cnf.n > 24:
-        raise ValueError("truth_table is for small n")
-    idx = np.arange(1 << cnf.n, dtype=np.int64)
-    rows = []
-    for cl in cnf.clauses:
-        cnt = np.zeros(idx.shape, dtype=np.uint8)
-        for v, p in cl.literals():
-            cnt += (_var_values(idx, v) == p).astype(np.uint8)
-        rows.append(cnt)
-    return np.array(rows, dtype=np.uint8).reshape(cnf.m, 1 << cnf.n)
+def _true_literals(idx: np.ndarray, cl: Clause) -> np.ndarray:
+    """True-literal count of clause `cl` over a block of assignments."""
+    cnt = np.zeros(idx.shape, dtype=np.uint8)
+    for v, p in cl.literals():
+        cnt += _var_values(idx, v) == p
+    return cnt
 
 
-def sat_literal_counts(cnf: Cnf) -> np.ndarray:
-    """Total true literals per assignment, over all 2^n assignments."""
-    return truth_table(cnf).astype(np.int64).sum(axis=0)
-
-
-def nae_counts(cnf: Cnf) -> np.ndarray:
-    """NAE-satisfied clause count per assignment."""
-    t = truth_table(cnf)
-    return (((t == 1) | (t == 2)).astype(np.int64)).sum(axis=0)
-
-
-def not3xor_counts(cnf: Cnf) -> np.ndarray:
-    """Clauses with an even number of true literals, per assignment."""
-    t = truth_table(cnf)
-    return ((t % 2 == 0).astype(np.int64)).sum(axis=0)
+def _blocks(n: int):
+    """All 2^n assignment indices, 2^_CHUNK_BITS at a time."""
+    total = 1 << n
+    step = 1 << min(_CHUNK_BITS, n)
+    for start in range(0, total, step):
+        yield np.arange(start, min(start + step, total), dtype=np.int64)
 
 
 def brute_force_unsat(cnf: Cnf, cap: int = 25) -> bool:
@@ -70,21 +49,40 @@ def brute_force_unsat(cnf: Cnf, cap: int = 25) -> bool:
         raise ValueError(f"n={cnf.n} exceeds brute-force cap {cap}")
     if cnf.m == 0:
         return False
-    total = 1 << cnf.n
-    step = 1 << min(_CHUNK_BITS, cnf.n)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+    for idx in _blocks(cnf.n):
         alive = np.ones(idx.shape, dtype=bool)
         for cl in cnf.clauses:
-            sat = np.zeros(idx.shape, dtype=bool)
-            for v, p in cl.literals():
-                sat |= _var_values(idx, v) == p
-            alive &= sat
+            alive &= _true_literals(idx, cl) > 0
             if not alive.any():
                 break
         if alive.any():
             return False
     return True
+
+
+def brute_force_report(cnf: Cnf, cap: int = 25) -> tuple[bool, int, int]:
+    """(unsat, max NAE-satisfied clauses, min clauses with an even number
+    of true literals) over all assignments, in one walk.
+
+    Works block by block, so memory stays at a few arrays of
+    2^_CHUNK_BITS entries for any n up to `cap`.
+    """
+    if cnf.n > cap:
+        raise ValueError(f"n={cnf.n} exceeds brute-force cap {cap}")
+    unsat, max_nae, min_even = True, 0, cnf.m
+    for idx in _blocks(cnf.n):
+        sat = np.ones(idx.shape, dtype=bool)
+        nae = np.zeros(idx.shape, dtype=np.int32)
+        even = np.zeros(idx.shape, dtype=np.int32)
+        for cl in cnf.clauses:
+            true = _true_literals(idx, cl)
+            sat &= true > 0
+            nae += (true == 1) | (true == 2)
+            even += (true & 1) == 0
+        unsat = unsat and not sat.any()
+        max_nae = max(max_nae, int(nae.max()))
+        min_even = min(min_even, int(even.min()))
+    return unsat, max_nae, min_even
 
 
 def max_quadform(m2: list[list[int]]) -> Fraction:

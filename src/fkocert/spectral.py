@@ -105,7 +105,7 @@ def _int_matrix(m: QMat) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True)
 class SpectralCert:
-    """Snapped eigenvalue/eigenvector data with tolerance multipliers.
+    """Snapped eigenvalue/eigenvector data.
 
     lambdas are weakly decreasing; V holds the (approximate) eigenvectors
     as rows; every entry is an integer multiple of 1/n^(2c).
@@ -114,9 +114,7 @@ class SpectralCert:
     lambdas: tuple[Fraction, ...]
     v: tuple[tuple[Fraction, ...], ...]
     c: int
-    k3: Fraction = DEFAULT_K
-    k4: Fraction = DEFAULT_K
-    k5: Fraction = DEFAULT_K
+    k3 = k4 = k5 = DEFAULT_K  # tolerance multipliers: class constants, not fields
 
     @property
     def n(self) -> int:
@@ -166,8 +164,8 @@ def _jacobi_seed(a: list[list[float]], max_sweeps: int) -> list[list[float]]:
 
     Sweeps run until the off-diagonal Frobenius mass of `a` is below
     n * 2^-52 * ||a||_F; rotations on entries below 2^-52 * ||a||_F are
-    skipped, so an exact zero is never rotated and every eigenvector stays
-    inside the connected component of its index.
+    skipped, so an exact zero, whose rotation would divide by zero, is
+    never rotated.
     """
     n = len(a)
     norm2 = sum(x * x for row in a for x in row)
@@ -322,13 +320,14 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     This is the untrusted builder: certify_eigvalbound re-checks its output
     exactly, so it may use floats.  It uses Python floats, never numpy, and
     runs every operation in a fixed order, so the output is
-    bit-deterministic.  Two phases:
+    bit-deterministic.  Each connected component of m's nonzero pattern is
+    solved on its own submatrix, in two phases:
 
     1. a cyclic Jacobi on floats (at most `max_sweeps` sweeps) gives
-       eigenvector estimates good to about n * 2^-52;
+       eigenvector estimates good to about k * 2^-52 at component order k;
     2. Ogita-Aishima refinement steps on ints over 2^F, with
-       F = ceil((2c+4)*log2 n) + 64, run on each connected component of
-       m's nonzero pattern until the correction is below n^-(2c+4).
+       F = ceil((2c+4)*log2 n) + 64, run until the correction is below
+       n^-(2c+4) at every component order; then the rows are snapped.
 
     Raises SpectralPrecisionError when either phase misses its target.
     """
@@ -341,24 +340,20 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     a, m_den = _int_matrix(m)
     if [list(col) for col in zip(*a)] != a:
         raise ValueError("matrix is not symmetric")
-    seed = _jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
 
     f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
     thresh = (1 << f_bits) // n ** (2 * c + 4)
     # a float correction gains at least ~40 bits a step, so F bounds the steps
     steps = 2 + f_bits // 40
-    blocks = [(comp, [[_to_fixed(seed[i][k], f_bits) for k in comp] for i in comp])
-              for comp in _components(a)]
-    del seed
-
-    # snap each refined vector as soon as its block is done, freeing its ints
     grid = grid_denominator(n, c)
     one = 1 << f_bits
     zero = Fraction(0)
     lams: list[Fraction] = [zero] * n
     vecs: list[tuple[Fraction, ...]] = [()] * n
-    for comp, xs in blocks:
+    for comp in _components(a):
         sub = [[a[p][q] for q in comp] for p in comp]
+        xs = [[_to_fixed(x, f_bits) for x in row]
+              for row in _jacobi_seed([[x / m_den for x in row] for row in sub], max_sweeps)]
         quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
         for idx, i in enumerate(comp):
             row = [zero] * n

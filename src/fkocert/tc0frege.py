@@ -42,6 +42,7 @@ __all__ = [
     "TcProof",
     "CheckResult",
     "RULES",
+    "MAX_DEPTH",
     "free_vars",
     "eval_formula",
     "eval_sequent",
@@ -102,6 +103,20 @@ class Th:
 TcFormula = Top | Bot | Var | Not | Th
 TOP = Top()
 BOT = Bot()
+# nesting bound, far above the constant depth of TC0 formulas: parse_proof
+# refuses deeper text and check_proof a step holding a deeper formula
+MAX_DEPTH = 100
+
+
+def _too_deep(formulas: Sequence[TcFormula]) -> bool:
+    """Whether a formula nests more than MAX_DEPTH deep: a walk by levels,
+    without recursion, keeping one copy of each shared subformula."""
+    level = {id(f): f for f in formulas}
+    for _ in range(MAX_DEPTH + 1):
+        level = {id(ch): ch for f in level.values()
+                 for ch in (f.children if isinstance(f, Th)
+                            else (f.child,) if isinstance(f, Not) else ())}
+    return bool(level)
 
 
 def free_vars(f: TcFormula) -> set[int]:
@@ -335,6 +350,9 @@ RULES: dict[str, Builder] = {
 
 def _step_error(steps: Sequence[ProofStep], idx: int) -> str | None:
     step = steps[idx]
+    # the cited premises precede the step, so each was checked as a step
+    if _too_deep(step.seq.ante + step.seq.succ):
+        return f"a formula nests deeper than {MAX_DEPTH}"
     build = _axiom if step.rule == "axiom" else RULES.get(step.rule)
     if build is None:
         return "unknown rule"
@@ -507,7 +525,9 @@ class _FormulaParser:
             self.pos = m.end()
         return m.group(1)
 
-    def parse(self) -> TcFormula:
+    def parse(self, depth: int = 0) -> TcFormula:
+        if depth > MAX_DEPTH:
+            raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
         tok = self._next()
         if tok is None:
             raise ValueError(f"expected formula at {self.text[self.pos:]!r}")
@@ -516,7 +536,7 @@ class _FormulaParser:
         if tok == "F":
             return BOT
         if tok == "~":
-            return Not(self.parse())
+            return Not(self.parse(depth + 1))
         if tok.startswith("p"):
             return Var(int(tok[1:]))
         if tok.startswith("Th"):
@@ -528,7 +548,7 @@ class _FormulaParser:
                 self._next()
                 return Th(i, ())
             while True:
-                children.append(self.parse())
+                children.append(self.parse(depth + 1))
                 sep = self._next()
                 if sep == ")":
                     return Th(i, tuple(children))

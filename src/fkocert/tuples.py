@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .cnf import Cnf
 
 ClauseTuple = tuple[int, ...]
+_ELIMINATION_ROUNDS = 8  # seeded GF(2) elimination rounds, at k_max >= 6
 
 __all__ = [
     "ClauseTuple",
@@ -296,7 +297,7 @@ def _self_quads(a: Side, b: Side) -> Iterator[ClauseTuple]:
 
 
 def _elimination_candidates(
-    cnf: Cnf, k_max: int, seed: int, budget: int, rounds: int = 8
+    cnf: Cnf, k_max: int, seed: int, budget: int
 ) -> tuple[list[ClauseTuple], bool]:
     """Seeded GF(2) elimination rounds over clause parity vectors.
 
@@ -311,7 +312,7 @@ def _elimination_candidates(
     out: set[ClauseTuple] = set()
     masks = [parity_vector(cnf, i) >> 1 for i in range(cnf.m)]
     examined = 0
-    for r in range(rounds):
+    for r in range(_ELIMINATION_ROUNDS):
         order = list(range(cnf.m))
         random.Random(seed * 1000003 + r).shuffle(order)
         basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vec, support)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from .cnf import Cnf, imbalance
 from .exactq import QMat, grid_denominator, snap_up_to_grid
 from .spectral import (
-    DEFAULT_K,
     CertificationError,
     CertReport,
     SpectralCert,
@@ -316,16 +315,9 @@ def witness_to_json(wit: FkoWitness) -> str:
             "tuples": [list(tup) for tup in wit.coll.tuples],
         },
         "epsilon": _rat_out(wit.epsilon),
-        "K3": _k_out(wit.cert.k3),
-        "K4": _k_out(wit.cert.k4),
-        "K5": _k_out(wit.cert.k5),
     }
     # no indent: an indented dump runs CPython's pure-Python encoder
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _k_out(x: Fraction):
-    return int(x) if x.denominator == 1 else _rat_out(x)
 
 
 def witness_from_json(text: str) -> FkoWitness:
@@ -353,9 +345,6 @@ def _witness_from_obj(obj) -> FkoWitness:
         lambdas=tuple([_rat_in(x) for x in _array(obj["lambdas"])]),
         v=tuple([tuple([_rat_in(x) for x in _array(row)]) for row in _array(obj["V"])]),
         c=_int_in(obj["c"]),
-        k3=_rat_in(obj["K3"]) if "K3" in obj else DEFAULT_K,
-        k4=_rat_in(obj["K4"]) if "K4" in obj else DEFAULT_K,
-        k5=_rat_in(obj["K5"]) if "K5" in obj else DEFAULT_K,
     )
     d = obj["D"]
     coll = TupleCollection(

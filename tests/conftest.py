@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -30,3 +31,42 @@ def planted_block(blocks: int) -> Cnf:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+# ------------------------------------------- per-assignment oracle counts
+# Whole (m, 2^n) tables: the reference for oracle.brute_force_report,
+# which walks the assignments block by block.
+
+
+def truth_table(cnf: Cnf) -> np.ndarray:
+    """(m, 2^n) uint8 matrix of per-clause true-literal counts.
+
+    Assignment j assigns bit i-1 of j to x_i.  Only for small n.
+    """
+    if cnf.n > 24:
+        raise ValueError("truth_table is for small n")
+    idx = np.arange(1 << cnf.n, dtype=np.int64)
+    rows = []
+    for cl in cnf.clauses:
+        cnt = np.zeros(idx.shape, dtype=np.uint8)
+        for v, p in cl.literals():
+            cnt += (((idx >> (v - 1)) & 1) == p).astype(np.uint8)
+        rows.append(cnt)
+    return np.array(rows, dtype=np.uint8).reshape(cnf.m, 1 << cnf.n)
+
+
+def sat_literal_counts(cnf: Cnf) -> np.ndarray:
+    """Total true literals per assignment, over all 2^n assignments."""
+    return truth_table(cnf).astype(np.int64).sum(axis=0)
+
+
+def nae_counts(cnf: Cnf) -> np.ndarray:
+    """NAE-satisfied clause count per assignment."""
+    t = truth_table(cnf)
+    return (((t == 1) | (t == 2)).astype(np.int64)).sum(axis=0)
+
+
+def not3xor_counts(cnf: Cnf) -> np.ndarray:
+    """Clauses with an even number of true literals, per assignment."""
+    t = truth_table(cnf)
+    return ((t % 2 == 0).astype(np.int64)).sum(axis=0)

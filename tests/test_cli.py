@@ -1,14 +1,13 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
-import sys
 
 import pytest
 
 import fkocert.witness
 from fkocert.cli import build_parser, main
 from fkocert.cnf import gen_random_3cnf, to_dimacs
-from fkocert.tc0frege import check_proof, parse_proof
+from fkocert.tc0frege import MAX_DEPTH
 from fkocert.witness import witness_from_json, witness_to_json
 
 from conftest import planted_block
@@ -143,6 +142,15 @@ def test_oracle_satisfiable_exits_1(tmp_path, capsys):
         assert rc == 1
 
 
+def test_oracle_reaches_its_default_cap(tmp_path, capsys):
+    # n = 25 is past the per-assignment truth table's limit
+    p = tmp_path / "n25.cnf"
+    p.write_text("p cnf 25 1\n1 -13 25 0\n")
+    assert main(["oracle", "--cnf", str(p)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 25, "m": 1, "unsat": False, "max_nae": 1, "min_not3xor": 0}
+
+
 def test_oracle_cap(tmp_path, capsys):
     p = tmp_path / "big.cnf"
     p.write_text(to_dimacs(gen_random_3cnf(30, 40, seed=0)))
@@ -175,26 +183,14 @@ def test_checkproof_malformed_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("depth", [400, 100_000])
 def test_checkproof_deep_nesting_is_usage_error(tmp_path, capsys, depth):
-    # 100 000 levels overflow the parser; 400 levels parse, and on CPython
-    # 3.11 then overflow the checker's sequent comparisons
+    # both depths are past MAX_DEPTH, so the parser refuses them
     f = "~" * depth + "p1"
-    text = f"1: axiom |- {f} --> {f}\n"
     p = tmp_path / "deep.prf"
-    p.write_text(text)
-    if depth == 400:
-        parse_proof(text)
-    try:
-        check_proof(parse_proof(text))
-        want = 0  # an interpreter that does not overflow on this proof
-    except RecursionError:
-        want = 2
-    if depth == 400 and sys.version_info[:2] == (3, 11):
-        assert want == 2
-    assert main(["checkproof", str(p)]) == want
+    p.write_text(f"1: axiom |- {f} --> {f}\n")
+    assert main(["checkproof", str(p)]) == 2
     captured = capsys.readouterr()
-    if want == 2:
-        assert captured.out == ""
-        assert captured.err == "error: proof formulas are nested too deeply\n"
+    assert captured.out == ""
+    assert captured.err == f"error: formula nests deeper than {MAX_DEPTH}\n"
 
 
 def test_verify_huge_d_is_a_rejection(tmp_path, capsys):

@@ -18,7 +18,7 @@ from fkocert.cnf import (
     to_signs,
     true_literal_count,
 )
-from conftest import planted_block
+from conftest import nae_counts, not3xor_counts, planted_block, sat_literal_counts
 
 
 def lit_positions(cnf, var, pol):
@@ -362,8 +362,6 @@ def test_sat_literal_bound_small():
 
 
 def test_oracle_counting_agrees_with_direct():
-    from fkocert.oracle import nae_counts, not3xor_counts, sat_literal_counts
-
     cnf = gen_random_3cnf(6, 18, 5)
     sat = sat_literal_counts(cnf)
     nae = nae_counts(cnf)
@@ -383,6 +381,23 @@ def test_brute_force_unsat():
     assert not brute_force_unsat(Cnf(3, ()))
     with pytest.raises(ValueError):
         brute_force_unsat(gen_random_3cnf(26, 10, 0))
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 20])
+def test_brute_force_report_matches_per_assignment_counts(monkeypatch, chunk_bits):
+    import fkocert.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    cases = [Cnf(3, ()), Cnf(3, (C123,)), planted_block(1), planted_block(2)]
+    cases += [gen_random_3cnf(n, m, seed) for n, m in [(3, 4), (6, 18), (9, 40)]
+              for seed in range(3)]
+    for cnf in cases:
+        want = (oracle.brute_force_unsat(cnf),
+                int(nae_counts(cnf).max()) if cnf.m else 0,
+                int(not3xor_counts(cnf).min()) if cnf.m else 0)
+        assert oracle.brute_force_report(cnf) == want, cnf
+    with pytest.raises(ValueError):
+        oracle.brute_force_report(gen_random_3cnf(26, 10, 0))
 
 
 def test_brute_force_independent_of_chunking():

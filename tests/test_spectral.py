@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import fkocert.spectral as spectral
 from fkocert import (
     Clause,
     Cnf,
@@ -21,7 +22,7 @@ from fkocert import (
     gen_random_3cnf,
 )
 from fkocert.cnf import all_assignments, count_nae, to_signs
-from fkocert.exactq import snap_to_grid
+from fkocert.exactq import grid_denominator, snap_to_grid
 from fkocert.oracle import max_quadform
 from fkocert.spectral import CertReport
 from conftest import planted_block
@@ -29,6 +30,7 @@ from test_acceptance import (
     _honest_cert,
     _ladder_formulas,
     _lemma_chain_formulas,
+    _noisy_blocks,
     _soundness_formulas,
 )
 from test_exactq import inner_prod, is_grid_multiple, mat, quadratic_form, vec
@@ -276,12 +278,13 @@ def test_certify_rejects_non_orthonormal_basis():
     assert not rep.passed
 
 
-def test_tight_constants_can_fail():
+def test_tight_constants_can_fail(monkeypatch):
     cnf = gen_random_3cnf(6, 20, 1)
     m = build_m(cnf)
     cert = approx_eigen(m, 8)
-    strict = replace(cert, k3=F(0), k4=F(0), k5=F(0))
-    rep = certify_eigvalbound(m, strict)
+    for name in ("k3", "k4", "k5"):
+        monkeypatch.setattr(SpectralCert, name, F(0))
+    rep = certify_eigvalbound(m, cert)
     # rho/tau are tiny but positive on a nonzero matrix; K=0 must fail
     assert not rep.passed
 
@@ -395,7 +398,8 @@ def certificates(draw):
     """A half-integer symmetric M and a rational certificate for it: the
     honest Jacobi output with some entries overwritten, or arbitrary
     data -- on- and off-grid entries, mixed denominators, |v| up to 3,
-    lambdas in any order, K multipliers including 0."""
+    lambdas in any order -- plus K multipliers, including 0, to set on
+    SpectralCert while the two are compared."""
     n = draw(st.integers(1, 6))
     c = draw(st.integers(1, 3))
     upper = {(i, j): F(draw(st.integers(-6, 6)), 2)
@@ -419,15 +423,18 @@ def certificates(draw):
     if draw(st.booleans()):
         lambdas = draw(st.permutations(lambdas))
     k = st.sampled_from([F(0), F(1, 3), F(16), F(10**6)])
-    cert = SpectralCert(tuple(lambdas), tuple(tuple(r) for r in v), c,
-                        draw(k), draw(k), draw(k))
-    return m, cert
+    cert = SpectralCert(tuple(lambdas), tuple(tuple(r) for r in v), c)
+    return m, cert, {"k3": draw(k), "k4": draw(k), "k5": draw(k)}
 
 
 @settings(max_examples=300)
 @given(certificates())
 def test_integer_core_matches_fraction_reference(case):
-    _assert_same_report(*case)
+    m, cert, ks = case
+    with pytest.MonkeyPatch.context() as mp:
+        for name, k in ks.items():
+            mp.setattr(SpectralCert, name, k)
+        _assert_same_report(m, cert)
 
 
 @pytest.mark.parametrize("formulas", [_soundness_formulas, _lemma_chain_formulas,
@@ -573,6 +580,79 @@ def test_approx_eigen_certifies_noisy_planted_block():
     m = build_m(cnf)
     cert = _assert_certifies(m)
     assert cert.lambdas.count(0) >= 2
+
+
+# ----------------------------------- whole-matrix float seed reference
+# approx_eigen before it solved each connected component on its own: one
+# float Jacobi over the whole matrix, then refinement per component.  On a
+# single-component matrix both run the same computation.
+
+
+def whole_matrix_approx_eigen(m, c, max_sweeps=64) -> SpectralCert:
+    n = len(m)
+    a, m_den = spectral._int_matrix(m)
+    seed = spectral._jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
+    f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
+    thresh = (1 << f_bits) // n ** (2 * c + 4)
+    steps = 2 + f_bits // 40
+    grid = grid_denominator(n, c)
+    one = 1 << f_bits
+    lams, vecs = [F(0)] * n, [()] * n
+    for comp in spectral._components(a):
+        xs = [[spectral._to_fixed(seed[i][k], f_bits) for k in comp] for i in comp]
+        sub = [[a[p][q] for q in comp] for p in comp]
+        quotients = spectral._refine(sub, m_den, xs, f_bits, thresh, steps)
+        for idx, i in enumerate(comp):
+            row = [F(0)] * n
+            for k, xk in zip(comp, xs[idx]):
+                row[k] = F((2 * xk * grid + one) // (2 * one), grid)
+            lams[i], vecs[i] = quotients[idx], tuple(row)
+    order = sorted(range(n), key=lambda i: (-lams[i], i))
+    return SpectralCert(tuple(snap_to_grid(lams[i], n, c) for i in order),
+                        tuple(vecs[i] for i in order), c)
+
+
+def _component_count(m) -> int:
+    return len(spectral._components(spectral._int_matrix(m)[0]))
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 12, 16, 20, 24, 28])
+def test_single_component_matches_whole_matrix_seed(n):
+    for seed in range(3):
+        m = build_m(gen_random_3cnf(n, math.floor(3 * n ** 1.4), seed))
+        assert _component_count(m) == 1
+        assert approx_eigen(m, 8) == whole_matrix_approx_eigen(m, 8), seed
+
+
+def _multi_component_matrices():
+    for seed in range(6):  # the planted-refute shape: n = 30, n // 6 extra
+        yield build_m(_noisy_blocks(10, 5, seed))
+    clause_m = build_m(Cnf(3, (Clause((1, 2, 3), (1, 0, 1)),)))
+    for copies in (2, 5, 9):
+        yield _block_diagonal(clause_m, copies)
+
+
+def test_multi_component_matches_whole_matrix_seed_lambdas():
+    for m in _multi_component_matrices():
+        assert _component_count(m) > 1
+        cert = _assert_certifies(m)
+        assert cert.lambdas == whole_matrix_approx_eigen(m, 8).lambdas
+
+
+def test_jacobi_seed_runs_once_per_component(monkeypatch):
+    orders = []
+    seed = spectral._jacobi_seed
+
+    def counted(a, max_sweeps):
+        orders.append(len(a))
+        return seed(a, max_sweeps)
+
+    monkeypatch.setattr(spectral, "_jacobi_seed", counted)
+    for m in [*_multi_component_matrices(), build_m(gen_random_3cnf(12, 60, 0))]:
+        orders.clear()
+        approx_eigen(m, 8)
+        sizes = [len(comp) for comp in spectral._components(spectral._int_matrix(m)[0])]
+        assert orders == sizes
 
 
 @st.composite

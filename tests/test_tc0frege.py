@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 from fkocert.tc0frege import (
     BOT,
+    MAX_DEPTH,
     RULES,
     TOP,
     Bot,
@@ -35,6 +36,7 @@ from fkocert.tc0frege import (
     decide_constant_formula,
     eval_formula,
     eval_sequent,
+    format_formula,
     format_proof,
     format_sequent,
     free_vars,
@@ -529,6 +531,63 @@ def test_parse_proof_requires_sequential_ids():
 def test_parse_proof_skips_comments():
     proof = parse_proof("# leading note\n1: axiom |- p1 --> p1\n\n")
     assert len(proof.steps) == 1
+
+
+def _nested_not(depth: int) -> TcFormula:
+    f: TcFormula = Var(1)
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def _nested_th(depth: int) -> TcFormula:
+    f: TcFormula = Var(1)
+    for _ in range(depth):
+        f = Th(1, (TOP, f))
+    return f
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 400, 100_000])
+@pytest.mark.parametrize("form", ["not", "th"])
+def test_parse_proof_refuses_formulas_past_max_depth(depth, form):
+    # the text is built directly: formatting a built formula recurses
+    f = "~" * depth + "p1" if form == "not" else "Th1(T, " * depth + "p1" + ")" * depth
+    for text in (f"1: axiom |- {f} --> {f}",
+                 f"1: axiom |- p1 --> p1\n2: weaken-right(1) |- p1 --> p1, {f}"):
+        with pytest.raises(ValueError, match=f"nests deeper than {MAX_DEPTH}"):
+            parse_proof(text)
+
+
+@pytest.mark.parametrize("nest", [_nested_not, _nested_th])
+def test_max_depth_formulas_parse_and_check(nest):
+    f = format_formula(nest(MAX_DEPTH))
+    proof = parse_proof(f"1: axiom |- {f} --> {f}\n"
+                        f"2: weaken-left(1) |- {f}, p1 --> {f}\n")
+    assert check_proof(proof) == CheckResult(True)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 400, 100_000])
+@pytest.mark.parametrize("nest", [_nested_not, _nested_th])
+def test_check_proof_rejects_built_formulas_past_max_depth(depth, nest):
+    f = nest(depth)
+    ok = ProofStep(Sequent((Var(1),), (Var(1),)), "axiom")
+    for steps, idx in [
+        ((ProofStep(Sequent((f,), (f,)), "axiom"),), 0),
+        ((ok, ProofStep(Sequent((Var(1),), (Var(1), f)), "weaken-right", (0,))), 1),
+    ]:
+        res = check_proof(TcProof(steps))
+        assert not res.valid and res.step == idx
+        assert res.message == (f"step {idx + 1}: {steps[idx].rule}: "
+                               f"a formula nests deeper than {MAX_DEPTH}")
+
+
+def test_check_proof_depth_walk_visits_shared_subformulas_once():
+    # 2^100 000 leaves as a tree, 100 001 distinct nodes
+    f: TcFormula = Var(1)
+    for _ in range(100_000):
+        f = Th(2, (f, f))
+    res = check_proof(TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),)))
+    assert not res.valid and res.step == 0
 
 
 # ------------------------------------------------- differential reference

@@ -37,10 +37,10 @@ from fkocert import (
 )
 from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
-from fkocert.oracle import brute_force_unsat, nae_counts, not3xor_counts
+from fkocert.oracle import brute_force_unsat
 from fkocert.spectral import C_MAX
 from fkocert.witness import _rat_in, _rat_out, _t_needed
-from conftest import planted_block
+from conftest import nae_counts, not3xor_counts, planted_block
 
 F = Fraction
 
@@ -272,21 +272,29 @@ def test_witness_json_fields():
     wit = build_witness(planted_block(1))
     payload = json.loads(witness_to_json(wit))
     assert set(payload) == {
-        "n", "m", "c", "I", "lambda", "lambdas", "V", "D",
-        "epsilon", "K3", "K4", "K5",
+        "n", "m", "c", "I", "lambda", "lambdas", "V", "D", "epsilon",
     }
     assert payload["D"]["t"] == 16
     assert payload["lambda"] == {"num": "0", "den": "1"}
-    assert payload["K3"] == 16
     assert "M" not in payload
 
 
-def test_witness_json_k_defaults():
-    wit = build_witness(planted_block(1))
+@pytest.mark.parametrize("k", [0, 10**6, "x", None])
+def test_witness_file_cannot_pick_its_tolerances(k):
+    # K3-K5 are constants of the verifier: keys of that name, which older
+    # files carry, are ignored like any unknown key
+    cnf = gen_random_3cnf(6, 20, 1)
+    m = build_m(cnf)
+    cert = approx_eigen(m, 8)
+    wit = FkoWitness(n=6, m=cnf.m, c=8, imb=imbalance(cnf), mat=None, cert=cert,
+                     lam=cert.lambdas[0], coll=TupleCollection((), t=0, k=2, d=4),
+                     epsilon=F(1))
     payload = json.loads(witness_to_json(wit))
-    del payload["K3"], payload["K4"], payload["K5"]
+    payload.update(K3=k, K4=k, K5=k)
     back = witness_from_json(json.dumps(payload))
-    assert back.cert.k3 == 16 and back.cert.k4 == 16 and back.cert.k5 == 16
+    assert back == wit
+    assert verify_witness(cnf, back) == verify_witness(cnf, wit)
+    assert (back.cert.k3, back.cert.k4, back.cert.k5) == (16, 16, 16)
 
 
 def test_witness_json_is_compact_one_line_and_deterministic():
@@ -314,7 +322,6 @@ _RAT_FIELDS = {
     "epsilon": lambda obj: (obj, "epsilon"),
     "lambdas[0]": lambda obj: (obj["lambdas"], 0),
     "V[0][0]": lambda obj: (obj["V"][0], 0),
-    "K3": lambda obj: (obj, "K3"),
 }
 
 
