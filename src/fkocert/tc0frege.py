@@ -104,7 +104,9 @@ TcFormula = Top | Bot | Var | Not | Th
 TOP = Top()
 BOT = Bot()
 # nesting bound, far above the constant depth of TC0 formulas: parse_proof
-# refuses deeper text and check_proof a step holding a deeper formula
+# refuses deeper text, check_proof a step holding a deeper formula, and
+# free_vars, eval_formula, format_formula and decide_constant_formula a
+# deeper formula, so none of them recurses past it
 MAX_DEPTH = 100
 
 
@@ -113,26 +115,46 @@ def _too_deep(formulas: Sequence[TcFormula]) -> bool:
     without recursion, keeping one copy of each shared subformula."""
     level = {id(f): f for f in formulas}
     for _ in range(MAX_DEPTH + 1):
+        if not level:
+            return False
         level = {id(ch): ch for f in level.values()
                  for ch in (f.children if isinstance(f, Th)
                             else (f.child,) if isinstance(f, Not) else ())}
     return bool(level)
 
 
+def _check_depth(f: TcFormula) -> None:
+    if _too_deep((f,)):
+        raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
+
+
 def free_vars(f: TcFormula) -> set[int]:
+    """Variable indices in f; ValueError when f nests past MAX_DEPTH."""
+    _check_depth(f)
+    return _free_vars(f)
+
+
+def _free_vars(f: TcFormula) -> set[int]:
     if isinstance(f, Var):
         return {f.index}
     if isinstance(f, Not):
-        return free_vars(f.child)
+        return _free_vars(f.child)
     if isinstance(f, Th):
         out: set[int] = set()
         for ch in f.children:
-            out |= free_vars(ch)
+            out |= _free_vars(ch)
         return out
     return set()
 
 
 def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
+    """f's truth value; ValueError on an unbound variable or when f nests
+    past MAX_DEPTH."""
+    _check_depth(f)
+    return _eval(f, assignment)
+
+
+def _eval(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
     if isinstance(f, Top):
         return True
     if isinstance(f, Bot):
@@ -142,14 +164,14 @@ def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
             raise ValueError(f"unbound variable p{f.index}")
         return bool(assignment[f.index])
     if isinstance(f, Not):
-        return not eval_formula(f.child, assignment)
+        return not _eval(f.child, assignment)
     if isinstance(f, Th):
         need = f.i
         if need == 0:
             return True
         true_so_far = 0
         for ch in f.children:
-            if eval_formula(ch, assignment):
+            if _eval(ch, assignment):
                 true_so_far += 1
                 if true_so_far >= need:
                     return True
@@ -447,7 +469,7 @@ class _Emitter:
                 drop = Th(f.i, tail)
                 lower = Th(f.i - 1, tail)
                 p2 = self.prove_true(lower)
-                if eval_formula(head, {}):
+                if _eval(head, {}):
                     h = self.prove_true(head)
                     p1 = self.add((), (drop, head), "weaken-right", h)
                 else:
@@ -478,7 +500,7 @@ class _Emitter:
                 drop = Th(f.i, tail)
                 lower = Th(f.i - 1, tail)
                 q1 = self.prove_false(drop)
-                if not eval_formula(head, {}):
+                if not _eval(head, {}):
                     h = self.prove_false(head)
                     w = self.add((head, lower), (), "weaken-left", h)
                     q2 = self.add((lower, head), (), "exchange-left", w)
@@ -494,15 +516,19 @@ class _Emitter:
 
 def decide_constant_formula(f: TcFormula) -> TcProof:
     """For a variable-free formula, a checkable proof of --> f when f is
-    true, of --> ~f when false."""
-    if free_vars(f):
-        raise ValueError(f"formula has free variables: {sorted(free_vars(f))}")
+    true, and of --> ~f when false; of f --> when f is false and ~f would
+    nest past MAX_DEPTH.  No step nests deeper than its last, so the proof
+    passes check_proof.  ValueError when f itself nests past MAX_DEPTH."""
+    _check_depth(f)
+    if _free_vars(f):
+        raise ValueError(f"formula has free variables: {sorted(_free_vars(f))}")
     em = _Emitter()
-    if eval_formula(f, {}):
+    if _eval(f, {}):
         em.prove_true(f)
     else:
         below = em.prove_false(f)
-        em.add((), (Not(f),), "not-right", below)
+        if not _too_deep((Not(f),)):
+            em.add((), (Not(f),), "not-right", below)
     return TcProof(tuple(em.steps))
 
 
@@ -569,6 +595,8 @@ def parse_formula(text: str) -> TcFormula:
 
 
 def format_formula(f: TcFormula) -> str:
+    """f in the text form; ValueError when f nests past MAX_DEPTH."""
+    _check_depth(f)
     return repr(f)
 
 

@@ -14,7 +14,12 @@ clauses -- so acceptance certifies unsatisfiability.
 
 The verifier trusts nothing: I and M are recomputed from K, the
 certificate residuals are recomputed exactly, and the collection is
-re-checked clause by clause.
+re-checked clause by clause.  The conjuncts run cheapest first: 3CNF,
+Coll, Imb, Mat, the certificate's dimension and lambda-max, then the
+O(n) comparison of t with d*(I + lambdas[0]*n)/2, and only then the
+cubic certification (EigValBound) and the exact inequality.  Every term
+of the slack is >= 0, so U >= lambdas[0]*n and a t at or below the
+cheap bound fails the inequality whatever the certificate holds.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .cnf import Cnf, imbalance
@@ -72,7 +78,14 @@ class FkoWitness:
 class Verdict:
     """Outcome of verification: either the first failed conjunct (one of
     3CNF, Coll, Imb, Mat, EigValBound, lambda-max, inequality) or the
-    certified quantities."""
+    certified quantities.
+
+    `threshold` is the bound t was compared with: d*(I+U)/2, U the
+    certified bound, on acceptance and at an inequality reached after
+    certification; d*(I+lambdas[0]*n)/2 at an inequality found before it;
+    None at every other conjunct.  to_json writes it in the `certified`
+    block on acceptance and at top level on an inequality.
+    """
 
     accepted: bool
     reason: str | None = None
@@ -80,6 +93,7 @@ class Verdict:
     u: Fraction | None = None
     tuple_bound: int | None = None
     margin: Fraction | None = None
+    threshold: Fraction | None = None
 
     def to_json(self) -> str:
         if self.accepted:
@@ -89,6 +103,7 @@ class Verdict:
                     "U": _rat_out(self.u),
                     "unsat3xor_lower_bound": self.tuple_bound,
                     "margin": _rat_out(self.margin),
+                    "threshold": _rat_out(self.threshold),
                 },
             }
         else:
@@ -97,6 +112,8 @@ class Verdict:
                 "reason": self.reason,
                 "detail": self.detail,
             }
+            if self.reason == "inequality":
+                payload["threshold"] = _rat_out(self.threshold)
         return json.dumps(payload, sort_keys=True)
 
 
@@ -164,7 +181,15 @@ def build_witness(
 
 def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     """Re-check every conjunct from scratch; accept only on the strict
-    exact inequality t > d*(I + lambda*n + slack)/2."""
+    exact inequality t > d*(I + lambda*n + slack)/2.
+
+    The order is 3CNF, Coll, Imb, Mat, EigValBound's dimension checks,
+    lambda-max, a cheap inequality, EigValBound's certification and the
+    exact inequality.  The cheap one rejects t <= d*(I + lambdas[0]*n)/2
+    in ints before M is built for certification: every slack term is
+    >= 0, so U >= lambdas[0]*n and no certificate could lift such a t
+    over d*(I+U)/2.  Every accept still passes certification.
+    """
     # 3CNF: the formula is well-formed and the witness talks about it.
     if wit.n != cnf.n or wit.m != cnf.m:
         return Verdict(False, "3CNF",
@@ -183,8 +208,9 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
         return Verdict(False, "Imb",
                        f"witness declares I={wit.imb}, formula has I={imb}")
 
-    mat = build_m(cnf)
+    mat = None
     if wit.mat is not None:
+        mat = build_m(cnf)
         if len(wit.mat) != cnf.n or any(
             len(row) != cnf.n for row in wit.mat
         ) or any(
@@ -203,6 +229,16 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                        f"lambda={wit.lam} != max eigenvalue "
                        f"{max(wit.cert.lambdas)}")
 
+    # no product either: U >= lambdas[0]*n, so a t at or below
+    # d*(I + lambdas[0]*n)/2 fails whatever the certificate holds
+    t, d, lam0 = wit.coll.t, wit.coll.d, wit.cert.lambdas[0]
+    if 2 * t * lam0.denominator <= d * (imb * lam0.denominator + lam0.numerator * cnf.n):
+        rhs = _threshold(d, imb, lam0 * cnf.n)
+        return Verdict(False, "inequality",
+                       f"t={t} <= d*(I+lambda*n)/2 = {_show(rhs)}", threshold=rhs)
+
+    if mat is None:
+        mat = build_m(cnf)
     # V's shape, c, the grid and |v_ij| <= 2 are checked before any product
     try:
         u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
@@ -215,12 +251,12 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     except ValueError as e:
         return Verdict(False, "EigValBound", str(e))
 
-    rhs = _threshold(wit.coll.d, imb, u)
-    if not wit.coll.t > rhs:
-        return Verdict(False, "inequality",
-                       f"t={wit.coll.t} <= d*(I+U)/2 = {_show(rhs)}")
+    rhs = _threshold(d, imb, u)
+    if not t > rhs:
+        return Verdict(False, "inequality", f"t={t} <= d*(I+U)/2 = {_show(rhs)}",
+                       threshold=rhs)
     return Verdict(True, u=u, tuple_bound=unsat3xor_lower_bound(wit),
-                   margin=wit.coll.t - rhs)
+                   margin=t - rhs, threshold=rhs)
 
 
 def _ratio(x: Fraction, tol: Fraction) -> str:
@@ -269,7 +305,12 @@ def unsat3xor_lower_bound(wit: FkoWitness) -> int:
 def _rat_out(x: Fraction | None) -> dict[str, str] | None:
     if x is None:
         return None
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    try:
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+    except ValueError:
+        # past int's str() digit limit, as a verdict threshold with a
+        # 4300-digit d can be; Decimal writes every digit
+        return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator))}
 
 
 class WitnessFormatError(ValueError):

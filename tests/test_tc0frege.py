@@ -590,6 +590,56 @@ def test_check_proof_depth_walk_visits_shared_subformulas_once():
     assert not res.valid and res.step == 0
 
 
+def _constant_chain(depth: int, leaf: TcFormula) -> TcFormula:
+    f = leaf
+    for _ in range(depth):
+        f = Th(1, (f,))
+    return f
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH])
+@pytest.mark.parametrize("leaf", [TOP, BOT], ids=["true", "false"])
+def test_decided_proofs_up_to_max_depth_check(depth, leaf):
+    f = _constant_chain(depth, leaf)
+    proof = decide_constant_formula(f)
+    res = check_proof(proof)
+    assert res.valid, res.message
+    if leaf == TOP:
+        assert proof.final == Sequent((), (f,))
+    elif depth < MAX_DEPTH:
+        assert proof.final == Sequent((), (Not(f),))
+    else:
+        # --> ~f would nest past the bound, so the refutation ends at f -->
+        assert proof.final == Sequent((f,), ())
+
+
+_WALKERS = {
+    "free_vars": free_vars,
+    "eval_formula": lambda f: eval_formula(f, {1: True}),
+    "format_formula": format_formula,
+    "decide_constant_formula": decide_constant_formula,
+}
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1_000, 100_000])
+@pytest.mark.parametrize("nest", [_nested_not, _nested_th, lambda k: _constant_chain(k, BOT)],
+                         ids=["not", "th", "constant"])
+@pytest.mark.parametrize("walker", sorted(_WALKERS))
+def test_walkers_refuse_formulas_past_max_depth(walker, nest, depth):
+    with pytest.raises(ValueError, match=f"nests deeper than {MAX_DEPTH}"):
+        _WALKERS[walker](nest(depth))
+
+
+@pytest.mark.parametrize("nest", [_nested_not, _nested_th])
+def test_walkers_take_max_depth_formulas(nest):
+    f = nest(MAX_DEPTH)
+    assert free_vars(f) == {1}
+    # an even number of negations; Th1(T, .) is true whatever p1 is
+    assert eval_formula(f, {1: True})
+    assert eval_formula(f, {1: False}) == (nest is _nested_th)
+    assert parse_formula(format_formula(f)) == f
+
+
 # ------------------------------------------------- differential reference
 #
 # The checker before premise builders: fifteen matchers, each testing its

@@ -62,3 +62,49 @@ def test_certify_probe_reads_a_real_certificate_and_report(monkeypatch):
     assert info
     for key, value in info.items():
         assert isinstance(value, Real) and math.isfinite(value), key
+
+
+# The verifier calls build_m and certify_eigvalbound through the
+# fkocert.witness globals, which the tracer wraps: a near miss reaches
+# neither, and an accepted witness each once.
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record each call through module.name, then run the original."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verifier_certifies_an_accepted_witness_once(monkeypatch):
+    import fkocert.witness as witness_mod
+    from conftest import planted_block
+
+    cnf = planted_block(3)
+    wit = witness_mod.witness_from_json(witness_mod.witness_to_json(
+        witness_mod.build_witness(cnf)))
+    certify = _count_calls(monkeypatch, witness_mod, "certify_eigvalbound")
+    built = _count_calls(monkeypatch, witness_mod, "build_m")
+    assert witness_mod.verify_witness(cnf, wit).accepted
+    assert len(certify) == 1 and len(built) == 1
+
+
+def test_verifier_forms_no_product_for_a_near_miss(monkeypatch):
+    import fkocert.spectral as spectral_mod
+    import fkocert.witness as witness_mod
+    from test_witness import _dense_text
+
+    cnf, text = _dense_text()
+    wit = witness_mod.witness_from_json(text)
+    certify = _count_calls(monkeypatch, witness_mod, "certify_eigvalbound")
+    built = _count_calls(monkeypatch, witness_mod, "build_m")
+    gram = _count_calls(monkeypatch, spectral_mod, "gram_dev")
+    verdict = witness_mod.verify_witness(cnf, wit)
+    assert verdict.reason == "inequality" and "(I+lambda*n)" in verdict.detail
+    assert certify == [] and built == [] and gram == []

@@ -39,8 +39,11 @@ from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
 from fkocert.oracle import brute_force_unsat
 from fkocert.spectral import C_MAX
-from fkocert.witness import _rat_in, _rat_out, _t_needed
+from fkocert.spectral import certified_quadform_bound, tolerances
+from fkocert.tuples import check_collection
+from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _t_needed, _threshold
 from conftest import nae_counts, not3xor_counts, planted_block
+from test_acceptance import _noisy_blocks
 
 F = Fraction
 
@@ -198,8 +201,7 @@ def test_verify_rejects_tampered_matrix():
 
 
 def test_verify_rejects_forged_spectrum():
-    cnf = gen_random_3cnf(6, 28, 2)
-    wit = manual_witness(cnf)
+    cnf, wit = _accepted_dense()
     shrunk = replace(wit.cert, lambdas=tuple(x - 1 for x in wit.cert.lambdas))
     bad = replace(wit, cert=shrunk, lam=shrunk.lambdas[0])
     v = verify_witness(cnf, bad)
@@ -246,8 +248,12 @@ def test_verdict_json_shapes():
     good = json.loads(verify_witness(cnf, wit).to_json())
     assert good["accepted"] is True
     assert good["certified"]["U"] == {"num": "0", "den": "1"}
-    bad = json.loads(verify_witness(cnf, replace(wit, n=4)).to_json())
+    assert good["certified"]["threshold"] == {"num": "0", "den": "1"}
+    bad = verify_witness(cnf, replace(wit, n=4))
+    assert bad.threshold is None
+    bad = json.loads(bad.to_json())
     assert bad["accepted"] is False and bad["reason"] == "3CNF"
+    assert "threshold" not in bad
 
 
 def test_witness_json_round_trip():
@@ -413,8 +419,7 @@ def test_verify_is_pure():
 
 @pytest.mark.parametrize("shape", ["short row", "long row", "missing row"])
 def test_verify_rejects_non_square_v(shape):
-    cnf = gen_random_3cnf(6, 28, 2)
-    wit = manual_witness(cnf)
+    cnf, wit = _accepted_dense()
     rows = [list(r) for r in wit.cert.v]
     if shape == "short row":
         rows[-1].pop()
@@ -502,10 +507,28 @@ def test_witness_from_json_bad_json_text():
 
 @functools.cache
 def _dense_text() -> tuple[Cnf, str]:
-    """A dense n = 28 formula and an on-grid witness for it, which the
-    verifier rejects only at the inequality."""
+    """A dense n = 28 formula and an on-grid near-miss witness for it: t is
+    at or below d*(I+lambda*n)/2, so the verifier rejects it at the
+    inequality before it certifies."""
     cnf = gen_random_3cnf(28, 318, 1)  # m = floor(3 n^1.4)
     return cnf, witness_to_json(manual_witness(cnf))
+
+
+@functools.cache
+def _accepted_dense() -> tuple[Cnf, FkoWitness]:
+    """The dense formula with 40 planted blocks laid over its first nine
+    variable triples, and a witness the verifier accepts.  A block adds
+    16 tuples and changes neither n, M nor I, so t clears d*(I+U)/2."""
+    dense, _ = _dense_text()
+    blocks = planted_block(9).clauses
+    cnf = Cnf(dense.n, dense.clauses + tuple(
+        blocks[8 * (b % 9) + i] for b in range(40) for i in range(8)))
+    return cnf, build_witness(cnf)
+
+
+def _accepted_dense_text() -> tuple[Cnf, str]:
+    cnf, wit = _accepted_dense()
+    return cnf, witness_to_json(wit)
 
 
 def _off_grid_v(text: str, digits: int) -> str:
@@ -528,9 +551,9 @@ def test_off_grid_v_is_rejected_before_any_product(monkeypatch):
         calls.append(args)
         return gram_dev(*args)
 
-    cnf, text = _dense_text()
+    cnf, text = _accepted_dense_text()
     monkeypatch.setattr(spectral_mod, "gram_dev", counting)
-    assert verify_witness(cnf, witness_from_json(text)).reason == "inequality"
+    assert verify_witness(cnf, witness_from_json(text)).accepted
     assert len(calls) == 2
     for digits in (50, 200):
         verdict = verify_witness(cnf, witness_from_json(_off_grid_v(text, digits)))
@@ -539,15 +562,20 @@ def test_off_grid_v_is_rejected_before_any_product(monkeypatch):
     assert len(calls) == 2
 
 
+def _huge_eigenvalue(sign: int) -> dict:
+    """An on-grid eigenvalue of the n = 28 witnesses whose numerator is
+    4300 nines, the most digits a witness file can carry."""
+    return {"num": str(sign * (10 ** 4300 - 1)), "den": str(grid_denominator(28, 8))}
+
+
 def test_huge_lambda_residual_gives_a_bounded_detail():
-    # an on-grid lambda_0 with a 4300-digit numerator parses, but tau then
-    # has more digits than str() of an int allows
-    cnf, text = _dense_text()
+    # the lowest eigenvalue, so that t still clears d*(I+lambda*n)/2; tau
+    # then has more digits than str() of an int allows
+    cnf, text = _accepted_dense_text()
     obj = json.loads(text)
-    huge = {"num": str(10 ** 4299 + 7), "den": str(grid_denominator(28, 8))}
-    obj["lambdas"][0] = obj["lambda"] = huge
+    obj["lambdas"][-1] = _huge_eigenvalue(-1)
     wit = witness_from_json(json.dumps(obj))
-    assert len(str(wit.lam.numerator)) == 4300
+    assert len(str(-wit.cert.lambdas[-1].numerator)) == 4300
     verdict = verify_witness(cnf, wit)
     assert verdict == Verdict(False, "EigValBound", verdict.detail)
     assert re.fullmatch(r"failed conditions: \['eigen'\]; rho/tol=\S+, tau/tol=~2\^\d+",
@@ -555,24 +583,91 @@ def test_huge_lambda_residual_gives_a_bounded_detail():
     json.loads(verdict.to_json())
 
 
+@functools.cache
+def _lowered_planted_text() -> tuple[Cnf, str]:
+    """planted_block(2) and its witness with the last eigenvalue lowered to
+    -7^10/n^(2c).  It still certifies and is accepted.  I = lambdas[0] = 0,
+    so any d passes d*(I+lambda*n)/2 = 0, but tau and so U are > 0: a
+    large enough d meets the certified inequality."""
+    cnf = planted_block(2)
+    obj = json.loads(witness_to_json(build_witness(cnf)))
+    obj["lambdas"][-1] = {"num": str(-7 ** 10), "den": str(grid_denominator(6, 8))}
+    return cnf, json.dumps(obj)
+
+
 def _huge_d_text() -> tuple[Cnf, str]:
-    """The dense witness with a 4300-digit D.d, which parses: d*(I+U)/2
-    then has more digits than str() of an int allows."""
-    cnf, text = _dense_text()
+    """The lowered planted witness with a 4300-digit D.d, which parses:
+    d*(I+U)/2 then has more digits than str() of an int allows."""
+    cnf, text = _lowered_planted_text()
     obj = json.loads(text)
     obj["D"]["d"] = "1" + "0" * 4299
     return cnf, json.dumps(obj)
 
 
 def test_huge_d_gives_a_bounded_inequality_detail():
-    cnf, text = _dense_text()
-    plain = verify_witness(cnf, witness_from_json(text))
+    cnf, text = _lowered_planted_text()
+    accepted = verify_witness(cnf, witness_from_json(text))
+    assert accepted.accepted
+    obj = json.loads(text)
+    obj["D"]["d"] = grid_denominator(6, 8)
+    plain = verify_witness(cnf, witness_from_json(json.dumps(obj)))
+    assert plain.reason == "inequality"
     assert re.fullmatch(r"t=\d+ <= d\*\(I\+U\)/2 = \d+(/\d+)?", plain.detail)
+    # the certified inequality reports d*(I+U)/2 as its threshold
+    assert plain.threshold == grid_denominator(6, 8) * accepted.u / 2
+    assert _rat_in(json.loads(plain.to_json())["threshold"]) == plain.threshold
     cnf, text = _huge_d_text()
     verdict = verify_witness(cnf, witness_from_json(text))
-    assert verdict == Verdict(False, "inequality", verdict.detail)
+    assert verdict == Verdict(False, "inequality", verdict.detail, threshold=verdict.threshold)
     assert re.fullmatch(r"t=\d+ <= d\*\(I\+U\)/2 = ~2\^\d+", verdict.detail)
     json.loads(verdict.to_json())
+
+
+# ------------------------------------------ the inequality before certifying
+
+def test_near_miss_is_rejected_before_certification():
+    cnf, text = _dense_text()
+    wit = witness_from_json(text)
+    verdict = verify_witness(cnf, wit)
+    rhs = F(wit.coll.d) * (wit.imb + wit.cert.lambdas[0] * cnf.n) / 2
+    assert verdict == Verdict(False, "inequality",
+                              f"t={wit.coll.t} <= d*(I+lambda*n)/2 = {rhs}", threshold=rhs)
+    assert re.fullmatch(r"t=\d+ <= d\*\(I\+lambda\*n\)/2 = \d+(/\d+)?", verdict.detail)
+    assert _rat_in(json.loads(verdict.to_json())["threshold"]) == rhs
+    # certifying first rejects it too, against the larger d*(I+U)/2
+    ref = reference_verify_witness(cnf, wit)
+    assert ref.reason == "inequality" and ref.detail.startswith(f"t={wit.coll.t} <= d*(I+U)/2")
+
+
+@pytest.mark.parametrize("field", ["D.d", "lambdas[0]"])
+def test_huge_early_threshold_gives_a_bounded_detail(field):
+    cnf, text = _dense_text()
+    obj = json.loads(text)
+    if field == "D.d":
+        obj["D"]["d"] = "1" + "0" * 4299
+    else:
+        obj["lambdas"][0] = obj["lambda"] = _huge_eigenvalue(1)
+    verdict = verify_witness(cnf, witness_from_json(json.dumps(obj)))
+    assert verdict == Verdict(False, "inequality", verdict.detail, threshold=verdict.threshold)
+    assert re.fullmatch(r"t=\d+ <= d\*\(I\+lambda\*n\)/2 = ~2\^\d+", verdict.detail)
+    # the JSON threshold keeps every digit
+    blob = json.loads(verdict.to_json())
+    assert len(blob["threshold"]["num"]) > 4300
+
+
+def test_early_rejection_is_at_or_below_the_bound():
+    # lambdas[0] = 1/n on planted_block(2), I = 0 and d = 4 put
+    # d*(I+lambda*n)/2 at 2: t = 2 is rejected before certification, and
+    # t = 3 reaches it and fails there (M = 0, so tau = 1/n)
+    cnf = planted_block(2)
+    wit = build_witness(cnf)
+    lams = (F(1, cnf.n),) + wit.cert.lambdas[1:]
+    raised = replace(wit, lam=lams[0], cert=replace(wit.cert, lambdas=lams))
+    verdicts = [verify_witness(cnf, replace(raised, coll=replace(
+        wit.coll, tuples=wit.coll.tuples[:t], t=t))) for t in (2, 3)]
+    assert verdicts[0] == Verdict(False, "inequality", "t=2 <= d*(I+lambda*n)/2 = 2",
+                                  threshold=F(2))
+    assert verdicts[1].reason == "EigValBound"
 
 
 def test_t_needed_is_least_accepted_t():
@@ -757,3 +852,143 @@ def test_unmutated_planted_witness_rejects_satisfiable_neighbour():
         wit = witness_from_json(json.dumps(_planted_json(blocks)))
         assert verify_witness(planted_block(blocks), wit).accepted
         assert not verify_witness(sat, wit).accepted
+
+
+# ------------------------------------------------- differential reference
+#
+# The verifier before the cheap inequality: it builds M and certifies
+# before it compares t with anything.  verify_witness must accept exactly
+# the witnesses this accepts, with the same certified quantities.
+
+def reference_verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
+    if wit.n != cnf.n or wit.m != cnf.m:
+        return Verdict(False, "3CNF",
+                       f"witness is for n={wit.n}, m={wit.m}, "
+                       f"formula has n={cnf.n}, m={cnf.m}")
+    for k, cl in enumerate(cnf.clauses):
+        if len(set(cl.vars)) != 3 or not (1 <= min(cl.vars) <= max(cl.vars) <= cnf.n):
+            return Verdict(False, "3CNF", f"clause {k} malformed")
+    ok, why = check_collection(cnf, wit.coll)
+    if not ok:
+        return Verdict(False, "Coll", why)
+    imb = imbalance(cnf)
+    if wit.imb != imb:
+        return Verdict(False, "Imb", f"witness declares I={wit.imb}, formula has I={imb}")
+    mat = build_m(cnf)
+    if wit.mat is not None:
+        if len(wit.mat) != cnf.n or any(len(row) != cnf.n for row in wit.mat) or any(
+            wit.mat[i][j] != mat[i][j] for i in range(cnf.n) for j in range(cnf.n)
+        ):
+            return Verdict(False, "Mat", "witness matrix differs from rebuilt M")
+    if wit.cert.n != cnf.n:
+        return Verdict(False, "EigValBound",
+                       f"certificate dimension {wit.cert.n} != n={cnf.n}")
+    if cnf.n == 0:
+        return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
+    if wit.lam != max(wit.cert.lambdas):
+        return Verdict(False, "lambda-max",
+                       f"lambda={wit.lam} != max eigenvalue {max(wit.cert.lambdas)}")
+    try:
+        u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
+    except CertificationError as e:
+        tol_basis, _, tol_eigen = tolerances(wit.cert)
+        return Verdict(False, "EigValBound",
+                       f"failed conditions: {e.report.failed_conditions()}; "
+                       f"rho/tol={_ratio(e.report.rho, tol_basis)}, "
+                       f"tau/tol={_ratio(e.report.tau, tol_eigen)}")
+    except ValueError as e:
+        return Verdict(False, "EigValBound", str(e))
+    rhs = _threshold(wit.coll.d, imb, u)
+    if not wit.coll.t > rhs:
+        return Verdict(False, "inequality", f"t={wit.coll.t} <= d*(I+U)/2 = {_show(rhs)}")
+    return Verdict(True, u=u, tuple_bound=unsat3xor_lower_bound(wit), margin=wit.coll.t - rhs)
+
+
+def _assert_same_acceptance(cnf: Cnf, wit: FkoWitness) -> None:
+    """verify_witness agrees with the reference on acceptance and on what it
+    certifies; its reason differs only where it rejects at the cheap
+    inequality a witness the reference rejects at certification or at the
+    inequality."""
+    got, want = verify_witness(cnf, wit), reference_verify_witness(cnf, wit)
+    assert got.accepted == want.accepted
+    if got.accepted:
+        assert (got.u, got.margin, got.tuple_bound) == (want.u, want.margin, want.tuple_bound)
+        assert got.threshold == _threshold(wit.coll.d, wit.imb, got.u)
+        assert got.margin == wit.coll.t - got.threshold
+    elif "lambda*n" in got.detail:
+        assert got.reason == "inequality"
+        assert want.reason in ("EigValBound", "inequality")
+        lam0 = wit.cert.lambdas[0]
+        assert got.threshold == _threshold(wit.coll.d, wit.imb, lam0 * cnf.n)
+        assert not wit.coll.t > got.threshold
+    else:
+        assert (got.reason, got.detail) == (want.reason, want.detail)
+
+
+@functools.cache
+def _differential_base(kind: str, size: int, seed: int) -> tuple[Cnf, FkoWitness]:
+    """A witness with the largest collection the search packs: accepted
+    for most planted formulas, a near miss for random ones."""
+    if kind == "planted":
+        cnf = _noisy_blocks(size, 2 * (seed % 3), seed)
+    else:
+        cnf = gen_random_3cnf(size, (3 + seed % 3) * size, seed)
+    return cnf, manual_witness(cnf)
+
+
+@st.composite
+def edited_witnesses(draw):
+    """(formula, witness): a planted (n = 3..12) or random (n = 6..12)
+    witness with one to three edits to t, d, the tuples, lambdas[0] (by
+    a few grid steps or whole units, on the grid) or a row of V."""
+    kind = draw(st.sampled_from(["planted", "random"]))
+    size = draw(st.integers(1, 4) if kind == "planted" else st.integers(6, 12))
+    cnf, wit = _differential_base(kind, size, draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        wit = replace(wit, mat=None)
+    grid = grid_denominator(cnf.n, wit.cert.c)
+    for _ in range(draw(st.integers(1, 3))):
+        coll, cert = wit.coll, wit.cert
+        how = draw(st.sampled_from(["t", "drop", "d", "tuple", "lambda0", "lambda0", "V"]))
+        if how == "t":
+            coll = replace(coll, t=max(0, coll.t + draw(st.integers(-2, 2))))
+        elif how == "drop":
+            keep = draw(st.integers(0, coll.t))
+            coll = replace(coll, tuples=coll.tuples[:keep], t=keep)
+        elif how == "d":
+            coll = replace(coll, d=draw(st.integers(0, 8)))
+        elif how == "tuple" and coll.tuples:
+            pos = draw(st.integers(0, len(coll.tuples) - 1))
+            tup = list(coll.tuples[pos])
+            tup[draw(st.integers(0, len(tup) - 1))] = draw(st.integers(0, cnf.m - 1))
+            coll = replace(coll, tuples=coll.tuples[:pos] + (tuple(tup),) + coll.tuples[pos + 1:])
+        elif how == "lambda0":
+            step = draw(st.sampled_from([1, 2, grid // cnf.n, grid]))
+            lams = (cert.lambdas[0] + F(draw(st.sampled_from([-3, -1, 1, 3])) * step, grid),
+                    *cert.lambdas[1:])
+            cert = replace(cert, lambdas=lams)
+            if draw(st.booleans()):
+                wit = replace(wit, lam=max(lams))
+        elif how == "V":
+            rows = [list(row) for row in cert.v]
+            i, j = draw(st.integers(0, cnf.n - 1)), draw(st.integers(0, cnf.n - 1))
+            if draw(st.booleans()):
+                rows[i] = list(rows[j])
+            else:
+                rows[i][j] += F(draw(st.sampled_from([-1, 1])), grid)
+            cert = replace(cert, v=tuple(tuple(row) for row in rows))
+        wit = replace(wit, coll=coll, cert=cert)
+    return cnf, wit
+
+
+@settings(max_examples=300)
+@given(edited_witnesses())
+def test_early_inequality_agrees_with_reference_verifier(case):
+    _assert_same_acceptance(*case)
+
+
+@pytest.mark.parametrize("donor", [_dense_text, _accepted_dense_text, _lowered_planted_text],
+                         ids=["near miss", "accepted", "lowered planted"])
+def test_unedited_donors_agree_with_reference_verifier(donor):
+    cnf, text = donor()
+    _assert_same_acceptance(cnf, witness_from_json(text))
