@@ -5,8 +5,8 @@ Certificate entries live on the grid of integer multiples of 1/n^(2c);
 `snap_to_grid` rounds onto that grid.  The verifier checks that grid
 first and then scales every entry once by the one grid denominator, so
 its cubic work runs as exact integer dot products over a single known
-scale: `gram_dev` takes rows of Python ints.  No floats and no numpy
-enter any accept/reject decision.
+scale: `gram_dev` takes rows of Python ints.  No float and no
+third-party code enters any accept/reject decision.
 """
 
 from __future__ import annotations

@@ -1,108 +1,70 @@
-"""Brute-force oracles over all assignments / sign vectors.
+"""Brute-force oracle over all 2^n assignments, the independent second
+route behind the soundness checks.  Bit-sliced: in a block of 2^b
+assignments, b = min(n, _CHUNK_BITS), a variable is one 2^b-bit int whose
+bit j is its value under the j-th assignment, so one `|`, `&` or `^` acts
+on the whole block.  Plane k of a count holds bit k of every count."""
 
-Independent second route used for soundness checks: everything here is
-exact integer arithmetic (numpy int64 on counts that stay tiny), kept
-deliberately separate from the Fraction-based verifier.
-"""
+from .cnf import Cnf
 
-from __future__ import annotations
+__all__ = ["CAP", "brute_force_report"]
 
-from fractions import Fraction
-
-import numpy as np
-
-from .cnf import Clause, Cnf
-
-__all__ = [
-    "brute_force_unsat",
-    "brute_force_report",
-    "max_quadform",
-]
-
-_CHUNK_BITS = 20
+CAP = 25  # most variables walked: 2^25 assignments
+_CHUNK_BITS = 20  # 2^20 assignments per block, 128 KiB per mask
 
 
-def _var_values(idx: np.ndarray, var: int) -> np.ndarray:
-    """Value of x_var over a block of assignment indices (bit var-1)."""
-    return (idx >> (var - 1)) & 1
+def _add(count: list[list], x: int, k: int = 0) -> None:
+    """Add the 0/1 mask x at weight 2^k.  count[k] is [plane k, the mask
+    waiting there or None]: masks join a plane in pairs, through one
+    carry-save adder that sends a single carry up."""
+    while x:
+        if k == len(count):
+            count.append([0, None])
+        plane, y = count[k]
+        if y is None:
+            count[k][1] = x
+            return
+        u = plane ^ y
+        count[k] = [u ^ x, None]
+        x, k = plane & y | u & x, k + 1
 
 
-def _true_literals(idx: np.ndarray, cl: Clause) -> np.ndarray:
-    """True-literal count of clause `cl` over a block of assignments."""
-    cnt = np.zeros(idx.shape, dtype=np.uint8)
-    for v, p in cl.literals():
-        cnt += _var_values(idx, v) == p
-    return cnt
+def _max(count: list[list]) -> int:
+    """Largest count in the block.  First each waiting mask joins its
+    plane; a carry may append a level, which the loop visits too."""
+    for k, (plane, y) in enumerate(count):
+        if y is not None:
+            count[k] = [plane ^ y, None]
+            _add(count, plane & y, k + 1)
+    best, live = 0, -1  # live: the assignments still at `best` so far
+    for k in reversed(range(len(count))):
+        if live & count[k][0]:
+            live, best = live & count[k][0], best | 1 << k
+    return best
 
 
-def _blocks(n: int):
-    """All 2^n assignment indices, 2^_CHUNK_BITS at a time."""
-    total = 1 << n
-    step = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.int64)
-
-
-def brute_force_unsat(cnf: Cnf, cap: int = 25) -> bool:
-    """Exhaustively decide unsatisfiability.  Raises when n exceeds cap."""
-    if cnf.n > cap:
-        raise ValueError(f"n={cnf.n} exceeds brute-force cap {cap}")
-    if cnf.m == 0:
-        return False
-    for idx in _blocks(cnf.n):
-        alive = np.ones(idx.shape, dtype=bool)
-        for cl in cnf.clauses:
-            alive &= _true_literals(idx, cl) > 0
-            if not alive.any():
-                break
-        if alive.any():
-            return False
-    return True
-
-
-def brute_force_report(cnf: Cnf, cap: int = 25) -> tuple[bool, int, int]:
+def brute_force_report(cnf: Cnf) -> tuple[bool, int, int]:
     """(unsat, max NAE-satisfied clauses, min clauses with an even number
-    of true literals) over all assignments, in one walk.
-
-    Works block by block, so memory stays at a few arrays of
-    2^_CHUNK_BITS entries for any n up to `cap`.
-    """
-    if cnf.n > cap:
-        raise ValueError(f"n={cnf.n} exceeds brute-force cap {cap}")
-    unsat, max_nae, min_even = True, 0, cnf.m
-    for idx in _blocks(cnf.n):
-        sat = np.ones(idx.shape, dtype=bool)
-        nae = np.zeros(idx.shape, dtype=np.int32)
-        even = np.zeros(idx.shape, dtype=np.int32)
+    of true literals, i.e. m less the most with an odd number) over all
+    assignments, in one walk.  ValueError when n > CAP."""
+    if cnf.n > CAP:
+        raise ValueError(f"n={cnf.n} exceeds brute-force cap {CAP}")
+    b = min(cnf.n, _CHUNK_BITS)
+    full = (1 << (1 << b)) - 1
+    low, size = [0], 1  # low[0] unused: variables count from 1
+    while size < 1 << b:  # double the block; x_i's bit j is bit i-1 of j
+        low = [x | x << size for x in low] + [((1 << size) - 1) << size]
+        size <<= 1
+    satisfiable, max_nae, max_odd = False, 0, 0
+    for high in range(1 << (cnf.n - b)):  # x_i, i > b, is bit i-b-1 of high
+        pos = low + [full if high >> i & 1 else 0 for i in range(cnf.n - b)]
+        lits = ([full ^ x for x in pos], pos)  # indexed by polarity
+        sat, nae, odd = full, [], []
         for cl in cnf.clauses:
-            true = _true_literals(idx, cl)
-            sat &= true > 0
-            nae += (true == 1) | (true == 2)
-            even += (true & 1) == 0
-        unsat = unsat and not sat.any()
-        max_nae = max(max_nae, int(nae.max()))
-        min_even = min(min_even, int(even.min()))
-    return unsat, max_nae, min_even
-
-
-def max_quadform(m2: list[list[int]]) -> Fraction:
-    """max over sign vectors a in {-1,+1}^n of a^T M a, for M = m2/2.
-
-    `m2` is the doubled matrix with integer entries (exact).  n <= 20.
-    """
-    n = len(m2)
-    if n > 20:
-        raise ValueError("max_quadform is for small n")
-    mat = np.array(m2, dtype=np.int64)
-    best = None
-    total = 1 << n
-    step = 1 << min(16, n)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        signs = np.empty((idx.shape[0], n), dtype=np.int64)
-        for i in range(n):
-            signs[:, i] = 2 * ((idx >> i) & 1) - 1
-        vals = np.einsum("ai,ij,aj->a", signs, mat, signs)
-        blockmax = int(vals.max())
-        best = blockmax if best is None else max(best, blockmax)
-    return Fraction(best, 2)
+            x, y, z = (lits[p][v] for v, p in cl.literals())
+            some = x | y | z
+            sat &= some
+            _add(nae, some ^ x & y & z)
+            _add(odd, x ^ y ^ z)
+        satisfiable = satisfiable or sat != 0
+        max_nae, max_odd = max(max_nae, _max(nae)), max(max_odd, _max(odd))
+    return not satisfiable, max_nae, cnf.m - max_odd

@@ -318,7 +318,7 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     """Approximate eigendecomposition of m, snapped to the 1/n^(2c) grid.
 
     This is the untrusted builder: certify_eigvalbound re-checks its output
-    exactly, so it may use floats.  It uses Python floats, never numpy, and
+    exactly, so it may use floats.  It uses plain Python floats, and
     runs every operation in a fixed order, so the output is
     bit-deterministic.  Each connected component of m's nonzero pattern is
     solved on its own submatrix, in two phases:

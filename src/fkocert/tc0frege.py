@@ -105,8 +105,9 @@ TOP = Top()
 BOT = Bot()
 # nesting bound, far above the constant depth of TC0 formulas: parse_proof
 # refuses deeper text, check_proof a step holding a deeper formula, and
-# free_vars, eval_formula, format_formula and decide_constant_formula a
-# deeper formula, so none of them recurses past it
+# free_vars, eval_formula, format_formula, substitute_formula, substitute
+# and decide_constant_formula a deeper formula, so none of them recurses
+# past it
 MAX_DEPTH = 100
 
 
@@ -411,20 +412,28 @@ def check_proof(proof: TcProof) -> CheckResult:
 def substitute_formula(
     f: TcFormula, mapping: Mapping[int, bool]
 ) -> TcFormula:
+    """f with the mapped variables replaced by T or F; ValueError when f
+    nests past MAX_DEPTH."""
+    _check_depth(f)
+    return _substitute(f, mapping)
+
+
+def _substitute(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
     if isinstance(f, Var):
         if f.index in mapping:
             return TOP if mapping[f.index] else BOT
         return f
     if isinstance(f, Not):
-        return Not(substitute_formula(f.child, mapping))
+        return Not(_substitute(f.child, mapping))
     if isinstance(f, Th):
-        return Th(f.i, tuple(substitute_formula(ch, mapping) for ch in f.children))
+        return Th(f.i, tuple(_substitute(ch, mapping) for ch in f.children))
     return f
 
 
 def substitute(proof: TcProof, mapping: Mapping[int, bool]) -> TcProof:
     """Replace variables by constants everywhere; validity is preserved
-    and the proof does not grow."""
+    and the proof does not grow.  ValueError when a formula nests past
+    MAX_DEPTH."""
 
     def sub_seq(seq: Sequent) -> Sequent:
         return Sequent(
@@ -442,76 +451,84 @@ def substitute(proof: TcProof, mapping: Mapping[int, bool]) -> TcProof:
 # ------------------------------------------------- deciding constant formulas
 
 
+def _side(value: bool, formulas: tuple[TcFormula, ...]) -> Sequent:
+    """--> formulas for a true value, formulas --> for a false one."""
+    return Sequent((), formulas) if value else Sequent(formulas, ())
+
+
 class _Emitter:
+    """Emits proofs of --> f for true and f --> for false constant formulas,
+    each subformula once.  Only nesting recurses: the suffixes of a Th are
+    proved in a loop, from the last one up."""
+
     def __init__(self) -> None:
         self.steps: list[ProofStep] = []
         self._memo: dict[tuple[bool, TcFormula], int] = {}
 
-    def add(self, ante, succ, rule, *premises: int) -> int:
-        self.steps.append(ProofStep(Sequent(tuple(ante), tuple(succ)), rule, premises))
+    def add(self, seq: Sequent, rule: str, *premises: int) -> int:
+        self.steps.append(ProofStep(seq, rule, premises))
         return len(self.steps) - 1
 
-    def prove_true(self, f: TcFormula) -> int:
-        """Emit a proof of --> f for a true constant formula."""
-        key = (True, f)
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(f, Top):
-            idx = self.add((), (TOP,), "axiom")
-        elif isinstance(f, Not):
-            below = self.prove_false(f.child)
-            idx = self.add((), (f,), "not-right", below)
-        elif isinstance(f, Th):
-            if f.i == 0:
-                idx = self.add((), (f,), "axiom")
+    def prove(self, f: TcFormula, value: bool) -> int:
+        """The step proving _side(value, (f,)); f must have that value."""
+        key = (value, f)
+        if key not in self._memo:
+            side = "right" if value else "left"
+            if isinstance(f, Top if value else Bot):
+                idx = self.add(_side(value, (f,)), "axiom")
+            elif isinstance(f, Not):
+                below = self.prove(f.child, not value)
+                idx = self.add(_side(value, (f,)), f"not-{side}", below)
+            elif isinstance(f, Th):
+                idx = self._threshold(f, value)
             else:
-                head, tail = f.children[0], f.children[1:]
-                drop = Th(f.i, tail)
-                lower = Th(f.i - 1, tail)
-                p2 = self.prove_true(lower)
-                if _eval(head, {}):
-                    h = self.prove_true(head)
-                    p1 = self.add((), (drop, head), "weaken-right", h)
-                else:
-                    t = self.prove_true(drop)
-                    w = self.add((), (head, drop), "weaken-right", t)
-                    p1 = self.add((), (drop, head), "exchange-right", w)
-                idx = self.add((), (f,), "th-right", p1, p2)
-        else:
-            raise ValueError(f"cannot prove {f!r} true")
-        self._memo[key] = idx
-        return idx
+                raise ValueError(f"cannot prove {f!r} {str(value).lower()}")
+            self._memo[key] = idx
+        return self._memo[key]
 
-    def prove_false(self, f: TcFormula) -> int:
-        """Emit a proof of f --> for a false constant formula."""
-        key = (False, f)
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(f, Bot):
-            idx = self.add((BOT,), (), "axiom")
-        elif isinstance(f, Not):
-            below = self.prove_true(f.child)
-            idx = self.add((f,), (), "not-left", below)
-        elif isinstance(f, Th):
-            if f.i > len(f.children):
-                idx = self.add((f,), (), "axiom")
-            else:
-                head, tail = f.children[0], f.children[1:]
-                drop = Th(f.i, tail)
-                lower = Th(f.i - 1, tail)
-                q1 = self.prove_false(drop)
-                if not _eval(head, {}):
-                    h = self.prove_false(head)
-                    w = self.add((head, lower), (), "weaken-left", h)
-                    q2 = self.add((lower, head), (), "exchange-left", w)
-                else:
-                    t = self.prove_false(lower)
-                    q2 = self.add((lower, head), (), "weaken-left", t)
-                idx = self.add((f,), (), "th-left", q1, q2)
-        else:
-            raise ValueError(f"cannot prove {f!r} false")
-        self._memo[key] = idx
-        return idx
+    def _threshold(self, f: Th, value: bool) -> int:
+        """Proves Th(k, kids[j:]) for every (k, j) the proof of f needs.
+        th-right derives a true Th(k, .) from Th(k-1, tail) and from its
+        head or Th(k, tail); th-left derives a false one from Th(k, tail)
+        and from its head or Th(k-1, tail).  So `must`, the suffix always
+        needed, is k-1 when true and k when false, and `alt`, the one
+        needed when the head lacks the value, is the other."""
+        side = "right" if value else "left"
+        kids, w = f.children, len(f.children)
+        must, alt = (-1, 0) if value else (0, -1)
+        has = [_eval(ch, {}) == value for ch in kids]
+
+        def axiom(k: int, j: int) -> bool:
+            return k == 0 if value else k > w - j
+
+        need: list[set[int]] = [set() for _ in range(w + 1)]
+        need[0].add(f.i)
+        for j in range(w):
+            for k in need[j]:
+                if not axiom(k, j):
+                    need[j + 1].update((k + must,) if has[j] else (k + must, k + alt))
+        done: dict[int, int] = {}  # k -> the step proving Th(k, rest)
+        rest: tuple[TcFormula, ...] = ()  # kids[j+1:], shared by its Ths
+        for j in reversed(range(w + 1)):
+            tail, level = kids[j:], {}
+            for k in sorted(need[j]):
+                g = Th(k, tail)
+                if axiom(k, j):
+                    level[k] = self.add(_side(value, (g,)), "axiom")
+                    continue
+                # the rule wants (alt, head); weakening adds its formula at
+                # the front of a succedent and the end of an antecedent
+                pair = (Th(k + alt, rest), kids[j])
+                weak = pair if has[j] == value else pair[::-1]
+                got = self.prove(kids[j], value) if has[j] else done[k + alt]
+                e = self.add(_side(value, weak), f"weaken-{side}", got)
+                if weak != pair:
+                    e = self.add(_side(value, pair), f"exchange-{side}", e)
+                m = done[k + must]
+                level[k] = self.add(_side(value, (g,)), f"th-{side}",
+                                    *((e, m) if value else (m, e)))
+            done, rest = level, tail
+        return done[f.i]
 
 
 def decide_constant_formula(f: TcFormula) -> TcProof:
@@ -523,12 +540,10 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
     if _free_vars(f):
         raise ValueError(f"formula has free variables: {sorted(_free_vars(f))}")
     em = _Emitter()
-    if _eval(f, {}):
-        em.prove_true(f)
-    else:
-        below = em.prove_false(f)
-        if not _too_deep((Not(f),)):
-            em.add((), (Not(f),), "not-right", below)
+    value = _eval(f, {})
+    below = em.prove(f, value)
+    if not value and not _too_deep((Not(f),)):
+        em.add(Sequent((), (Not(f),)), "not-right", below)
     return TcProof(tuple(em.steps))
 
 

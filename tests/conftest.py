@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from fkocert import Clause, Cnf
+from fkocert.oracle import brute_force_report
 
 settings.register_profile(
     "det",
@@ -33,9 +35,14 @@ def rng() -> random.Random:
     return random.Random(0x5EED)
 
 
+def brute_force_unsat(cnf: Cnf) -> bool:
+    """Exhaustively decide unsatisfiability; ValueError past oracle.CAP."""
+    return brute_force_report(cnf)[0]
+
+
 # ------------------------------------------- per-assignment oracle counts
-# Whole (m, 2^n) tables: the reference for oracle.brute_force_report,
-# which walks the assignments block by block.
+# Whole (m, 2^n) numpy tables: the reference for oracle.brute_force_report,
+# which walks bit-sliced blocks of assignments in pure Python.
 
 
 def truth_table(cnf: Cnf) -> np.ndarray:
@@ -70,3 +77,33 @@ def not3xor_counts(cnf: Cnf) -> np.ndarray:
     """Clauses with an even number of true literals, per assignment."""
     t = truth_table(cnf)
     return ((t % 2 == 0).astype(np.int64)).sum(axis=0)
+
+
+def table_report(cnf: Cnf) -> tuple[bool, int, int]:
+    """brute_force_report's triple, read off the per-assignment tables."""
+    t = truth_table(cnf)
+    return (not (t > 0).all(axis=0).any(), int(nae_counts(cnf).max()),
+            int(not3xor_counts(cnf).min()))
+
+
+def max_quadform(m2: list[list[int]]) -> Fraction:
+    """max over sign vectors a in {-1,+1}^n of a^T M a, for M = m2/2.
+
+    `m2` is the doubled matrix with integer entries (exact).  n <= 20.
+    """
+    n = len(m2)
+    if n > 20:
+        raise ValueError("max_quadform is for small n")
+    mat = np.array(m2, dtype=np.int64)
+    best = None
+    total = 1 << n
+    step = 1 << min(16, n)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        signs = np.empty((idx.shape[0], n), dtype=np.int64)
+        for i in range(n):
+            signs[:, i] = 2 * ((idx >> i) & 1) - 1
+        vals = np.einsum("ai,ij,aj->a", signs, mat, signs)
+        blockmax = int(vals.max())
+        best = blockmax if best is None else max(best, blockmax)
+    return Fraction(best, 2)

@@ -44,12 +44,18 @@ from fkocert import (
 )
 from fkocert.cnf import all_assignments, imbalance, is_3xor, to_dimacs
 from fkocert.exactq import grid_denominator, snap_up_to_grid
-from fkocert.oracle import brute_force_unsat, max_quadform
 from fkocert.spectral import CertificationError, certified_quadform_bound
 from fkocert.tc0frege import Not, Sequent, free_vars
 from fkocert.cli import main as cli_main
 
-from conftest import nae_counts, not3xor_counts, planted_block, sat_literal_counts
+from conftest import (
+    brute_force_unsat,
+    max_quadform,
+    nae_counts,
+    not3xor_counts,
+    planted_block,
+    sat_literal_counts,
+)
 from test_tc0frege import LIBRARY, _mutants, _random_constant
 
 

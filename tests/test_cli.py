@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -153,8 +155,33 @@ def test_oracle_reaches_its_default_cap(tmp_path, capsys):
 
 def test_oracle_cap(tmp_path, capsys):
     p = tmp_path / "big.cnf"
-    p.write_text(to_dimacs(gen_random_3cnf(30, 40, seed=0)))
-    assert main(["oracle", "--cnf", str(p), "--oracle-cap", "20"]) == 2
+    p.write_text(to_dimacs(gen_random_3cnf(26, 40, seed=0)))
+    assert main(["oracle", "--cnf", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=26 exceeds brute-force cap 25\n"
+
+
+def test_oracle_help_lists_no_cap_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle", "--help"])
+    out = capsys.readouterr().out
+    assert "--cnf" in out and "--oracle-cap" not in out
+
+
+def test_oracle_runs_without_numpy(tmp_path, capsys):
+    path = str(_block_path(tmp_path))
+    assert main(["oracle", "--cnf", path]) == 0
+    want = capsys.readouterr().out
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "import fkocert\n"
+        "import fkocert.cli\n"
+        f"raise SystemExit(fkocert.cli.main(['oracle', '--cnf', {path!r}]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, want, "")
 
 
 def test_checkproof_accepts(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import fkocert.oracle as oracle
 from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
 from fkocert.cnf import (
     all_assignments,
@@ -18,7 +19,14 @@ from fkocert.cnf import (
     to_signs,
     true_literal_count,
 )
-from conftest import nae_counts, not3xor_counts, planted_block, sat_literal_counts
+from conftest import (
+    brute_force_unsat,
+    nae_counts,
+    not3xor_counts,
+    planted_block,
+    sat_literal_counts,
+    table_report,
+)
 
 
 def lit_positions(cnf, var, pol):
@@ -374,34 +382,79 @@ def test_oracle_counting_agrees_with_direct():
 
 
 def test_brute_force_unsat():
-    from fkocert.oracle import brute_force_unsat
-
     assert brute_force_unsat(planted_block(1))
     assert not brute_force_unsat(Cnf(3, (C123,)))
     assert not brute_force_unsat(Cnf(3, ()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=26 exceeds brute-force cap 25"):
         brute_force_unsat(gen_random_3cnf(26, 10, 0))
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 20])
 def test_brute_force_report_matches_per_assignment_counts(monkeypatch, chunk_bits):
-    import fkocert.oracle as oracle
-
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
     cases = [Cnf(3, ()), Cnf(3, (C123,)), planted_block(1), planted_block(2)]
     cases += [gen_random_3cnf(n, m, seed) for n, m in [(3, 4), (6, 18), (9, 40)]
               for seed in range(3)]
     for cnf in cases:
-        want = (oracle.brute_force_unsat(cnf),
-                int(nae_counts(cnf).max()) if cnf.m else 0,
-                int(not3xor_counts(cnf).min()) if cnf.m else 0)
-        assert oracle.brute_force_report(cnf) == want, cnf
+        assert oracle.brute_force_report(cnf) == table_report(cnf), cnf
     with pytest.raises(ValueError):
         oracle.brute_force_report(gen_random_3cnf(26, 10, 0))
 
 
-def test_brute_force_independent_of_chunking():
+def test_brute_force_independent_of_chunking(monkeypatch):
     cnf = planted_block(2)  # n=6
-    from fkocert.oracle import brute_force_unsat
+    want = oracle.brute_force_report(cnf)
+    for chunk_bits in (0, 1, 3, 6):
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        assert oracle.brute_force_report(cnf) == want
 
-    assert brute_force_unsat(cnf, cap=25) == brute_force_unsat(cnf, cap=6)
+
+@st.composite
+def oracle_cnfs(draw):
+    """n = 3..12 and m = 0..40, sometimes with one variable triple carrying
+    all eight polarity patterns, so unsatisfiable formulas come up too."""
+    n = draw(st.integers(3, 12))
+    triple = st.sets(st.integers(1, n), min_size=3, max_size=3).map(sorted)
+    clauses = [Clause(tuple(draw(triple)), draw(st.tuples(*[st.integers(0, 1)] * 3)))
+               for _ in range(draw(st.integers(0, 40)))]
+    if draw(st.booleans()):
+        trip = tuple(draw(triple))
+        clauses += [Clause(trip, (b >> 2 & 1, b >> 1 & 1, b & 1)) for b in range(8)]
+    return Cnf(n, tuple(draw(st.permutations(clauses))))
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3, 20])
+def test_brute_force_report_matches_tables(chunk_bits):
+    @settings(max_examples=60)
+    @given(oracle_cnfs())
+    @example(Cnf(12, ()))
+    def check(cnf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+            assert oracle.brute_force_report(cnf) == table_report(cnf)
+
+    check()
+
+
+def _on_used_vars(cnf: Cnf) -> Cnf:
+    """cnf over its used variables only, renumbered 1..k in order: the
+    same clauses on fewer assignments, so the same three counts."""
+    used = sorted({v for cl in cnf.clauses for v in cl.vars})
+    rename = {v: i + 1 for i, v in enumerate(used)}
+    return Cnf(len(used), tuple(Clause(tuple(rename[v] for v in cl.vars), cl.pols)
+                                for cl in cnf.clauses))
+
+
+def test_brute_force_report_across_blocks():
+    # n = 21 and 22 at the default 2^20-assignment blocks: x_21 and x_22
+    # are constant within a block and change between blocks
+    assert oracle._CHUNK_BITS == 20
+    block = [Clause((20, 21, 22), (b >> 2 & 1, b >> 1 & 1, b & 1)) for b in range(8)]
+    cases = [Cnf(21, ()), Cnf(22, ()), Cnf(22, tuple(block)),
+             Cnf(22, tuple(block[:7]) + (Clause((1, 2, 21), (0, 1, 0)),)),
+             Cnf(21, (Clause((19, 20, 21), (1, 0, 1)),) * 3)]
+    cases += [gen_random_3cnf(n, 5, seed) for n in (21, 22) for seed in range(3)]
+    for cnf in cases:
+        want = table_report(_on_used_vars(cnf)) if cnf.m else (False, 0, 0)
+        assert oracle.brute_force_report(cnf) == want, cnf
+    assert oracle.brute_force_report(Cnf(22, tuple(block)))[0]

@@ -23,9 +23,8 @@ from fkocert import (
 )
 from fkocert.cnf import all_assignments, count_nae, to_signs
 from fkocert.exactq import grid_denominator, snap_to_grid
-from fkocert.oracle import max_quadform
 from fkocert.spectral import CertReport
-from conftest import planted_block
+from conftest import max_quadform, planted_block
 from test_acceptance import (
     _honest_cert,
     _ladder_formulas,

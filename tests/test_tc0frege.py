@@ -477,6 +477,17 @@ def test_decide_random_formulas():
             assert eval_sequent(st.seq, {})
 
 
+@pytest.mark.parametrize("width,value", [(1_200, True), (1_200, False), (5_000, True)])
+def test_decide_wide_threshold(width, value):
+    # one level deep and `width` children: the suffixes are proved in a
+    # loop, so no recursion grows with the width
+    f = Th(1 if value else 2, (BOT,) * (width - 1) + (TOP,))
+    proof = decide_constant_formula(f)
+    assert proof.final == Sequent((), (f if value else Not(f),))
+    res = check_proof(proof)
+    assert res.valid, res.message
+
+
 def test_decide_memoizes_repeated_subformulas():
     kids = tuple(TOP if i % 3 else BOT for i in range(24))
     wide = Th(13, kids)
@@ -618,6 +629,9 @@ _WALKERS = {
     "eval_formula": lambda f: eval_formula(f, {1: True}),
     "format_formula": format_formula,
     "decide_constant_formula": decide_constant_formula,
+    "substitute_formula": lambda f: substitute_formula(f, {1: True}),
+    "substitute": lambda f: substitute(
+        TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),)), {1: True}),
 }
 
 

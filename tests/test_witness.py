@@ -37,12 +37,11 @@ from fkocert import (
 )
 from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator, snap_up_to_grid
-from fkocert.oracle import brute_force_unsat
 from fkocert.spectral import C_MAX
 from fkocert.spectral import certified_quadform_bound, tolerances
 from fkocert.tuples import check_collection
 from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _t_needed, _threshold
-from conftest import nae_counts, not3xor_counts, planted_block
+from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_block
 from test_acceptance import _noisy_blocks
 
 F = Fraction
