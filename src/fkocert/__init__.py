@@ -3,9 +3,10 @@
 The pipeline: build the clause-polarity matrix M, certify an upper bound
 U on max_a aᵀMa from snapped eigendata (all arithmetic exact rationals),
 measure the polarity imbalance I, and search for a collection of t
-inconsistent even k-tuples with clause reuse at most d.  When
-t > d·(I+U)/2 the formula is unsatisfiable, and `verify_witness`
-re-derives every conjunct before accepting.  A sequent-calculus checker
+inconsistent even k-tuples with clause reuse at most d.
+`build_witness` returns the best witness it finds and never judges it:
+`verify_witness` re-derives every conjunct and accepts exactly when
+t > d·(I+U)/2, which makes the formula unsatisfiable.  A sequent-calculus checker
 for threshold-connective proofs rides along for the propositional side.
 """
 
@@ -13,13 +14,8 @@ from .cnf import (
     Clause,
     Cnf,
     DimacsError,
-    all_assignments,
-    count_nae,
-    count_sat_literals,
     gen_random_3cnf,
     imbalance,
-    is_3xor,
-    is_nae,
     parse_dimacs,
     to_dimacs,
 )
@@ -77,13 +73,8 @@ __all__ = [
     "Clause",
     "Cnf",
     "DimacsError",
-    "all_assignments",
-    "count_nae",
-    "count_sat_literals",
     "gen_random_3cnf",
     "imbalance",
-    "is_3xor",
-    "is_nae",
     "parse_dimacs",
     "to_dimacs",
     "CertReport",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,15 +27,11 @@ from .spectral import (  # noqa: F401
     _check_c,
     approx_eigen,
     build_m,
-    certified_quadform_bound,
     certify_eigvalbound,
 )
 from .tc0frege import check_proof, parse_proof
-from .tuples import CollectionSearchError
 from .witness import (
-    _collect,
-    _spectral_stage,
-    _t_needed,
+    FkoWitness,
     build_witness,
     verify_witness,
     witness_from_json,
@@ -63,6 +60,11 @@ def _load_cnf(path: str) -> Cnf:
     return parse_dimacs(_read(path))
 
 
+def _build(cnf: Cnf, args: argparse.Namespace) -> FkoWitness:
+    return build_witness(cnf, c=args.c, d=args.d, k_max=args.k_max,
+                         seed=args.seed, budget=args.budget)
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -82,29 +84,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     cnf = _load_cnf(args.cnf)
     try:
-        wit = build_witness(
-            cnf,
-            c=args.c,
-            d=args.d,
-            k_max=args.k_max,
-            seed=args.seed,
-            budget=args.budget,
-        )
-    except CollectionSearchError as e:
-        _err(
-            json.dumps(
-                {
-                    "built": False,
-                    "stage": "collection",
-                    "best_t": e.best.t,
-                    "t_target": e.t_target,
-                    "candidates": e.candidates,
-                    "budget_hit": e.budget_hit,
-                },
-                sort_keys=True,
-            )
-        )
-        return 1
+        wit = _build(cnf, args)
     except (CertificationError, SpectralPrecisionError) as e:
         _err(json.dumps({"built": False, "stage": "spectral", "detail": str(e)},
                         sort_keys=True))
@@ -124,15 +104,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     cnf = _load_cnf(args.cnf)
     try:
-        wit = build_witness(
-            cnf,
-            c=args.c,
-            d=args.d,
-            k_max=args.k_max,
-            seed=args.seed,
-            budget=args.budget,
-        )
-    except (CollectionSearchError, CertificationError, SpectralPrecisionError) as e:
+        wit = _build(cnf, args)
+    except (CertificationError, SpectralPrecisionError) as e:
         print(json.dumps({"accepted": False, "reason": "Build", "detail": str(e)},
                          sort_keys=True))
         return 1
@@ -172,29 +145,18 @@ def cmd_checkproof(args: argparse.Namespace) -> int:
 
 
 def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
-    """One pipeline run.  Module-level so it pickles for worker processes."""
+    """One pipeline run: build, then verify; t_needed is the least t above
+    the verifier's threshold.  Module-level so it pickles for worker
+    processes."""
     n, m, seed, c, d, k_max, budget = job
     cnf = gen_random_3cnf(n, m, seed)
-    t_found = ""
-    t_needed = ""
-    lam = ""
-    accepted = 0
     try:
-        stage = _spectral_stage(cnf, c)
-    except SpectralPrecisionError:
-        return (n, m, seed, t_found, t_needed, lam, str(imbalance(cnf)), accepted)
-    imb, mat, cert, report = stage
-    try:
-        need = _t_needed(d, imb, certified_quadform_bound(mat, cert, report))
-        lam, t_needed = str(cert.lambdas[0]), str(need)
-        wit = _collect(cnf, *stage, d=d, k_max=k_max, seed=seed, budget=budget)
-        t_found = str(wit.coll.t)
-        accepted = int(verify_witness(cnf, wit).accepted)
-    except CollectionSearchError as e:
-        t_found = str(e.best.t)
-    except CertificationError:
-        pass
-    return (n, m, seed, t_found, t_needed, lam, str(imb), accepted)
+        wit = build_witness(cnf, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
+    except (CertificationError, SpectralPrecisionError):
+        return (n, m, seed, "", "", "", str(imbalance(cnf)), 0)
+    verdict = verify_witness(cnf, wit)
+    return (n, m, seed, str(wit.coll.t), str(math.floor(verdict.threshold) + 1),
+            str(wit.lam), str(wit.imb), int(verdict.accepted))
 
 
 def _int_list(text: str) -> list[int]:

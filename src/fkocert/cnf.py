@@ -1,4 +1,4 @@
-"""3CNF formulas: clauses, assignments, DIMACS io, random model, counts.
+"""3CNF formulas: clauses, DIMACS io, the random model and the imbalance.
 
 A clause holds exactly three literals over pairwise distinct variables.
 Variables are numbered 1..n, polarity 1 means the positive literal x_i,
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, TypeVar
 
-Assignment = Sequence[int]
-SignVector = Sequence[int]
 _T = TypeVar("_T", "Clause", "Cnf")
 
 __all__ = [
@@ -24,18 +22,7 @@ __all__ = [
     "parse_dimacs",
     "to_dimacs",
     "gen_random_3cnf",
-    "lit_true",
-    "not_sat",
-    "is_nae",
-    "is_3xor",
-    "true_literal_count",
-    "count_sat_literals",
-    "count_nae",
-    "i_imbalance",
     "imbalance",
-    "to_signs",
-    "from_signs",
-    "all_assignments",
 ]
 
 
@@ -96,73 +83,14 @@ def _unchecked(cls: type[_T], first: object, second: object) -> _T:
     return obj
 
 
-def lit_true(assignment: Assignment, var: int, pol: int) -> bool:
-    return assignment[var - 1] == pol
-
-
-def true_literal_count(clause: Clause, assignment: Assignment) -> int:
-    return sum(1 for v, p in clause.literals() if lit_true(assignment, v, p))
-
-
-def not_sat(clause: Clause, assignment: Assignment) -> bool:
-    """All three literals false."""
-    return true_literal_count(clause, assignment) == 0
-
-
-def is_nae(clause: Clause, assignment: Assignment) -> bool:
-    """Not-all-equal satisfied: literal values neither all true nor all false."""
-    return true_literal_count(clause, assignment) in (1, 2)
-
-
-def is_3xor(clause: Clause, assignment: Assignment) -> bool:
-    """Odd number (1 or 3) of true literals."""
-    return true_literal_count(clause, assignment) % 2 == 1
-
-
-def count_sat_literals(cnf: Cnf, assignment: Assignment) -> int:
-    return sum(true_literal_count(cl, assignment) for cl in cnf.clauses)
-
-
-def count_nae(cnf: Cnf, assignment: Assignment) -> int:
-    return sum(1 for cl in cnf.clauses if is_nae(cl, assignment))
-
-
-def i_imbalance(cnf: Cnf, var: int) -> int:
-    """|#positive occurrences of x_var - #negative occurrences|."""
-    pos = neg = 0
-    for cl in cnf.clauses:
-        for v, p in cl.literals():
-            if v == var:
-                if p:
-                    pos += 1
-                else:
-                    neg += 1
-    return abs(pos - neg)
-
-
 def imbalance(cnf: Cnf) -> int:
-    """Sum of i_imbalance over all variables, in one pass over the clauses."""
+    """I = sum over variables of |#positive - #negative occurrences|, in one
+    pass over the clauses."""
     skew = [0] * (cnf.n + 1)
     for cl in cnf.clauses:
         for v, p in zip(cl.vars, cl.pols):
             skew[v] += 2 * p - 1
     return sum(map(abs, skew))
-
-
-def to_signs(assignment: Assignment) -> tuple[int, ...]:
-    return tuple(2 * b - 1 for b in assignment)
-
-
-def from_signs(signs: SignVector) -> tuple[int, ...]:
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("sign vector entries must be +-1")
-    return tuple((s + 1) // 2 for s in signs)
-
-
-def all_assignments(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n assignments; bit i-1 of the counter is the value of x_i."""
-    for idx in range(1 << n):
-        yield tuple((idx >> i) & 1 for i in range(n))
 
 
 # ---------------------------------------------------------------- DIMACS --

@@ -2,9 +2,10 @@
 
 The matrix M of a 3CNF K has M_ij = sum over clauses of +-1/2: +1/2 when
 x_i and x_j co-occur with different polarity, -1/2 with equal polarity.
-For every sign vector a, a^T M a = 4 * count_nae(K, A) - 3m, so an upper
-bound on the quadratic form over sign vectors caps how many clauses any
-assignment can NAE-satisfy.
+For every sign vector a of an assignment A, a^T M a = 4 * nae - 3m, nae
+the number of clauses A NAE-satisfies, so an upper bound on the quadratic
+form over sign vectors caps how many clauses any assignment can
+NAE-satisfy.
 
 A certificate is a snapped approximate eigendecomposition (lambdas, V)
 whose quality is *certified* in exact rational arithmetic; the certified

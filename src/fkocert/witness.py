@@ -10,7 +10,9 @@ with slack recomputed from the certificate in rational arithmetic.  Any
 satisfying assignment would NAE-satisfy at most (lambda*n + slack + 3m)/4
 clauses, hence leave at most (I + lambda*n + slack)/2 clauses with exactly
 two true literals, yet the collection forces at least ceil(t/d) non-3XOR
-clauses -- so acceptance certifies unsatisfiability.
+clauses -- so acceptance certifies unsatisfiability.  build_witness
+returns the best witness it finds, whatever its t: the threshold is
+formed only in verify_witness.
 
 The verifier trusts nothing: I and M are recomputed from K, the
 certificate residuals are recomputed exactly, and the collection is
@@ -34,7 +36,6 @@ from .cnf import Cnf, imbalance
 from .exactq import QMat, grid_denominator, snap_up_to_grid
 from .spectral import (
     CertificationError,
-    CertReport,
     SpectralCert,
     approx_eigen,
     build_m,
@@ -122,28 +123,30 @@ def _threshold(d: int, imb: int, u: Fraction) -> Fraction:
     return Fraction(d) * (imb + u) / 2
 
 
-def _t_needed(d: int, imb: int, u: Fraction) -> int:
-    """Least t the verifier accepts: floor(d*(I+U)/2) + 1."""
-    return math.floor(_threshold(d, imb, u)) + 1
+def build_witness(
+    cnf: Cnf,
+    c: int = 8,
+    d: int = 4,
+    k_max: int = 4,
+    seed: int = 0,
+    budget: int = 50_000,
+) -> FkoWitness:
+    """Construct the best witness the builder finds: the imbalance, M, a
+    certificate for M and the largest collection the tuple search packs.
 
-
-def _spectral_stage(
-    cnf: Cnf, c: int
-) -> tuple[int, QMat, SpectralCert, CertReport]:
-    """Imbalance, clause-polarity matrix, snapped eigendata and its
-    certification report (pass or fail) -- the builder's spectral half."""
+    The builder never compares t with d*(I+U)/2; only verify_witness
+    decides acceptance, so a near miss comes back as a witness the
+    verifier rejects at `inequality`.  Raises CertificationError when the
+    snapped eigendata fails its own certification, and
+    SpectralPrecisionError when approx_eigen misses its precision target.
+    """
     imb = imbalance(cnf)
     mat = build_m(cnf)
     cert = approx_eigen(mat, c)
-    return imb, mat, cert, certify_eigvalbound(mat, cert)
-
-
-def _collect(cnf: Cnf, imb: int, mat: QMat, cert: SpectralCert, report: CertReport,
-             d: int, k_max: int, seed: int, budget: int) -> FkoWitness:
-    """The builder's collection half, on a spectral stage's results."""
-    bound = certified_quadform_bound(mat, cert, report)
-    coll = find_collection(cnf, k_max=k_max, d=d, t_target=_t_needed(d, imb, bound),
-                           seed=seed, budget=budget)
+    report = certify_eigvalbound(mat, cert)
+    if not report.passed:
+        raise CertificationError(report)
+    coll = find_collection(cnf, k_max=k_max, d=d, t_target=0, seed=seed, budget=budget)
     n, c = max(cnf.n, 1), cert.c
     epsilon = snap_up_to_grid(max(report.slack, Fraction(1, grid_denominator(n, c))), n, c)
     return FkoWitness(
@@ -157,26 +160,6 @@ def _collect(cnf: Cnf, imb: int, mat: QMat, cert: SpectralCert, report: CertRepo
         coll=coll,
         epsilon=epsilon,
     )
-
-
-def build_witness(
-    cnf: Cnf,
-    c: int = 8,
-    d: int = 4,
-    k_max: int = 4,
-    seed: int = 0,
-    budget: int = 50_000,
-) -> FkoWitness:
-    """Construct a witness: certificate first, then a collection with
-    t_target = floor(d*(I+U)/2) + 1, the least t the verifier accepts.
-
-    Raises CertificationError when the snapped eigendata fails its own
-    certification, CollectionSearchError when the tuple search cannot
-    reach t_target (carrying the best collection found, the candidates
-    per search source and whether `budget` cut the search short).
-    """
-    return _collect(cnf, *_spectral_stage(cnf, c), d=d, k_max=k_max,
-                    seed=seed, budget=budget)
 
 
 def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:

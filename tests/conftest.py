@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -33,6 +34,71 @@ def planted_block(blocks: int) -> Cnf:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+# ------------------------------------------ per-assignment clause counts
+# An assignment is a sequence of n bits, index i-1 holding x_i; its sign
+# vector is a(i) = 2*A(i) - 1.
+
+
+def lit_true(assignment: Sequence[int], var: int, pol: int) -> bool:
+    return assignment[var - 1] == pol
+
+
+def true_literal_count(clause: Clause, assignment: Sequence[int]) -> int:
+    return sum(1 for v, p in clause.literals() if lit_true(assignment, v, p))
+
+
+def not_sat(clause: Clause, assignment: Sequence[int]) -> bool:
+    """All three literals false."""
+    return true_literal_count(clause, assignment) == 0
+
+
+def is_nae(clause: Clause, assignment: Sequence[int]) -> bool:
+    """Not-all-equal satisfied: literal values neither all true nor all false."""
+    return true_literal_count(clause, assignment) in (1, 2)
+
+
+def is_3xor(clause: Clause, assignment: Sequence[int]) -> bool:
+    """Odd number (1 or 3) of true literals."""
+    return true_literal_count(clause, assignment) % 2 == 1
+
+
+def count_sat_literals(cnf: Cnf, assignment: Sequence[int]) -> int:
+    return sum(true_literal_count(cl, assignment) for cl in cnf.clauses)
+
+
+def count_nae(cnf: Cnf, assignment: Sequence[int]) -> int:
+    return sum(1 for cl in cnf.clauses if is_nae(cl, assignment))
+
+
+def i_imbalance(cnf: Cnf, var: int) -> int:
+    """|#positive occurrences of x_var - #negative occurrences|."""
+    pos = neg = 0
+    for cl in cnf.clauses:
+        for v, p in cl.literals():
+            if v == var:
+                if p:
+                    pos += 1
+                else:
+                    neg += 1
+    return abs(pos - neg)
+
+
+def to_signs(assignment: Sequence[int]) -> tuple[int, ...]:
+    return tuple(2 * b - 1 for b in assignment)
+
+
+def from_signs(signs: Sequence[int]) -> tuple[int, ...]:
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("sign vector entries must be +-1")
+    return tuple((s + 1) // 2 for s in signs)
+
+
+def all_assignments(n: int) -> Iterator[tuple[int, ...]]:
+    """All 2^n assignments; bit i-1 of the counter is the value of x_i."""
+    for idx in range(1 << n):
+        yield tuple((idx >> i) & 1 for i in range(n))
 
 
 def brute_force_unsat(cnf: Cnf) -> bool:

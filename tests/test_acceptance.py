@@ -26,7 +26,6 @@ from fkocert import (
     Cnf,
     CollectionSearchError,
     FkoWitness,
-    TupleCollection,
     approx_eigen,
     build_m,
     build_witness,
@@ -42,14 +41,15 @@ from fkocert import (
     verify_witness,
     witness_to_json,
 )
-from fkocert.cnf import all_assignments, imbalance, is_3xor, to_dimacs
-from fkocert.exactq import grid_denominator, snap_up_to_grid
+from fkocert.cnf import imbalance, to_dimacs
 from fkocert.spectral import CertificationError, certified_quadform_bound
 from fkocert.tc0frege import Not, Sequent, free_vars
 from fkocert.cli import main as cli_main
 
 from conftest import (
+    all_assignments,
     brute_force_unsat,
+    is_3xor,
     max_quadform,
     nae_counts,
     not3xor_counts,
@@ -70,28 +70,6 @@ def _honest_cert(cnf: Cnf):
     Fraction-reference check in test_spectral reuses the gate's work."""
     mat = build_m(cnf)
     return mat, approx_eigen(mat, 8)
-
-
-def _bundle(cnf: Cnf, coll: TupleCollection) -> FkoWitness | None:
-    """Assemble a witness around a pre-found collection; None when the
-    spectral stage itself cannot certify."""
-    mat, cert = _honest_cert(cnf)
-    rep = certify_eigvalbound(mat, cert)
-    if not rep.passed:
-        return None
-    unit = Fraction(1, grid_denominator(cnf.n, 8))
-    eps = snap_up_to_grid(max(rep.slack, unit), cnf.n, 8)
-    return FkoWitness(n=cnf.n, m=cnf.m, c=8, imb=imbalance(cnf), mat=mat,
-                      cert=cert, lam=cert.lambdas[0], coll=coll, epsilon=eps)
-
-
-def _try_witness(cnf: Cnf, seed: int = 0) -> FkoWitness | None:
-    try:
-        return build_witness(cnf, budget=20_000, seed=seed)
-    except CollectionSearchError as e:
-        return _bundle(cnf, e.best)
-    except CertificationError:
-        return None
 
 
 def _noisy_blocks(blocks: int, extra: int, seed: int) -> Cnf:
@@ -145,7 +123,11 @@ def test_soundness_zero_tolerance():
                 counterexamples += 1
 
     for cnf, seed in _soundness_formulas():
-        judge(cnf, _try_witness(cnf, seed=seed))
+        try:
+            wit = build_witness(cnf, budget=20_000, seed=seed)
+        except CertificationError:
+            wit = None
+        judge(cnf, wit)
 
     # adversarially mutated witnesses: donor certificates and collections
     # grafted onto satisfiable formulas, plus tampered genuine witnesses

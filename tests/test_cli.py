@@ -1,19 +1,26 @@
 """End-to-end command-line tests driven through main()."""
 
+import ast
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fkocert.witness
+from fkocert import approx_eigen, build_m, certify_eigvalbound
 from fkocert.cli import build_parser, main
-from fkocert.cnf import gen_random_3cnf, to_dimacs
+from fkocert.cnf import gen_random_3cnf, imbalance, to_dimacs
 from fkocert.tc0frege import MAX_DEPTH
 from fkocert.witness import witness_from_json, witness_to_json
 
 from conftest import planted_block
 from test_witness import _huge_d_text
+
+CLI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "fkocert" / "cli.py"
 
 
 PROOF_OK = """\
@@ -64,13 +71,16 @@ def test_refute_accepts_planted_block(tmp_path, capsys):
 
 
 def test_refute_reports_build_failure(tmp_path, capsys):
+    # the builder returns its best witness, t = 0 here; the verdict says
+    # where it falls short
     p = tmp_path / "one.cnf"
     p.write_text("p cnf 5 1\n1 -2 3 0\n")
     rc = main(["refute", "--cnf", str(p)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert out["accepted"] is False
-    assert out["reason"] == "Build"
+    assert out["reason"] == "inequality"
+    assert set(out["threshold"]) == {"num", "den"}
 
 
 def test_witness_then_verify_round_trip(tmp_path, capsys):
@@ -100,29 +110,19 @@ def test_verify_rejects_tampered_witness(tmp_path, capsys):
 
 
 def test_witness_build_failure_exits_1(tmp_path, capsys):
+    # `witness` writes the t = 0 near miss; `verify` rejects it
     p = tmp_path / "one.cnf"
     p.write_text("p cnf 5 1\n1 -2 3 0\n")
-    rc = main(["witness", "--cnf", str(p), "--out", str(tmp_path / "w.json")])
+    wit_path = tmp_path / "w.json"
+    rc = main(["witness", "--cnf", str(p), "--out", str(wit_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(wit_path.read_text())["D"]["t"] == 0
+    rc = main(["verify", "--cnf", str(p), "--witness", str(wit_path)])
     assert rc == 1
-    err = capsys.readouterr().err
-    blob = json.loads(err)
-    assert blob["built"] is False
-    assert blob["stage"] == "collection"
-
-
-def test_witness_build_failure_reports_search_sources(tmp_path, capsys):
-    p = tmp_path / "one.cnf"
-    p.write_text("p cnf 5 1\n1 -2 3 0\n")
-    rc = main(["witness", "--cnf", str(p), "--out", str(tmp_path / "w.json")])
-    assert rc == 1
-    blob = json.loads(capsys.readouterr().err)
-    assert blob["candidates"] == {"pairs": 0, "quads": 0, "elimination": 0}
-    assert blob["budget_hit"] is False
-    rc = main(["refute", "--cnf", str(p)])
-    assert rc == 1
-    detail = json.loads(capsys.readouterr().out)["detail"]
-    assert "0 pairs, 0 quads, 0 elimination" in detail
-    assert "budget not hit" in detail
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["reason"] == "inequality"
+    assert verdict["threshold"] is not None
 
 
 def test_oracle_on_block(tmp_path, capsys):
@@ -340,3 +340,36 @@ def test_builder_rejects_grid_exponent_out_of_range(tmp_path, c):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--cnf", str(_block_path(tmp_path)), "--c", c])
     assert exc.value.code == 2
+
+
+def test_sweep_t_needed_is_least_t_above_d_i_plus_u_over_2(capsys, monkeypatch):
+    # computed as perfbench's stage pass does: floor(d*(I+U)/2) + 1 with
+    # U = lambdas[0]*n + slack from one certification, d = 4, c = 8
+    ns = [6, 8, 10, 12, 14]
+    ms = [math.floor(3 * n ** 1.4) for n in ns]
+    monkeypatch.setenv("FKO_THREADS", "1")
+    assert main(["sweep", "--n", ",".join(map(str, ns)),
+                 "--m", ",".join(map(str, ms)), "--seeds", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 15
+    for row in rows:
+        n, m, seed = int(row["n"]), int(row["m"]), int(row["seed"])
+        cnf = gen_random_3cnf(n, m, seed)
+        mat = build_m(cnf)
+        cert = approx_eigen(mat, 8)
+        report = certify_eigvalbound(mat, cert)
+        u = cert.lambdas[0] * n + report.slack
+        want = math.floor(Fraction(4) * (imbalance(cnf) + u) / 2) + 1
+        assert report.passed and row["t_needed"] == str(want), row
+
+
+def test_cli_imports_no_private_builder_name():
+    tree = ast.parse(CLI_SOURCE.read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        if node.module in ("witness", "tuples", "fkocert.witness", "fkocert.tuples")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

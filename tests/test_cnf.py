@@ -6,21 +6,19 @@ from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
 from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
-from fkocert.cnf import (
+from fkocert.cnf import imbalance
+from conftest import (
     all_assignments,
+    brute_force_unsat,
     count_nae,
     count_sat_literals,
     from_signs,
     i_imbalance,
-    imbalance,
     is_3xor,
     is_nae,
     not_sat,
     to_signs,
     true_literal_count,
-)
-from conftest import (
-    brute_force_unsat,
     nae_counts,
     not3xor_counts,
     planted_block,

@@ -17,7 +17,6 @@ from fkocert import (
     is_even_tuple,
     is_inconsistent_tuple,
 )
-from fkocert.cnf import all_assignments, is_3xor
 from fkocert.tuples import (
     _elimination_candidates,
     _quad_candidates,
@@ -25,7 +24,7 @@ from fkocert.tuples import (
     _triple_starts,
     parity_vector,
 )
-from conftest import planted_block
+from conftest import all_assignments, is_3xor, planted_block
 
 POS = Clause((1, 2, 3), (1, 1, 1))
 NEG = Clause((1, 2, 3), (0, 0, 0))
@@ -121,6 +120,8 @@ def test_find_collection_single_clause_fails():
         find_collection(k, k_max=4, d=4, t_target=1)
     assert ei.value.best.t == 0
     assert ei.value.t_target == 1
+    assert ei.value.candidates == {"pairs": 0, "quads": 0, "elimination": 0}
+    assert not ei.value.budget_hit
 
 
 def test_find_collection_complementary_pair():

@@ -1,6 +1,8 @@
 import copy
 import functools
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +17,6 @@ from hypothesis import assume, given, settings
 from fkocert import (
     Clause,
     Cnf,
-    CollectionSearchError,
     FkoWitness,
     TupleCollection,
     SpectralCert,
@@ -26,7 +27,6 @@ from fkocert import (
     build_m,
     build_witness,
     certify_eigvalbound,
-    find_collection,
     gen_random_3cnf,
     is_inconsistent_tuple,
     nae_upper_bound,
@@ -36,30 +36,15 @@ from fkocert import (
     witness_to_json,
 )
 from fkocert.cnf import imbalance
-from fkocert.exactq import grid_denominator, snap_up_to_grid
+from fkocert.exactq import grid_denominator
 from fkocert.spectral import C_MAX
 from fkocert.spectral import certified_quadform_bound, tolerances
 from fkocert.tuples import check_collection
-from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _t_needed, _threshold
+from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _threshold
 from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_block
 from test_acceptance import _noisy_blocks
 
 F = Fraction
-
-
-def manual_witness(cnf, c=8, d=4, k_max=4, seed=0, t_target=1):
-    """Bundle whatever the pipeline produces without the builder's
-    t_target policy — lets tests exercise rejection paths."""
-    mat = build_m(cnf)
-    cert = approx_eigen(mat, c)
-    report = certify_eigvalbound(mat, cert)
-    coll = find_collection(cnf, k_max=k_max, d=d, t_target=t_target, seed=seed)
-    unit = F(1, grid_denominator(cnf.n, c))
-    eps = snap_up_to_grid(max(report.slack, unit), cnf.n, c)
-    return FkoWitness(
-        n=cnf.n, m=cnf.m, c=c, imb=imbalance(cnf),
-        mat=mat, cert=cert, lam=cert.lambdas[0], coll=coll, epsilon=eps,
-    )
 
 
 def test_planted_block_end_to_end():
@@ -91,9 +76,13 @@ def test_planted_multiblock_quantities(blocks):
 
 
 def test_single_clause_fails_at_collection():
+    # no inconsistent tuple exists: the builder returns t = 0, the verifier
+    # rejects it at the inequality
     cnf = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)),))
-    with pytest.raises(CollectionSearchError):
-        build_witness(cnf)
+    wit = build_witness(cnf)
+    assert wit.coll.t == 0
+    verdict = verify_witness(cnf, wit)
+    assert verdict.reason == "inequality" and verdict.threshold is not None
 
 
 def test_nae_bound_example():
@@ -107,7 +96,7 @@ def test_nae_bound_example():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_nae_bound_ignores_a_lowered_lambda_field(seed):
     cnf = gen_random_3cnf(8, 30, seed)
-    wit = manual_witness(cnf)
+    wit = build_witness(cnf)
     best = int(nae_counts(cnf).max())
     assert nae_upper_bound(cnf, wit) >= best
     low = replace(wit, lam=min(wit.cert.lambdas))
@@ -123,7 +112,7 @@ def test_nae_bound_ignores_a_lowered_lambda_field(seed):
                          ids=["accepted", "inequality"])
 @pytest.mark.parametrize("c", [1, 7, C_MAX + 1])
 def test_witness_c_field_gives_one_verdict_in_memory_and_from_json(cnf, c):
-    wit = replace(manual_witness(cnf), c=c)
+    wit = replace(build_witness(cnf), c=c)
     text = witness_to_json(wit)
     assert json.loads(text)["c"] == wit.cert.c
     assert verify_witness(cnf, witness_from_json(text)) == verify_witness(cnf, wit)
@@ -143,20 +132,34 @@ def test_inequality_arithmetic_in_isolation():
     assert t > rhs
 
 
+def _agreement_formulas():
+    """Random formulas with n <= 10 across densities, plus planted blocks
+    with and without noise, so that both verdicts occur."""
+    rng = random.Random(13)
+    for i in range(60):
+        n = rng.randint(3, 10)
+        yield gen_random_3cnf(n, rng.randint(1, 8 * n), seed=i)
+    for blocks in (1, 2, 3):
+        yield planted_block(blocks)
+        yield _noisy_blocks(blocks, 2 * blocks, seed=blocks)
+
+
 def test_builder_verifier_agreement_random():
-    seen = 0
-    for seed in range(12):
-        cnf = gen_random_3cnf(6, 30, seed)
-        try:
-            wit = build_witness(cnf)
-        except CollectionSearchError:
-            continue
-        seen += 1
-        assert verify_witness(cnf, wit).accepted
-        assert brute_force_unsat(cnf)
-    # most random instances at this size fail the builder; any that
-    # succeed must verify and must really be unsatisfiable
-    assert seen >= 0
+    accepted = rejected = 0
+    for cnf in _agreement_formulas():
+        wit = build_witness(cnf)
+        verdict = verify_witness(cnf, wit)
+        assert verdict.threshold is not None
+        assert verdict.accepted == (wit.coll.t > verdict.threshold)
+        if verdict.accepted:
+            accepted += 1
+            assert brute_force_unsat(cnf)
+        else:
+            rejected += 1
+            assert verdict.reason == "inequality"
+        back = verify_witness(cnf, witness_from_json(witness_to_json(wit)))
+        assert back.to_json() == verdict.to_json()
+    assert accepted >= 1 and rejected >= 1
 
 
 def test_verify_rejects_shape_mismatch():
@@ -181,7 +184,7 @@ def test_verify_rejects_inflated_t():
 def test_verify_rejects_wrong_imbalance():
     cnf = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)), Clause((1, 2, 3), (0, 0, 0)),
                   Clause((1, 2, 3), (1, 1, 0)), Clause((1, 2, 3), (0, 0, 1))))
-    wit = manual_witness(cnf)
+    wit = build_witness(cnf)
     assert wit.imb == imbalance(cnf)
     bad = replace(wit, imb=wit.imb + 2)
     v = verify_witness(cnf, bad)
@@ -218,7 +221,7 @@ def test_verify_rejects_wrong_lambda_field():
 def test_verify_rejects_short_collection():
     # valid small collection on an unbalanced instance: inequality fails
     cnf = gen_random_3cnf(8, 45, 3)
-    wit = manual_witness(cnf, t_target=1)
+    wit = build_witness(cnf)
     v = verify_witness(cnf, wit)
     assert not v.accepted
     assert v.reason == "inequality"
@@ -510,7 +513,7 @@ def _dense_text() -> tuple[Cnf, str]:
     at or below d*(I+lambda*n)/2, so the verifier rejects it at the
     inequality before it certifies."""
     cnf = gen_random_3cnf(28, 318, 1)  # m = floor(3 n^1.4)
-    return cnf, witness_to_json(manual_witness(cnf))
+    return cnf, witness_to_json(build_witness(cnf))
 
 
 @functools.cache
@@ -670,12 +673,13 @@ def test_early_rejection_is_at_or_below_the_bound():
 
 
 def test_t_needed_is_least_accepted_t():
+    # sweep's t_needed is floor(threshold) + 1
     # d*(I+U)/2 = 4*(3 + 1/2)/2 = 7: integral, the verifier needs t >= 8
-    assert _t_needed(4, 3, F(1, 2)) == 8
+    assert math.floor(_threshold(4, 3, F(1, 2))) + 1 == 8
     # d*(I+U)/2 = 1*(3 + 0)/2 = 3/2: fractional, t = 2 already exceeds it
-    assert _t_needed(1, 3, F(0)) == 2
+    assert math.floor(_threshold(1, 3, F(0))) + 1 == 2
     for d, imb, u in ((4, 3, F(1, 2)), (1, 3, F(0)), (3, 5, F(7, 3))):
-        t = _t_needed(d, imb, u)
+        t = math.floor(_threshold(d, imb, u)) + 1
         rhs = F(d) * (imb + u) / 2
         assert t > rhs and not t - 1 > rhs
 
@@ -932,7 +936,7 @@ def _differential_base(kind: str, size: int, seed: int) -> tuple[Cnf, FkoWitness
         cnf = _noisy_blocks(size, 2 * (seed % 3), seed)
     else:
         cnf = gen_random_3cnf(size, (3 + seed % 3) * size, seed)
-    return cnf, manual_witness(cnf)
+    return cnf, build_witness(cnf)
 
 
 @st.composite
