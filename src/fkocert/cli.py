@@ -22,7 +22,6 @@ from .oracle import brute_force_report
 # module: perfbench/spans.py traces the pipeline stages through these names
 from .spectral import (  # noqa: F401
     C_MAX,
-    CertificationError,
     SpectralPrecisionError,
     _check_c,
     approx_eigen,
@@ -85,7 +84,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     cnf = _load_cnf(args.cnf)
     try:
         wit = _build(cnf, args)
-    except (CertificationError, SpectralPrecisionError) as e:
+    except SpectralPrecisionError as e:
         _err(json.dumps({"built": False, "stage": "spectral", "detail": str(e)},
                         sort_keys=True))
         return 1
@@ -105,7 +104,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
     cnf = _load_cnf(args.cnf)
     try:
         wit = _build(cnf, args)
-    except (CertificationError, SpectralPrecisionError) as e:
+    except SpectralPrecisionError as e:
         print(json.dumps({"accepted": False, "reason": "Build", "detail": str(e)},
                          sort_keys=True))
         return 1
@@ -146,15 +145,18 @@ def cmd_checkproof(args: argparse.Namespace) -> int:
 
 def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
     """One pipeline run: build, then verify; t_needed is the least t above
-    the verifier's threshold.  Module-level so it pickles for worker
-    processes."""
+    the verifier's threshold.  A value a failed build or a failed
+    certification leaves unknown is empty.  Module-level so it pickles for
+    worker processes."""
     n, m, seed, c, d, k_max, budget = job
     cnf = gen_random_3cnf(n, m, seed)
     try:
         wit = build_witness(cnf, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
-    except (CertificationError, SpectralPrecisionError):
+    except SpectralPrecisionError:
         return (n, m, seed, "", "", "", str(imbalance(cnf)), 0)
     verdict = verify_witness(cnf, wit)
+    if verdict.threshold is None:
+        return (n, m, seed, str(wit.coll.t), "", "", str(wit.imb), 0)
     return (n, m, seed, str(wit.coll.t), str(math.floor(verdict.threshold) + 1),
             str(wit.lam), str(wit.imb), int(verdict.accepted))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "TcFormula",
@@ -101,6 +101,7 @@ class Th:
 
 
 TcFormula = Top | Bot | Var | Not | Th
+T = TypeVar("T")
 TOP = Top()
 BOT = Bot()
 # nesting bound, far above the constant depth of TC0 formulas: parse_proof
@@ -111,6 +112,10 @@ BOT = Bot()
 MAX_DEPTH = 100
 
 
+def _children(f: TcFormula) -> tuple[TcFormula, ...]:
+    return f.children if isinstance(f, Th) else (f.child,) if isinstance(f, Not) else ()
+
+
 def _too_deep(formulas: Sequence[TcFormula]) -> bool:
     """Whether a formula nests more than MAX_DEPTH deep: a walk by levels,
     without recursion, keeping one copy of each shared subformula."""
@@ -118,10 +123,21 @@ def _too_deep(formulas: Sequence[TcFormula]) -> bool:
     for _ in range(MAX_DEPTH + 1):
         if not level:
             return False
-        level = {id(ch): ch for f in level.values()
-                 for ch in (f.children if isinstance(f, Th)
-                            else (f.child,) if isinstance(f, Not) else ())}
+        level = {id(ch): ch for f in level.values() for ch in _children(f)}
     return bool(level)
+
+
+def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]:
+    """The walk f -> visit(f, walk), memoised by id: a shared subformula
+    costs one visit, not one per path to it, and its result is shared."""
+    memo: dict[int, T] = {}
+
+    def walk(f: TcFormula) -> T:
+        if id(f) not in memo:
+            memo[id(f)] = visit(f, walk)
+        return memo[id(f)]
+
+    return walk
 
 
 def _check_depth(f: TcFormula) -> None:
@@ -132,20 +148,11 @@ def _check_depth(f: TcFormula) -> None:
 def free_vars(f: TcFormula) -> set[int]:
     """Variable indices in f; ValueError when f nests past MAX_DEPTH."""
     _check_depth(f)
-    return _free_vars(f)
 
+    def names(f: TcFormula, walk: Callable[[TcFormula], set[int]]) -> set[int]:
+        return {f.index} if isinstance(f, Var) else set().union(*map(walk, _children(f)))
 
-def _free_vars(f: TcFormula) -> set[int]:
-    if isinstance(f, Var):
-        return {f.index}
-    if isinstance(f, Not):
-        return _free_vars(f.child)
-    if isinstance(f, Th):
-        out: set[int] = set()
-        for ch in f.children:
-            out |= _free_vars(ch)
-        return out
-    return set()
+    return _once(names)(f)
 
 
 def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
@@ -156,28 +163,31 @@ def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
 
 
 def _eval(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Var):
-        if f.index not in assignment:
-            raise ValueError(f"unbound variable p{f.index}")
-        return bool(assignment[f.index])
-    if isinstance(f, Not):
-        return not _eval(f.child, assignment)
-    if isinstance(f, Th):
-        need = f.i
-        if need == 0:
+    def value(f: TcFormula, walk: Callable[[TcFormula], bool]) -> bool:
+        if isinstance(f, Top):
             return True
-        true_so_far = 0
-        for ch in f.children:
-            if _eval(ch, assignment):
-                true_so_far += 1
-                if true_so_far >= need:
-                    return True
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+        if isinstance(f, Bot):
+            return False
+        if isinstance(f, Var):
+            if f.index not in assignment:
+                raise ValueError(f"unbound variable p{f.index}")
+            return bool(assignment[f.index])
+        if isinstance(f, Not):
+            return not walk(f.child)
+        if isinstance(f, Th):
+            need = f.i
+            if need == 0:
+                return True
+            true_so_far = 0
+            for ch in f.children:
+                if walk(ch):
+                    true_so_far += 1
+                    if true_so_far >= need:
+                        return True
+            return False
+        raise TypeError(f"not a formula: {f!r}")
+
+    return _once(value)(f)
 
 
 @dataclass(frozen=True)
@@ -419,15 +429,18 @@ def substitute_formula(
 
 
 def _substitute(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
-    if isinstance(f, Var):
-        if f.index in mapping:
-            return TOP if mapping[f.index] else BOT
+    def rebuilt(f: TcFormula, walk: Callable[[TcFormula], TcFormula]) -> TcFormula:
+        if isinstance(f, Var):
+            if f.index in mapping:
+                return TOP if mapping[f.index] else BOT
+            return f
+        if isinstance(f, Not):
+            return Not(walk(f.child))
+        if isinstance(f, Th):
+            return Th(f.i, tuple([walk(ch) for ch in f.children]))
         return f
-    if isinstance(f, Not):
-        return Not(_substitute(f.child, mapping))
-    if isinstance(f, Th):
-        return Th(f.i, tuple(_substitute(ch, mapping) for ch in f.children))
-    return f
+
+    return _once(rebuilt)(f)
 
 
 def substitute(proof: TcProof, mapping: Mapping[int, bool]) -> TcProof:
@@ -537,8 +550,8 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
     nest past MAX_DEPTH.  No step nests deeper than its last, so the proof
     passes check_proof.  ValueError when f itself nests past MAX_DEPTH."""
     _check_depth(f)
-    if _free_vars(f):
-        raise ValueError(f"formula has free variables: {sorted(_free_vars(f))}")
+    if free_vars(f):
+        raise ValueError(f"formula has free variables: {sorted(free_vars(f))}")
     em = _Emitter()
     value = _eval(f, {})
     below = em.prove(f, value)

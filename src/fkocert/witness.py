@@ -11,17 +11,17 @@ satisfying assignment would NAE-satisfy at most (lambda*n + slack + 3m)/4
 clauses, hence leave at most (I + lambda*n + slack)/2 clauses with exactly
 two true literals, yet the collection forces at least ceil(t/d) non-3XOR
 clauses -- so acceptance certifies unsatisfiability.  build_witness
-returns the best witness it finds, whatever its t: the threshold is
-formed only in verify_witness.
+returns the best witness it finds, whatever its t and uncertified: the
+threshold and the certification are formed only in verify_witness.
 
 The verifier trusts nothing: I and M are recomputed from K, the
 certificate residuals are recomputed exactly, and the collection is
 re-checked clause by clause.  The conjuncts run cheapest first: 3CNF,
-Coll, Imb, Mat, the certificate's dimension and lambda-max, then the
-O(n) comparison of t with d*(I + lambdas[0]*n)/2, and only then the
-cubic certification (EigValBound) and the exact inequality.  Every term
-of the slack is >= 0, so U >= lambdas[0]*n and a t at or below the
-cheap bound fails the inequality whatever the certificate holds.
+Coll, Imb, the certificate's dimension and lambda-max, then the O(n)
+comparison of t with d*(I + lambdas[0]*n)/2, and only then the cubic
+certification (EigValBound) and the exact inequality.  Every term of
+the slack is >= 0, so U >= lambdas[0]*n and a t at or below the cheap
+bound fails the inequality whatever the certificate holds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .cnf import Cnf, imbalance
-from .exactq import QMat, grid_denominator, snap_up_to_grid
+from .exactq import QMat
 from .spectral import (
     CertificationError,
     SpectralCert,
@@ -60,6 +60,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FkoWitness:
+    """A witness as built or parsed.  `mat`, the builder's M, and `epsilon`
+    are neither read by verify_witness nor written to JSON."""
+
     n: int
     m: int
     c: int
@@ -68,17 +71,13 @@ class FkoWitness:
     cert: SpectralCert
     lam: Fraction
     coll: TupleCollection
-    epsilon: Fraction
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+    epsilon: Fraction | None = None
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of verification: either the first failed conjunct (one of
-    3CNF, Coll, Imb, Mat, EigValBound, lambda-max, inequality) or the
+    3CNF, Coll, Imb, EigValBound, lambda-max, inequality) or the
     certified quantities.
 
     `threshold` is the bound t was compared with: d*(I+U)/2, U the
@@ -134,31 +133,27 @@ def build_witness(
     """Construct the best witness the builder finds: the imbalance, M, a
     certificate for M and the largest collection the tuple search packs.
 
-    The builder never compares t with d*(I+U)/2; only verify_witness
-    decides acceptance, so a near miss comes back as a witness the
-    verifier rejects at `inequality`.  Raises CertificationError when the
-    snapped eigendata fails its own certification, and
-    SpectralPrecisionError when approx_eigen misses its precision target.
+    The builder neither certifies the certificate nor compares t with
+    d*(I+U)/2; only verify_witness does, so a near miss comes back as a
+    witness the verifier rejects at `inequality`, and a certificate that
+    fails certification as one it rejects at `EigValBound` or earlier at
+    `inequality`.  For n = 0 the certificate is empty, lambda is 0 and the
+    verifier rejects it at `EigValBound`.  Raises SpectralPrecisionError
+    when approx_eigen misses its precision target.
     """
     imb = imbalance(cnf)
     mat = build_m(cnf)
-    cert = approx_eigen(mat, c)
-    report = certify_eigvalbound(mat, cert)
-    if not report.passed:
-        raise CertificationError(report)
+    cert = approx_eigen(mat, c) if cnf.n else SpectralCert((), (), c)
     coll = find_collection(cnf, k_max=k_max, d=d, t_target=0, seed=seed, budget=budget)
-    n, c = max(cnf.n, 1), cert.c
-    epsilon = snap_up_to_grid(max(report.slack, Fraction(1, grid_denominator(n, c))), n, c)
     return FkoWitness(
         n=cnf.n,
         m=cnf.m,
-        c=c,
+        c=cert.c,
         imb=imb,
         mat=mat,
         cert=cert,
-        lam=cert.lambdas[0],
+        lam=cert.lambdas[0] if cnf.n else Fraction(0),
         coll=coll,
-        epsilon=epsilon,
     )
 
 
@@ -166,12 +161,13 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     """Re-check every conjunct from scratch; accept only on the strict
     exact inequality t > d*(I + lambda*n + slack)/2.
 
-    The order is 3CNF, Coll, Imb, Mat, EigValBound's dimension checks,
+    The order is 3CNF, Coll, Imb, EigValBound's dimension checks,
     lambda-max, a cheap inequality, EigValBound's certification and the
     exact inequality.  The cheap one rejects t <= d*(I + lambdas[0]*n)/2
     in ints before M is built for certification: every slack term is
     >= 0, so U >= lambdas[0]*n and no certificate could lift such a t
-    over d*(I+U)/2.  Every accept still passes certification.
+    over d*(I+U)/2.  Every accept still passes certification.  wit.mat is
+    never read: M is rebuilt from the formula.
     """
     # 3CNF: the formula is well-formed and the witness talks about it.
     if wit.n != cnf.n or wit.m != cnf.m:
@@ -190,16 +186,6 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if wit.imb != imb:
         return Verdict(False, "Imb",
                        f"witness declares I={wit.imb}, formula has I={imb}")
-
-    mat = None
-    if wit.mat is not None:
-        mat = build_m(cnf)
-        if len(wit.mat) != cnf.n or any(
-            len(row) != cnf.n for row in wit.mat
-        ) or any(
-            wit.mat[i][j] != mat[i][j] for i in range(cnf.n) for j in range(cnf.n)
-        ):
-            return Verdict(False, "Mat", "witness matrix differs from rebuilt M")
 
     if wit.cert.n != cnf.n:
         return Verdict(False, "EigValBound",
@@ -220,8 +206,7 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
         return Verdict(False, "inequality",
                        f"t={t} <= d*(I+lambda*n)/2 = {_show(rhs)}", threshold=rhs)
 
-    if mat is None:
-        mat = build_m(cnf)
+    mat = build_m(cnf)
     # V's shape, c, the grid and |v_ij| <= 2 are checked before any product
     try:
         u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
@@ -338,7 +323,6 @@ def witness_to_json(wit: FkoWitness) -> str:
             "d": wit.coll.d,
             "tuples": [list(tup) for tup in wit.coll.tuples],
         },
-        "epsilon": _rat_out(wit.epsilon),
     }
     # no indent: an indented dump runs CPython's pure-Python encoder
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -387,5 +371,4 @@ def _witness_from_obj(obj) -> FkoWitness:
         cert=cert,
         lam=_rat_in(obj["lambda"]),
         coll=coll,
-        epsilon=_rat_in(obj["epsilon"]),
     )

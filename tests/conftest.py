@@ -36,6 +36,25 @@ def rng() -> random.Random:
     return random.Random(0x5EED)
 
 
+@pytest.fixture
+def certify_calls(monkeypatch) -> list:
+    """The list of certify_eigvalbound calls made through witness.py's name
+    and spectral.py's own (certified_quadform_bound's without a report)."""
+    import fkocert.spectral
+    import fkocert.witness
+
+    calls: list = []
+    real = fkocert.spectral.certify_eigvalbound
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (fkocert.spectral, fkocert.witness):
+        monkeypatch.setattr(mod, "certify_eigvalbound", counting)
+    return calls
+
+
 # ------------------------------------------ per-assignment clause counts
 # An assignment is a sequence of n bits, index i-1 holding x_i; its sign
 # vector is a(i) = 2*A(i) - 1.

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fkocert.witness
-from fkocert import approx_eigen, build_m, certify_eigvalbound
+from fkocert import SpectralCert, approx_eigen, build_m, certify_eigvalbound
 from fkocert.cli import build_parser, main
 from fkocert.cnf import gen_random_3cnf, imbalance, to_dimacs
 from fkocert.tc0frege import MAX_DEPTH
@@ -81,6 +81,76 @@ def test_refute_reports_build_failure(tmp_path, capsys):
     assert out["accepted"] is False
     assert out["reason"] == "inequality"
     assert set(out["threshold"]) == {"num", "den"}
+
+
+def test_refute_certifies_once_when_accepted_and_never_on_a_near_miss(
+        tmp_path, capsys, certify_calls):
+    assert main(["refute", "--cnf", str(_block_path(tmp_path, blocks=2))]) == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
+    assert len(certify_calls) == 1
+    p = tmp_path / "near.cnf"
+    p.write_text(to_dimacs(gen_random_3cnf(10, 40, 1)))
+    assert main(["refute", "--cnf", str(p)]) == 1
+    assert "lambda*n" in json.loads(capsys.readouterr().out)["detail"]
+    assert len(certify_calls) == 1
+
+
+def test_dense_sweep_row_certifies_nothing(capsys, monkeypatch, certify_calls):
+    monkeypatch.setenv("FKO_THREADS", "1")
+    assert main(["sweep", "--n", "28", "--m", "318"]) == 0
+    [row] = capsys.readouterr().out.strip().splitlines()[1:]
+    assert row.endswith(",0")
+    assert certify_calls == []
+
+
+def test_failing_certificate_is_rejected_by_refute_and_sweep(tmp_path, capsys, monkeypatch):
+    # K3 = K4 = K5 = 0: the builder still writes its certificate, and the
+    # verifier rejects it at EigValBound once t clears d*(I+lambda*n)/2
+    monkeypatch.setenv("FKO_THREADS", "1")
+    argv = ["sweep", "--n", "6,6,8", "--m", "24,200,200", "--seeds", "2"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out.strip().splitlines()
+    for name in ("k3", "k4", "k5"):
+        monkeypatch.setattr(SpectralCert, name, Fraction(0))
+    reasons = set()
+    for n, m, seed in [(6, 24, 0), (6, 200, 0), (8, 200, 1)]:
+        p = tmp_path / f"{n}-{m}-{seed}.cnf"
+        p.write_text(to_dimacs(gen_random_3cnf(n, m, seed)))
+        assert main(["refute", "--cnf", str(p)]) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["accepted"] is False
+        reasons.add(verdict["reason"])
+    assert reasons == {"EigValBound", "inequality"}
+    assert main(argv) == 0
+    forced = capsys.readouterr().out.strip().splitlines()
+    # each row the default constants accept now fails certification and
+    # leaves t_needed and lambda empty; every near miss reads the same
+    assert len(forced) == 7 and forced[0] == default[0]
+    accepted = 0
+    for want, got in zip(default[1:], forced[1:]):
+        n, m, seed, t_found, _, _, imb, ok = want.split(",")
+        if ok == "1":
+            accepted += 1
+            assert got == f"{n},{m},{seed},{t_found},,,{imb},0"
+        else:
+            assert got == want
+    assert 0 < accepted < 6
+
+
+def test_empty_formula_builds_and_is_rejected(tmp_path, capsys):
+    p = tmp_path / "empty.cnf"
+    p.write_text("p cnf 0 0\n")
+    wit_path = tmp_path / "w.json"
+    assert main(["witness", "--cnf", str(p), "--out", str(wit_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(wit_path.read_text())["lambdas"] == []
+    want = {"accepted": False, "reason": "EigValBound",
+            "detail": "n=0: no eigenvalue to certify"}
+    assert main(["verify", "--cnf", str(p), "--witness", str(wit_path)]) == 1
+    assert json.loads(capsys.readouterr().out) == want
+    assert main(["refute", "--cnf", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == want and captured.err == ""
 
 
 def test_witness_then_verify_round_trip(tmp_path, capsys):

@@ -11,6 +11,7 @@ the checker rather than a statistical observation.
 
 import itertools
 import random
+import time
 from typing import Callable, Sequence
 
 import hypothesis.strategies as st
@@ -652,6 +653,65 @@ def test_walkers_take_max_depth_formulas(nest):
     assert eval_formula(f, {1: True})
     assert eval_formula(f, {1: False}) == (nest is _nested_th)
     assert parse_formula(format_formula(f)) == f
+
+
+def _doubling_chain(depth: int, shared: bool) -> TcFormula:
+    """f <- Th2(f, f, p_(k mod 3 + 1)) over p1, depth times: one node per
+    level when shared, a tree of 2^depth copies of p1 when not."""
+    if depth == 0:
+        return Var(1)
+    below = _doubling_chain(depth - 1, shared)
+    other = below if shared else _doubling_chain(depth - 1, shared)
+    return Th(2, (below, other, Var(depth % 3 + 1)))
+
+
+class _LookupBudget(dict):
+    """An assignment that fails at its lookup number `budget` + 1."""
+
+    def __init__(self, pairs, budget: int):
+        super().__init__(pairs)
+        self.budget = budget
+
+    def __getitem__(self, key):
+        self.budget -= 1
+        assert self.budget >= 0, "a variable was looked up more than once"
+        return super().__getitem__(key)
+
+
+def test_walkers_visit_each_shared_subformula_once():
+    # the chain has 2^60 paths: a walker that follows each one fails first
+    # here, at its lookup budget, on the sharing of a small rebuild or on
+    # the time of a 24-deep walk, instead of running on or building 2^60 nodes
+    small = substitute_formula(_doubling_chain(3, shared=True), {1: True})
+    assert small.children[0] is small.children[1]
+    start = time.perf_counter()
+    assert free_vars(_doubling_chain(24, shared=True)) == {1, 2, 3}
+    assert time.perf_counter() - start < 1.0
+    f = _doubling_chain(60, shared=True)
+    start = time.perf_counter()
+    for bits in itertools.product((False, True), repeat=3):
+        # 61 Var objects, each looked up at most once
+        assert eval_formula(f, _LookupBudget(zip((1, 2, 3), bits), 61)) == bits[0]
+    g = substitute_formula(f, {1: False, 3: True})
+    assert free_vars(f) == {1, 2, 3}
+    assert time.perf_counter() - start < 1.0
+    # the output keeps the sharing: one node per level
+    for _ in range(60):
+        assert g.children[0] is g.children[1]
+        g = g.children[0]
+    assert g == BOT
+
+
+def test_shared_and_tree_formulas_walk_alike():
+    dag, tree = _doubling_chain(10, shared=True), _doubling_chain(10, shared=False)
+    assert dag == tree
+    assert free_vars(dag) == free_vars(tree) == {1, 2, 3}
+    for bits in itertools.product((False, True), repeat=3):
+        env = dict(zip((1, 2, 3), bits))
+        assert eval_formula(dag, env) == eval_formula(tree, env)
+        for keep in range(4):
+            part = dict(itertools.islice(env.items(), keep))
+            assert substitute_formula(dag, part) == substitute_formula(tree, part)
 
 
 # ------------------------------------------------- differential reference

@@ -1,5 +1,7 @@
+import ast
 import copy
 import functools
+import itertools
 import json
 import math
 import random
@@ -9,6 +11,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -73,6 +76,62 @@ def test_planted_multiblock_quantities(blocks):
     assert unsat3xor_lower_bound(wit) == 4 * blocks
     assert int(nae_counts(cnf).max()) == 6 * blocks
     assert int(not3xor_counts(cnf).min()) == 4 * blocks
+
+
+WITNESS_SOURCE = Path(__file__).resolve().parent.parent / "src" / "fkocert" / "witness.py"
+
+
+@pytest.mark.parametrize("cnf", [planted_block(2), _noisy_blocks(3, 4, 7),
+                                 gen_random_3cnf(6, 200, 0), gen_random_3cnf(10, 40, 1)],
+                         ids=["planted", "noisy planted", "dense accepted", "near miss"])
+def test_build_witness_certifies_nothing(cnf, certify_calls):
+    # certification runs only in the verifier, once, and only when t
+    # clears d*(I + lambdas[0]*n)/2
+    wit = build_witness(cnf)
+    assert certify_calls == []
+    verdict = verify_witness(cnf, wit)
+    early = verdict.reason == "inequality" and "lambda*n" in verdict.detail
+    assert len(certify_calls) == (0 if early else 1)
+
+
+def test_build_witness_calls_no_certification():
+    tree = ast.parse(WITNESS_SOURCE.read_text())
+    [build] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "build_witness"]
+    called = {node.func.id for node in ast.walk(build)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    called |= {node.func.attr for node in ast.walk(build)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert called & {"certify_eigvalbound", "certified_quadform_bound"} == set()
+    assert "find_collection" in called  # the walk sees the body's calls
+
+
+def _forced_failure_formulas():
+    """Noisy planted blocks, mostly accepted at the default tolerances,
+    and random formulas with n <= 10: dense ones the verifier accepts and
+    sparser near misses."""
+    for blocks, extra, seed in itertools.product((1, 2, 3), (2, 4), (0, 1)):
+        yield _noisy_blocks(blocks, extra, seed)
+    for n, m, seed in itertools.product((6, 8, 10), (24, 200), (0, 1)):
+        yield gen_random_3cnf(n, m, seed)
+
+
+def test_failing_certificate_is_built_and_never_accepted(monkeypatch):
+    # K3 = K4 = K5 = 0: every tolerance is 0, so a certificate with any
+    # nonzero residual fails; exact eigendata (M = 0) still passes
+    for name in ("k3", "k4", "k5"):
+        monkeypatch.setattr(SpectralCert, name, F(0))
+    reasons = []
+    for cnf in _forced_failure_formulas():
+        wit = build_witness(cnf)
+        if certify_eigvalbound(build_m(cnf), wit.cert).passed:
+            continue
+        verdict = verify_witness(cnf, wit)
+        assert not verdict.accepted
+        assert verdict.reason in ("EigValBound", "inequality")
+        assert (verdict.threshold is None) == (verdict.reason == "EigValBound")
+        reasons.append(verdict.reason)
+    assert {"EigValBound", "inequality"} <= set(reasons)
 
 
 def test_single_clause_fails_at_collection():
@@ -191,15 +250,16 @@ def test_verify_rejects_wrong_imbalance():
     assert not v.accepted and v.reason == "Imb"
 
 
-def test_verify_rejects_tampered_matrix():
-    cnf = planted_block(1)
-    wit = build_witness(cnf)
-    rows = [list(r) for r in wit.mat]
-    rows[0][1] += F(1, 2)
-    rows[1][0] += F(1, 2)
-    bad = replace(wit, mat=tuple(tuple(r) for r in rows))
-    v = verify_witness(cnf, bad)
-    assert not v.accepted and v.reason == "Mat"
+def test_verify_ignores_tampered_matrix():
+    # the verifier rebuilds M from the formula and never reads wit.mat
+    for cnf in (planted_block(1), gen_random_3cnf(8, 45, 3)):  # accepted, inequality
+        wit = build_witness(cnf)
+        rows = [list(r) for r in wit.mat]
+        rows[0][1] += F(1, 2)
+        rows[1][0] += F(1, 2)
+        want = verify_witness(cnf, wit)
+        for mat in (tuple(tuple(r) for r in rows), (), None):
+            assert verify_witness(cnf, replace(wit, mat=mat)) == want
 
 
 def test_verify_rejects_forged_spectrum():
@@ -236,12 +296,20 @@ def test_verifier_never_accepts_satisfiable_with_forged_fields():
     assert not v.accepted
 
 
-def test_epsilon_must_be_positive():
+def test_epsilon_key_is_ignored():
+    # epsilon is no longer a witness field: the builder leaves it unset,
+    # and a key of that name, which older files carry, changes nothing
     cnf = planted_block(1)
     wit = build_witness(cnf)
-    with pytest.raises(ValueError):
-        replace(wit, epsilon=F(0))
-    assert wit.epsilon > 0
+    assert wit.epsilon is None
+    assert verify_witness(cnf, replace(wit, epsilon=F(0))) == verify_witness(cnf, wit)
+    for eps in ({"num": "1", "den": "2"}, {"num": "0", "den": "1"},
+                {"num": "-1", "den": "1"}, {"num": "1", "den": "0"}, "x", None):
+        obj = _honest_json()
+        obj["epsilon"] = eps
+        back = witness_from_json(json.dumps(obj))
+        assert back == witness_from_json(witness_to_json(wit))
+        assert verify_witness(cnf, back) == verify_witness(cnf, wit)
 
 
 def test_verdict_json_shapes():
@@ -269,7 +337,7 @@ def test_witness_json_round_trip():
     assert back.cert.lambdas == wit.cert.lambdas
     assert back.cert.v == wit.cert.v
     assert back.coll == wit.coll
-    assert back.epsilon == wit.epsilon
+    assert back.epsilon is None
     assert back.mat is None  # matrix travels by recomputation
     assert verify_witness(cnf, back).accepted
     # serialization is deterministic
@@ -280,7 +348,7 @@ def test_witness_json_fields():
     wit = build_witness(planted_block(1))
     payload = json.loads(witness_to_json(wit))
     assert set(payload) == {
-        "n", "m", "c", "I", "lambda", "lambdas", "V", "D", "epsilon",
+        "n", "m", "c", "I", "lambda", "lambdas", "V", "D",
     }
     assert payload["D"]["t"] == 16
     assert payload["lambda"] == {"num": "0", "den": "1"}
@@ -295,8 +363,7 @@ def test_witness_file_cannot_pick_its_tolerances(k):
     m = build_m(cnf)
     cert = approx_eigen(m, 8)
     wit = FkoWitness(n=6, m=cnf.m, c=8, imb=imbalance(cnf), mat=None, cert=cert,
-                     lam=cert.lambdas[0], coll=TupleCollection((), t=0, k=2, d=4),
-                     epsilon=F(1))
+                     lam=cert.lambdas[0], coll=TupleCollection((), t=0, k=2, d=4))
     payload = json.loads(witness_to_json(wit))
     payload.update(K3=k, K4=k, K5=k)
     back = witness_from_json(json.dumps(payload))
@@ -327,6 +394,7 @@ def test_indented_witness_parses_to_same_witness_and_verdict():
 
 _RAT_FIELDS = {
     "lambda": lambda obj: (obj, "lambda"),
+    # no longer a field: older files carry it, and any value is ignored
     "epsilon": lambda obj: (obj, "epsilon"),
     "lambdas[0]": lambda obj: (obj["lambdas"], 0),
     "V[0][0]": lambda obj: (obj["V"][0], 0),
@@ -339,6 +407,10 @@ def test_rational_fields_reject_bools_floats_and_fraction_strings(field, value):
     obj = _honest_json()
     parent, key = _RAT_FIELDS[field](obj)
     parent[key] = value
+    if field == "epsilon":
+        assert witness_from_json(json.dumps(obj)) == witness_from_json(
+            json.dumps(_honest_json()))
+        return
     with pytest.raises(WitnessFormatError):
         witness_from_json(json.dumps(obj))
 
@@ -384,33 +456,41 @@ def test_integer_fields_take_decimal_strings(site):
     assert witness_from_json(json.dumps(obj)) == witness_from_json(json.dumps(_honest_json()))
 
 
-def test_wrong_lambda_is_rejected_before_certification(monkeypatch):
-    import fkocert.witness as witness_mod
-
-    calls = []
-    certify = witness_mod.certify_eigvalbound
-
-    def counting(*args):
-        calls.append(args)
-        return certify(*args)
-
+def test_wrong_lambda_is_rejected_before_certification(certify_calls):
     cnf = planted_block(2)
     obj = json.loads(witness_to_json(build_witness(cnf)))
-    monkeypatch.setattr(witness_mod, "certify_eigvalbound", counting)
     assert verify_witness(cnf, witness_from_json(json.dumps(obj))).accepted
-    assert len(calls) == 1
+    assert len(certify_calls) == 1
     lam = obj["lambda"]
     lam["num"] = str(int(lam["num"]) + int(lam["den"]))
     verdict = verify_witness(cnf, witness_from_json(json.dumps(obj)))
     assert verdict.reason == "lambda-max"
-    assert len(calls) == 1
+    assert len(certify_calls) == 1
 
 
 def test_verify_rejects_empty_formula_without_raising():
     wit = FkoWitness(n=0, m=0, c=8, imb=0, mat=None, cert=SpectralCert((), (), 8),
-                     lam=F(0), coll=TupleCollection((), 0, 2, 4), epsilon=F(1))
+                     lam=F(0), coll=TupleCollection((), 0, 2, 4))
     assert verify_witness(Cnf(0, ()), wit) == Verdict(
         False, "EigValBound", "n=0: no eigenvalue to certify")
+
+
+def test_build_witness_on_empty_formula():
+    # no eigenvalue to approximate: an empty certificate, lambda = 0 and
+    # t = 0, which the verifier rejects at its n = 0 conjunct
+    cnf = Cnf(0, ())
+    wit = build_witness(cnf)
+    assert (wit.n, wit.m, wit.imb, wit.lam, wit.coll.t) == (0, 0, 0, 0, 0)
+    assert wit.cert == SpectralCert((), (), 8)
+    want = Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
+    assert verify_witness(cnf, wit) == want
+    text = witness_to_json(wit)
+    obj = json.loads(text)
+    assert (obj["lambdas"], obj["V"], obj["lambda"]) == ([], [], {"num": "0", "den": "1"})
+    back = witness_from_json(text)
+    assert back == replace(wit, mat=None)
+    assert witness_to_json(back) == text
+    assert verify_witness(cnf, back) == want
 
 
 def test_verify_is_pure():
@@ -723,13 +803,12 @@ def _blocks_grown(*calls: str) -> list[int]:
         "from fkocert import (build_m, approx_eigen, certify_eigvalbound,\n"
         "                     gen_random_3cnf, find_collection, witness_from_json,\n"
         "                     witness_to_json, FkoWitness)\n"
-        "from fractions import Fraction\n"
         "cnf = gen_random_3cnf(12, 100, 1)\n"
         "mat = build_m(cnf)\n"
         "cert = approx_eigen(mat, 8)\n"
         "coll = find_collection(cnf, k_max=4, d=4, t_target=1)\n"
         "wit = FkoWitness(n=12, m=100, c=8, imb=0, mat=None, cert=cert,\n"
-        "                 lam=cert.lambdas[0], coll=coll, epsilon=Fraction(1, 2))\n"
+        "                 lam=cert.lambdas[0], coll=coll)\n"
         "text = witness_to_json(wit)\n"
         f"for f in ({', '.join(f'lambda: {call}' for call in calls)},):\n"
         "    f()\n"
