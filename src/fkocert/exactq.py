@@ -5,13 +5,17 @@ Certificate entries live on the grid of integer multiples of 1/n^(2c);
 `snap_to_grid` rounds onto that grid.  The verifier checks that grid
 first and then scales every entry once by the one grid denominator, so
 its cubic work runs as exact integer dot products over a single known
-scale: `gram_dev` takes rows of Python ints.  No float and no
-third-party code enters any accept/reject decision.
+scale: `gram_dev` takes rows of Python ints.  `support_blocks` splits a
+matrix into the blocks of its nonzero pattern; a Gram matrix, of rows or
+of columns, is exactly 0 between blocks, so the verifier runs `gram_dev`
+on each block alone.  No float and no third-party code enters any
+accept/reject decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -23,6 +27,7 @@ __all__ = [
     "QMat",
     "rat",
     "gram_dev",
+    "support_blocks",
     "grid_denominator",
     "snap_to_grid",
     "snap_up_to_grid",
@@ -48,6 +53,52 @@ def gram_dev(rows: Sequence[Sequence[int]], one: int) -> tuple[int, int]:
         for wj in rows[i + 1:]:
             off = max(off, abs(sum(map(mul, wi, wj))))
     return off, diag
+
+
+def support_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int]]]:
+    """Support blocks of an integer matrix, as (row indices, column indices).
+
+    A block is a connected component of the bipartite graph that joins
+    row i to column k whenever rows[i][k] != 0.  Rows in different blocks
+    share no column, so every inner product between them is exactly 0,
+    and the same holds for columns.  A row or column with no nonzero entry
+    is a block of its own, with no columns or rows.  Both index lists are
+    ascending.  Once one block holds every column, each later row only
+    needs a test for a nonzero entry, so a dense matrix costs one scan.
+    """
+    width = len(rows[0]) if rows else 0
+    owner: list[int | None] = [None] * width  # column -> its block
+    blocks: list[tuple[list[int], list[int]] | None] = []
+    for i, row in enumerate(rows):
+        cols = list(compress(range(width), row))
+        hit = set(map(owner.__getitem__, cols))
+        new = None in hit
+        hit.discard(None)
+        if not hit:
+            b = len(blocks)
+            blocks.append(([], []))
+        else:  # merge the blocks this row joins into the one with most columns
+            b = max(hit, key=lambda h: len(blocks[h][1]))
+            for h in hit - {b}:
+                rows_h, cols_h = blocks[h]
+                blocks[h] = None
+                blocks[b][0].extend(rows_h)
+                blocks[b][1].extend(cols_h)
+                for k in cols_h:
+                    owner[k] = b
+        blocks[b][0].append(i)
+        if new:
+            for k in cols:
+                if owner[k] is None:
+                    owner[k] = b
+                    blocks[b][1].append(k)
+        if len(blocks[b][1]) == width:
+            rest = range(i + 1, len(rows))
+            blocks[b][0].extend([j for j in rest if any(rows[j])])
+            blocks += [([j], []) for j in rest if not any(rows[j])]
+            break
+    blocks += [([], [k]) for k, b in enumerate(owner) if b is None]
+    return [(sorted(r), sorted(c)) for r, c in filter(None, blocks)]
 
 
 def grid_denominator(n: int, c: int) -> int:

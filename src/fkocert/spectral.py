@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .cnf import Cnf
@@ -32,6 +33,7 @@ from .exactq import (
     gram_dev,
     grid_denominator,
     snap_to_grid,
+    support_blocks,
 )
 
 __all__ = [
@@ -379,8 +381,13 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     c outside 1..C_MAX, or an entry off the 1/n^(2c) grid or with
     |v_ij| > 2, naming it.  Every entry is then scaled once by G = n^(2c),
     so the products are int dot products and the residuals int maxima over
-    one denominator.  Also computes the slack of certified_quadform_bound,
-    which bounds nothing on a failing report (see the module docstring).
+    one denominator.  The products run per support block of V (see
+    exactq.support_blocks): both Gram deviations on the block's rows and
+    columns, and the residuals of its rows at its columns and their
+    M-neighbours, since every other entry is exactly 0.  A dense V is one
+    block and costs one support scan more than the dense products.  Also
+    computes the slack of certified_quadform_bound, which bounds nothing
+    on a failing report (see the module docstring).
     """
     n = cert.n
     if len(m) != n or any(len(row) != n for row in m):
@@ -404,21 +411,41 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     if big:
         raise ValueError("|V[%d][%d]| > 2" % big[0])
     g2 = grid * grid
-
-    # condition 1: V^T V - I is the Gram deviation of V's columns
-    rho = Fraction(max(gram_dev(list(zip(*w)), g2)), g2)
-
-    gram_off, gram_diag = [Fraction(x, g2) for x in gram_dev(w, g2)]
-
-    # tau = max over i, ell of |(M v_i)_ell - lambda_i v_i[ell]|; with
-    # M = A / m_den, v_i = w_i / G and lambda_i = lam_i / G every residual
-    # is an integer over m_den * G^2
     a, m_den = _int_matrix(m)
     m_sparse = _sparse_rows(a)
-    tau = Fraction(max([
-        abs(grid * sum(map(mul, vals, map(wi.__getitem__, cols))) - m_den * li * wi_ell)
-        for wi, li in zip(w, lam) for (cols, vals), wi_ell in zip(m_sparse, wi)
-    ]), m_den * g2)
+
+    # Every product runs within one support block of V: the Gram entries
+    # between blocks are exactly 0, and so is the residual of a row at
+    # every ell that is neither a column of its block nor one M-edge away
+    # from one.  A dense V is one block, run on w and its transpose as
+    # they are.
+    blocks = support_blocks(w)
+    # column k -> the rows ell with A[ell][k] != 0
+    reach = [list(compress(range(n), col)) for col in zip(*a)] if len(blocks) > 1 else []
+    rho = off = diag = resid = 0
+    for rows, cols in blocks:
+        if len(blocks) == 1:
+            block, block_t, near = w, list(zip(*w)), range(n)
+        else:
+            block = [[w[i][k] for k in cols] for i in rows]
+            block_t = [[w[i][k] for i in rows] for k in cols]
+            near = sorted(set(cols).union(*map(reach.__getitem__, cols)))
+        # condition 1: V^T V - I is the Gram deviation of V's columns
+        rho = max(rho, *gram_dev(block_t, g2))
+        b_off, b_diag = gram_dev(block, g2)
+        off, diag = max(off, b_off), max(diag, b_diag)
+        # tau = max over i, ell of |(M v_i)_ell - lambda_i v_i[ell]|; with
+        # M = A / m_den, v_i = w_i / G and lambda_i = lam_i / G every
+        # residual is an integer over m_den * G^2
+        m_near = [m_sparse[ell] for ell in near]
+        resid = max([resid, *[
+            abs(grid * sum(map(mul, vals, map(wi.__getitem__, ks))) - m_den * li * wi_ell)
+            for wi, li in zip(map(w.__getitem__, rows), map(lam.__getitem__, rows))
+            for (ks, vals), wi_ell in zip(m_near, map(wi.__getitem__, near))
+        ]])
+    rho = Fraction(rho, g2)
+    gram_off, gram_diag = Fraction(off, g2), Fraction(diag, g2)
+    tau = Fraction(resid, m_den * g2)
 
     tol_basis, tol_gram, tol_eigen = tolerances(cert)
     descending = all(lam[i] >= lam[i + 1] for i in range(n - 1))

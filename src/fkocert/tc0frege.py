@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import is_
 from typing import Callable, Mapping, Sequence, TypeVar
 
 __all__ = [
@@ -59,14 +61,42 @@ __all__ = [
 ]
 
 
+def _kept_hash(f: "TcFormula") -> int:
+    """f's structural hash, computed on the first call and kept on f.
+
+    That call hashes f's not yet hashed subformulas bottom up, without
+    recursion, each from its fields and so from its children's kept
+    hashes: a formula that shares subformulas costs one step per distinct
+    subformula, not one per path through it.  Nothing is hashed at
+    construction, so the thresholds a proof check builds cost no more."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        todo = [] if "_hash" in g.__dict__ else [
+            ch for ch in _children(g)
+            if type(ch).__hash__ is _kept_hash and "_hash" not in ch.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if "_hash" not in g.__dict__:
+            fields = tuple([getattr(g, name) for name in g.__match_args__])
+            object.__setattr__(g, "_hash", hash(fields))
+    return f.__dict__["_hash"]
+
+
 @dataclass(frozen=True)
 class Top:
+    __hash__ = _kept_hash
+
     def __repr__(self) -> str:
         return "T"
 
 
 @dataclass(frozen=True)
 class Bot:
+    __hash__ = _kept_hash
+
     def __repr__(self) -> str:
         return "F"
 
@@ -74,6 +104,8 @@ class Bot:
 @dataclass(frozen=True)
 class Var:
     index: int
+
+    __hash__ = _kept_hash
 
     def __repr__(self) -> str:
         return f"p{self.index}"
@@ -83,6 +115,8 @@ class Var:
 class Not:
     child: "TcFormula"
 
+    __hash__ = _kept_hash
+
     def __repr__(self) -> str:
         return f"~{self.child!r}"
 
@@ -91,6 +125,8 @@ class Not:
 class Th:
     i: int
     children: tuple["TcFormula", ...]
+
+    __hash__ = _kept_hash
 
     def __post_init__(self) -> None:
         if self.i < 0:
@@ -116,15 +152,57 @@ def _children(f: TcFormula) -> tuple[TcFormula, ...]:
     return f.children if isinstance(f, Th) else (f.child,) if isinstance(f, Not) else ()
 
 
-def _too_deep(formulas: Sequence[TcFormula]) -> bool:
-    """Whether a formula nests more than MAX_DEPTH deep: a walk by levels,
-    without recursion, keeping one copy of each shared subformula."""
-    level = {id(f): f for f in formulas}
-    for _ in range(MAX_DEPTH + 1):
-        if not level:
-            return False
-        level = {id(ch): ch for f in level.values() for ch in _children(f)}
-    return bool(level)
+class _Depths:
+    """Nesting depths of formulas, kept while the caller holds every
+    formula it asks about, so that no id is reused.
+
+    A depth is kept by the id of its formula, and for a Th also by the id
+    of its children tuple, which the thresholds of a proof share.  A new
+    children tuple costs one lookup per child, or, when it is one child
+    put in front of a known tuple, as the suffixes of a wide Th are, one
+    identity comparison per child.  The recursion stops at its room."""
+
+    def __init__(self) -> None:
+        self.by_id: dict[int, int] = {}
+        # (id of the last child, length) -> (a known children tuple, depth)
+        self.tails: dict[tuple[int, int], tuple[tuple[TcFormula, ...], int]] = {}
+
+    def too_deep(self, formulas: Sequence[TcFormula]) -> bool:
+        """Whether a formula nests more than MAX_DEPTH deep."""
+        return any(self.depth(f, MAX_DEPTH) > MAX_DEPTH for f in formulas)
+
+    def depth(self, f: TcFormula, room: int) -> int:
+        """f's nesting depth when it is at most room, else room + 1."""
+        d = self.by_id.get(id(f))
+        if d is None:
+            kids = _children(f)
+            d = self.by_id.get(id(kids)) if isinstance(f, Th) else None
+            if d is None:
+                if kids and not room:
+                    return 1
+                d = 1 + self._deepest(kids, room - 1)
+                if d > room:
+                    return room + 1
+                if isinstance(f, Th) and kids:
+                    self.by_id[id(kids)] = d
+                    self.tails[id(kids[-1]), len(kids)] = kids, d
+            self.by_id[id(f)] = d
+        return min(d, room + 1)
+
+    def _deepest(self, kids: tuple[TcFormula, ...], room: int) -> int:
+        """The largest depth of a child (-1 for none), or room + 1."""
+        known = self.tails.get((id(kids[-1]), len(kids) - 1)) if len(kids) > 1 else None
+        if known is not None and all(map(is_, islice(kids, 1, None), known[0])):
+            return max(self.depth(kids[0], room), known[1] - 1)
+        depths = list(map(self.by_id.get, map(id, kids)))
+        if None not in depths:
+            return max(depths, default=-1)
+        deepest = -1
+        for ch in kids:  # a depth past room is not kept, so stop at the first
+            deepest = max(deepest, self.depth(ch, room))
+            if deepest > room:
+                break
+        return deepest
 
 
 def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]:
@@ -141,7 +219,7 @@ def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]
 
 
 def _check_depth(f: TcFormula) -> None:
-    if _too_deep((f,)):
+    if _Depths().too_deep((f,)):
         raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
 
 
@@ -381,10 +459,10 @@ RULES: dict[str, Builder] = {
 }
 
 
-def _step_error(steps: Sequence[ProofStep], idx: int) -> str | None:
+def _step_error(steps: Sequence[ProofStep], idx: int, depths: _Depths) -> str | None:
     step = steps[idx]
     # the cited premises precede the step, so each was checked as a step
-    if _too_deep(step.seq.ante + step.seq.succ):
+    if depths.too_deep(step.seq.ante + step.seq.succ):
         return f"a formula nests deeper than {MAX_DEPTH}"
     build = _axiom if step.rule == "axiom" else RULES.get(step.rule)
     if build is None:
@@ -409,8 +487,9 @@ def check_proof(proof: TcProof) -> CheckResult:
     conclusion must equal the cited steps, which strictly precede it."""
     if not proof.steps:
         return CheckResult(False, None, "empty proof")
+    depths = _Depths()  # the proof holds each formula for the whole call
     for idx, step in enumerate(proof.steps):
-        why = _step_error(proof.steps, idx)
+        why = _step_error(proof.steps, idx, depths)
         if why:
             return CheckResult(False, idx, f"step {idx + 1}: {step.rule}: {why}")
     return CheckResult(True)
@@ -555,7 +634,7 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
     em = _Emitter()
     value = _eval(f, {})
     below = em.prove(f, value)
-    if not value and not _too_deep((Not(f),)):
+    if not value and not _Depths().too_deep((Not(f),)):
         em.add(Sequent((), (Not(f),)), "not-right", below)
     return TcProof(tuple(em.steps))
 

@@ -13,6 +13,7 @@ from fkocert.exactq import (
     rat,
     snap_to_grid,
     snap_up_to_grid,
+    support_blocks,
 )
 
 # ------------------------------------------------ Fraction reference helpers
@@ -169,3 +170,48 @@ def test_quadform_matches_double_loop(entries):
 def test_rat_accepts_ints_and_strings():
     assert rat(3) == 3
     assert rat("7/2") == F(7, 2)
+
+
+def _reference_blocks(rows):
+    """Support blocks by a search from each unvisited row and column."""
+    h, w = len(rows), len(rows[0]) if rows else 0
+    seen, out = set(), []
+    for start in [("row", i) for i in range(h)] + [("col", k) for k in range(w)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, found = [start], [start]
+        while todo:
+            kind, x = todo.pop()
+            near = ([("col", k) for k in range(w) if rows[x][k]] if kind == "row"
+                    else [("row", i) for i in range(h) if rows[i][x]])
+            for y in near:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+                    found.append(y)
+        out.append((sorted(x for kind, x in found if kind == "row"),
+                     sorted(x for kind, x in found if kind == "col")))
+    return sorted(out)
+
+
+def test_support_blocks_examples():
+    # rows 0 and 3 share column 1; row 1 and column 2 are empty
+    rows = [[0, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, -3], [0, 4, 0, 0]]
+    assert sorted(support_blocks(rows)) == [([], [2]), ([0, 3], [1]), ([1], []), ([2], [0, 3])]
+    # row 2 joins the blocks of rows 0 and 1
+    assert support_blocks([[1, 0, 1], [0, 1, 0], [0, 1, 1]]) == [([0, 1, 2], [0, 1, 2])]
+    # once one block holds every column, later rows join it unless empty
+    assert sorted(support_blocks([[1, 1], [0, 0], [1, 0]])) == [([0, 2], [0, 1]), ([1], [])]
+    assert support_blocks([]) == []
+    assert support_blocks([[], []]) == [([0], []), ([1], [])]
+
+
+@given(st.integers(1, 7).flatmap(lambda w: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -2, 10**30]), min_size=w, max_size=w),
+    min_size=1, max_size=7)))
+def test_support_blocks_match_search(rows):
+    got = support_blocks(rows)
+    assert sorted(got) == _reference_blocks(rows)
+    for r, c in got:
+        assert r == sorted(r) and c == sorted(c)

@@ -17,11 +17,12 @@ from fkocert import (
     SpectralPrecisionError,
     approx_eigen,
     build_m,
+    build_witness,
     certified_quadform_bound,
     certify_eigvalbound,
     gen_random_3cnf,
 )
-from fkocert.exactq import grid_denominator, snap_to_grid
+from fkocert.exactq import gram_dev, grid_denominator, snap_to_grid
 from fkocert.spectral import CertReport
 from conftest import all_assignments, count_nae, max_quadform, planted_block, to_signs
 from test_acceptance import (
@@ -440,6 +441,88 @@ def test_integer_core_matches_fraction_reference(case):
 def test_gate_certificates_match_fraction_reference(formulas):
     for item in formulas():
         _assert_same_report(*_honest_cert(item[0] if isinstance(item, tuple) else item))
+
+
+# ------------------------------------------ certification by support blocks
+# certify_eigvalbound forms its products within each support block of V.
+# Honest certificates of block-diagonal M have many blocks; entries added
+# across blocks join them, and empty rows and columns are blocks of their
+# own.  Every report must still be the reference's.
+
+
+@st.composite
+def block_certificates(draw):
+    """A block-diagonal half-integer M with its variables permuted, and
+    its honest certificate with V's rows permuted, then one edit: none,
+    on-grid entries added where V is 0, a zeroed row, a zeroed column, an
+    all-zero V, or one entry moved off the grid or past 2."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    c = draw(st.integers(1, 2))
+    half = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(i, start + size):
+                half[i][j] = half[j][i] = F(draw(st.integers(-4, 4)), 2)
+        start += size
+    perm = draw(st.permutations(range(n)))
+    m = tuple(tuple(half[p][q] for q in perm) for p in perm)
+    cert = approx_eigen(m, c)
+    order = draw(st.permutations(range(n)))
+    lambdas = [cert.lambdas[i] for i in order]
+    v = [list(cert.v[i]) for i in order]
+    grid = n ** (2 * c)
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "join", "zero-row", "zero-col", "zero",
+                                 "off-grid", "big"]))
+    if edit == "join":
+        zeros = [(r, q) for r in range(n) for q in range(n) if not v[r][q]]
+        for r, q in draw(st.lists(st.sampled_from(zeros), max_size=3)) if zeros else ():
+            v[r][q] = F(draw(st.sampled_from([-3, -1, 1, 2])), grid)
+    elif edit == "zero-row":
+        v[i] = [F(0)] * n
+    elif edit == "zero-col":
+        for row in v:
+            row[k] = F(0)
+    elif edit == "zero":
+        v = [[F(0)] * n for _ in range(n)]
+    elif edit == "off-grid":
+        v[i][k] += F(1, 3 * grid + 1)
+    elif edit == "big":
+        v[i][k] = draw(st.sampled_from([F(3), F(-5, 2), F(2 * grid + 1, grid)]))
+    return m, SpectralCert(tuple(lambdas), tuple(tuple(r) for r in v), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_certificates())
+def test_block_certificates_match_fraction_reference(case):
+    m, cert = case
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "gram_dev", lambda *args: calls.append(args) or gram_dev(*args))
+        _assert_same_report(m, cert)
+    _, grid_ok, entry_bound_ok = reference_certify(m, cert)
+    if not (grid_ok and entry_bound_ok):
+        assert calls == []  # raised before any product
+
+
+def test_planted_certification_works_within_blocks(monkeypatch):
+    # 40 planted blocks plus 20 random clauses: V splits into many small
+    # support blocks, so the Gram work is far below the dense n^2 (n + 1)
+    cnf = _noisy_blocks(40, 20, 1)
+    n = cnf.n
+    cert = build_witness(cnf).cert
+    work = []
+
+    def counted(rows, one):
+        work.append(len(rows) ** 2 * len(rows[0]) if rows else 0)
+        return gram_dev(rows, one)
+
+    monkeypatch.setattr(spectral, "gram_dev", counted)
+    assert certify_eigvalbound(build_m(cnf), cert).passed
+    assert len(work) > 2
+    assert sum(work) < n * n * (n + 1) / 10
 
 
 # ------------------------------------------ fixed-point Jacobi reference

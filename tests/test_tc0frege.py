@@ -714,6 +714,55 @@ def test_shared_and_tree_formulas_walk_alike():
             assert substitute_formula(dag, part) == substitute_formula(tree, part)
 
 
+def test_shared_formulas_hash_once():
+    # each subformula's hash is kept on it, so hashing, and the emitter's
+    # memo that hashes formulas, cost one step per distinct subformula
+    dag, tree = _doubling_chain(10, shared=True), _doubling_chain(10, shared=False)
+    assert hash(dag) == hash(tree) and dag == tree
+    f: TcFormula = TOP
+    for _ in range(60):
+        f = Th(2, (f, f))
+    for run in (lambda: hash(f), lambda: decide_constant_formula(f)):
+        start = time.perf_counter()
+        run()
+        assert time.perf_counter() - start < 1.0
+    proof = decide_constant_formula(f)
+    start = time.perf_counter()
+    assert check_proof(proof).valid
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_proof_scans_a_wide_threshold_once():
+    # the proof holds about 4 * 5 000 steps over the 5 001 suffixes of one
+    # wide Th; each suffix is one child put in front of the one before, so
+    # its depth is known from that one and its head.  Re-walking every
+    # child at every step took several seconds.
+    proof = decide_constant_formula(Th(1, (BOT,) * 5_000 + (TOP,)))
+    times = []
+    for _ in range(2):  # the better of two runs, against a busy machine
+        start = time.perf_counter()
+        assert check_proof(proof).valid
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH])
+def test_a_children_tuple_known_from_an_earlier_step_still_counts_its_head(depth):
+    # step 2's Th puts a head in front of step 1's children tuple, so its
+    # depth comes from that tuple's and the head's; one past the bound is
+    # refused before its rule is read
+    tail = (Var(1), TOP)
+    first = Th(1, tail)
+    wide = Th(1, (_nested_not(depth),) + tail)
+    steps = (ProofStep(Sequent((first,), (first,)), "axiom"),
+             ProofStep(Sequent((first, wide), (first,)), "weaken-left", (0,)))
+    if depth < MAX_DEPTH:
+        assert check_proof(TcProof(steps)) == CheckResult(True)
+    else:
+        assert check_proof(TcProof(steps)) == CheckResult(
+            False, 1, f"step 2: weaken-left: a formula nests deeper than {MAX_DEPTH}")
+
+
 # ------------------------------------------------- differential reference
 #
 # The checker before premise builders: fifteen matchers, each testing its
