@@ -739,7 +739,7 @@ def test_check_proof_scans_a_wide_threshold_once():
     # child at every step took several seconds.
     proof = decide_constant_formula(Th(1, (BOT,) * 5_000 + (TOP,)))
     times = []
-    for _ in range(2):  # the better of two runs, against a busy machine
+    for _ in range(3):  # the best of three runs, against a busy machine
         start = time.perf_counter()
         assert check_proof(proof).valid
         times.append(time.perf_counter() - start)
