@@ -25,10 +25,11 @@ Proof text format (one step per line, 1-based ids):
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
-from itertools import islice
-from operator import is_
-from typing import Callable, Mapping, Sequence, TypeVar
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "TcFormula",
@@ -61,79 +62,114 @@ __all__ = [
 ]
 
 
-def _kept_hash(f: "TcFormula") -> int:
-    """f's structural hash, computed on the first call and kept on f.
-
-    That call hashes f's not yet hashed subformulas bottom up, without
-    recursion, each from its fields and so from its children's kept
-    hashes: a formula that shares subformulas costs one step per distinct
-    subformula, not one per path through it.  Nothing is hashed at
-    construction, so the thresholds a proof check builds cost no more."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        todo = [] if "_hash" in g.__dict__ else [
-            ch for ch in _children(g)
-            if type(ch).__hash__ is _kept_hash and "_hash" not in ch.__dict__]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        if "_hash" not in g.__dict__:
-            fields = tuple([getattr(g, name) for name in g.__match_args__])
-            object.__setattr__(g, "_hash", hash(fields))
-    return f.__dict__["_hash"]
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# held from lookup to insertion, so that two threads building one formula
+# get one object; re-entrant, since a collection run while it is held may
+# call finalizers that build formulas
+_INTERNED_LOCK = threading.RLock()
+_depth = attrgetter("depth")
 
 
-@dataclass(frozen=True)
-class Top:
-    __hash__ = _kept_hash
+class _Formula:
+    """An interned, immutable formula node.
+
+    Building a formula equal to a live one returns that object, so equal
+    formulas are identical: == is `is` and the hash is by id, and both cost
+    O(1) however the formula shares its subformulas.  The table holds its
+    formulas weakly, keyed by class and fields.  `depth` is the nesting
+    depth, set at construction from the children's: 0 for a leaf, else 1 +
+    the largest child depth."""
+
+    __slots__ = ("depth", "__weakref__")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"formulas are immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
+
+
+def _new(key: tuple, depth: int, **fields: object) -> TcFormula:
+    """A new formula of class key[0] with these fields, interned by key.
+    Callers look the key up first, holding the lock:
+    `with _INTERNED_LOCK: return _INTERNED.get(key) or _new(...)`."""
+    f = object.__new__(key[0])
+    for name, value in fields.items():
+        object.__setattr__(f, name, value)
+    object.__setattr__(f, "depth", depth)
+    _INTERNED[key] = f
+    return f
+
+
+class Top(_Formula):
+    __slots__ = ()
+
+    def __new__(cls) -> Top:
+        with _INTERNED_LOCK:
+            return _INTERNED.get((cls,)) or _new((cls,), 0)
 
     def __repr__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True)
-class Bot:
-    __hash__ = _kept_hash
+class Bot(_Formula):
+    __slots__ = ()
+
+    def __new__(cls) -> Bot:
+        with _INTERNED_LOCK:
+            return _INTERNED.get((cls,)) or _new((cls,), 0)
 
     def __repr__(self) -> str:
         return "F"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(_Formula):
+    __slots__ = ("index",)
 
-    __hash__ = _kept_hash
+    def __new__(cls, index: int) -> Var:
+        key = (cls, index)
+        with _INTERNED_LOCK:
+            return _INTERNED.get(key) or _new(key, 0, index=index)
 
     def __repr__(self) -> str:
         return f"p{self.index}"
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "TcFormula"
+class Not(_Formula):
+    __slots__ = ("child",)
 
-    __hash__ = _kept_hash
+    def __new__(cls, child: TcFormula) -> Not:
+        key = (cls, child)
+        with _INTERNED_LOCK:
+            return _INTERNED.get(key) or _new(key, child.depth + 1, child=child)
 
     def __repr__(self) -> str:
         return f"~{self.child!r}"
 
 
-@dataclass(frozen=True)
-class Th:
-    i: int
-    children: tuple["TcFormula", ...]
+class Th(_Formula):
+    __slots__ = ("i", "children")
 
-    __hash__ = _kept_hash
-
-    def __post_init__(self) -> None:
-        if self.i < 0:
+    def __new__(cls, i: int, children: Iterable[TcFormula]) -> Th:
+        if i < 0:
             raise ValueError("threshold index must be nonnegative")
+        children = tuple(children)
+        key = (cls, i, children)
+        with _INTERNED_LOCK:
+            return _INTERNED.get(key) or _new(
+                key, 1 + max(map(_depth, children), default=-1), i=i, children=children)
 
     def __repr__(self) -> str:
         return f"Th{self.i}({', '.join(map(repr, self.children))})"
+
+
+def _th(i: int, children: tuple[TcFormula, ...], depth: int) -> Th:
+    """Th(i, children), given its nesting depth.  The emitter knows the
+    depth of every suffix of a Th's children, so the suffixes it builds
+    skip the pass over their children that Th() makes."""
+    key = (Th, i, children)
+    with _INTERNED_LOCK:
+        return _INTERNED.get(key) or _new(key, depth, i=i, children=children)
 
 
 TcFormula = Top | Bot | Var | Not | Th
@@ -152,59 +188,6 @@ def _children(f: TcFormula) -> tuple[TcFormula, ...]:
     return f.children if isinstance(f, Th) else (f.child,) if isinstance(f, Not) else ()
 
 
-class _Depths:
-    """Nesting depths of formulas, kept while the caller holds every
-    formula it asks about, so that no id is reused.
-
-    A depth is kept by the id of its formula, and for a Th also by the id
-    of its children tuple, which the thresholds of a proof share.  A new
-    children tuple costs one lookup per child, or, when it is one child
-    put in front of a known tuple, as the suffixes of a wide Th are, one
-    identity comparison per child.  The recursion stops at its room."""
-
-    def __init__(self) -> None:
-        self.by_id: dict[int, int] = {}
-        # (id of the last child, length) -> (a known children tuple, depth)
-        self.tails: dict[tuple[int, int], tuple[tuple[TcFormula, ...], int]] = {}
-
-    def too_deep(self, formulas: Sequence[TcFormula]) -> bool:
-        """Whether a formula nests more than MAX_DEPTH deep."""
-        return any(self.depth(f, MAX_DEPTH) > MAX_DEPTH for f in formulas)
-
-    def depth(self, f: TcFormula, room: int) -> int:
-        """f's nesting depth when it is at most room, else room + 1."""
-        d = self.by_id.get(id(f))
-        if d is None:
-            kids = _children(f)
-            d = self.by_id.get(id(kids)) if isinstance(f, Th) else None
-            if d is None:
-                if kids and not room:
-                    return 1
-                d = 1 + self._deepest(kids, room - 1)
-                if d > room:
-                    return room + 1
-                if isinstance(f, Th) and kids:
-                    self.by_id[id(kids)] = d
-                    self.tails[id(kids[-1]), len(kids)] = kids, d
-            self.by_id[id(f)] = d
-        return min(d, room + 1)
-
-    def _deepest(self, kids: tuple[TcFormula, ...], room: int) -> int:
-        """The largest depth of a child (-1 for none), or room + 1."""
-        known = self.tails.get((id(kids[-1]), len(kids) - 1)) if len(kids) > 1 else None
-        if known is not None and all(map(is_, islice(kids, 1, None), known[0])):
-            return max(self.depth(kids[0], room), known[1] - 1)
-        depths = list(map(self.by_id.get, map(id, kids)))
-        if None not in depths:
-            return max(depths, default=-1)
-        deepest = -1
-        for ch in kids:  # a depth past room is not kept, so stop at the first
-            deepest = max(deepest, self.depth(ch, room))
-            if deepest > room:
-                break
-        return deepest
-
-
 def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]:
     """The walk f -> visit(f, walk), memoised by id: a shared subformula
     costs one visit, not one per path to it, and its result is shared."""
@@ -219,7 +202,7 @@ def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]
 
 
 def _check_depth(f: TcFormula) -> None:
-    if _Depths().too_deep((f,)):
+    if f.depth > MAX_DEPTH:
         raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
 
 
@@ -459,10 +442,10 @@ RULES: dict[str, Builder] = {
 }
 
 
-def _step_error(steps: Sequence[ProofStep], idx: int, depths: _Depths) -> str | None:
+def _step_error(steps: Sequence[ProofStep], idx: int) -> str | None:
     step = steps[idx]
     # the cited premises precede the step, so each was checked as a step
-    if depths.too_deep(step.seq.ante + step.seq.succ):
+    if any(f.depth > MAX_DEPTH for f in step.seq.ante + step.seq.succ):
         return f"a formula nests deeper than {MAX_DEPTH}"
     build = _axiom if step.rule == "axiom" else RULES.get(step.rule)
     if build is None:
@@ -487,9 +470,8 @@ def check_proof(proof: TcProof) -> CheckResult:
     conclusion must equal the cited steps, which strictly precede it."""
     if not proof.steps:
         return CheckResult(False, None, "empty proof")
-    depths = _Depths()  # the proof holds each formula for the whole call
     for idx, step in enumerate(proof.steps):
-        why = _step_error(proof.steps, idx, depths)
+        why = _step_error(proof.steps, idx)
         if why:
             return CheckResult(False, idx, f"step {idx + 1}: {step.rule}: {why}")
     return CheckResult(True)
@@ -599,18 +581,21 @@ class _Emitter:
             for k in need[j]:
                 if not axiom(k, j):
                     need[j + 1].update((k + must,) if has[j] else (k + must, k + alt))
+        deep = [0] * (w + 1)  # deep[j]: the nesting depth of Th(., kids[j:])
+        for j in reversed(range(w)):
+            deep[j] = max(deep[j + 1], kids[j].depth + 1)
         done: dict[int, int] = {}  # k -> the step proving Th(k, rest)
         rest: tuple[TcFormula, ...] = ()  # kids[j+1:], shared by its Ths
         for j in reversed(range(w + 1)):
             tail, level = kids[j:], {}
             for k in sorted(need[j]):
-                g = Th(k, tail)
+                g = _th(k, tail, deep[j])
                 if axiom(k, j):
                     level[k] = self.add(_side(value, (g,)), "axiom")
                     continue
                 # the rule wants (alt, head); weakening adds its formula at
                 # the front of a succedent and the end of an antecedent
-                pair = (Th(k + alt, rest), kids[j])
+                pair = (_th(k + alt, rest, deep[j + 1]), kids[j])
                 weak = pair if has[j] == value else pair[::-1]
                 got = self.prove(kids[j], value) if has[j] else done[k + alt]
                 e = self.add(_side(value, weak), f"weaken-{side}", got)
@@ -628,13 +613,13 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
     true, and of --> ~f when false; of f --> when f is false and ~f would
     nest past MAX_DEPTH.  No step nests deeper than its last, so the proof
     passes check_proof.  ValueError when f itself nests past MAX_DEPTH."""
-    _check_depth(f)
-    if free_vars(f):
-        raise ValueError(f"formula has free variables: {sorted(free_vars(f))}")
+    names = free_vars(f)
+    if names:
+        raise ValueError(f"formula has free variables: {sorted(names)}")
     em = _Emitter()
     value = _eval(f, {})
     below = em.prove(f, value)
-    if not value and not _Depths().too_deep((Not(f),)):
+    if not value and f.depth < MAX_DEPTH:  # ~f nests one deeper than f
         em.add(Sequent((), (Not(f),)), "not-right", below)
     return TcProof(tuple(em.steps))
 

@@ -9,9 +9,13 @@ connective-type mismatches.  That keeps "100% rejected" a theorem about
 the checker rather than a statistical observation.
 """
 
+import gc
 import itertools
 import random
+import sys
+import threading
 import time
+import weakref
 from typing import Callable, Sequence
 
 import hypothesis.strategies as st
@@ -715,8 +719,8 @@ def test_shared_and_tree_formulas_walk_alike():
 
 
 def test_shared_formulas_hash_once():
-    # each subformula's hash is kept on it, so hashing, and the emitter's
-    # memo that hashes formulas, cost one step per distinct subformula
+    # formulas are interned and hash by id, so hashing, and the emitter's
+    # memo that hashes formulas, cost one step whatever the formula's size
     dag, tree = _doubling_chain(10, shared=True), _doubling_chain(10, shared=False)
     assert hash(dag) == hash(tree) and dag == tree
     f: TcFormula = TOP
@@ -734,23 +738,29 @@ def test_shared_formulas_hash_once():
 
 def test_check_proof_scans_a_wide_threshold_once():
     # the proof holds about 4 * 5 000 steps over the 5 001 suffixes of one
-    # wide Th; each suffix is one child put in front of the one before, so
-    # its depth is known from that one and its head.  Re-walking every
-    # child at every step took several seconds.
-    proof = decide_constant_formula(Th(1, (BOT,) * 5_000 + (TOP,)))
-    times = []
+    # wide Th; each suffix's depth is set when it is built, so a step reads
+    # it instead of walking the children.  Re-walking every child at every
+    # step took several seconds.  Interning hashes each new suffix's
+    # children, so building the proof is timed too.
+    f = Th(1, (BOT,) * 5_000 + (TOP,))
+    build_times, check_times = [], []
     for _ in range(3):  # the best of three runs, against a busy machine
+        proof = None  # free the last run's suffixes, so each build is new
+        start = time.perf_counter()
+        proof = decide_constant_formula(f)
+        build_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         assert check_proof(proof).valid
-        times.append(time.perf_counter() - start)
-    assert min(times) < 1.0
+        check_times.append(time.perf_counter() - start)
+    assert min(build_times) < 2.0
+    assert min(check_times) < 1.0
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH])
 def test_a_children_tuple_known_from_an_earlier_step_still_counts_its_head(depth):
-    # step 2's Th puts a head in front of step 1's children tuple, so its
-    # depth comes from that tuple's and the head's; one past the bound is
-    # refused before its rule is read
+    # step 2's Th puts a deep head in front of step 1's children, so its
+    # depth is the head's plus one, not that of step 1's Th; one past the
+    # bound is refused before its rule is read
     tail = (Var(1), TOP)
     first = Th(1, tail)
     wide = Th(1, (_nested_not(depth),) + tail)
@@ -761,6 +771,101 @@ def test_a_children_tuple_known_from_an_earlier_step_still_counts_its_head(depth
     else:
         assert check_proof(TcProof(steps)) == CheckResult(
             False, 1, f"step 2: weaken-left: a formula nests deeper than {MAX_DEPTH}")
+
+
+# --------------------------------------------------------------- interning
+
+
+def _pair_chain(depth: int) -> TcFormula:
+    """f <- Th2(f, f) over T, depth times."""
+    f: TcFormula = TOP
+    for _ in range(depth):
+        f = Th(2, (f, f))
+    return f
+
+
+def test_equal_formulas_are_one_object():
+    a = Var(3)
+    assert Var(3) is a and Var(index=3) is a
+    assert Th(1, [a]) is Th(1, (a,)) is Th(i=1, children=iter([a]))
+    assert Not(a) is Not(child=a)
+    assert Top() is TOP and Bot() is BOT
+    # ids of live formulas, so that a failure does not print 2^60 paths
+    pairs = [(_doubling_chain(12, shared=False), _doubling_chain(12, shared=True)),
+             (_pair_chain(60), _pair_chain(60))]
+    assert [id(x) == id(y) for x, y in pairs] == [True, True]
+    assert Th(1, (a,)) is not Th(2, (a,)) and Var(3) is not Var(4)
+
+
+@pytest.mark.parametrize("f", [TOP, Var(1), Not(Var(1)), Th(1, (TOP,))], ids=repr)
+def test_formulas_are_immutable(f):
+    for name in ("depth", "index", "child", "i", "children", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 0)
+    with pytest.raises(AttributeError):
+        del f.depth
+
+
+def test_a_dropped_formula_is_freed():
+    f = Th(7, (Not(Var(12_345)), TOP))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_building_equal_formulas_get_one_object():
+    # more threads than cores, switching often: a thread that looked a
+    # formula up and inserted it around another's insert would keep its
+    # own copy
+    results: list[list[TcFormula]] = []
+
+    def build() -> None:
+        results.append([Th(k % 3, (Var(50_000 + k), Not(Var(50_000 + k))))
+                        for k in range(3_000)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    assert all(len({id(f) for f in built}) == 1 for built in zip(*results))
+
+
+def test_depth_is_set_at_construction():
+    assert TOP.depth == BOT.depth == Var(1).depth == Th(1, ()).depth == 0
+    assert Not(Var(1)).depth == 1
+    assert Th(1, (TOP, _nested_not(5), Var(2))).depth == 6
+    assert _nested_th(100_000).depth == 100_000
+
+
+def test_decided_proof_formulas_have_their_depths():
+    # the emitter builds a wide Th's suffixes from depths it tracks itself
+    inner = Th(1, (BOT, Th(2, (TOP, Not(BOT), Th(0, ())))))
+    f = Th(2, (Not(Not(BOT)), TOP, _constant_chain(5, TOP), BOT, inner))
+    for step in decide_constant_formula(f).steps:
+        for g in step.seq.ante + step.seq.succ:
+            kids = g.children if isinstance(g, Th) else (g.child,) if isinstance(g, Not) else ()
+            assert g.depth == 1 + max((ch.depth for ch in kids), default=-1)
+
+
+def test_separately_built_equal_formulas_compare_at_once():
+    # two 60-deep chains built apart: compared by structure, their 2^60
+    # paths would take longer than any run
+    x, y = _pair_chain(60), _pair_chain(60)
+    same = x is y  # asserted by name: a failure must not print the formulas
+    assert same
+    proof = TcProof((ProofStep(Sequent((x,), (x,)), "axiom"),
+                     ProofStep(Sequent((y, Var(1)), (x,)), "weaken-left", (0,))))
+    start = time.perf_counter()
+    assert check_proof(proof) == CheckResult(True)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------- differential reference
