@@ -42,7 +42,6 @@ from .witness import (
     Verdict,
     WitnessFormatError,
     build_witness,
-    nae_upper_bound,
     unsat3xor_lower_bound,
     verify_witness,
     witness_from_json,
@@ -95,7 +94,6 @@ __all__ = [
     "Verdict",
     "WitnessFormatError",
     "build_witness",
-    "nae_upper_bound",
     "unsat3xor_lower_bound",
     "verify_witness",
     "witness_from_json",

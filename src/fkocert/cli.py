@@ -60,8 +60,7 @@ def _load_cnf(path: str) -> Cnf:
 
 
 def _build(cnf: Cnf, args: argparse.Namespace) -> FkoWitness:
-    return build_witness(cnf, c=args.c, d=args.d, k_max=args.k_max,
-                         seed=args.seed, budget=args.budget)
+    return build_witness(cnf, c=args.c, d=args.d, k_max=args.k_max, budget=args.budget)
 
 
 # ----------------------------------------------------------------- commands
@@ -151,7 +150,7 @@ def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
     n, m, seed, c, d, k_max, budget = job
     cnf = gen_random_3cnf(n, m, seed)
     try:
-        wit = build_witness(cnf, c=c, d=d, k_max=k_max, seed=seed, budget=budget)
+        wit = build_witness(cnf, c=c, d=d, k_max=k_max, budget=budget)
     except SpectralPrecisionError:
         return (n, m, seed, "", "", "", str(imbalance(cnf)), 0)
     verdict = verify_witness(cnf, wit)
@@ -217,11 +216,10 @@ def _add_builder_flags(p: argparse.ArgumentParser) -> None:
                    help=f"grid exponent, 1..{C_MAX} (default 8)")
     p.add_argument("--d", type=int, default=4, help="clause reuse bound (default 4)")
     p.add_argument("--k-max", type=int, default=4, dest="k_max",
-                   help="largest tuple size to try (default 4)")
-    p.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
+                   help="largest tuple size to try, even; 2 packs pairs only, and "
+                        "no source yields tuples longer than 4 (default 4)")
     p.add_argument("--budget", type=int, default=50_000,
-                   help="tuple search cap: 4-tuple candidates taken, and kernel "
-                        "elements examined at --k-max >= 6 (default 50000)")
+                   help="4-tuple candidates taken (default 50000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n", required=True, help="comma-separated variable counts")
     sw.add_argument("--m", required=True,
                     help="comma-separated clause counts (single value broadcasts)")
+    sw.add_argument("--seed", type=int, default=0,
+                    help="formula seed of the first row per (n, m) pair (default 0)")
     sw.add_argument("--seeds", type=int, default=1, help="seeds per (n, m) pair")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     _add_builder_flags(sw)

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Sequence
 from .cnf import Cnf
 
 ClauseTuple = tuple[int, ...]
-_ELIMINATION_ROUNDS = 8  # seeded GF(2) elimination rounds, at k_max >= 6
 
 __all__ = [
     "ClauseTuple",
@@ -52,8 +51,8 @@ class TupleCollection:
 
 class CollectionSearchError(RuntimeError):
     """Search ended below t_target; carries the best collection found, the
-    candidate count from each source and whether the budget cut a source
-    short."""
+    candidate count from each source (pairs, quads) and whether the
+    budget cut the 4-tuples short."""
 
     def __init__(self, best: TupleCollection, t_target: int,
                  candidates: dict[str, int], budget_hit: bool):
@@ -296,60 +295,10 @@ def _self_quads(a: Side, b: Side) -> Iterator[ClauseTuple]:
         yield tuple(sorted(p + q))
 
 
-def _elimination_candidates(
-    cnf: Cnf, k_max: int, seed: int, budget: int
-) -> tuple[list[ClauseTuple], bool]:
-    """Seeded GF(2) elimination rounds over clause parity vectors.
-
-    Tracks, for each reduced row, which original clauses sum into it; a
-    row reducing to zero exposes a kernel element whose support is an
-    even tuple.  Different insertion orders expose different supports.
-    Stops after `budget` kernel elements; returns the tuples found and
-    whether that cap was reached.
-    """
-    import random
-
-    out: set[ClauseTuple] = set()
-    masks = [parity_vector(cnf, i) >> 1 for i in range(cnf.m)]
-    examined = 0
-    for r in range(_ELIMINATION_ROUNDS):
-        order = list(range(cnf.m))
-        random.Random(seed * 1000003 + r).shuffle(order)
-        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vec, support)
-        for idx in order:
-            vec = masks[idx]
-            sup = 1 << idx
-            while vec:
-                lead = vec.bit_length() - 1
-                if lead not in basis:
-                    basis[lead] = (vec, sup)
-                    break
-                bv, bs = basis[lead]
-                vec ^= bv
-                sup ^= bs
-            else:
-                examined += 1
-                size = bin(sup).count("1")
-                if 2 <= size <= k_max:
-                    members = [i for i in range(cnf.m) if sup >> i & 1]
-                    parity = 0
-                    for i in members:
-                        parity ^= parity_vector(cnf, i) & 1
-                    if parity:
-                        out.add(tuple(members))
-            if examined >= budget:
-                return sorted(out), True
-    return sorted(out), False
-
-
-def _greedy_pack(
-    candidates: Iterable[ClauseTuple], k: int, d: int
-) -> tuple[ClauseTuple, ...]:
+def _greedy_pack(candidates: Iterable[ClauseTuple], d: int) -> tuple[ClauseTuple, ...]:
     chosen: list[ClauseTuple] = []
     use: dict[int, int] = {}
     for tup in candidates:
-        if len(tup) != k:
-            continue
         if all(use.get(i, 0) + 1 <= d for i in tup):
             chosen.append(tup)
             for i in tup:
@@ -367,17 +316,17 @@ def find_collection(
 ) -> TupleCollection:
     """Search for a (t, k, d)-collection with t >= t_target and k <= k_max.
 
-    Deterministic given the seed.  Candidates come from three sources:
-    every inconsistent pair (two clauses on one variable triple); for
-    k_max >= 4, the 4-tuples of a variable-pair index (triples sharing two
-    variables, see _quad_candidates), with no size cutoff; and for
-    k_max >= 6, seeded GF(2) elimination rounds, the only source of
-    longer tuples.  `budget` caps the 4-tuples taken, in a fixed order,
-    and the kernel elements the elimination examines.  One greedy packing
-    pass runs per even k, and the k with the largest packed t wins (ties
-    prefer smaller k).  Raises CollectionSearchError, carrying the best
-    collection, the count per source and whether the budget was hit,
-    when the best t is below t_target.
+    Deterministic.  Two sources, each packed greedily in sorted order:
+    k = 2, every inconsistent pair (two clauses on one variable triple);
+    and for k_max >= 4, k = 4, the 4-tuples of a variable-pair index
+    (triples sharing two variables, see _quad_candidates), with no size
+    cutoff.  No source yields longer tuples, so any k_max above 4 packs
+    what 4 packs.  The larger packed t wins; a tie goes to k = 2.
+    `budget` caps the 4-tuples taken, in a fixed order.  `seed` is
+    unused; it stays only because perfbench's calls still pass it.
+    Raises CollectionSearchError, carrying the best collection, the count
+    per source and whether the budget cut the 4-tuples short, when the
+    best t is below t_target.
     """
     if k_max < 2 or k_max % 2:
         raise ValueError("k_max must be even and at least 2")
@@ -385,25 +334,18 @@ def find_collection(
         raise ValueError("d must be at least 1")
     keys = _triple_keys(cnf)
     starts = _triple_starts(keys)
-    pairs = _pair_candidates(keys, starts)
+    pairs = sorted(_pair_candidates(keys, starts))
     quads: list[ClauseTuple] = []
-    longer: list[ClauseTuple] = []
-    quads_hit = longer_hit = False
+    quads_hit = False
+    k, packed = 2, _greedy_pack(pairs, d)
     if k_max >= 4:
         quads, quads_hit = _quad_candidates(cnf.n, keys, starts, budget)
-    if k_max >= 6:
-        longer, longer_hit = _elimination_candidates(cnf, k_max, seed, budget)
-    ordered = sorted({*pairs, *quads, *longer}, key=lambda t: (len(t), t))
-    best: TupleCollection | None = None
-    for k in range(2, k_max + 1, 2):
-        packed = _greedy_pack(ordered, k, d)
-        coll = TupleCollection(packed, len(packed), k, d)
-        if best is None or coll.t > best.t:
-            best = coll
-    assert best is not None
+        packed_quads = _greedy_pack(quads, d)
+        if len(packed_quads) > len(packed):
+            k, packed = 4, packed_quads
+    best = TupleCollection(packed, len(packed), k, d)
     if best.t < t_target:
-        counts = {"pairs": len(pairs), "quads": len(quads),
-                  "elimination": len(longer)}
-        raise CollectionSearchError(best, t_target, counts,
-                                    quads_hit or longer_hit)
+        raise CollectionSearchError(best, t_target,
+                                    {"pairs": len(pairs), "quads": len(quads)},
+                                    quads_hit)
     return best

@@ -51,7 +51,6 @@ __all__ = [
     "WitnessFormatError",
     "build_witness",
     "verify_witness",
-    "nae_upper_bound",
     "unsat3xor_lower_bound",
     "witness_to_json",
     "witness_from_json",
@@ -127,11 +126,13 @@ def build_witness(
     c: int = 8,
     d: int = 4,
     k_max: int = 4,
-    seed: int = 0,
     budget: int = 50_000,
 ) -> FkoWitness:
     """Construct the best witness the builder finds: the imbalance, M, a
     certificate for M and the largest collection the tuple search packs.
+    Deterministic: the search packs pairs and, for k_max >= 4, the pair
+    index's 4-tuples (find_collection), so a k_max above 4 builds what 4
+    builds.
 
     The builder neither certifies the certificate nor compares t with
     d*(I+U)/2; only verify_witness does, so a near miss comes back as a
@@ -144,7 +145,7 @@ def build_witness(
     imb = imbalance(cnf)
     mat = build_m(cnf)
     cert = approx_eigen(mat, c) if cnf.n else SpectralCert((), (), c)
-    coll = find_collection(cnf, k_max=k_max, d=d, t_target=0, seed=seed, budget=budget)
+    coll = find_collection(cnf, k_max=k_max, d=d, t_target=0, budget=budget)
     return FkoWitness(
         n=cnf.n,
         m=cnf.m,
@@ -249,15 +250,6 @@ def _show(x: Fraction) -> str:
 
 def _pow2(x: Fraction) -> str:
     return f"~2^{x.numerator.bit_length() - x.denominator.bit_length()}"
-
-
-def nae_upper_bound(cnf: Cnf, wit: FkoWitness) -> Fraction:
-    """(U + 3m)/4, U the certified bound: no assignment NAE-satisfies more.
-
-    Raises CertificationError when the certificate fails, and ValueError
-    when it is malformed (see certify_eigvalbound).
-    """
-    return (certified_quadform_bound(build_m(cnf), wit.cert) + 3 * cnf.m) / 4
 
 
 def unsat3xor_lower_bound(wit: FkoWitness) -> int:

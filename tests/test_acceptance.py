@@ -88,7 +88,7 @@ def _noisy_blocks(blocks: int, extra: int, seed: int) -> Cnf:
 
 
 def _soundness_formulas():
-    """(formula, search seed) for every honest build of the soundness gate:
+    """Every formula the soundness gate builds an honest witness for:
     random formulas across densities, mostly small n, then planted
     families -- pure blocks and noisy blocks (n <= 24 so every acceptance
     stays inside the brute-force cap)."""
@@ -96,14 +96,14 @@ def _soundness_formulas():
     for i in range(420):
         n = 6 + (i % 7)  # 6..12
         m = max(4, int(n * ratios[i % len(ratios)]))
-        yield gen_random_3cnf(n, m, seed=1000 + i), i
+        yield gen_random_3cnf(n, m, seed=1000 + i)
     for i in range(30):
         n = (14, 16, 18)[i % 3]
-        yield gen_random_3cnf(n, 6 * n, seed=5000 + i), i
+        yield gen_random_3cnf(n, 6 * n, seed=5000 + i)
     for t in range(1, 9):
-        yield planted_block(t), 0
+        yield planted_block(t)
     for i in range(20):
-        yield _noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i), i
+        yield _noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i)
 
 
 def test_soundness_zero_tolerance():
@@ -120,8 +120,8 @@ def test_soundness_zero_tolerance():
             if not brute_force_unsat(cnf):
                 counterexamples += 1
 
-    for cnf, seed in _soundness_formulas():
-        judge(cnf, build_witness(cnf, budget=20_000, seed=seed))
+    for cnf in _soundness_formulas():
+        judge(cnf, build_witness(cnf, budget=20_000))
 
     # adversarially mutated witnesses: donor certificates and collections
     # grafted onto satisfiable formulas, plus tampered genuine witnesses
@@ -252,7 +252,7 @@ def test_lemma_chain_small_scale():
     violations = 0
     instances = 0
     collections = 0
-    for i, cnf in enumerate(_lemma_chain_formulas()):
+    for cnf in _lemma_chain_formulas():
         n, m = cnf.n, cnf.m
         instances += 1
         imb = imbalance(cnf)
@@ -265,8 +265,7 @@ def test_lemma_chain_small_scale():
         if int(nae_counts(cnf).max()) > nae_cap:
             violations += 1
         try:
-            coll = find_collection(cnf, k_max=4, d=4, t_target=1,
-                                   seed=i, budget=20_000)
+            coll = find_collection(cnf, k_max=4, d=4, t_target=1, budget=20_000)
         except CollectionSearchError:
             continue
         collections += 1

@@ -439,8 +439,8 @@ def test_integer_core_matches_fraction_reference(case):
 @pytest.mark.parametrize("formulas", [_soundness_formulas, _lemma_chain_formulas,
                                       _ladder_formulas])
 def test_gate_certificates_match_fraction_reference(formulas):
-    for item in formulas():
-        _assert_same_report(*_honest_cert(item[0] if isinstance(item, tuple) else item))
+    for cnf in formulas():
+        _assert_same_report(*_honest_cert(cnf))
 
 
 # ------------------------------------------ certification by support blocks

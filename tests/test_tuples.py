@@ -18,7 +18,6 @@ from fkocert import (
     is_inconsistent_tuple,
 )
 from fkocert.tuples import (
-    _elimination_candidates,
     _quad_candidates,
     _triple_keys,
     _triple_starts,
@@ -120,7 +119,7 @@ def test_find_collection_single_clause_fails():
         find_collection(k, k_max=4, d=4, t_target=1)
     assert ei.value.best.t == 0
     assert ei.value.t_target == 1
-    assert ei.value.candidates == {"pairs": 0, "quads": 0, "elimination": 0}
+    assert ei.value.candidates == {"pairs": 0, "quads": 0}
     assert not ei.value.budget_hit
 
 
@@ -345,11 +344,10 @@ def test_search_error_reports_sources_and_budget():
     with pytest.raises(CollectionSearchError) as ei:
         find_collection(cnf, k_max=4, d=4, t_target=10**6, budget=40)
     err = ei.value
-    assert err.candidates == {"pairs": len(_pair_list(cnf)), "quads": 40,
-                              "elimination": 0}
+    assert err.candidates == {"pairs": len(_pair_list(cnf)), "quads": 40}
     assert err.budget_hit
     msg = str(err)
-    assert "40 quads" in msg and "0 elimination" in msg and "budget hit" in msg
+    assert "40 quads" in msg and "budget hit" in msg
     with pytest.raises(CollectionSearchError) as ei:
         find_collection(cnf, k_max=2, d=4, t_target=10**6)
     assert ei.value.candidates["quads"] == 0
@@ -357,9 +355,10 @@ def test_search_error_reports_sources_and_budget():
     assert "budget not hit" in str(ei.value)
 
 
-def test_elimination_still_yields_six_tuples_at_k6():
+def test_no_source_finds_the_six_tuple_at_k6():
     # nine variables, each in exactly two of six clauses, no two clauses
-    # sharing two variables: the only even tuple is all six
+    # sharing two variables: the only even tuple is all six, and neither
+    # the pairs nor the pair index yields it (a known miss, like Pasch)
     six = Cnf(9, (
         Clause((1, 2, 3), (0, 1, 1)),
         Clause((1, 4, 5), (1, 1, 1)),
@@ -368,20 +367,22 @@ def test_elimination_still_yields_six_tuples_at_k6():
         Clause((4, 6, 8), (1, 1, 1)),
         Clause((5, 7, 9), (1, 1, 1)),
     ))
+    assert is_inconsistent_tuple(six, range(6))
     with pytest.raises(CollectionSearchError) as ei:
-        find_collection(six, k_max=4, d=4, t_target=1)
-    assert ei.value.candidates == {"pairs": 0, "quads": 0, "elimination": 0}
-    coll = find_collection(six, k_max=6, d=4, t_target=1)
-    assert coll.k == 6 and coll.tuples == ((0, 1, 2, 3, 4, 5),)
-    # on a dense formula, elimination is still the source of 6-tuples
-    cnf = gen_random_3cnf(12, 100, 1)
-    with pytest.raises(CollectionSearchError) as ei:
-        find_collection(cnf, k_max=6, d=4, t_target=10**6, seed=0)
-    assert ei.value.candidates["elimination"] >= 100
-    longer, hit = _elimination_candidates(cnf, 6, 0, 50_000)
-    sixes = [t for t in longer if len(t) == 6]
-    assert len(sixes) >= 100 and not hit
-    assert all(is_inconsistent_tuple(cnf, t) for t in sixes)
+        find_collection(six, k_max=6, d=4, t_target=1)
+    assert ei.value.candidates == {"pairs": 0, "quads": 0}
+    assert ei.value.best == TupleCollection((), 0, 2, 4)
+
+
+@pytest.mark.parametrize("n,m,seed", [(12, 100, 1), (28, 318, 0), (200, 4995, 1)])
+def test_collection_ignores_seed_and_k_max_above_four(n, m, seed):
+    cnf = gen_random_3cnf(n, m, seed)
+    want = find_collection(cnf, k_max=4, d=4, t_target=0)
+    assert want.t > 0 and check_collection(cnf, want) == (True, None)
+    for k_max in (4, 6, 8):
+        for search_seed in (0, 1, 7):
+            assert find_collection(cnf, k_max=k_max, d=4, t_target=0,
+                                   seed=search_seed) == want
 
 
 def test_check_collection_computes_each_parity_once(monkeypatch):

@@ -32,7 +32,6 @@ from fkocert import (
     certify_eigvalbound,
     gen_random_3cnf,
     is_inconsistent_tuple,
-    nae_upper_bound,
     unsat3xor_lower_bound,
     verify_witness,
     witness_from_json,
@@ -48,6 +47,12 @@ from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_bloc
 from test_acceptance import _noisy_blocks
 
 F = Fraction
+
+
+def _nae_cap(cnf, cert):
+    """(U + 3m)/4, U the certified bound: no assignment NAE-satisfies more.
+    Raises CertificationError when the certificate fails."""
+    return (certified_quadform_bound(build_m(cnf), cert) + 3 * cnf.m) / 4
 
 
 def test_planted_block_end_to_end():
@@ -72,7 +77,7 @@ def test_planted_multiblock_quantities(blocks):
     assert wit.coll.t == 16 * blocks
     assert wit.coll.k == 2
     assert verify_witness(cnf, wit).accepted
-    assert nae_upper_bound(cnf, wit) == 6 * cnf.m // 8
+    assert _nae_cap(cnf, wit.cert) == 6 * cnf.m // 8
     assert unsat3xor_lower_bound(wit) == 4 * blocks
     assert int(nae_counts(cnf).max()) == 6 * blocks
     assert int(not3xor_counts(cnf).min()) == 4 * blocks
@@ -148,7 +153,7 @@ def test_nae_bound_example():
     cnf = planted_block(1)
     wit = build_witness(cnf)
     # (lam*n + 3m + slack)/4 with lam = slack = 0 and m = 8
-    assert nae_upper_bound(cnf, wit) == 6
+    assert _nae_cap(cnf, wit.cert) == 6
     assert unsat3xor_lower_bound(wit) == 4
 
 
@@ -157,14 +162,12 @@ def test_nae_bound_ignores_a_lowered_lambda_field(seed):
     cnf = gen_random_3cnf(8, 30, seed)
     wit = build_witness(cnf)
     best = int(nae_counts(cnf).max())
-    assert nae_upper_bound(cnf, wit) >= best
-    low = replace(wit, lam=min(wit.cert.lambdas))
-    assert nae_upper_bound(cnf, low) == nae_upper_bound(cnf, wit)
+    # the bound reads the certificate only, never the witness's lam field
+    assert _nae_cap(cnf, wit.cert) >= best
     # a lowered top eigenvalue in the certificate itself fails certification
-    lams = wit.cert.lambdas
-    forged = replace(wit, lam=lams[-1], cert=replace(wit.cert, lambdas=lams[::-1]))
+    forged = replace(wit.cert, lambdas=wit.cert.lambdas[::-1])
     with pytest.raises(CertificationError):
-        nae_upper_bound(cnf, forged)
+        _nae_cap(cnf, forged)
 
 
 @pytest.mark.parametrize("cnf", [planted_block(2), gen_random_3cnf(6, 28, 2)],
