@@ -219,7 +219,7 @@ def _add_builder_flags(p: argparse.ArgumentParser) -> None:
                    help="largest tuple size to try, even; 2 packs pairs only, and "
                         "no source yields tuples longer than 4 (default 4)")
     p.add_argument("--budget", type=int, default=50_000,
-                   help="4-tuple candidates taken (default 50000)")
+                   help="4-tuple candidates taken, 0 or more (default 50000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, TypeVar
+from operator import ne
+from typing import Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T", "Clause", "Cnf")
 
@@ -38,6 +39,9 @@ class Clause:
     pols: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        # kept as tuples, so that the clause hashes and its pols key NEG_PARITY
+        object.__setattr__(self, "vars", tuple(self.vars))
+        object.__setattr__(self, "pols", tuple(self.pols))
         if len(self.vars) != 3 or len(self.pols) != 3:
             raise ValueError("clause must have exactly three literals")
         if len(set(self.vars)) != 3:
@@ -52,6 +56,14 @@ class Clause:
 
     def neg_count(self) -> int:
         return 3 - sum(self.pols)
+
+
+# The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3.  The
+# clauses parse_dimacs builds from a clean body and those gen_random_3cnf
+# draws share these tuples; NEG_PARITY maps each to its negation count's
+# parity.
+POLS = tuple(((bits >> 2) & 1, (bits >> 1) & 1, bits & 1) for bits in range(8))
+NEG_PARITY = {pols: (3 - sum(pols)) & 1 for pols in POLS}
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,19 @@ def _unchecked(cls: type[_T], first: object, second: object) -> _T:
     return obj
 
 
+def _unchecked_clauses(vars_: Iterable[tuple[int, int, int]],
+                       pols: Iterable[tuple[int, int, int]]) -> list[Clause]:
+    """`_unchecked(Clause, v, p)` for each pair, without a call per clause."""
+    new, setattr_ = object.__new__, object.__setattr__
+    out = []
+    for v, p in zip(vars_, pols):
+        cl = new(Clause)
+        setattr_(cl, "vars", v)
+        setattr_(cl, "pols", p)
+        out.append(cl)
+    return out
+
+
 def imbalance(cnf: Cnf) -> int:
     """I = sum over variables of |#positive - #negative occurrences|, in one
     pass over the clauses."""
@@ -102,12 +127,18 @@ def parse_dimacs(text: str) -> Cnf:
     Clause order and literal slot order are preserved as written.  Each
     clause is checked once, here (width 3, distinct variables, range
     1..n), and Clause and Cnf are built without repeating those checks.
-    A line holding exactly one valid clause, `a b c 0` as `to_dimacs`
-    writes it, takes a fast path.  Every other line goes through the
-    general tokenizer: comments, the header, several clauses on one line,
-    a clause split across lines, and every error, each raised as a
-    DimacsError naming its line.
+    A text whose first line is the header and whose other lines hold
+    nothing but valid `a b c 0` clauses, as `to_dimacs` writes it, is
+    parsed whole by _parse_clean.  Any other text goes through the line
+    loop.  There a line holding exactly one valid clause takes a fast
+    path, and every other line goes through the general tokenizer:
+    comments, the header, several clauses on one line, a clause split
+    across lines, and every error, each raised as a DimacsError naming
+    its line.
     """
+    cnf = _parse_clean(text)
+    if cnf is not None:
+        return cnf
     n = None
     m = None
     lits: list[int] = []
@@ -173,6 +204,40 @@ def parse_dimacs(text: str) -> Cnf:
     return _unchecked(Cnf, n, tuple(clauses))
 
 
+def _parse_clean(text: str) -> Cnf | None:
+    """The Cnf of a text whose first line is a `p cnf n m` header and whose
+    other lines hold only 4 m integer tokens, m valid `a b c 0` clauses in
+    any line layout; None for any other text.
+
+    Each check is one C-level pass over a stride slice of the tokens,
+    and each clause takes its polarities from POLS.  Whatever this
+    accepts, the line loop would parse to the same Cnf: no token is a
+    comment or a header, and str.split breaks at every line boundary
+    that str.splitlines does.
+    """
+    head, _, body = text.partition("\n")
+    parts = head.split()
+    # the header must be all of the line loop's first line: a \r or \v
+    # before the end of `head` would end that line early
+    if len(parts) != 4 or parts[:2] != ["p", "cnf"] or len(head.splitlines()) != 1:
+        return None
+    try:
+        n, m = int(parts[2]), int(parts[3])
+        lits = list(map(int, body.split()))
+    except ValueError:
+        return None
+    if n < 0 or m < 0 or len(lits) != 4 * m or any(lits[3::4]):
+        return None
+    a, b, c = lits[0::4], lits[1::4], lits[2::4]
+    x, y, z = list(map(abs, a)), list(map(abs, b)), list(map(abs, c))
+    if m and not (min(map(min, (x, y, z))) > 0 and max(map(max, (x, y, z))) <= n):
+        return None
+    if not (all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z))):
+        return None
+    pols = [POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)]
+    return _unchecked(Cnf, n, tuple(_unchecked_clauses(zip(x, y, z), pols)))
+
+
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"p cnf {cnf.n} {cnf.m}"]
     for cl in cnf.clauses:
@@ -196,14 +261,12 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
     if m < 0:
         raise ValueError("m must be nonnegative")
     rng = random.Random(seed)
-    clauses = []
+    triples, pols = [], []
     for _ in range(m):
         while True:
             trip = {rng.randrange(1, n + 1) for _ in range(3)}
             if len(trip) == 3:
                 break
-        vars_ = tuple(sorted(trip))
-        bits = rng.randrange(8)
-        pols = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-        clauses.append(_unchecked(Clause, vars_, pols))
-    return _unchecked(Cnf, n, tuple(clauses))
+        triples.append(tuple(sorted(trip)))
+        pols.append(POLS[rng.randrange(8)])
+    return _unchecked(Cnf, n, tuple(_unchecked_clauses(triples, pols)))

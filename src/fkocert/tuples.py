@@ -23,7 +23,7 @@ from itertools import chain, combinations, compress, count, groupby, islice, pro
 from operator import eq, floordiv, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
-from .cnf import Cnf
+from .cnf import NEG_PARITY, Cnf
 
 ClauseTuple = tuple[int, ...]
 
@@ -71,7 +71,7 @@ def parity_vector(cnf: Cnf, index: int) -> int:
     """Parity bits of one clause as an int: bit 0 is the negation parity,
     bit i (1 <= i <= n) the occurrence parity of variable i."""
     cl = cnf.clauses[index]
-    bits = cl.neg_count() & 1
+    bits = NEG_PARITY[cl.pols]
     for v in cl.vars:
         bits |= 1 << v
     return bits
@@ -106,6 +106,7 @@ def check_collection(
         return False, f"tuple length k={coll.k} is odd"
     if coll.d < 0:
         return False, f"negative reuse bound d={coll.d}"
+    m = cnf.m
     use: dict[int, int] = {}
     parity: dict[int, int] = {}  # clause index -> parity_vector, once per call
     for pos, tup in enumerate(coll.tuples):
@@ -113,7 +114,7 @@ def check_collection(
             return False, f"tuple {pos} has length {len(tup)}, want k={coll.k}"
         bits = 0
         for idx in tup:
-            if not 0 <= idx < cnf.m:
+            if not 0 <= idx < m:
                 return False, f"tuple {pos}: clause index {idx} out of range"
             use[idx] = use.get(idx, 0) + 1
             if idx not in parity:
@@ -144,7 +145,7 @@ def _triple_keys(cnf: Cnf) -> list[int]:
     keys = []
     for idx, cl in enumerate(cnf.clauses):
         u, v, w = sorted(cl.vars)
-        keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
+        keys.append((((u * span + v) * span + w) * 2 + NEG_PARITY[cl.pols]) * m + idx)
     keys.sort()
     return keys
 
@@ -207,9 +208,13 @@ def _quad_candidates(
     one int, sorted; one scan over each finds the runs of equal pair and
     of equal label.  Only the edges that can yield a tuple are decoded
     and expanded: those whose label is on two or more edges, and lone
-    edges whose two triples both repeat.  At most `budget` distinct
-    tuples are taken, in label order; returns them sorted and whether
-    the cap cut the scan.
+    edges whose two triples both repeat.  A label run whose triples each
+    hold one clause, almost every run on a uniform random formula, is
+    expanded from each triple's one key (_one_clause_quads); any other
+    run splits each triple's clauses by negation parity first
+    (_run_quads).  Both yield in the same order, so the budget cuts at
+    the same tuple.  At most `budget` distinct tuples are taken, in
+    label order; returns them sorted and whether the cap cut the scan.
     """
     span, nt = n + 1, len(starts) - 1
     repeats = {j for j in range(nt) if starts[j + 1] - starts[j] > 1}
@@ -217,8 +222,9 @@ def _quad_candidates(
     # variable x, triple), in a flat array
     by_first = [array("q") for _ in range(span)]
     triples = map(floordiv, map(keys.__getitem__, starts[:-1]), repeat(2 * len(keys)))
+    square = span * span
     for j, triple in enumerate(triples):
-        u, vw = divmod(triple, span * span)
+        u, vw = divmod(triple, square)
         v, w = divmod(vw, span)
         by_first[u].extend(((v * span + w) * nt + j, (w * span + v) * nt + j))
         by_first[v].append((w * span + u) * nt + j)
@@ -232,7 +238,7 @@ def _quad_candidates(
         for i in compress(count(), _agree(codes, pair_stride)):
             pair, rest = divmod(codes[i], pair_stride)
             x, a = divmod(rest, nt)
-            head = (x * span * nt + a) * nt
+            head = (x * pair_stride + a) * nt
             a_repeats = a in repeats
             for later in islice(codes, i + 1, None):
                 if later // pair_stride != pair:
@@ -253,19 +259,44 @@ def _quad_candidates(
     by_label = groupby((divmod(code, label_stride) for code in sorted(chosen)), itemgetter(0))
     for _, run in by_label:
         same_label = [divmod(ends, nt) for _, ends in run]
-        twice = [a in repeats and b in repeats for a, b in same_label]
-        sides = [(_members(keys, starts, a), _members(keys, starts, b))
-                 for a, b in same_label]
-        picks = [_picks(a, b) for a, b in sides]
-        for r, (a, b) in enumerate(sides):
-            found = [_cross_quads(picks[r], other) for other in picks[r + 1:]]
-            if twice[r]:
-                found.append(_self_quads(a, b))
-            for quad in chain(*found):
-                if len(out) >= budget:
-                    return sorted(out), True
-                out.add(quad)
+        if repeats.isdisjoint(chain.from_iterable(same_label)):
+            found = _one_clause_quads(keys, starts, same_label)
+        else:
+            found = _run_quads(keys, starts, same_label, repeats)
+        for quad in found:
+            if len(out) >= budget:
+                return sorted(out), True
+            out.add(quad)
     return sorted(out), False
+
+
+def _one_clause_quads(keys: list[int], starts: list[int],
+                      same_label: list[tuple[int, int]]) -> Iterator[ClauseTuple]:
+    """_run_quads for a label run whose triples each hold one clause, read
+    from each triple's first key: each edge picks one clause pair, and
+    two edges whose picks differ in negation parity make one 4-tuple, in
+    the order _run_quads yields it."""
+    m = len(keys)
+    firsts = [(keys[starts[a]], keys[starts[b]]) for a, b in same_label]
+    picked = [((x // m ^ y // m) & 1, x % m, y % m) for x, y in firsts]
+    return (tuple(sorted((i, j, k, l)))
+            for r, (s, i, j) in enumerate(picked)
+            for t, k, l in picked[r + 1:] if s != t)
+
+
+def _run_quads(keys: list[int], starts: list[int], same_label: list[tuple[int, int]],
+               repeats: set[int]) -> Iterator[ClauseTuple]:
+    """The 4-tuples of one label run's edges, sorted each, in a fixed
+    order: for each edge, those with each later edge, then those with
+    itself when both its triples repeat."""
+    sides = [(_members(keys, starts, a), _members(keys, starts, b))
+             for a, b in same_label]
+    picks = [_picks(a, b) for a, b in sides]
+    for r, (a, b) in enumerate(sides):
+        for other in picks[r + 1:]:
+            yield from _cross_quads(picks[r], other)
+        if same_label[r][0] in repeats and same_label[r][1] in repeats:
+            yield from _self_quads(a, b)
 
 
 def _picks(a: Side, b: Side) -> Picks:
@@ -322,9 +353,9 @@ def find_collection(
     (triples sharing two variables, see _quad_candidates), with no size
     cutoff.  No source yields longer tuples, so any k_max above 4 packs
     what 4 packs.  The larger packed t wins; a tie goes to k = 2.
-    `budget` caps the 4-tuples taken, in a fixed order.  `seed` is
-    unused; it stays only because perfbench's calls still pass it.
-    Raises CollectionSearchError, carrying the best collection, the count
+    `budget`, 0 or more, caps the 4-tuples taken, in a fixed order.
+    `seed` is unused; it stays only because perfbench's calls still pass
+    it.  Raises CollectionSearchError, carrying the best collection, the count
     per source and whether the budget cut the 4-tuples short, when the
     best t is below t_target.
     """
@@ -332,6 +363,8 @@ def find_collection(
         raise ValueError("k_max must be even and at least 2")
     if d < 1:
         raise ValueError("d must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     keys = _triple_keys(cnf)
     starts = _triple_starts(keys)
     pairs = sorted(_pair_candidates(keys, starts))

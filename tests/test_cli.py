@@ -324,6 +324,14 @@ def test_sweep_csv_shape(capsys, monkeypatch):
         assert accepted in ("0", "1")
 
 
+def test_sweep_rejects_a_negative_budget(capsys, monkeypatch):
+    monkeypatch.setenv("FKO_THREADS", "1")
+    assert main(["sweep", "--n", "6", "--m", "24", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be nonnegative\n"
+
+
 def test_sweep_deterministic_across_thread_counts(capsys, monkeypatch):
     argv = ["sweep", "--n", "6,8", "--m", "24", "--seeds", "2"]
     monkeypatch.setenv("FKO_THREADS", "1")

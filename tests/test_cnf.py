@@ -5,8 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
-from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
-from fkocert.cnf import imbalance
+from fkocert import (
+    Clause,
+    Cnf,
+    DimacsError,
+    find_collection,
+    gen_random_3cnf,
+    parse_dimacs,
+    to_dimacs,
+)
+from fkocert.cnf import POLS, imbalance
 from conftest import (
     all_assignments,
     brute_force_unsat,
@@ -56,6 +64,12 @@ def test_clause_validation():
         Cnf(3, (Clause((1, 2, 4), (1, 1, 1)),))
     with pytest.raises(ValueError):
         Cnf(-1, ())
+
+
+def test_clause_keeps_its_fields_as_tuples():
+    cl = Clause([1, 2, 3], [1, 0, 1])
+    assert cl == C1n23 and hash(cl) == hash(C1n23)
+    assert find_collection(Cnf(3, (cl, C123)), k_max=2, t_target=1).tuples == ((0, 1),)
 
 
 def test_predicate_examples():
@@ -297,6 +311,20 @@ def _outcome(parse, text):
 @example("p cnf 3 2\n1 2 3 0\n")                      # count mismatch
 @example("p cnf 3 1\n1 2 3 -0\n")                     # a zero spelled -0
 @example("p cnf 3 1\n1 2 3 0 0\n")                    # an empty clause after one
+# the edges of the whole-body path for a clean text
+@example("c by hand\np cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")   # a comment before the header
+@example("p cnf 4 2\r\n1 -2 3 0\r\n-1 2 4 0\r\n")      # CRLF line endings
+@example("p cnf 4 2\n1 -2 3 0\n-1 2 4 0")                # no final newline
+@example("p cnf 4 2\n1 -2 3 0\n-1 2\n4 0\n")            # one clause split across lines
+@example("p cnf 4 2\n+1 -2 +3 0\n-1 +2 4 0\n")          # +3 literals
+@example("p cnf 4 2\n1 -2 3 -0\n-1 2 4 0\n")            # a -0 terminator
+@example("p cnf 4 2\n1 0 3 0\n-1 2 4 0\n")              # a 0 in a literal slot
+@example("p cnf 4 2\n1 -2 3 4\n-1 2 4 0\n")             # a literal in a 0's slot
+@example("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n\n")           # a trailing blank line
+@example("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n")             # header count one too high
+@example("p cnf 4 1\n1 -2 3 0\n-1 2 4 0\n")             # header count one too low
+@example("p cnf 4 2\r1 -2 3 0\r-1 2 4 0\r")             # CR line endings
+@example("p\x0bcnf 4 2\n1 -2 3 0\n-1 2 4 0\n")          # a line break inside the header
 def test_parse_dimacs_matches_reference(text):
     want = _outcome(reference_parse_dimacs, text)
     got = _outcome(parse_dimacs, text)
@@ -304,6 +332,16 @@ def test_parse_dimacs_matches_reference(text):
         assert type(got) is type(want) and str(got) == str(want)
     else:
         assert got == want and repr(got) == repr(want)
+
+
+def test_clean_text_is_parsed_whole_onto_the_shared_pols():
+    cnf = gen_random_3cnf(30, 200, 4)
+    text = to_dimacs(cnf)
+    for clean in (text, text.replace("\n", "\r\n"), text.replace(" 0\n", " 0 ")):
+        got = parse_dimacs(clean)
+        assert got == cnf
+        assert all(cl.pols is POLS[4 * p + 2 * q + r] for cl in got.clauses
+                   for p, q, r in [cl.pols])
 
 
 @st.composite

@@ -162,6 +162,10 @@ def test_find_collection_validates_parameters():
         find_collection(k, k_max=3, d=4, t_target=1)
     with pytest.raises(ValueError):
         find_collection(k, k_max=2, d=0, t_target=1)
+    with pytest.raises(ValueError):
+        find_collection(k, k_max=4, d=4, t_target=1, budget=-1)
+    # budget 0 takes no 4-tuple; the pair still packs
+    assert find_collection(k, k_max=4, d=4, t_target=1, budget=0).tuples == ((0, 1),)
 
 
 def test_find_collection_deterministic():
@@ -510,3 +514,43 @@ def test_quad_index_pinned_to_reference(budget):
 @given(small_cnfs(), st.sampled_from([1, 7, 100, 50_000]))
 def test_quad_index_pinned_on_repeated_triples(cnf, budget):
     assert _index_quads(cnf, budget) == reference_index_quads(cnf, budget)
+
+
+# triple {1,2,5} holds two clauses, every other triple one: the runs of
+# labels {5,6} and {5,7} mix one-clause and repeated triples, and the run
+# of label {6,7} holds only one-clause triples
+MIXED_RUNS = Cnf(7, (
+    Clause((1, 2, 5), (1, 1, 1)), Clause((1, 2, 5), (0, 1, 1)),
+    Clause((1, 2, 6), (1, 1, 1)),
+    Clause((3, 4, 5), (1, 1, 1)), Clause((3, 4, 6), (0, 1, 1)),
+    Clause((1, 3, 5), (1, 1, 1)), Clause((1, 3, 6), (1, 1, 1)),
+    Clause((2, 4, 5), (0, 1, 1)), Clause((2, 4, 6), (1, 1, 1)),
+    Clause((1, 2, 7), (1, 1, 1)), Clause((3, 4, 7), (0, 1, 1)),
+    Clause((1, 3, 7), (1, 0, 1)), Clause((2, 4, 7), (1, 1, 1)),
+))
+
+
+def test_quad_index_pinned_where_one_clause_and_repeated_runs_meet(monkeypatch):
+    import fkocert.tuples as tuples_mod
+
+    full, hit = _index_quads(MIXED_RUNS)
+    assert not hit
+    for budget in range(1, len(full) + 1):
+        assert _index_quads(MIXED_RUNS, budget) == reference_index_quads(MIXED_RUNS, budget)
+    # both expansions yield several 4-tuples from one run, so the budgets
+    # above cut inside runs of each kind
+    yields: dict[str, list[int]] = {"_one_clause_quads": [], "_run_quads": []}
+
+    def counting(name):
+        real = getattr(tuples_mod, name)
+
+        def wrapped(*args):
+            quads = list(real(*args))
+            yields[name].append(len(quads))
+            return iter(quads)
+        return wrapped
+
+    for name in yields:
+        monkeypatch.setattr(tuples_mod, name, counting(name))
+    assert _index_quads(MIXED_RUNS) == (full, False)
+    assert min(map(max, yields.values())) >= 2
