@@ -29,6 +29,7 @@ from .spectral import (  # noqa: F401
     certify_eigvalbound,
 )
 from .tc0frege import check_proof, parse_proof
+from .tuples import check_search_params
 from .witness import (
     FkoWitness,
     build_witness,
@@ -172,6 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(ms) != len(ns):
         _err("--m must be a single value or match --n in length")
         return 2
+    check_search_params(args.k_max, args.d, args.budget)
     jobs = [
         (n, m, args.seed + s, args.c, args.d, args.k_max, args.budget)
         for n, m in zip(ns, ms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import ne
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 _T = TypeVar("_T", "Clause", "Cnf")
 
@@ -39,9 +39,6 @@ class Clause:
     pols: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        # kept as tuples, so that the clause hashes and its pols key NEG_PARITY
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "pols", tuple(self.pols))
         if len(self.vars) != 3 or len(self.pols) != 3:
             raise ValueError("clause must have exactly three literals")
         if len(set(self.vars)) != 3:
@@ -60,10 +57,8 @@ class Clause:
 
 # The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3.  The
 # clauses parse_dimacs builds from a clean body and those gen_random_3cnf
-# draws share these tuples; NEG_PARITY maps each to its negation count's
-# parity.
+# draws share these tuples.
 POLS = tuple(((bits >> 2) & 1, (bits >> 1) & 1, bits & 1) for bits in range(8))
-NEG_PARITY = {pols: (3 - sum(pols)) & 1 for pols in POLS}
 
 
 @dataclass(frozen=True)
@@ -95,19 +90,6 @@ def _unchecked(cls: type[_T], first: object, second: object) -> _T:
     return obj
 
 
-def _unchecked_clauses(vars_: Iterable[tuple[int, int, int]],
-                       pols: Iterable[tuple[int, int, int]]) -> list[Clause]:
-    """`_unchecked(Clause, v, p)` for each pair, without a call per clause."""
-    new, setattr_ = object.__new__, object.__setattr__
-    out = []
-    for v, p in zip(vars_, pols):
-        cl = new(Clause)
-        setattr_(cl, "vars", v)
-        setattr_(cl, "pols", p)
-        out.append(cl)
-    return out
-
-
 def imbalance(cnf: Cnf) -> int:
     """I = sum over variables of |#positive - #negative occurrences|, in one
     pass over the clauses."""
@@ -130,11 +112,9 @@ def parse_dimacs(text: str) -> Cnf:
     A text whose first line is the header and whose other lines hold
     nothing but valid `a b c 0` clauses, as `to_dimacs` writes it, is
     parsed whole by _parse_clean.  Any other text goes through the line
-    loop.  There a line holding exactly one valid clause takes a fast
-    path, and every other line goes through the general tokenizer:
-    comments, the header, several clauses on one line, a clause split
-    across lines, and every error, each raised as a DimacsError naming
-    its line.
+    loop, which handles comments, the header, several clauses on one
+    line, a clause split across lines, and every error, each raised as a
+    DimacsError naming its line.
     """
     cnf = _parse_clean(text)
     if cnf is not None:
@@ -144,19 +124,6 @@ def parse_dimacs(text: str) -> Cnf:
     lits: list[int] = []
     clauses: list[Clause] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if len(parts) == 4 and n is not None and not lits:
-            try:
-                a, b, c, end = map(int, parts)
-            except ValueError:
-                pass  # a comment, a header or a bad literal
-            else:
-                x, y, z = abs(a), abs(b), abs(c)
-                if end == 0 and 0 < x <= n and 0 < y <= n and 0 < z <= n \
-                        and x != y != z != x:
-                    pols = (1 if a > 0 else 0, 1 if b > 0 else 0, 1 if c > 0 else 0)
-                    clauses.append(_unchecked(Clause, (x, y, z), pols))
-                    continue
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -234,8 +201,15 @@ def _parse_clean(text: str) -> Cnf | None:
         return None
     if not (all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z))):
         return None
-    pols = [POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)]
-    return _unchecked(Cnf, n, tuple(_unchecked_clauses(zip(x, y, z), pols)))
+    new, setattr_ = object.__new__, object.__setattr__
+    clauses = []
+    for vars_, p, q, r in zip(zip(x, y, z), a, b, c):
+        # _unchecked(Clause, ...) inlined: no call per clause
+        cl = new(Clause)
+        setattr_(cl, "vars", vars_)
+        setattr_(cl, "pols", POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)])
+        clauses.append(cl)
+    return _unchecked(Cnf, n, tuple(clauses))
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -261,12 +235,12 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
     if m < 0:
         raise ValueError("m must be nonnegative")
     rng = random.Random(seed)
-    triples, pols = [], []
+    clauses = []
     for _ in range(m):
         while True:
             trip = {rng.randrange(1, n + 1) for _ in range(3)}
             if len(trip) == 3:
                 break
-        triples.append(tuple(sorted(trip)))
-        pols.append(POLS[rng.randrange(8)])
-    return _unchecked(Cnf, n, tuple(_unchecked_clauses(triples, pols)))
+        vars_ = tuple(sorted(trip))
+        clauses.append(_unchecked(Clause, vars_, POLS[rng.randrange(8)]))
+    return _unchecked(Cnf, n, tuple(clauses))

@@ -23,7 +23,7 @@ from itertools import chain, combinations, compress, count, groupby, islice, pro
 from operator import eq, floordiv, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
-from .cnf import NEG_PARITY, Cnf
+from .cnf import Cnf
 
 ClauseTuple = tuple[int, ...]
 
@@ -35,6 +35,7 @@ __all__ = [
     "is_even_tuple",
     "is_inconsistent_tuple",
     "check_collection",
+    "check_search_params",
     "find_collection",
 ]
 
@@ -71,7 +72,7 @@ def parity_vector(cnf: Cnf, index: int) -> int:
     """Parity bits of one clause as an int: bit 0 is the negation parity,
     bit i (1 <= i <= n) the occurrence parity of variable i."""
     cl = cnf.clauses[index]
-    bits = NEG_PARITY[cl.pols]
+    bits = cl.neg_count() & 1
     for v in cl.vars:
         bits |= 1 << v
     return bits
@@ -145,7 +146,7 @@ def _triple_keys(cnf: Cnf) -> list[int]:
     keys = []
     for idx, cl in enumerate(cnf.clauses):
         u, v, w = sorted(cl.vars)
-        keys.append((((u * span + v) * span + w) * 2 + NEG_PARITY[cl.pols]) * m + idx)
+        keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
     keys.sort()
     return keys
 
@@ -337,6 +338,16 @@ def _greedy_pack(candidates: Iterable[ClauseTuple], d: int) -> tuple[ClauseTuple
     return tuple(chosen)
 
 
+def check_search_params(k_max: int, d: int, budget: int) -> None:
+    """Raise ValueError unless find_collection accepts these parameters."""
+    if k_max < 2 or k_max % 2:
+        raise ValueError("k_max must be even and at least 2")
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+
+
 def find_collection(
     cnf: Cnf,
     k_max: int = 4,
@@ -357,14 +368,9 @@ def find_collection(
     `seed` is unused; it stays only because perfbench's calls still pass
     it.  Raises CollectionSearchError, carrying the best collection, the count
     per source and whether the budget cut the 4-tuples short, when the
-    best t is below t_target.
+    best t is below t_target; raises ValueError as check_search_params.
     """
-    if k_max < 2 or k_max % 2:
-        raise ValueError("k_max must be even and at least 2")
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    check_search_params(k_max, d, budget)
     keys = _triple_keys(cnf)
     starts = _triple_starts(keys)
     pairs = sorted(_pair_candidates(keys, starts))

@@ -43,7 +43,7 @@ from .spectral import (
     certify_eigvalbound,
     tolerances,
 )
-from .tuples import TupleCollection, check_collection, find_collection
+from .tuples import TupleCollection, check_collection, check_search_params, find_collection
 
 __all__ = [
     "FkoWitness",
@@ -140,8 +140,10 @@ def build_witness(
     fails certification as one it rejects at `EigValBound` or earlier at
     `inequality`.  For n = 0 the certificate is empty, lambda is 0 and the
     verifier rejects it at `EigValBound`.  Raises SpectralPrecisionError
-    when approx_eigen misses its precision target.
+    when approx_eigen misses its precision target, and ValueError, before
+    any work, on search parameters find_collection refuses.
     """
+    check_search_params(k_max, d, budget)
     imb = imbalance(cnf)
     mat = build_m(cnf)
     cert = approx_eigen(mat, c) if cnf.n else SpectralCert((), (), c)

@@ -324,9 +324,29 @@ def test_sweep_csv_shape(capsys, monkeypatch):
         assert accepted in ("0", "1")
 
 
-def test_sweep_rejects_a_negative_budget(capsys, monkeypatch):
-    monkeypatch.setenv("FKO_THREADS", "1")
-    assert main(["sweep", "--n", "6", "--m", "24", "--budget", "-1"]) == 2
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before the parameter check")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_rejects_a_negative_budget_before_any_row(capsys, monkeypatch, threads):
+    import fkocert.cli as cli_mod
+
+    monkeypatch.setenv("FKO_THREADS", threads)
+    monkeypatch.setattr(cli_mod, "_sweep_one", _no_work)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _no_work)
+    assert main(["sweep", "--n", "6,8", "--m", "24", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be nonnegative\n"
+
+
+@pytest.mark.parametrize("command", ["witness", "refute"])
+def test_build_rejects_a_negative_budget_before_spectral_work(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(fkocert.witness, "approx_eigen", _no_work)
+    rc = main([command, "--cnf", str(_block_path(tmp_path)), "--budget", "-1"])
+    assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: budget must be nonnegative\n"

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
-from fkocert import (
-    Clause,
-    Cnf,
-    DimacsError,
-    find_collection,
-    gen_random_3cnf,
-    parse_dimacs,
-    to_dimacs,
-)
+from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
 from fkocert.cnf import POLS, imbalance
 from conftest import (
     all_assignments,
@@ -64,12 +56,6 @@ def test_clause_validation():
         Cnf(3, (Clause((1, 2, 4), (1, 1, 1)),))
     with pytest.raises(ValueError):
         Cnf(-1, ())
-
-
-def test_clause_keeps_its_fields_as_tuples():
-    cl = Clause([1, 2, 3], [1, 0, 1])
-    assert cl == C1n23 and hash(cl) == hash(C1n23)
-    assert find_collection(Cnf(3, (cl, C123)), k_max=2, t_target=1).tuples == ((0, 1),)
 
 
 def test_predicate_examples():

@@ -111,6 +111,19 @@ def test_build_witness_calls_no_certification():
     assert "find_collection" in called  # the walk sees the body's calls
 
 
+@pytest.mark.parametrize("params", [dict(budget=-1), dict(d=0), dict(k_max=3)])
+def test_build_witness_refuses_search_params_before_any_work(monkeypatch, params):
+    import fkocert.witness as witness_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the parameter check")
+
+    for name in ("imbalance", "build_m", "approx_eigen", "find_collection"):
+        monkeypatch.setattr(witness_mod, name, no_work)
+    with pytest.raises(ValueError):
+        build_witness(gen_random_3cnf(8, 40, 0), **params)
+
+
 def _forced_failure_formulas():
     """Noisy planted blocks, mostly accepted at the default tolerances,
     and random formulas with n <= 10: dense ones the verifier accepts and
