@@ -109,12 +109,14 @@ def parse_dimacs(text: str) -> Cnf:
     Clause order and literal slot order are preserved as written.  Each
     clause is checked once, here (width 3, distinct variables, range
     1..n), and Clause and Cnf are built without repeating those checks.
-    A text whose first line is the header and whose other lines hold
-    nothing but valid `a b c 0` clauses, as `to_dimacs` writes it, is
-    parsed whole by _parse_clean.  Any other text goes through the line
-    loop, which handles comments, the header, several clauses on one
-    line, a clause split across lines, and every error, each raised as a
-    DimacsError naming its line.
+    Every integer, header count or literal, is ASCII decimal digits with
+    an optional sign, "+" included: int() alone would also take "1_0"
+    and non-ASCII digits.  A text whose first line is the header and
+    whose other lines hold nothing but valid `a b c 0` clauses, as
+    `to_dimacs` writes it, is parsed whole by _parse_clean.  Any other
+    text goes through the line loop, which handles comments, the header,
+    several clauses on one line, a clause split across lines, and every
+    error, each raised as a DimacsError naming its line.
     """
     cnf = _parse_clean(text)
     if cnf is not None:
@@ -134,7 +136,7 @@ def parse_dimacs(text: str) -> Cnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _decimal(parts[2]), _decimal(parts[3])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
             if n < 0 or m < 0:
@@ -142,9 +144,10 @@ def parse_dimacs(text: str) -> Cnf:
             continue
         if n is None:
             raise DimacsError(f"line {lineno}: clause before header")
+        plain = line.isascii() and "_" not in line  # int() is strict enough
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = int(tok) if plain else _decimal(tok)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from exc
             if lit == 0:
@@ -171,17 +174,28 @@ def parse_dimacs(text: str) -> Cnf:
     return _unchecked(Cnf, n, tuple(clauses))
 
 
+def _decimal(tok: str) -> int:
+    """int(tok) for ASCII decimal digits with an optional sign; ValueError
+    for any other token."""
+    if tok.isascii() and tok.lstrip("+-").isdigit():
+        return int(tok)
+    raise ValueError(f"not a decimal integer: {tok!r}")
+
+
 def _parse_clean(text: str) -> Cnf | None:
     """The Cnf of a text whose first line is a `p cnf n m` header and whose
     other lines hold only 4 m integer tokens, m valid `a b c 0` clauses in
     any line layout; None for any other text.
 
-    Each check is one C-level pass over a stride slice of the tokens,
-    and each clause takes its polarities from POLS.  Whatever this
-    accepts, the line loop would parse to the same Cnf: no token is a
-    comment or a header, and str.split breaks at every line boundary
-    that str.splitlines does.
+    On an ASCII text without "_", int() takes exactly the tokens that
+    _decimal takes.  Each check is one C-level pass over the text or a
+    stride slice of the tokens, and each clause takes its polarities
+    from POLS.  Whatever this accepts, the line loop would parse to the
+    same Cnf: no token is a comment or a header, and str.split breaks at
+    every line boundary that str.splitlines does.
     """
+    if not text.isascii() or "_" in text:
+        return None
     head, _, body = text.partition("\n")
     parts = head.split()
     # the header must be all of the line loop's first line: a \r or \v

@@ -17,10 +17,10 @@ leaves at least ceil(t/d) distinct clauses non-3XOR.
 
 from __future__ import annotations
 
-from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, groupby, islice, product, repeat
-from operator import eq, floordiv, itemgetter, not_
+from operator import floordiv, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .cnf import Cnf
@@ -151,21 +151,15 @@ def _triple_keys(cnf: Cnf) -> list[int]:
     return keys
 
 
-def _agree(codes: Sequence[int], stride: int) -> Iterator[bool]:
-    """For each i, whether codes[i] and codes[i + 1] agree above `stride`
-    (equal quotients): on a sorted list, a scan for runs that takes no
-    Python-level step per code."""
-    return map(eq, map(floordiv, codes, repeat(stride)),
-               map(floordiv, islice(codes, 1, None), repeat(stride)))
-
-
 def _triple_starts(keys: list[int]) -> list[int]:
     """Where each triple's run of keys starts, ascending, then len(keys):
-    triple j holds keys[starts[j]:starts[j + 1]]."""
+    triple j holds keys[starts[j]:starts[j + 1]]; one C-level scan."""
     m = len(keys)
     if not m:
         return [0]
-    return [0, *compress(count(1), map(not_, _agree(keys, 2 * m))), m]
+    triples = map(floordiv, keys, repeat(2 * m))
+    later = map(floordiv, islice(keys, 1, None), repeat(2 * m))
+    return [0, *compress(count(1), map(ne, triples, later)), m]
 
 
 def _members(keys: list[int], starts: list[int], j: int) -> Side:
@@ -205,61 +199,35 @@ def _quad_candidates(
     (Pasch configurations), and two same-triple pairs on triples that
     share fewer than two variables.
 
-    Incidences (per first variable, in int64 arrays) and edges are each
-    one int, sorted; one scan over each finds the runs of equal pair and
-    of equal label.  Only the edges that can yield a tuple are decoded
-    and expanded: those whose label is on two or more edges, and lone
-    edges whose two triples both repeat.  A label run whose triples each
-    hold one clause, almost every run on a uniform random formula, is
-    expanded from each triple's one key (_one_clause_quads); any other
-    run splits each triple's clauses by negation parity first
-    (_run_quads).  Both yield in the same order, so the budget cuts at
-    the same tuple.  At most `budget` distinct tuples are taken, in
-    label order; returns them sorted and whether the cap cut the scan.
+    With s = n + 1, a triple u < v < w has the code (u*s + v)*s + w and
+    the incidences pair*s + third for its pairs u*s + v, u*s + w and
+    v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges reads
+    every edge off them as its label x*s + y and head pair*s + x.  Only
+    edges that can yield a tuple get triple ids, by code: those whose
+    label recurs, and lone edges whose two triples both repeat.  A label
+    run whose triples each hold one clause, almost every run at uniform
+    density, is expanded from each triple's one key (_one_clause_quads);
+    any other run splits each triple's clauses by negation parity first
+    (_run_quads), in the same order, so the budget cuts at the same
+    tuple.  At most `budget` distinct tuples are taken, in label order;
+    returns them sorted and whether the cap cut the scan.
     """
-    span, nt = n + 1, len(starts) - 1
-    repeats = {j for j in range(nt) if starts[j + 1] - starts[j] > 1}
-    # for each variable a, one int per (second variable b > a, third
-    # variable x, triple), in a flat array
-    by_first = [array("q") for _ in range(span)]
-    triples = map(floordiv, map(keys.__getitem__, starts[:-1]), repeat(2 * len(keys)))
-    square = span * span
-    for j, triple in enumerate(triples):
-        u, vw = divmod(triple, square)
-        v, w = divmod(vw, span)
-        by_first[u].extend(((v * span + w) * nt + j, (w * span + v) * nt + j))
-        by_first[v].append((w * span + u) * nt + j)
-    # one int per (label {x,y}, triple with x, triple with y); within the
-    # run of one pair {a,b} the third variables are distinct and ascending
-    edges: list[int] = []
-    doubled: list[int] = []  # edges whose two triples both repeat
-    pair_stride, label_stride = span * nt, nt * nt
-    for codes in by_first:
-        codes = sorted(codes)
-        for i in compress(count(), _agree(codes, pair_stride)):
-            pair, rest = divmod(codes[i], pair_stride)
-            x, a = divmod(rest, nt)
-            head = (x * pair_stride + a) * nt
-            a_repeats = a in repeats
-            for later in islice(codes, i + 1, None):
-                if later // pair_stride != pair:
-                    break
-                y, b = divmod(later % pair_stride, nt)
-                edges.append(head + y * label_stride + b)
-                if a_repeats and b in repeats:
-                    doubled.append(edges[-1])
-    del by_first
-    edges.sort()
-    # an edge yields tuples when its label recurs, or with itself when
-    # both its triples repeat; no other edge is decoded
-    chosen = set(doubled)
-    for i in compress(count(), _agree(edges, label_stride)):
-        chosen.update(edges[i:i + 2])
-    del edges
+    span, stride = n + 1, 2 * len(keys)
+    triples = [keys[i] // stride for i in islice(starts, len(starts) - 1)]
+    repeats = {j for j, a, b in zip(count(), starts, islice(starts, 1, None)) if b - a > 1}
+    labels, heads = _edges(span, triples)
+    counts = Counter(labels)
+    lone = zip(*_edges(span, [triples[j] for j in repeats]))  # both ends repeat
+    chosen = sorted([(label, head) for label, head in zip(labels, heads) if counts[label] > 1]
+                    + [(label, head) for label, head in lone if counts[label] == 1])
+    del labels, heads, counts
+    number = dict(zip(triples, count()))  # triple code -> triple id
+    del triples
     out: set[ClauseTuple] = set()
-    by_label = groupby((divmod(code, label_stride) for code in sorted(chosen)), itemgetter(0))
-    for _, run in by_label:
-        same_label = [divmod(ends, nt) for _, ends in run]
+    # heads sort by pair within a label: the order of either end's triple
+    for label, run in groupby(chosen, itemgetter(0)):
+        x, y = divmod(label, span)
+        same_label = [_ends(number, span, head, x, y) for _, head in run]
         if repeats.isdisjoint(chain.from_iterable(same_label)):
             found = _one_clause_quads(keys, starts, same_label)
         else:
@@ -269,6 +237,38 @@ def _quad_candidates(
                 return sorted(out), True
             out.add(quad)
     return sorted(out), False
+
+
+def _edges(s: int, triples: list[int]) -> tuple[list[int], list[int]]:
+    """Labels x*s + y (x < y) and heads pair*s + x of every edge among
+    these triples.  Offset 1 of the sorted incidences joins neighbours
+    in a pair run; offset k chains k such edges, where k - 1 chained."""
+    square = s * s
+    # (u*s + v)*s + w, then (u*s + w)*s + v and (v*s + w)*s + u
+    codes = [*triples, *[t + (t % s - t // s % s) * (s - 1) for t in triples],
+             *[t % square * s + t // square for t in triples]]
+    codes.sort()
+    same = bytes([a // s == b // s for a, b in zip(codes, islice(codes, 1, None))])
+    heads = list(compress(codes, same))
+    tails = list(compress(islice(codes, 1, None), same))
+    del codes, same  # the incidences outside every run go
+    labels = [h % s * s + t % s for h, t in zip(heads, tails)]
+    # edge j reaches offset k + 1 if edge j + k starts at j + k - 1's end (codes are distinct)
+    ones, hits, step = len(heads), range(len(heads)), 1
+    while hits:
+        hits = [j for j in hits if j + step < ones and tails[j + step - 1] == heads[j + step]]
+        step += 1
+        labels += [heads[j] % s * s + tails[j + step - 1] % s for j in hits]
+        heads += [heads[j] for j in hits]
+    return labels, heads
+
+
+def _ends(number: dict[int, int], s: int, head: int, x: int, y: int) -> tuple[int, int]:
+    """The ids of the triples of head's pair with x and with y, by code."""
+    p, q = divmod(head // s, s)  # head is pair*s + x
+    a = head if x > q else (p * s + x) * s + q if x > p else (x * s + p) * s + q
+    b = head - x + y if y > q else (p * s + y) * s + q if y > p else (y * s + p) * s + q
+    return number[a], number[b]
 
 
 def _one_clause_quads(keys: list[int], starts: list[int],

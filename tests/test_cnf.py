@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -168,9 +169,18 @@ def test_dimacs_rejects(bad):
 # ------------------------------------------- parse against the former parser
 
 
+def _reference_int(tok):
+    """A DIMACS integer: ASCII decimal digits with an optional sign."""
+    if re.fullmatch(r"[+-]?[0-9]+", tok) is None:
+        raise ValueError(tok)
+    return int(tok)
+
+
 def reference_parse_dimacs(text):
     """The parser as it was before the one-check-per-clause fast path:
-    every clause checked here, then again by Clause and Cnf."""
+    every clause checked here, then again by Clause and Cnf.  Integers
+    are read by _reference_int, not by int(), which would also take
+    "1_0" and non-ASCII digits."""
     n = None
     m = None
     lits = []
@@ -186,7 +196,7 @@ def reference_parse_dimacs(text):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _reference_int(parts[2]), _reference_int(parts[3])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
             if n < 0 or m < 0:
@@ -196,7 +206,7 @@ def reference_parse_dimacs(text):
             raise DimacsError(f"line {lineno}: clause before header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = _reference_int(tok)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from exc
             if lit == 0:
@@ -311,6 +321,13 @@ def _outcome(parse, text):
 @example("p cnf 4 1\n1 -2 3 0\n-1 2 4 0\n")             # header count one too low
 @example("p cnf 4 2\r1 -2 3 0\r-1 2 4 0\r")             # CR line endings
 @example("p\x0bcnf 4 2\n1 -2 3 0\n-1 2 4 0\n")          # a line break inside the header
+# integers that int() takes but DIMACS does not: "_" and non-ASCII digits
+@example("p cnf 10 1\n1_0 2 3 0\n")                     # in a literal
+@example("p cnf 3 1\n1 2 \u0663 0\n")                   # in a literal
+@example("p cnf 3 1\n1 2 3 0_0\n")                      # in a terminator
+@example("p cnf 3 1\n1 2 3 \u0660\n")                   # in a terminator
+@example("p cnf 1_0 1\n1 2 3 0\n")                      # in a header count
+@example("p cnf \u0663 1\n1 2 3 0\n")                   # in a header count
 def test_parse_dimacs_matches_reference(text):
     want = _outcome(reference_parse_dimacs, text)
     got = _outcome(parse_dimacs, text)

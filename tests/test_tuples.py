@@ -1,6 +1,7 @@
 import array
 import bisect
 import itertools
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -554,3 +555,68 @@ def test_quad_index_pinned_where_one_clause_and_repeated_runs_meet(monkeypatch):
         monkeypatch.setattr(tuples_mod, name, counting(name))
     assert _index_quads(MIXED_RUNS) == (full, False)
     assert min(map(max, yields.values())) >= 2
+
+
+def _planted_square(base, last):
+    """Six clauses above `base`: the pairs {a,b} and {c,d} each with the
+    thirds x and y make two edges labelled {x,y}, and both triples on
+    {a,b} hold two clauses, of mixed and of equal negation parity."""
+    a, b, c, d, x, y = range(base, base + 6)
+    return [Clause((a, b, x), (1, 1, 1)), Clause((a, b, x), (0, 1, 1)),
+            Clause((a, b, y), (1, 1, 1)), Clause((a, b, y), (0, 0, 1)),
+            Clause((c, d, x), (1, 1, 1)), Clause((c, d, y), (1, 1, last))]
+
+
+def test_quad_index_pinned_past_one_int_digit():
+    # at n = 1100, pair*(n+1) + third passes 2^30 once the pair's first
+    # variable reaches 886: those incidence codes are two-digit ints
+    n, s = 1100, 1101
+    clauses = list(gen_random_3cnf(n, 400, 7).clauses)
+    for k, base in enumerate((3, 900, 1000, 1090)):
+        clauses += _planted_square(base, k % 2)
+    cnf = Cnf(n, tuple(clauses))
+    assert (1090 * s + 1091) * s + 1094 >= 2**30
+    full, hit = _index_quads(cnf)
+    assert not hit
+    # each square yields two cross tuples and one from its {a,b} edge alone
+    for first in range(400, 424, 6):
+        assert sum(min(q) >= first and max(q) < first + 6 for q in full) == 3
+    for budget in range(1, len(full) + 2):
+        assert _index_quads(cnf, budget) == reference_index_quads(cnf, budget)
+
+
+# the pairs {1,2} and {7,8} each carry the thirds 3, 4, 5 and 6, so each
+# pair run holds four triples and the run scan reaches offset 3; every
+# label {x,y} on 3..6 is on two edges, and {1,2,3} holds two clauses
+LONG_RUNS = Cnf(8, tuple(
+    [Clause((1, 2, 3), (0, 1, 1))]
+    + [Clause((1, 2, x), (1, 1, x % 2)) for x in (3, 4, 5, 6)]
+    + [Clause((7, 8, x), (1, 1, 1)) for x in (3, 4, 5, 6)]
+))
+
+
+def test_quad_index_pinned_on_long_pair_runs():
+    full, hit = _index_quads(LONG_RUNS)
+    assert not hit
+    # a tuple from the edge {1,2,3}-{1,2,6} needs offset 3 of the scan
+    assert any({0, 4, 5, 8} <= set(quad) or {1, 4, 5, 8} <= set(quad) for quad in full)
+    for budget in range(1, len(full) + 1):
+        assert _index_quads(LONG_RUNS, budget) == reference_index_quads(LONG_RUNS, budget)
+
+
+def test_quad_index_transient_memory_stays_small():
+    # one call at this size peaks near 0.8 MiB on CPython 3.11 (the index
+    # on int64 arrays before it: 0.4 MiB); each list is freed once read
+    cnf = gen_random_3cnf(200, 4995, 1)
+    keys = _triple_keys(cnf)
+    starts = _triple_starts(keys)
+    _quad_candidates(cnf.n, keys, starts, 50_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _quad_candidates(cnf.n, keys, starts, 50_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
