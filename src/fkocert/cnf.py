@@ -144,10 +144,9 @@ def parse_dimacs(text: str) -> Cnf:
             continue
         if n is None:
             raise DimacsError(f"line {lineno}: clause before header")
-        plain = line.isascii() and "_" not in line  # int() is strict enough
         for tok in line.split():
             try:
-                lit = int(tok) if plain else _decimal(tok)
+                lit = _decimal(tok)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from exc
             if lit == 0:

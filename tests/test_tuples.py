@@ -605,8 +605,8 @@ def test_quad_index_pinned_on_long_pair_runs():
 
 
 def test_quad_index_transient_memory_stays_small():
-    # one call at this size peaks near 0.8 MiB on CPython 3.11 (the index
-    # on int64 arrays before it: 0.4 MiB); each list is freed once read
+    # each list is freed once read; 3 MiB catches a layout that holds
+    # every list at once
     cnf = gen_random_3cnf(200, 4995, 1)
     keys = _triple_keys(cnf)
     starts = _triple_starts(keys)
