@@ -16,7 +16,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .cnf import Cnf, DimacsError, gen_random_3cnf, imbalance, parse_dimacs, to_dimacs
+from .cnf import (Cnf, DimacsError, check_gen_params, gen_random_3cnf, imbalance,
+                  parse_dimacs, to_dimacs)
 from .oracle import brute_force_report
 # approx_eigen, build_m and certify_eigvalbound stay importable from this
 # module: perfbench/spans.py traces the pipeline stages through these names
@@ -173,6 +174,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(ms) != len(ns):
         _err("--m must be a single value or match --n in length")
         return 2
+    if args.seeds < 0:
+        raise ValueError("--seeds must be nonnegative")
+    for n, m in zip(ns, ms):
+        check_gen_params(n, m)
     check_search_params(args.k_max, args.d, args.budget)
     jobs = [
         (n, m, args.seed + s, args.c, args.d, args.k_max, args.budget)
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated clause counts (single value broadcasts)")
     sw.add_argument("--seed", type=int, default=0,
                     help="formula seed of the first row per (n, m) pair (default 0)")
-    sw.add_argument("--seeds", type=int, default=1, help="seeds per (n, m) pair")
+    sw.add_argument("--seeds", type=int, default=1, help="seeds per (n, m) pair, 0 or more")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     _add_builder_flags(sw)
     sw.set_defaults(func=cmd_sweep)

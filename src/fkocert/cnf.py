@@ -23,6 +23,7 @@ __all__ = [
     "parse_dimacs",
     "to_dimacs",
     "gen_random_3cnf",
+    "check_gen_params",
     "imbalance",
 ]
 
@@ -237,16 +238,21 @@ def to_dimacs(cnf: Cnf) -> str:
 # ---------------------------------------------------------- random model --
 
 
-def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
-    """m clauses drawn independently, with repetitions, uniformly from the
-    2^3 * C(n,3) clauses on distinct variable triples.
-
-    Deterministic for a given seed.
-    """
+def check_gen_params(n: int, m: int) -> None:
+    """Raise ValueError unless gen_random_3cnf accepts n and m."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if m < 0:
         raise ValueError("m must be nonnegative")
+
+
+def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
+    """m clauses drawn independently, with repetitions, uniformly from the
+    2^3 * C(n,3) clauses on distinct variable triples.
+
+    Deterministic for a given seed; raises ValueError as check_gen_params.
+    """
+    check_gen_params(n, m)
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):

@@ -63,8 +63,7 @@ def support_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[list[int], list[
     share no column, so every inner product between them is exactly 0,
     and the same holds for columns.  A row or column with no nonzero entry
     is a block of its own, with no columns or rows.  Both index lists are
-    ascending.  Once one block holds every column, each later row only
-    needs a test for a nonzero entry, so a dense matrix costs one scan.
+    ascending.  A dense matrix is one block.
     """
     width = len(rows[0]) if rows else 0
     owner: list[int | None] = [None] * width  # column -> its block
@@ -92,11 +91,6 @@ def support_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[list[int], list[
                 if owner[k] is None:
                     owner[k] = b
                     blocks[b][1].append(k)
-        if len(blocks[b][1]) == width:
-            rest = range(i + 1, len(rows))
-            blocks[b][0].extend([j for j in rest if any(rows[j])])
-            blocks += [([j], []) for j in rest if not any(rows[j])]
-            break
     blocks += [([], [k]) for k, b in enumerate(owner) if b is None]
     return [(sorted(r), sorted(c)) for r, c in filter(None, blocks)]
 

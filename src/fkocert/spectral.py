@@ -382,10 +382,10 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     |v_ij| > 2, naming it.  Every entry is then scaled once by G = n^(2c),
     so the products are int dot products and the residuals int maxima over
     one denominator.  The products run per support block of V (see
-    exactq.support_blocks): both Gram deviations on the block's rows and
-    columns, and the residuals of its rows at its columns and their
-    M-neighbours, since every other entry is exactly 0.  A dense V is one
-    block and costs one support scan more than the dense products.  Also
+    exactq.support_blocks), a dense V as one block of every row and
+    column: both Gram deviations on the block's rows and columns, and the
+    residuals of its rows at its columns and their M-neighbours, since
+    every other entry is exactly 0.  Also
     computes the slack of certified_quadform_bound, which bounds nothing
     on a failing report (see the module docstring).
     """
@@ -417,19 +417,16 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     # Every product runs within one support block of V: the Gram entries
     # between blocks are exactly 0, and so is the residual of a row at
     # every ell that is neither a column of its block nor one M-edge away
-    # from one.  A dense V is one block, run on w and its transpose as
-    # they are.
-    blocks = support_blocks(w)
+    # from one.
     # column k -> the rows ell with A[ell][k] != 0
-    reach = [list(compress(range(n), col)) for col in zip(*a)] if len(blocks) > 1 else []
+    reach = [list(compress(range(n), col)) for col in zip(*a)]
     rho = off = diag = resid = 0
-    for rows, cols in blocks:
-        if len(blocks) == 1:
-            block, block_t, near = w, list(zip(*w)), range(n)
-        else:
-            block = [[w[i][k] for k in cols] for i in rows]
-            block_t = [[w[i][k] for i in rows] for k in cols]
-            near = sorted(set(cols).union(*map(reach.__getitem__, cols)))
+    for rows, cols in support_blocks(w):
+        block = [[w[i][k] for k in cols] for i in rows]
+        block_t = [[w[i][k] for i in rows] for k in cols]
+        # a list, not a map: a star-unpacked iterator builds a resized
+        # tuple, and a freed one parks on the free list (see _sparse_rows)
+        near = sorted(set(cols).union(*[reach[k] for k in cols]))
         # condition 1: V^T V - I is the Gram deviation of V's columns
         rho = max(rho, *gram_dev(block_t, g2))
         b_off, b_diag = gram_dev(block, g2)

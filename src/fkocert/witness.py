@@ -6,22 +6,23 @@ of inconsistent even tuples.  Acceptance is the exact strict inequality
 
     t > d * (I + lambda * n + slack) / 2
 
-with slack recomputed from the certificate in rational arithmetic.  Any
-satisfying assignment would NAE-satisfy at most (lambda*n + slack + 3m)/4
-clauses, hence leave at most (I + lambda*n + slack)/2 clauses with exactly
-two true literals, yet the collection forces at least ceil(t/d) non-3XOR
-clauses -- so acceptance certifies unsatisfiability.  build_witness
+with lambda = lambdas[0] and slack recomputed from the certificate in
+rational arithmetic.  Any satisfying assignment would NAE-satisfy at most
+(lambda*n + slack + 3m)/4 clauses, hence leave at most
+(I + lambda*n + slack)/2 clauses with exactly two true literals, yet the
+collection forces at least ceil(t/d) non-3XOR clauses -- so acceptance
+certifies unsatisfiability.  build_witness
 returns the best witness it finds, whatever its t and uncertified: the
 threshold and the certification are formed only in verify_witness.
 
 The verifier trusts nothing: I and M are recomputed from K, the
 certificate residuals are recomputed exactly, and the collection is
-re-checked clause by clause.  The conjuncts run cheapest first: 3CNF,
-Coll, Imb, the certificate's dimension and lambda-max, then the O(n)
-comparison of t with d*(I + lambdas[0]*n)/2, and only then the cubic
-certification (EigValBound) and the exact inequality.  Every term of
-the slack is >= 0, so U >= lambdas[0]*n and a t at or below the cheap
-bound fails the inequality whatever the certificate holds.
+re-checked clause by clause; the declared I and lambda are copies for a
+reader that it never reads.  A rejection names one of four conjuncts:
+3CNF, Coll, EigValBound and inequality.  They run cheapest first, the
+O(n) comparison of t with d*(I + lambdas[0]*n)/2 before the cubic
+certification: every term of the slack is >= 0, so U >= lambdas[0]*n
+and a t at or below that bound fails whatever the certificate holds.
 """
 
 from __future__ import annotations
@@ -59,8 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FkoWitness:
-    """A witness as built or parsed.  `mat`, the builder's M, and `epsilon`
-    are neither read by verify_witness nor written to JSON."""
+    """A witness as built or parsed.  verify_witness reads n, m, cert and
+    coll only: `imb`, `lam` and `c` are builder-side copies of I,
+    cert.lambdas[0] and cert.c, which JSON carries as "I", "lambda" and
+    "c"; `mat`, the builder's M, and `epsilon` are not written to JSON."""
 
     n: int
     m: int
@@ -76,8 +79,7 @@ class FkoWitness:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of verification: either the first failed conjunct (one of
-    3CNF, Coll, Imb, EigValBound, lambda-max, inequality) or the
-    certified quantities.
+    3CNF, Coll, EigValBound, inequality) or the certified quantities.
 
     `threshold` is the bound t was compared with: d*(I+U)/2, U the
     certified bound, on acceptance and at an inequality reached after
@@ -164,13 +166,12 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     """Re-check every conjunct from scratch; accept only on the strict
     exact inequality t > d*(I + lambda*n + slack)/2.
 
-    The order is 3CNF, Coll, Imb, EigValBound's dimension checks,
-    lambda-max, a cheap inequality, EigValBound's certification and the
-    exact inequality.  The cheap one rejects t <= d*(I + lambdas[0]*n)/2
-    in ints before M is built for certification: every slack term is
-    >= 0, so U >= lambdas[0]*n and no certificate could lift such a t
-    over d*(I+U)/2.  Every accept still passes certification.  wit.mat is
-    never read: M is rebuilt from the formula.
+    The order is 3CNF, Coll, EigValBound's dimension checks, a cheap
+    inequality, EigValBound's certification and the exact inequality.
+    The cheap one rejects t <= d*(I + lambdas[0]*n)/2 in ints before M is
+    built for certification; every accept still passes certification.
+    I and M are rebuilt from the formula, lambda and c taken from the
+    certificate: wit.imb, wit.lam, wit.c and wit.mat are never read.
     """
     # 3CNF: the formula is well-formed and the witness talks about it.
     if wit.n != cnf.n or wit.m != cnf.m:
@@ -185,24 +186,15 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if not ok:
         return Verdict(False, "Coll", why)
 
-    imb = imbalance(cnf)
-    if wit.imb != imb:
-        return Verdict(False, "Imb",
-                       f"witness declares I={wit.imb}, formula has I={imb}")
-
     if wit.cert.n != cnf.n:
         return Verdict(False, "EigValBound",
                        f"certificate dimension {wit.cert.n} != n={cnf.n}")
     if cnf.n == 0:
         return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
-    # O(n), so a wrong lambda costs no cubic certification
-    if wit.lam != max(wit.cert.lambdas):
-        return Verdict(False, "lambda-max",
-                       f"lambda={wit.lam} != max eigenvalue "
-                       f"{max(wit.cert.lambdas)}")
 
-    # no product either: U >= lambdas[0]*n, so a t at or below
+    # no product: U >= lambdas[0]*n, so a t at or below
     # d*(I + lambdas[0]*n)/2 fails whatever the certificate holds
+    imb = imbalance(cnf)
     t, d, lam0 = wit.coll.t, wit.coll.d, wit.cert.lambdas[0]
     if 2 * t * lam0.denominator <= d * (imb * lam0.denominator + lam0.numerator * cnf.n):
         rhs = _threshold(d, imb, lam0 * cnf.n)

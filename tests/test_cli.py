@@ -341,6 +341,29 @@ def test_sweep_rejects_a_negative_budget_before_any_row(capsys, monkeypatch, thr
     assert captured.err == "error: budget must be nonnegative\n"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, err", [
+    (["--n", "60,2", "--m", "300"], "need n >= 3, got 2"),
+    (["--n", "6,8", "--m", "24,-1"], "m must be nonnegative"),
+    (["--n", "6", "--m", "24", "--seeds", "-2"], "--seeds must be nonnegative"),
+], ids=["n", "m", "seeds"])
+def test_sweep_rejects_bad_rows_before_any_row(capsys, monkeypatch, threads, argv, err):
+    import fkocert.cli as cli_mod
+
+    monkeypatch.setenv("FKO_THREADS", threads)
+    monkeypatch.setattr(cli_mod, "_sweep_one", _no_work)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _no_work)
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_sweep_with_no_seeds_writes_the_header_only(capsys):
+    assert main(["sweep", "--n", "6", "--m", "24", "--seeds", "0"]) == 0
+    assert capsys.readouterr().out == "n,m,seed,t_found,t_needed,lambda,imbalance,accepted\n"
+
+
 @pytest.mark.parametrize("command", ["witness", "refute"])
 def test_build_rejects_a_negative_budget_before_spectral_work(
         tmp_path, capsys, monkeypatch, command):

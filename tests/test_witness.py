@@ -256,14 +256,15 @@ def test_verify_rejects_inflated_t():
     assert not v.accepted and v.reason == "Coll"
 
 
-def test_verify_rejects_wrong_imbalance():
-    cnf = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)), Clause((1, 2, 3), (0, 0, 0)),
-                  Clause((1, 2, 3), (1, 1, 0)), Clause((1, 2, 3), (0, 0, 1))))
-    wit = build_witness(cnf)
-    assert wit.imb == imbalance(cnf)
-    bad = replace(wit, imb=wit.imb + 2)
-    v = verify_witness(cnf, bad)
-    assert not v.accepted and v.reason == "Imb"
+def test_wrong_declared_imbalance_leaves_verdict_unchanged():
+    # the verifier recomputes I from the formula and never reads wit.imb
+    for cnf, reason in ((planted_block(1), None), (gen_random_3cnf(8, 45, 3), "inequality")):
+        wit = build_witness(cnf)
+        assert wit.imb == imbalance(cnf)
+        want = verify_witness(cnf, wit)
+        assert want.reason == reason
+        for imb in (wit.imb + 2, wit.imb - 2, -10**6):
+            assert verify_witness(cnf, replace(wit, imb=imb)) == want
 
 
 def test_verify_ignores_tampered_matrix():
@@ -278,6 +279,37 @@ def test_verify_ignores_tampered_matrix():
             assert verify_witness(cnf, replace(wit, mat=mat)) == want
 
 
+class _Unreadable:
+    """A declared field the verifier must not read: comparing, hashing,
+    indexing or doing arithmetic with it raises."""
+
+    def _read(self, *args):
+        raise AssertionError("the verifier read a declared witness field")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _read
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _read
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _read
+    __neg__ = __abs__ = __index__ = __int__ = __float__ = __bool__ = _read
+    __len__ = __iter__ = __getitem__ = _read
+
+
+@pytest.mark.parametrize("case", ["planted accepted", "dense near miss", "dense accepted"])
+def test_verifier_reads_no_declared_copy(case):
+    if case == "planted accepted":
+        cnf, reason = planted_block(2), None
+        wit = build_witness(cnf)
+    elif case == "dense near miss":
+        (cnf, text), reason = _dense_text(), "inequality"
+        wit = witness_from_json(text)
+    else:
+        (cnf, wit), reason = _accepted_dense(), None
+    want = verify_witness(cnf, wit)
+    assert want.reason == reason
+    unread = _Unreadable()
+    blind = replace(wit, imb=unread, lam=unread, c=unread, mat=unread, epsilon=unread)
+    assert verify_witness(cnf, blind) == want
+
+
 def test_verify_rejects_forged_spectrum():
     cnf, wit = _accepted_dense()
     shrunk = replace(wit.cert, lambdas=tuple(x - 1 for x in wit.cert.lambdas))
@@ -286,12 +318,14 @@ def test_verify_rejects_forged_spectrum():
     assert not v.accepted and v.reason == "EigValBound"
 
 
-def test_verify_rejects_wrong_lambda_field():
-    cnf = planted_block(1)
-    wit = build_witness(cnf)
-    bad = replace(wit, lam=wit.lam + 1)
-    v = verify_witness(cnf, bad)
-    assert not v.accepted and v.reason == "lambda-max"
+def test_wrong_declared_lambda_leaves_verdict_unchanged():
+    # the verifier reads lambdas[0] from the certificate, never wit.lam
+    for cnf, reason in ((planted_block(1), None), (gen_random_3cnf(8, 45, 3), "inequality")):
+        wit = build_witness(cnf)
+        want = verify_witness(cnf, wit)
+        assert want.reason == reason
+        for lam in (wit.lam + 1, wit.lam - 1, F(-10**6)):
+            assert verify_witness(cnf, replace(wit, lam=lam)) == want
 
 
 def test_verify_rejects_short_collection():
@@ -310,6 +344,17 @@ def test_verifier_never_accepts_satisfiable_with_forged_fields():
     wit = build_witness(donor)
     v = verify_witness(sat, wit)
     assert not v.accepted
+    # a satisfiable neighbour of the donor and its own witness, with a
+    # declared I and lambda that would put d*(I+U)/2 far below t if read
+    clauses = list(donor.clauses)
+    clauses[0] = clauses[1]
+    sat = Cnf(3, tuple(clauses))
+    assert not brute_force_unsat(sat)
+    wit = build_witness(sat)
+    want = verify_witness(sat, wit)
+    assert not want.accepted
+    for imb, lam in ((-10**6, wit.lam), (wit.imb, F(-10**6)), (-10**6, F(-10**6))):
+        assert verify_witness(sat, replace(wit, imb=imb, lam=lam)) == want
 
 
 def test_epsilon_key_is_ignored():
@@ -472,16 +517,18 @@ def test_integer_fields_take_decimal_strings(site):
     assert witness_from_json(json.dumps(obj)) == witness_from_json(json.dumps(_honest_json()))
 
 
-def test_wrong_lambda_is_rejected_before_certification(certify_calls):
-    cnf = planted_block(2)
-    obj = json.loads(witness_to_json(build_witness(cnf)))
-    assert verify_witness(cnf, witness_from_json(json.dumps(obj))).accepted
-    assert len(certify_calls) == 1
-    lam = obj["lambda"]
-    lam["num"] = str(int(lam["num"]) + int(lam["den"]))
-    verdict = verify_witness(cnf, witness_from_json(json.dumps(obj)))
-    assert verdict.reason == "lambda-max"
-    assert len(certify_calls) == 1
+def test_wrong_declared_lambda_changes_no_verdict_and_no_certification(certify_calls):
+    # accepted: one certification per verify; near miss: none
+    for (cnf, text), reason, certs in (((planted_block(2), _planted_text(2)), None, 1),
+                                       (_dense_text(), "inequality", 0)):
+        obj = json.loads(text)
+        before = len(certify_calls)
+        want = verify_witness(cnf, witness_from_json(text))
+        assert want.reason == reason and len(certify_calls) == before + certs
+        lam = obj["lambda"]
+        lam["num"] = str(int(lam["num"]) + int(lam["den"]))
+        assert verify_witness(cnf, witness_from_json(json.dumps(obj))) == want
+        assert len(certify_calls) == before + 2 * certs
 
 
 def test_verify_rejects_empty_formula_without_raising():
@@ -806,8 +853,9 @@ def test_certify_rejects_grid_exponent_out_of_range():
 
 def _blocks_grown(*calls: str) -> list[int]:
     """Growth of sys.getallocatedblocks over 200 runs of each call, in a
-    fresh interpreter with an n = 12 formula, its M, certificate and
-    witness (text) set up.
+    fresh interpreter with a random n = 12 formula, its M, certificate
+    (one support block) and witness (text) set up, and the M and
+    certificate (30 blocks) of the planted n = 30 formula as pmat, pcert.
 
     A tuple built from a generator is allocated at one length and resized;
     freed, it joins the interpreter's free list for its final length, so
@@ -818,7 +866,7 @@ def _blocks_grown(*calls: str) -> list[int]:
         "import sys\n"
         "from fkocert import (build_m, approx_eigen, certify_eigvalbound,\n"
         "                     gen_random_3cnf, find_collection, witness_from_json,\n"
-        "                     witness_to_json, FkoWitness)\n"
+        "                     witness_to_json, Clause, Cnf, FkoWitness)\n"
         "cnf = gen_random_3cnf(12, 100, 1)\n"
         "mat = build_m(cnf)\n"
         "cert = approx_eigen(mat, 8)\n"
@@ -826,6 +874,10 @@ def _blocks_grown(*calls: str) -> list[int]:
         "wit = FkoWitness(n=12, m=100, c=8, imb=0, mat=None, cert=cert,\n"
         "                 lam=cert.lambdas[0], coll=coll)\n"
         "text = witness_to_json(wit)\n"
+        "pmat = build_m(Cnf(30, tuple(Clause((3 * b + 1, 3 * b + 2, 3 * b + 3),\n"
+        "                                    (s >> 2 & 1, s >> 1 & 1, s & 1))\n"
+        "                             for b in range(10) for s in range(8))))\n"
+        "pcert = approx_eigen(pmat, 8)\n"
         f"for f in ({', '.join(f'lambda: {call}' for call in calls)},):\n"
         "    f()\n"
         "    before = sys.getallocatedblocks()\n"
@@ -840,7 +892,8 @@ def _blocks_grown(*calls: str) -> list[int]:
 
 
 def test_repeated_certify_and_parse_park_no_tuples():
-    grown = _blocks_grown("certify_eigvalbound(mat, cert)", "witness_from_json(text)")
+    grown = _blocks_grown("certify_eigvalbound(mat, cert)", "certify_eigvalbound(pmat, pcert)",
+                          "witness_from_json(text)")
     assert all(g < 100 for g in grown), grown
 
 
@@ -970,8 +1023,6 @@ def reference_verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if not ok:
         return Verdict(False, "Coll", why)
     imb = imbalance(cnf)
-    if wit.imb != imb:
-        return Verdict(False, "Imb", f"witness declares I={wit.imb}, formula has I={imb}")
     mat = build_m(cnf)
     if wit.mat is not None:
         if len(wit.mat) != cnf.n or any(len(row) != cnf.n for row in wit.mat) or any(
@@ -983,9 +1034,6 @@ def reference_verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
                        f"certificate dimension {wit.cert.n} != n={cnf.n}")
     if cnf.n == 0:
         return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
-    if wit.lam != max(wit.cert.lambdas):
-        return Verdict(False, "lambda-max",
-                       f"lambda={wit.lam} != max eigenvalue {max(wit.cert.lambdas)}")
     try:
         u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
     except CertificationError as e:
@@ -1011,13 +1059,13 @@ def _assert_same_acceptance(cnf: Cnf, wit: FkoWitness) -> None:
     assert got.accepted == want.accepted
     if got.accepted:
         assert (got.u, got.margin, got.tuple_bound) == (want.u, want.margin, want.tuple_bound)
-        assert got.threshold == _threshold(wit.coll.d, wit.imb, got.u)
+        assert got.threshold == _threshold(wit.coll.d, imbalance(cnf), got.u)
         assert got.margin == wit.coll.t - got.threshold
     elif "lambda*n" in got.detail:
         assert got.reason == "inequality"
         assert want.reason in ("EigValBound", "inequality")
         lam0 = wit.cert.lambdas[0]
-        assert got.threshold == _threshold(wit.coll.d, wit.imb, lam0 * cnf.n)
+        assert got.threshold == _threshold(wit.coll.d, imbalance(cnf), lam0 * cnf.n)
         assert not wit.coll.t > got.threshold
     else:
         assert (got.reason, got.detail) == (want.reason, want.detail)
