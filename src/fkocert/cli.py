@@ -4,7 +4,9 @@ verification, brute-force cross-checks, proof checking, and sweeps.
 Exit codes: 0 accepted/valid, 1 rejected/failure, 2 usage or I/O error.
 All randomness is seeded; sweep rows are sorted by (n, seed) and workers
 are capped by the FKO_THREADS environment variable, so output is
-byte-identical for any worker count.
+byte-identical for any worker count.  The process pool and the proof
+checker are imported inside the only commands that use them, so a
+pipeline command never loads either.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cnf import (Cnf, DimacsError, check_gen_params, gen_random_3cnf, imbalance,
                   parse_dimacs, to_dimacs)
@@ -29,7 +30,6 @@ from .spectral import (  # noqa: F401
     build_m,
     certify_eigvalbound,
 )
-from .tc0frege import check_proof, parse_proof
 from .tuples import check_search_params
 from .witness import (
     FkoWitness,
@@ -131,6 +131,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_checkproof(args: argparse.Namespace) -> int:
+    from .tc0frege import check_proof, parse_proof
+
     proof = parse_proof(_read(args.proof))
     res = check_proof(proof)
     if res.valid:
@@ -186,6 +188,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     workers = min(_thread_cap(), len(jobs)) if jobs else 1
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:

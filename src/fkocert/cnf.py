@@ -32,7 +32,7 @@ class DimacsError(ValueError):
     """Malformed DIMACS input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Three literals on distinct variables: vars (1-based), pols in {0,1}."""
 
@@ -83,7 +83,8 @@ def _unchecked(cls: type[_T], first: object, second: object) -> _T:
     """`cls(first, second)` for Clause or Cnf without `__post_init__`, for
     fields the caller has already checked: the frozen-dataclass `__init__`
     sets its fields the same way, so instances compare, hash and print
-    alike."""
+    alike.  `object.__setattr__` sets a slot (Clause) as it sets a
+    `__dict__` entry (Cnf)."""
     obj = object.__new__(cls)
     name1, name2 = cls.__match_args__
     object.__setattr__(obj, name1, first)

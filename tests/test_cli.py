@@ -334,7 +334,7 @@ def test_sweep_rejects_a_negative_budget_before_any_row(capsys, monkeypatch, thr
 
     monkeypatch.setenv("FKO_THREADS", threads)
     monkeypatch.setattr(cli_mod, "_sweep_one", _no_work)
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _no_work)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
     assert main(["sweep", "--n", "6,8", "--m", "24", "--budget", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -352,11 +352,91 @@ def test_sweep_rejects_bad_rows_before_any_row(capsys, monkeypatch, threads, arg
 
     monkeypatch.setenv("FKO_THREADS", threads)
     monkeypatch.setattr(cli_mod, "_sweep_one", _no_work)
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _no_work)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
     assert main(["sweep", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+def test_sweep_still_runs_rows_in_a_process_pool(capsys, monkeypatch):
+    """cmd_sweep imports the pool inside its workers > 1 branch; at
+    FKO_THREADS=2 a multi-row sweep must still build one, and its CSV must
+    equal the one-worker CSV."""
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    argv = ["sweep", "--n", "6,8", "--m", "24", "--seeds", "2"]
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording)
+    monkeypatch.setenv("FKO_THREADS", "1")
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert built == []
+    monkeypatch.setenv("FKO_THREADS", "2")
+    assert main(argv) == 0
+    assert built == [{"max_workers": 2}]
+    assert capsys.readouterr().out == serial
+    assert len(serial.splitlines()) == 5
+
+
+_FOOTPRINT = """\
+import json, sys
+import fkocert, fkocert.cli
+names, public = dir(fkocert), list(fkocert.__all__)
+refute = fkocert.cli.main(["refute", "--cnf", sys.argv[1]])
+heavy = ["multiprocessing", "concurrent.futures.process", "fkocert.tc0frege"]
+loaded = [name for name in heavy if name in sys.modules]
+if sys.argv[2] == "checkproof":
+    fkocert.cli.main(["checkproof", sys.argv[3]])
+else:
+    fkocert.Top
+print(json.dumps({
+    "refute": refute, "loaded": loaded, "names": names,
+    "checker": "fkocert.tc0frege" in sys.modules,
+    "same": dir(fkocert) == names and fkocert.__all__ == public,
+    "lazy": sorted(n for n in public if getattr(fkocert, n) is
+                   getattr(fkocert.tc0frege, n, None)),
+}))
+"""
+
+_TC0FREGE_NAMES = [
+    "Bot", "CheckResult", "Not", "ProofStep", "Sequent", "TcProof", "Th", "Top", "Var",
+    "check_proof", "decide_constant_formula", "eval_formula", "eval_sequent",
+    "format_proof", "parse_proof", "substitute",
+]
+
+
+@pytest.mark.parametrize("first_use", ["checkproof", "Top"])
+def test_pipeline_loads_no_pool_and_no_proof_checker(tmp_path, first_use):
+    """In a fresh interpreter, `import fkocert, fkocert.cli` and a refute
+    run load neither the process pool nor tc0frege; checkproof, or a read
+    of `fkocert.Top`, loads the checker.  dir() lists the package's names
+    and submodules before that load, and neither it nor __all__ changes."""
+    proof = tmp_path / "ok.prf"
+    proof.write_text(PROOF_OK)
+    argv = [str(_block_path(tmp_path)), first_use, str(proof)]
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    report = json.loads(lines[-1])
+    assert json.loads(lines[0])["accepted"] is True
+    if first_use == "checkproof":
+        assert json.loads(lines[1]) == {"valid": True, "steps": 4}
+    assert (report["refute"], report["loaded"]) == (0, [])
+    assert (report["checker"], report["same"]) == (True, True)
+    assert report["lazy"] == _TC0FREGE_NAMES
+    submodules = {"cli", "cnf", "exactq", "oracle", "spectral", "tc0frege", "tuples",
+                  "witness"}
+    module_attrs = {"__all__", "__builtins__", "__cached__", "__doc__", "__file__",
+                    "__loader__", "__name__", "__package__", "__path__", "__spec__"}
+    assert report["names"] == sorted(set(fkocert.__all__) | submodules | module_attrs)
 
 
 def test_sweep_with_no_seeds_writes_the_header_only(capsys):

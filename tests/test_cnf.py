@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
 from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
-from fkocert.cnf import POLS, imbalance
+from fkocert.cnf import POLS, _parse_clean, imbalance
 from conftest import (
     all_assignments,
     brute_force_unsat,
@@ -345,6 +349,57 @@ def test_clean_text_is_parsed_whole_onto_the_shared_pols():
         assert got == cnf
         assert all(cl.pols is POLS[4 * p + 2 * q + r] for cl in got.clauses
                    for p, q, r in [cl.pols])
+
+
+def test_clauses_are_slotted_on_every_construction_path():
+    """Clause(...), both parse_dimacs paths and gen_random_3cnf build
+    slotted clauses that still compare, hash, pickle, copy, replace and
+    refuse assignment like the frozen dataclass they are."""
+    cnf = gen_random_3cnf(30, 200, 4)
+    text = to_dimacs(cnf)
+    commented = "c a comment line sends the text to the line loop\n" + text
+    assert _parse_clean(text) is not None and _parse_clean(commented) is None
+    built = {
+        "init": tuple(Clause(cl.vars, cl.pols) for cl in cnf.clauses),
+        "whole body": parse_dimacs(text).clauses,
+        "line loop": parse_dimacs(commented).clauses,
+        "gen": gen_random_3cnf(30, 200, 4).clauses,
+    }
+    for how, clauses in built.items():
+        assert clauses == cnf.clauses, how
+        assert list(map(hash, clauses)) == list(map(hash, cnf.clauses)), how
+        for cl in clauses:
+            assert type(cl) is Clause and not hasattr(cl, "__dict__"), how
+            for twin in (pickle.loads(pickle.dumps(cl)), copy.deepcopy(cl),
+                         dataclasses.replace(cl)):
+                assert type(twin) is Clause and twin == cl and hash(twin) == hash(cl)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clauses[0].vars = (1, 2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del clauses[0].pols
+        # a name outside the fields is refused too, as TypeError on
+        # CPython 3.11's frozen slots dataclasses
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            clauses[0].extra = 1
+        assert clauses == cnf.clauses, how
+    flipped = dataclasses.replace(cnf.clauses[0], pols=(1, 1, 1))
+    assert flipped == Clause(cnf.clauses[0].vars, (1, 1, 1))
+    with pytest.raises(ValueError):
+        dataclasses.replace(cnf.clauses[0], pols=(2, 1, 1))
+
+
+def test_parsed_cnf_holds_under_0_55_mib():
+    """Slotted clauses: a parsed n = 200, m = 4995 Cnf holds about
+    0.45 MiB, against 0.64 MiB with a `__dict__` per clause."""
+    text = to_dimacs(gen_random_3cnf(200, 4995, 1))
+    tracemalloc.start()
+    try:
+        cnf = parse_dimacs(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cnf.m == 4995
+    assert held < 0.55 * 2**20
 
 
 @st.composite
