@@ -94,11 +94,14 @@ def _unchecked(cls: type[_T], first: object, second: object) -> _T:
 
 def imbalance(cnf: Cnf) -> int:
     """I = sum over variables of |#positive - #negative occurrences|, in one
-    pass over the clauses."""
+    pass over the clauses: a literal of polarity p adds p + p - 1 to its
+    variable's skew."""
     skew = [0] * (cnf.n + 1)
     for cl in cnf.clauses:
-        for v, p in zip(cl.vars, cl.pols):
-            skew[v] += 2 * p - 1
+        (u, v, w), (p, q, r) = cl.vars, cl.pols
+        skew[u] += p + p - 1
+        skew[v] += q + q - 1
+        skew[w] += r + r - 1
     return sum(map(abs, skew))
 
 
@@ -230,9 +233,8 @@ def _parse_clean(text: str) -> Cnf | None:
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"p cnf {cnf.n} {cnf.m}"]
     for cl in cnf.clauses:
-        lines.append(
-            " ".join(str(v if p else -v) for v, p in cl.literals()) + " 0"
-        )
+        (u, v, w), (p, q, r) = cl.vars, cl.pols
+        lines.append(f"{u if p else -u} {v if q else -v} {w if r else -w} 0")
     return "\n".join(lines) + "\n"
 
 

@@ -70,19 +70,20 @@ class CollectionSearchError(RuntimeError):
 
 def parity_vector(cnf: Cnf, index: int) -> int:
     """Parity bits of one clause as an int: bit 0 is the negation parity,
-    bit i (1 <= i <= n) the occurrence parity of variable i."""
+    bit i (1 <= i <= n) the occurrence parity of variable i.  Raises
+    IndexError unless 0 <= index < m: a negative index names no clause.
+    Three polarities summing to s leave 3 - s negations, of parity
+    (s + 1) & 1."""
+    if not 0 <= index < cnf.m:
+        raise IndexError(f"clause index {index} out of range")
     cl = cnf.clauses[index]
-    bits = cl.neg_count() & 1
-    for v in cl.vars:
-        bits |= 1 << v
-    return bits
+    (u, v, w), (p, q, r) = cl.vars, cl.pols
+    return 1 << u | 1 << v | 1 << w | (p + q + r + 1) & 1
 
 
 def _tuple_parity(cnf: Cnf, indices: Sequence[int]) -> int:
     bits = 0
     for idx in indices:
-        if not 0 <= idx < cnf.m:
-            raise IndexError(f"clause index {idx} out of range")
         bits ^= parity_vector(cnf, idx)
     return bits
 
@@ -141,12 +142,19 @@ Picks = tuple[list[tuple[list[int], list[int]]], list[tuple[list[int], list[int]
 def _triple_keys(cnf: Cnf) -> list[int]:
     """One int per clause, (sorted variable triple, negation parity, clause
     index), in ascending order: each triple's clauses form a run, even
-    negation counts first."""
+    negation counts first.  Three compare-swaps sort each triple, and
+    the negation parity is that of parity_vector."""
     span, m = cnf.n + 1, cnf.m
     keys = []
     for idx, cl in enumerate(cnf.clauses):
-        u, v, w = sorted(cl.vars)
-        keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
+        (u, v, w), (p, q, r) = cl.vars, cl.pols
+        if u > v:
+            u, v = v, u
+        if v > w:
+            v, w = w, v
+        if u > v:
+            u, v = v, u
+        keys.append((((u * span + v) * span + w) * 2 + ((p + q + r + 1) & 1)) * m + idx)
     keys.sort()
     return keys
 

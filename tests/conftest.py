@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fkocert import Clause, Cnf
+from fkocert import Clause, Cnf, gen_random_3cnf
 from fkocert.oracle import brute_force_report
 
 settings.register_profile(
@@ -29,6 +30,39 @@ def planted_block(blocks: int) -> Cnf:
         for bits in range(8):
             clauses.append(Clause(trip, (bits >> 2 & 1, bits >> 1 & 1, bits & 1)))
     return Cnf(3 * blocks, tuple(clauses))
+
+
+def slot_order_cnf() -> Cnf:
+    """Each of the 6 slot orders of the triple {2, 5, 7} under each of
+    the 8 polarity patterns: 48 clauses, n = 8."""
+    return Cnf(8, tuple(Clause(trip, (bits >> 2 & 1, bits >> 1 & 1, bits & 1))
+                        for trip in itertools.permutations((2, 5, 7))
+                        for bits in range(8)))
+
+
+def shuffled_slots(cnf: Cnf, seed: int) -> Cnf:
+    """cnf with each clause's three literals moved to a random slot order,
+    each variable keeping its polarity."""
+    rng = random.Random(seed)
+    clauses = []
+    for cl in cnf.clauses:
+        lits = list(cl.literals())
+        rng.shuffle(lits)
+        clauses.append(Clause(*zip(*lits)))
+    return Cnf(cnf.n, tuple(clauses))
+
+
+def slot_order_formulas() -> dict[str, Cnf]:
+    """Formulas whose clauses come in every slot order: the 48 of
+    slot_order_cnf, and random and planted formulas with shuffled
+    slots."""
+    return {
+        "slot orders": slot_order_cnf(),
+        "random n=12": shuffled_slots(gen_random_3cnf(12, 100, 1), 1),
+        "random n=28": shuffled_slots(gen_random_3cnf(28, 318, 2), 2),
+        "random n=200": shuffled_slots(gen_random_3cnf(200, 4995, 3), 3),
+        "planted": shuffled_slots(planted_block(4), 4),
+    }
 
 
 @pytest.fixture

@@ -28,6 +28,9 @@ from conftest import (
     not3xor_counts,
     planted_block,
     sat_literal_counts,
+    shuffled_slots,
+    slot_order_cnf,
+    slot_order_formulas,
     table_report,
 )
 
@@ -425,6 +428,41 @@ def test_dimacs_round_trip_property(cnf):
 @settings(max_examples=100)
 def test_imbalance_is_sum_of_per_variable_imbalances(cnf):
     assert imbalance(cnf) == sum(i_imbalance(cnf, v) for v in range(1, cnf.n + 1))
+
+
+def reference_imbalance(cnf):
+    """imbalance through Clause.literals(), one literal at a time."""
+    skew = [0] * (cnf.n + 1)
+    for cl in cnf.clauses:
+        for v, p in cl.literals():
+            skew[v] += 1 if p else -1
+    return sum(map(abs, skew))
+
+
+def reference_to_dimacs(cnf):
+    """to_dimacs through Clause.literals(), one joined literal at a time."""
+    lines = [f"p cnf {cnf.n} {cnf.m}"]
+    for cl in cnf.clauses:
+        lines.append(" ".join(str(v if p else -v) for v, p in cl.literals()) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_imbalance_and_dimacs_match_references_in_every_slot_order():
+    for name, cnf in slot_order_formulas().items():
+        assert imbalance(cnf) == reference_imbalance(cnf), name
+        text = to_dimacs(cnf)
+        assert text == reference_to_dimacs(cnf), name
+        assert parse_dimacs(text) == cnf, name
+    skewed = Cnf(8, slot_order_cnf().clauses[::8])  # all-negative, every slot order
+    assert imbalance(skewed) == reference_imbalance(skewed) == 18
+
+
+@given(cnfs(), st.integers(0, 2**16))
+@settings(max_examples=60)
+def test_imbalance_and_dimacs_match_references_on_shuffled_slots(cnf, seed):
+    shuffled = shuffled_slots(cnf, seed)
+    assert imbalance(shuffled) == reference_imbalance(shuffled) == imbalance(cnf)
+    assert to_dimacs(shuffled) == reference_to_dimacs(shuffled)
 
 
 def test_gen_deterministic_and_well_formed():

@@ -15,8 +15,11 @@ from fkocert import (
     check_collection,
     find_collection,
     gen_random_3cnf,
+    imbalance,
     is_even_tuple,
     is_inconsistent_tuple,
+    parse_dimacs,
+    to_dimacs,
 )
 from fkocert.tuples import (
     _quad_candidates,
@@ -24,7 +27,13 @@ from fkocert.tuples import (
     _triple_starts,
     parity_vector,
 )
-from conftest import all_assignments, is_3xor, planted_block
+from conftest import (
+    all_assignments,
+    is_3xor,
+    planted_block,
+    shuffled_slots,
+    slot_order_formulas,
+)
 
 POS = Clause((1, 2, 3), (1, 1, 1))
 NEG = Clause((1, 2, 3), (0, 0, 0))
@@ -59,6 +68,27 @@ def test_tuple_index_range():
     k = Cnf(3, (POS,))
     with pytest.raises(IndexError):
         is_even_tuple(k, (0, 5))
+
+
+def reference_parity_vector(cnf, index):
+    """parity_vector through Clause.neg_count(), one variable at a time."""
+    cl = cnf.clauses[index]
+    bits = cl.neg_count() & 1
+    for v in cl.vars:
+        bits |= 1 << v
+    return bits
+
+
+def test_parity_vector_rejects_indices_outside_the_formula():
+    # a negative index must not wrap round to a clause counted from the end
+    k = gen_random_3cnf(8, 20, 1)
+    for bad in (-1, -20, 20, 21):
+        with pytest.raises(IndexError, match=f"^clause index {bad} out of range$"):
+            parity_vector(k, bad)
+        with pytest.raises(IndexError, match=f"^clause index {bad} out of range$"):
+            is_inconsistent_tuple(k, [bad, 0])
+    assert parity_vector(k, 0) == reference_parity_vector(k, 0)
+    assert parity_vector(k, 19) == reference_parity_vector(k, 19)
 
 
 def test_check_collection_accepts_pair():
@@ -390,6 +420,45 @@ def test_collection_ignores_seed_and_k_max_above_four(n, m, seed):
                                    seed=search_seed) == want
 
 
+def test_parity_and_keys_match_references_in_every_slot_order():
+    for name, cnf in slot_order_formulas().items():
+        assert _triple_keys(cnf) == reference_triple_keys(cnf), name
+        assert ([parity_vector(cnf, i) for i in range(cnf.m)]
+                == [reference_parity_vector(cnf, i) for i in range(cnf.m)]), name
+
+
+def test_collection_ignores_slot_order():
+    for seed, cnf in enumerate([gen_random_3cnf(12, 100, 1), gen_random_3cnf(28, 318, 2),
+                                gen_random_3cnf(200, 4995, 3), planted_block(4)]):
+        text, shuffled = to_dimacs(cnf), to_dimacs(shuffled_slots(cnf, seed))
+        assert shuffled != text
+        want = find_collection(parse_dimacs(text), k_max=4, d=4, t_target=1)
+        assert find_collection(parse_dimacs(shuffled), k_max=4, d=4, t_target=1) == want
+
+
+def test_search_and_checks_call_no_clause_method(monkeypatch):
+    """imbalance, the search and both checks read each clause's vars and
+    pols directly, with no per-clause call of neg_count or literals."""
+    cnf = gen_random_3cnf(200, 4995, 1)
+    coll = find_collection(cnf, k_max=4, t_target=1)
+    tups = (coll.tuples[0], coll.tuples[-1][:2], (0, 1))
+
+    def run():
+        return (imbalance(cnf), find_collection(cnf, k_max=4, t_target=1),
+                check_collection(cnf, coll),
+                [is_inconsistent_tuple(cnf, tup) for tup in tups])
+
+    before = run()
+    assert before[1:3] == (coll, (True, None)) and before[3][0]
+
+    def refuse(self):
+        raise AssertionError("per-clause method call")
+
+    monkeypatch.setattr(Clause, "neg_count", refuse)
+    monkeypatch.setattr(Clause, "literals", refuse)
+    assert run() == before
+
+
 def test_check_collection_computes_each_parity_once(monkeypatch):
     import fkocert.tuples as tuples_mod
 
@@ -407,16 +476,23 @@ def test_check_collection_computes_each_parity_once(monkeypatch):
 # ------------------------------------- the index as it was, before the scans
 
 
-def reference_index_quads(cnf, budget):
-    """The variable-pair index before its run scans: every incidence and
-    edge decoded through groupby, every edge's label run visited.  Kept to
-    pin the tuple list, the budget flag and the label-order cut."""
+def reference_triple_keys(cnf):
+    """_triple_keys through sorted() and Clause.neg_count()."""
     span, m = cnf.n + 1, cnf.m
     keys = []
     for idx, cl in enumerate(cnf.clauses):
         u, v, w = sorted(cl.vars)
         keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
     keys.sort()
+    return keys
+
+
+def reference_index_quads(cnf, budget):
+    """The variable-pair index before its run scans: every incidence and
+    edge decoded through groupby, every edge's label run visited.  Kept to
+    pin the tuple list, the budget flag and the label-order cut."""
+    span, m = cnf.n + 1, cnf.m
+    keys = reference_triple_keys(cnf)
 
     def repeats(t):
         return t + 1 < m and keys[t + 1] // (2 * m) == keys[t] // (2 * m)
