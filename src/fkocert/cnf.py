@@ -10,11 +10,11 @@ a(i) = 2*A(i) - 1 in {-1, +1}.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import ne
-from typing import Iterator, TypeVar
-
-_T = TypeVar("_T", "Clause", "Cnf")
+from typing import Iterator, Sequence
 
 __all__ = [
     "Clause",
@@ -52,12 +52,9 @@ class Clause:
     def literals(self) -> Iterator[tuple[int, int]]:
         return zip(self.vars, self.pols)
 
-    def neg_count(self) -> int:
-        return 3 - sum(self.pols)
-
 
 # The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3.  The
-# clauses parse_dimacs builds from a clean body and those gen_random_3cnf
+# clauses parse_dimacs builds, on either path, and those gen_random_3cnf
 # draws share these tuples.
 POLS = tuple(((bits >> 2) & 1, (bits >> 1) & 1, bits & 1) for bits in range(8))
 
@@ -79,17 +76,27 @@ class Cnf:
         return len(self.clauses)
 
 
-def _unchecked(cls: type[_T], first: object, second: object) -> _T:
-    """`cls(first, second)` for Clause or Cnf without `__post_init__`, for
-    fields the caller has already checked: the frozen-dataclass `__init__`
-    sets its fields the same way, so instances compare, hash and print
-    alike.  `object.__setattr__` sets a slot (Clause) as it sets a
-    `__dict__` entry (Cnf)."""
-    obj = object.__new__(cls)
-    name1, name2 = cls.__match_args__
-    object.__setattr__(obj, name1, first)
-    object.__setattr__(obj, name2, second)
-    return obj
+def _clauses(vars_: Sequence[tuple[int, int, int]],
+             pols: Sequence[tuple[int, int, int]]) -> tuple[Clause, ...]:
+    """Clause(vars_[k], pols[k]) for every k, without `__post_init__`, for
+    fields the caller has already checked.  The frozen-dataclass
+    `__init__` sets its slots the same way, so the clauses compare, hash,
+    pickle and print alike.  Three C-level passes, no bytecode per
+    clause: one `object.__new__` per clause, then one
+    `object.__setattr__` pass per field."""
+    clauses = tuple(map(object.__new__, repeat(Clause, len(vars_))))
+    deque(map(object.__setattr__, clauses, repeat("vars"), vars_), maxlen=0)
+    deque(map(object.__setattr__, clauses, repeat("pols"), pols), maxlen=0)
+    return clauses
+
+
+def _unchecked(n: int, clauses: tuple[Clause, ...]) -> Cnf:
+    """`Cnf(n, clauses)` without `__post_init__`, for clauses the caller
+    has already checked against n."""
+    cnf = object.__new__(Cnf)
+    object.__setattr__(cnf, "n", n)
+    object.__setattr__(cnf, "clauses", clauses)
+    return cnf
 
 
 def imbalance(cnf: Cnf) -> int:
@@ -129,7 +136,8 @@ def parse_dimacs(text: str) -> Cnf:
     n = None
     m = None
     lits: list[int] = []
-    clauses: list[Clause] = []
+    triples: list[tuple[int, int, int]] = []
+    signs: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -159,13 +167,14 @@ def parse_dimacs(text: str) -> Cnf:
                     raise DimacsError(
                         f"line {lineno}: clause of width {len(lits)}, want 3"
                     )
-                vars_ = tuple([abs(x) for x in lits])
-                pols = tuple([1 if x > 0 else 0 for x in lits])
+                p, q, r = lits
+                vars_ = (abs(p), abs(q), abs(r))
                 if len(set(vars_)) != 3:
                     raise DimacsError(f"line {lineno}: repeated variable in clause")
                 if max(vars_) > n:
                     raise DimacsError(f"line {lineno}: variable beyond n={n}")
-                clauses.append(_unchecked(Clause, vars_, pols))
+                triples.append(vars_)
+                signs.append(POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)])
                 lits = []
             else:
                 lits.append(lit)
@@ -173,9 +182,9 @@ def parse_dimacs(text: str) -> Cnf:
         raise DimacsError("missing header")
     if lits:
         raise DimacsError("trailing literals without terminating 0")
-    if m is not None and m != len(clauses):
-        raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    return _unchecked(Cnf, n, tuple(clauses))
+    if m is not None and m != len(triples):
+        raise DimacsError(f"header declares {m} clauses, found {len(triples)}")
+    return _unchecked(n, _clauses(triples, signs))
 
 
 def _decimal(tok: str) -> int:
@@ -219,15 +228,8 @@ def _parse_clean(text: str) -> Cnf | None:
         return None
     if not (all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z))):
         return None
-    new, setattr_ = object.__new__, object.__setattr__
-    clauses = []
-    for vars_, p, q, r in zip(zip(x, y, z), a, b, c):
-        # _unchecked(Clause, ...) inlined: no call per clause
-        cl = new(Clause)
-        setattr_(cl, "vars", vars_)
-        setattr_(cl, "pols", POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)])
-        clauses.append(cl)
-    return _unchecked(Cnf, n, tuple(clauses))
+    pols = [POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)]
+    return _unchecked(n, _clauses(list(zip(x, y, z)), pols))
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -256,13 +258,20 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
     Deterministic for a given seed; raises ValueError as check_gen_params.
     """
     check_gen_params(n, m)
-    rng = random.Random(seed)
-    clauses = []
+    randrange = random.Random(seed).randrange
+    top = n + 1
+    triples, pols = [], []
     for _ in range(m):
         while True:
-            trip = {rng.randrange(1, n + 1) for _ in range(3)}
-            if len(trip) == 3:
+            u, v, w = randrange(1, top), randrange(1, top), randrange(1, top)
+            if u != v and v != w and u != w:
                 break
-        vars_ = tuple(sorted(trip))
-        clauses.append(_unchecked(Clause, vars_, POLS[rng.randrange(8)]))
-    return _unchecked(Cnf, n, tuple(clauses))
+        if u > v:
+            u, v = v, u
+        if v > w:
+            v, w = w, v
+        if u > v:
+            u, v = v, u
+        triples.append((u, v, w))
+        pols.append(POLS[randrange(8)])
+    return _unchecked(n, _clauses(triples, pols))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, groupby, islice, product, repeat
+from itertools import chain, combinations, compress, count, islice, product, repeat
 from operator import floordiv, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -212,15 +212,18 @@ def _quad_candidates(
     v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges reads
     every edge off them as its label x*s + y and head pair*s + x.  Only
     edges that can yield a tuple get triple ids, by code: those whose
-    label recurs, and lone edges whose two triples both repeat.  A label
-    run whose triples each hold one clause, almost every run at uniform
-    density, is expanded from each triple's one key (_one_clause_quads);
-    any other run splits each triple's clauses by negation parity first
-    (_run_quads), in the same order, so the budget cuts at the same
-    tuple.  At most `budget` distinct tuples are taken, in label order;
-    returns them sorted and whether the cap cut the scan.
+    label recurs, and lone edges whose two triples both repeat.  One pass
+    gives every such edge its triple ids and the clause pair that the
+    first key of each triple picks.  A label run whose triples each hold
+    one clause, almost every run at uniform density, is expanded from
+    its slice of those picks (_one_clause_quads); any other run splits
+    each triple's clauses by negation parity first (_run_quads), in the
+    same order, so the budget cuts at the same tuple.  At most `budget`
+    distinct tuples are taken, in label order; returns them sorted and
+    whether the cap cut the scan.
     """
-    span, stride = n + 1, 2 * len(keys)
+    span, m = n + 1, len(keys)
+    stride = 2 * m
     triples = [keys[i] // stride for i in islice(starts, len(starts) - 1)]
     repeats = {j for j, a, b in zip(count(), starts, islice(starts, 1, None)) if b - a > 1}
     labels, heads = _edges(span, triples)
@@ -231,13 +234,24 @@ def _quad_candidates(
     del labels, heads, counts
     number = dict(zip(triples, count()))  # triple code -> triple id
     del triples
+    # one pass: each edge's triple ids, and its one-clause pick read from
+    # each triple's first key, (negation parity, first clause, second)
+    ends: list[tuple[int, int]] = []
+    picks: list[tuple[int, int, int]] = []
+    for label, head in chosen:
+        a, b = _ends(number, span, head, *divmod(label, span))
+        x, y = keys[starts[a]], keys[starts[b]]
+        ends.append((a, b))
+        picks.append(((x // m ^ y // m) & 1, x % m, y % m))
     out: set[ClauseTuple] = set()
     # heads sort by pair within a label: the order of either end's triple
-    for label, run in groupby(chosen, itemgetter(0)):
-        x, y = divmod(label, span)
-        same_label = [_ends(number, span, head, x, y) for _, head in run]
+    labels = list(map(itemgetter(0), chosen))
+    del chosen, number
+    bounds = [0, *compress(count(1), map(ne, labels, islice(labels, 1, None))), len(labels)]
+    for lo, hi in zip(bounds, islice(bounds, 1, None)):
+        same_label = ends[lo:hi]
         if repeats.isdisjoint(chain.from_iterable(same_label)):
-            found = _one_clause_quads(keys, starts, same_label)
+            found = _one_clause_quads(picks[lo:hi])
         else:
             found = _run_quads(keys, starts, same_label, repeats)
         for quad in found:
@@ -279,18 +293,14 @@ def _ends(number: dict[int, int], s: int, head: int, x: int, y: int) -> tuple[in
     return number[a], number[b]
 
 
-def _one_clause_quads(keys: list[int], starts: list[int],
-                      same_label: list[tuple[int, int]]) -> Iterator[ClauseTuple]:
-    """_run_quads for a label run whose triples each hold one clause, read
-    from each triple's first key: each edge picks one clause pair, and
-    two edges whose picks differ in negation parity make one 4-tuple, in
-    the order _run_quads yields it."""
-    m = len(keys)
-    firsts = [(keys[starts[a]], keys[starts[b]]) for a, b in same_label]
-    picked = [((x // m ^ y // m) & 1, x % m, y % m) for x, y in firsts]
-    return (tuple(sorted((i, j, k, l)))
-            for r, (s, i, j) in enumerate(picked)
-            for t, k, l in picked[r + 1:] if s != t)
+def _one_clause_quads(picks: list[tuple[int, int, int]]) -> list[ClauseTuple]:
+    """_run_quads for a label run whose triples each hold one clause, from
+    each edge's one pick (negation parity, clause, clause): two edges
+    whose picks differ in parity make one 4-tuple, in the order
+    _run_quads yields it."""
+    return [tuple(sorted((i, j, k, l)))
+            for r, (s, i, j) in enumerate(picks)
+            for t, k, l in picks[r + 1:] if s != t]
 
 
 def _run_quads(keys: list[int], starts: list[int], same_label: list[tuple[int, int]],

@@ -21,6 +21,11 @@ settings.register_profile(
 settings.load_profile("det")
 
 
+def neg_count(cl: Clause) -> int:
+    """The number of negated literals in cl."""
+    return 3 - sum(cl.pols)
+
+
 def planted_block(blocks: int) -> Cnf:
     """`blocks` disjoint variable triples, each carrying all 8 polarity
     patterns — unsatisfiable, perfectly balanced, and M = 0."""

@@ -52,6 +52,7 @@ from conftest import (
     is_3xor,
     max_quadform,
     nae_counts,
+    neg_count,
     not3xor_counts,
     planted_block,
     sat_literal_counts,
@@ -342,10 +343,10 @@ def _random_inconsistent_tuple(rng: random.Random, n: int, k: int) -> Cnf:
         odd = sorted(v for v, bit in occ.items() if bit)
         if len(odd) != 3:
             continue
-        negs = sum(cl.neg_count() for cl in clauses)
+        negs = sum(map(neg_count, clauses))
         pols = [rng.randrange(2) for _ in range(3)]
         closing = Clause(tuple(odd), tuple(pols))
-        if (negs + closing.neg_count()) % 2 == 0:
+        if (negs + neg_count(closing)) % 2 == 0:
             pols[0] ^= 1
             closing = Clause(tuple(odd), tuple(pols))
         return Cnf(n, tuple(clauses) + (closing,))
@@ -364,7 +365,7 @@ def test_3xor_lemma_exhaustive():
             for v in cl.vars:
                 occ[v] ^= 1
         assert not any(occ)
-        assert sum(cl.neg_count() for cl in tup.clauses) % 2 == 1
+        assert sum(map(neg_count, tup.clauses)) % 2 == 1
         tuples += 1
         for a in all_assignments(tup.n):
             if all(is_3xor(cl, a) for cl in tup.clauses):

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
+import random
 import re
 import tracemalloc
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
 from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
-from fkocert.cnf import POLS, _parse_clean, imbalance
+from fkocert.cnf import POLS, _clauses, _parse_clean, check_gen_params, imbalance
 from conftest import (
     all_assignments,
     brute_force_unsat,
@@ -355,9 +357,10 @@ def test_clean_text_is_parsed_whole_onto_the_shared_pols():
 
 
 def test_clauses_are_slotted_on_every_construction_path():
-    """Clause(...), both parse_dimacs paths and gen_random_3cnf build
-    slotted clauses that still compare, hash, pickle, copy, replace and
-    refuse assignment like the frozen dataclass they are."""
+    """Clause(...), both parse_dimacs paths, gen_random_3cnf and _clauses
+    build slotted clauses that still compare, hash, pickle, copy, replace
+    and refuse assignment like the frozen dataclass they are; every path
+    but Clause(...) itself puts one of the eight POLS tuples in pols."""
     cnf = gen_random_3cnf(30, 200, 4)
     text = to_dimacs(cnf)
     commented = "c a comment line sends the text to the line loop\n" + text
@@ -367,10 +370,14 @@ def test_clauses_are_slotted_on_every_construction_path():
         "whole body": parse_dimacs(text).clauses,
         "line loop": parse_dimacs(commented).clauses,
         "gen": gen_random_3cnf(30, 200, 4).clauses,
+        "_clauses": _clauses([cl.vars for cl in cnf.clauses], [cl.pols for cl in cnf.clauses]),
     }
     for how, clauses in built.items():
-        assert clauses == cnf.clauses, how
+        assert type(clauses) is tuple and clauses == cnf.clauses, how
+        assert repr(clauses) == repr(cnf.clauses), how
         assert list(map(hash, clauses)) == list(map(hash, cnf.clauses)), how
+        assert all(cl.pols is POLS[4 * p + 2 * q + r] for cl in clauses
+                   for p, q, r in [cl.pols]), how
         for cl in clauses:
             assert type(cl) is Clause and not hasattr(cl, "__dict__"), how
             for twin in (pickle.loads(pickle.dumps(cl)), copy.deepcopy(cl),
@@ -385,6 +392,10 @@ def test_clauses_are_slotted_on_every_construction_path():
         with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
             clauses[0].extra = 1
         assert clauses == cnf.clauses, how
+    # no clause at all on any path
+    empty = to_dimacs(gen_random_3cnf(30, 0, 4))
+    assert gen_random_3cnf(30, 0, 4).clauses == () == _clauses([], [])
+    assert parse_dimacs(empty).clauses == () == parse_dimacs("c\n" + empty).clauses
     flipped = dataclasses.replace(cnf.clauses[0], pols=(1, 1, 1))
     assert flipped == Clause(cnf.clauses[0].vars, (1, 1, 1))
     with pytest.raises(ValueError):
@@ -490,6 +501,73 @@ def test_gen_input_validation():
         gen_random_3cnf(2, 5, 0)
     with pytest.raises(ValueError):
         gen_random_3cnf(5, -1, 0)
+
+
+def reference_gen_random_3cnf(n, m, seed):
+    """gen_random_3cnf as it drew before its clauses were built in one
+    pass: a set of three draws, redrawn until it holds three variables,
+    then sorted(); the clauses through Clause(...) and its checks."""
+    check_gen_params(n, m)
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        while True:
+            trip = {rng.randrange(1, n + 1) for _ in range(3)}
+            if len(trip) == 3:
+                break
+        vars_ = tuple(sorted(trip))
+        clauses.append(Clause(vars_, POLS[rng.randrange(8)]))
+    return Cnf(n, tuple(clauses))
+
+
+def test_gen_matches_reference_draw_for_draw():
+    # n = 3 rejects about 21 of every 27 draws, so it runs the redraw most
+    for n, m, seed in itertools.product((3, 4, 28, 200), (0, 1, 17, 318), range(20)):
+        got, want = gen_random_3cnf(n, m, seed), reference_gen_random_3cnf(n, m, seed)
+        assert got == want and repr(got) == repr(want), (n, m, seed)
+        assert all(cl.pols is POLS[4 * p + 2 * q + r] for cl in got.clauses
+                   for p, q, r in [cl.pols])
+
+
+@pytest.mark.parametrize("n, m, seed, digest", [
+    (200, 4995, 1, "a0dcb711161745b4333ab7dca89f347697fb5009901ee8df42f9a3b1dd738c0a"),
+    (3, 50, 7, "0411abfd981b76a752b58d537c869f46dad50a160fa503f2327c59a82deb2960"),
+    (28, 318, 0, "f5d9104eac45fa6c4609e9462005eb223bf656b908ccaa4eaeda0bec6f98f588"),
+])
+def test_gen_output_is_pinned(n, m, seed, digest):
+    """SHA-256 of the DIMACS text of three generated formulas, so a change
+    of the draws shows across versions, not only between two calls."""
+    text = to_dimacs(gen_random_3cnf(n, m, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generator_and_both_parse_paths_build_clauses_in_one_call(monkeypatch):
+    """gen_random_3cnf and both parse_dimacs paths build every clause
+    through one _clauses call per formula: no Clause(...) per clause."""
+    import fkocert.cnf as cnf_mod
+
+    sizes = []
+    real = cnf_mod._clauses
+
+    def counting(vars_, pols):
+        sizes.append(len(vars_))
+        return real(vars_, pols)
+
+    def refuse(self):
+        raise AssertionError("Clause(...) called on a checked path")
+
+    cnf = gen_random_3cnf(200, 4995, 1)
+    text = to_dimacs(cnf)
+    commented = "c a leading comment sends the text to the line loop\n" + text
+    assert _parse_clean(text) is not None and _parse_clean(commented) is None
+    monkeypatch.setattr(cnf_mod, "_clauses", counting)
+    monkeypatch.setattr(Clause, "__post_init__", refuse)
+    assert gen_random_3cnf(200, 4995, 1) == cnf
+    assert sizes == [4995]
+    for how in (text, commented):
+        sizes.clear()
+        assert parse_dimacs(how) == cnf
+        assert sizes == [4995], how
 
 
 def test_sat_literal_bound_small():

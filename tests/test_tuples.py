@@ -30,6 +30,7 @@ from fkocert.tuples import (
 from conftest import (
     all_assignments,
     is_3xor,
+    neg_count,
     planted_block,
     shuffled_slots,
     slot_order_formulas,
@@ -71,9 +72,9 @@ def test_tuple_index_range():
 
 
 def reference_parity_vector(cnf, index):
-    """parity_vector through Clause.neg_count(), one variable at a time."""
+    """parity_vector through the negation count, one variable at a time."""
     cl = cnf.clauses[index]
-    bits = cl.neg_count() & 1
+    bits = neg_count(cl) & 1
     for v in cl.vars:
         bits |= 1 << v
     return bits
@@ -438,7 +439,8 @@ def test_collection_ignores_slot_order():
 
 def test_search_and_checks_call_no_clause_method(monkeypatch):
     """imbalance, the search and both checks read each clause's vars and
-    pols directly, with no per-clause call of neg_count or literals."""
+    pols directly, with no per-clause call of literals; Clause has no
+    neg_count at all."""
     cnf = gen_random_3cnf(200, 4995, 1)
     coll = find_collection(cnf, k_max=4, t_target=1)
     tups = (coll.tuples[0], coll.tuples[-1][:2], (0, 1))
@@ -454,7 +456,7 @@ def test_search_and_checks_call_no_clause_method(monkeypatch):
     def refuse(self):
         raise AssertionError("per-clause method call")
 
-    monkeypatch.setattr(Clause, "neg_count", refuse)
+    assert not hasattr(Clause, "neg_count")
     monkeypatch.setattr(Clause, "literals", refuse)
     assert run() == before
 
@@ -477,12 +479,12 @@ def test_check_collection_computes_each_parity_once(monkeypatch):
 
 
 def reference_triple_keys(cnf):
-    """_triple_keys through sorted() and Clause.neg_count()."""
+    """_triple_keys through sorted() and the negation count."""
     span, m = cnf.n + 1, cnf.m
     keys = []
     for idx, cl in enumerate(cnf.clauses):
         u, v, w = sorted(cl.vars)
-        keys.append((((u * span + v) * span + w) * 2 + (cl.neg_count() & 1)) * m + idx)
+        keys.append((((u * span + v) * span + w) * 2 + (neg_count(cl) & 1)) * m + idx)
     keys.sort()
     return keys
 
