@@ -36,7 +36,6 @@ from .tuples import (
     TupleCollection,
     check_collection,
     find_collection,
-    is_even_tuple,
     is_inconsistent_tuple,
 )
 from .witness import (
@@ -72,7 +71,6 @@ __all__ = [
     "TupleCollection",
     "check_collection",
     "find_collection",
-    "is_even_tuple",
     "is_inconsistent_tuple",
     "FkoWitness",
     "Verdict",

@@ -8,16 +8,18 @@ its cubic work runs as exact integer dot products over a single known
 scale: `gram_dev` takes rows of Python ints.  `support_blocks` splits a
 matrix into the blocks of its nonzero pattern; a Gram matrix, of rows or
 of columns, is exactly 0 between blocks, so the verifier runs `gram_dev`
-on each block alone.  No float and no third-party code enters any
-accept/reject decision.
+on each block alone.  One union-find, `_connected`, splits both V here
+and M into its components for the builder's eigensolver.  No float and
+no third-party code enters any accept/reject decision.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 QVec = Sequence[Fraction]
 QMat = Sequence[Sequence[Fraction]]
@@ -55,6 +57,28 @@ def gram_dev(rows: Sequence[Sequence[int]], one: int) -> tuple[int, int]:
     return off, diag
 
 
+def _connected(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on nodes 0..size-1 with edges
+    links, each ascending, ordered by least node."""
+    # union-find whose roots are least nodes, so parent[i] <= i throughout
+    parent = list(range(size))
+    for p, q in links:
+        while p != parent[p]:  # path halving: p skips to its grandparent
+            parent[p] = p = parent[parent[p]]
+        while q != parent[q]:
+            parent[q] = q = parent[parent[q]]
+        if p < q:
+            parent[q] = p
+        else:
+            parent[p] = q
+    groups: dict[int, list[int]] = {}
+    for i in range(size):
+        # ascending: a non-root's parent, a smaller node, points at its root
+        root = parent[i] = parent[parent[i]]
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())
+
+
 def support_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int]]]:
     """Support blocks of an integer matrix, as (row indices, column indices).
 
@@ -65,34 +89,15 @@ def support_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[list[int], list[
     is a block of its own, with no columns or rows.  Both index lists are
     ascending.  A dense matrix is one block.
     """
+    h = len(rows)
     width = len(rows[0]) if rows else 0
-    owner: list[int | None] = [None] * width  # column -> its block
-    blocks: list[tuple[list[int], list[int]] | None] = []
-    for i, row in enumerate(rows):
-        cols = list(compress(range(width), row))
-        hit = set(map(owner.__getitem__, cols))
-        new = None in hit
-        hit.discard(None)
-        if not hit:
-            b = len(blocks)
-            blocks.append(([], []))
-        else:  # merge the blocks this row joins into the one with most columns
-            b = max(hit, key=lambda h: len(blocks[h][1]))
-            for h in hit - {b}:
-                rows_h, cols_h = blocks[h]
-                blocks[h] = None
-                blocks[b][0].extend(rows_h)
-                blocks[b][1].extend(cols_h)
-                for k in cols_h:
-                    owner[k] = b
-        blocks[b][0].append(i)
-        if new:
-            for k in cols:
-                if owner[k] is None:
-                    owner[k] = b
-                    blocks[b][1].append(k)
-    blocks += [([], [k]) for k, b in enumerate(owner) if b is None]
-    return [(sorted(r), sorted(c)) for r, c in filter(None, blocks)]
+    # node i < h is row i, node h + k is column k
+    links = ((i, k) for i, row in enumerate(rows) for k in compress(range(h, h + width), row))
+    blocks = []
+    for comp in _connected(h + width, links):
+        cut = bisect_left(comp, h)
+        blocks.append((comp[:cut], [x - h for x in comp[cut:]]))
+    return blocks
 
 
 def grid_denominator(n: int, c: int) -> int:

@@ -30,6 +30,7 @@ from operator import mul
 from .cnf import Cnf
 from .exactq import (
     QMat,
+    _connected,
     gram_dev,
     grid_denominator,
     snap_to_grid,
@@ -53,12 +54,14 @@ DEFAULT_K = Fraction(16)
 # largest grid exponent c accepted: certificates live on the 1/n^(2c) grid,
 # so c bounds the size of every integer the certification forms
 C_MAX = 64
+# sweeps the float Jacobi seed of approx_eigen may run before it gives up
+_MAX_SWEEPS = 64
 
 
 class SpectralPrecisionError(RuntimeError):
     """approx_eigen missed its precision target: the float Jacobi seed did
-    not converge within max_sweeps, or the integer refinement did not bring
-    its correction below n^-(2c+4) within its step budget."""
+    not converge within _MAX_SWEEPS sweeps, or the integer refinement did
+    not bring its correction below n^-(2c+4) within its step budget."""
 
 
 class CertificationError(ValueError):
@@ -212,22 +215,8 @@ def _jacobi_seed(a: list[list[float]], max_sweeps: int) -> list[list[float]]:
 def _components(a: list[list[int]]) -> list[list[int]]:
     """Index sets of the connected components of a's nonzero pattern."""
     n = len(a)
-    comp = list(range(n))
-
-    def root(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for p in range(n):
-        for q in range(p + 1, n):
-            if a[p][q]:
-                comp[root(p)] = root(q)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
+    return _connected(n, ((p, q) for p, row in enumerate(a)
+                          for q in compress(range(p + 1, n), row[p + 1:])))
 
 
 def _sparse_rows(a: list[list[int]]) -> list[tuple[list[int], list[int]]]:
@@ -317,7 +306,7 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
     )
 
 
-def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
+def approx_eigen(m: QMat, c: int) -> SpectralCert:
     """Approximate eigendecomposition of m, snapped to the 1/n^(2c) grid.
 
     This is the untrusted builder: certify_eigvalbound re-checks its output
@@ -326,7 +315,7 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     bit-deterministic.  Each connected component of m's nonzero pattern is
     solved on its own submatrix, in two phases:
 
-    1. a cyclic Jacobi on floats (at most `max_sweeps` sweeps) gives
+    1. a cyclic Jacobi on floats (at most _MAX_SWEEPS sweeps) gives
        eigenvector estimates good to about k * 2^-52 at component order k;
     2. Ogita-Aishima refinement steps on ints over 2^F, with
        F = ceil((2c+4)*log2 n) + 64, run until the correction is below
@@ -356,7 +345,7 @@ def approx_eigen(m: QMat, c: int, max_sweeps: int = 64) -> SpectralCert:
     for comp in _components(a):
         sub = [[a[p][q] for q in comp] for p in comp]
         xs = [[_to_fixed(x, f_bits) for x in row]
-              for row in _jacobi_seed([[x / m_den for x in row] for row in sub], max_sweeps)]
+              for row in _jacobi_seed([[x / m_den for x in row] for row in sub], _MAX_SWEEPS)]
         quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
         for idx, i in enumerate(comp):
             row = [zero] * n

@@ -32,7 +32,6 @@ __all__ = [
     "TupleCollection",
     "CollectionSearchError",
     "parity_vector",
-    "is_even_tuple",
     "is_inconsistent_tuple",
     "check_collection",
     "check_search_params",
@@ -81,21 +80,12 @@ def parity_vector(cnf: Cnf, index: int) -> int:
     return 1 << u | 1 << v | 1 << w | (p + q + r + 1) & 1
 
 
-def _tuple_parity(cnf: Cnf, indices: Sequence[int]) -> int:
+def is_inconsistent_tuple(cnf: Cnf, indices: Sequence[int]) -> bool:
+    """Even tuple whose total negation count is odd."""
     bits = 0
     for idx in indices:
         bits ^= parity_vector(cnf, idx)
-    return bits
-
-
-def is_even_tuple(cnf: Cnf, indices: Sequence[int]) -> bool:
-    """Every variable occurs an even number of times across the tuple."""
-    return _tuple_parity(cnf, indices) >> 1 == 0
-
-
-def is_inconsistent_tuple(cnf: Cnf, indices: Sequence[int]) -> bool:
-    """Even tuple whose total negation count is odd."""
-    return _tuple_parity(cnf, indices) == 1
+    return bits == 1
 
 
 def check_collection(
@@ -165,9 +155,8 @@ def _triple_starts(keys: list[int]) -> list[int]:
     m = len(keys)
     if not m:
         return [0]
-    triples = map(floordiv, keys, repeat(2 * m))
-    later = map(floordiv, islice(keys, 1, None), repeat(2 * m))
-    return [0, *compress(count(1), map(ne, triples, later)), m]
+    triples = list(map(floordiv, keys, repeat(2 * m)))
+    return [0, *compress(count(1), map(ne, triples, islice(triples, 1, None))), m]
 
 
 def _members(keys: list[int], starts: list[int], j: int) -> Side:

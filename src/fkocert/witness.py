@@ -168,7 +168,7 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
 
     The order is 3CNF, Coll, EigValBound's dimension checks, a cheap
     inequality, EigValBound's certification and the exact inequality.
-    The cheap one rejects t <= d*(I + lambdas[0]*n)/2 in ints before M is
+    The cheap one rejects t <= d*(I + lambdas[0]*n)/2 before M is
     built for certification; every accept still passes certification.
     I and M are rebuilt from the formula, lambda and c taken from the
     certificate: wit.imb, wit.lam, wit.c and wit.mat are never read.
@@ -195,9 +195,9 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     # no product: U >= lambdas[0]*n, so a t at or below
     # d*(I + lambdas[0]*n)/2 fails whatever the certificate holds
     imb = imbalance(cnf)
-    t, d, lam0 = wit.coll.t, wit.coll.d, wit.cert.lambdas[0]
-    if 2 * t * lam0.denominator <= d * (imb * lam0.denominator + lam0.numerator * cnf.n):
-        rhs = _threshold(d, imb, lam0 * cnf.n)
+    t, d = wit.coll.t, wit.coll.d
+    rhs = _threshold(d, imb, wit.cert.lambdas[0] * cnf.n)
+    if not t > rhs:
         return Verdict(False, "inequality",
                        f"t={t} <= d*(I+lambda*n)/2 = {_show(rhs)}", threshold=rhs)
 

@@ -1,13 +1,15 @@
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterable
 
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 
 from fkocert.exactq import (
     QMat,
     QVec,
+    _connected,
     gram_dev,
     grid_denominator,
     rat,
@@ -170,6 +172,44 @@ def test_quadform_matches_double_loop(entries):
 def test_rat_accepts_ints_and_strings():
     assert rat(3) == 3
     assert rat("7/2") == F(7, 2)
+
+
+def _reference_components(size, links):
+    """Connected components by a breadth-first search from each unvisited
+    node, in order of least node."""
+    near = [set() for _ in range(size)]
+    for p, q in links:
+        near[p].add(q)
+        near[q].add(p)
+    seen, out = set(), []
+    for start in range(size):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = deque([start]), []
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in near[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        out.append(sorted(comp))
+    return out
+
+
+@given(st.integers(0, 12).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=20)
+    if size else st.just([]))))
+@example((0, []))
+@example((3, [(1, 1), (1, 1)]))
+@example((5, [(4, 1), (3, 0), (1, 3)]))
+def test_connected_matches_search(graph):
+    # links may repeat, join a node to itself, or leave nodes isolated
+    size, links = graph
+    want = _reference_components(size, links)
+    assert _connected(size, links) == want
+    assert _connected(size, iter(links)) == want
 
 
 def _reference_blocks(rows):

@@ -183,9 +183,10 @@ def test_approx_eigen_rejects_bad_input():
         approx_eigen(mat([[0, 1]]), 4)           # not square
 
 
-def test_approx_eigen_precision_failure():
+def test_approx_eigen_precision_failure(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 0)
     with pytest.raises(SpectralPrecisionError):
-        approx_eigen(mat([[0, 1], [1, 0]]), 4, max_sweeps=0)
+        approx_eigen(mat([[0, 1], [1, 0]]), 4)
 
 
 def test_lambdas_descending_and_grid():
@@ -691,6 +692,50 @@ def whole_matrix_approx_eigen(m, c, max_sweeps=64) -> SpectralCert:
     order = sorted(range(n), key=lambda i: (-lams[i], i))
     return SpectralCert(tuple(snap_to_grid(lams[i], n, c) for i in order),
                         tuple(vecs[i] for i in order), c)
+
+
+def _union_find_components(a):
+    """Components of a's nonzero pattern by a union-find over its upper
+    triangle, linking each root to the other's: the reference for
+    spectral._components."""
+    n = len(a)
+    comp = list(range(n))
+
+    def root(i):
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            if a[p][q]:
+                comp[root(p)] = root(q)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """Symmetric int matrices with any diagonal; with `sides`, an entry is
+    nonzero only between nodes on different sides, so every component is
+    bipartite."""
+    n = draw(st.integers(1, 10))
+    sides = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    a = [[0] * n for _ in range(n)]
+    for p in range(n):
+        a[p][p] = draw(st.integers(-2, 2))
+        for q in range(p + 1, n):
+            if sides is None or sides[p] != sides[q]:
+                a[p][q] = a[q][p] = draw(st.sampled_from([0, 0, 1, -1, 3]))
+    return a
+
+
+@given(symmetric_patterns())
+def test_components_match_union_find(a):
+    assert spectral._components(a) == _union_find_components(a)
 
 
 def _component_count(m) -> int:
