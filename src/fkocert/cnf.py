@@ -79,14 +79,14 @@ class Cnf:
 def _clauses(vars_: Sequence[tuple[int, int, int]],
              pols: Sequence[tuple[int, int, int]]) -> tuple[Clause, ...]:
     """Clause(vars_[k], pols[k]) for every k, without `__post_init__`, for
-    fields the caller has already checked.  The frozen-dataclass
-    `__init__` sets its slots the same way, so the clauses compare, hash,
-    pickle and print alike.  Three C-level passes, no bytecode per
-    clause: one `object.__new__` per clause, then one
-    `object.__setattr__` pass per field."""
+    fields the caller has already checked.  Each field is written through
+    its slot's member descriptor, the slot the frozen-dataclass `__init__`
+    writes, so the clauses compare, hash, pickle and print alike.  Three
+    C-level passes, no bytecode per clause: one `object.__new__` per
+    clause, then one descriptor `__set__` pass per field."""
     clauses = tuple(map(object.__new__, repeat(Clause, len(vars_))))
-    deque(map(object.__setattr__, clauses, repeat("vars"), vars_), maxlen=0)
-    deque(map(object.__setattr__, clauses, repeat("pols"), pols), maxlen=0)
+    deque(map(Clause.__dict__["vars"].__set__, clauses, vars_), maxlen=0)
+    deque(map(Clause.__dict__["pols"].__set__, clauses, pols), maxlen=0)
     return clauses
 
 
@@ -201,11 +201,15 @@ def _parse_clean(text: str) -> Cnf | None:
     any line layout; None for any other text.
 
     On an ASCII text without "_", int() takes exactly the tokens that
-    _decimal takes.  Each check is one C-level pass over the text or a
-    stride slice of the tokens, and each clause takes its polarities
-    from POLS.  Whatever this accepts, the line loop would parse to the
-    same Cnf: no token is a comment or a header, and str.split breaks at
-    every line boundary that str.splitlines does.
+    _decimal takes.  int() runs once per distinct token, into a table of
+    the tokens present, never one sized by n: a random body has at most
+    2 n + 1 distinct tokens among its 4 m.  The bound |v| <= n is checked
+    on that table's values, and every slot is then read from it.  Each
+    other check is one C-level pass over a stride slice of the tokens,
+    and each clause takes its polarities from POLS.  Whatever this
+    accepts, the line loop would parse to the same Cnf: no token is a
+    comment or a header, and str.split breaks at every line boundary
+    that str.splitlines does.
     """
     if not text.isascii() or "_" in text:
         return None
@@ -215,17 +219,22 @@ def _parse_clean(text: str) -> Cnf | None:
     # before the end of `head` would end that line early
     if len(parts) != 4 or parts[:2] != ["p", "cnf"] or len(head.splitlines()) != 1:
         return None
+    toks = body.split()
     try:
         n, m = int(parts[2]), int(parts[3])
-        lits = list(map(int, body.split()))
+        value = {tok: int(tok) for tok in set(toks)}
     except ValueError:
         return None
-    if n < 0 or m < 0 or len(lits) != 4 * m or any(lits[3::4]):
+    if n < 0 or m < 0 or len(toks) != 4 * m or max(map(abs, value.values()), default=0) > n:
         return None
-    a, b, c = lits[0::4], lits[1::4], lits[2::4]
+    lit = value.__getitem__
+    if any(map(lit, toks[3::4])):
+        return None
+    a, b, c = (list(map(lit, toks[k::4])) for k in range(3))
+    del toks  # free the 4 m token strings before the clauses are built: a lower peak
+    if not (all(a) and all(b) and all(c)):
+        return None
     x, y, z = list(map(abs, a)), list(map(abs, b)), list(map(abs, c))
-    if m and not (min(map(min, (x, y, z))) > 0 and max(map(max, (x, y, z))) <= n):
-        return None
     if not (all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z))):
         return None
     pols = [POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)]

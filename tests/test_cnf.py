@@ -337,6 +337,12 @@ def _outcome(parse, text):
 @example("p cnf 3 1\n1 2 3 \u0660\n")                   # in a terminator
 @example("p cnf 1_0 1\n1 2 3 0\n")                      # in a header count
 @example("p cnf \u0663 1\n1 2 3 0\n")                   # in a header count
+# distinct tokens of one value, each decoded once on the whole-body path
+@example("p cnf 9 4\n007 1 2 0\n-007 3 4 0\n+7 5 6 0\n7 8 9 0\n")  # 007, -007, +7, 7
+@example("p cnf 4 2\n1 -2 3 00\n-1 2 4 +0\n")          # 00 and +0 terminators
+@example("p cnf 4 2\n1 -0 3 0\n-1 2 4 0\n")            # -0 in a literal slot
+@example("p cnf 4 2\n1 -2 3 0\n-1 2 5 0\n")            # n + 1, only once
+@example("p cnf 4 2\n1 -2 3 0\n-5 2 4 0\n")            # -(n + 1), only once
 def test_parse_dimacs_matches_reference(text):
     want = _outcome(reference_parse_dimacs, text)
     got = _outcome(parse_dimacs, text)
@@ -404,16 +410,35 @@ def test_clauses_are_slotted_on_every_construction_path():
 
 def test_parsed_cnf_holds_under_0_55_mib():
     """Slotted clauses: a parsed n = 200, m = 4995 Cnf holds about
-    0.45 MiB, against 0.64 MiB with a `__dict__` per clause."""
+    0.45 MiB, against 0.64 MiB with a `__dict__` per clause.  The parse
+    peaks at about 1.14 MiB, because the 19 980 token strings are freed
+    before the clauses are built; held to the end, they lift it to
+    about 1.75 MiB."""
     text = to_dimacs(gen_random_3cnf(200, 4995, 1))
     tracemalloc.start()
     try:
         cnf = parse_dimacs(text)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert cnf.m == 4995
     assert held < 0.55 * 2**20
+    assert peak < 1.25 * 2**20
+
+
+def test_huge_header_count_allocates_nothing_sized_by_n():
+    """The whole-body path tables the tokens present, never 1..n: a
+    header of n = 10^9 parses in well under 1 MiB."""
+    tracemalloc.start()
+    try:
+        one = parse_dimacs("p cnf 1000000000 1\n1 2 3 0\n")
+        empty = parse_dimacs("p cnf 1000000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert one == Cnf(10**9, (Clause((1, 2, 3), (1, 1, 1)),))
+    assert empty == Cnf(10**9, ())
+    assert peak < 2**20
 
 
 @st.composite
@@ -568,6 +593,27 @@ def test_generator_and_both_parse_paths_build_clauses_in_one_call(monkeypatch):
         sizes.clear()
         assert parse_dimacs(how) == cnf
         assert sizes == [4995], how
+
+
+def test_whole_body_path_decodes_each_distinct_token_once(monkeypatch):
+    """The whole-body path calls int() once per header count and once per
+    distinct body token, not once per slot: at most 2 n + 3 calls for
+    the 4 m = 19980 tokens of an n = 200, m = 4995 text."""
+    import fkocert.cnf as cnf_mod
+
+    cnf = gen_random_3cnf(200, 4995, 1)
+    text = to_dimacs(cnf)
+    distinct = len(set(text.partition("\n")[2].split()))
+    seen = []
+
+    def spy(tok):
+        seen.append(tok)
+        return int(tok)
+
+    monkeypatch.setattr(cnf_mod, "int", spy, raising=False)
+    assert _parse_clean(text) == cnf
+    assert "200" in seen and "4995" in seen
+    assert len(seen) <= distinct + 2 <= 2 * 200 + 3
 
 
 def test_sat_literal_bound_small():
