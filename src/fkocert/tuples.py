@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice, product, repeat
+from itertools import compress, count, groupby, islice, repeat
 from operator import floordiv, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -52,7 +52,7 @@ class TupleCollection:
 class CollectionSearchError(RuntimeError):
     """Search ended below t_target; carries the best collection found, the
     candidate count from each source (pairs, quads) and whether the
-    budget cut the 4-tuples short."""
+    budget refused a distinct 4-tuple."""
 
     def __init__(self, best: TupleCollection, t_target: int,
                  candidates: dict[str, int], budget_hit: bool):
@@ -124,9 +124,9 @@ def check_collection(
 
 
 Side = tuple[list[int], list[int]]  # a triple's clauses: even, odd negation count
-# an edge's (clauses of one triple, clauses of the other) factor pairs,
-# listed for an even and for an odd negation sum of the two picked clauses
-Picks = tuple[list[tuple[list[int], list[int]]], list[tuple[list[int], list[int]]]]
+# an edge's pick: (edge position in its label run, clause of the edge's
+# first triple, clause of its second)
+Pick = tuple[int, int, int]
 
 
 def _triple_keys(cnf: Cnf) -> list[int]:
@@ -201,52 +201,44 @@ def _quad_candidates(
     v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges reads
     every edge off them as its label x*s + y and head pair*s + x.  Only
     edges that can yield a tuple get triple ids, by code: those whose
-    label recurs, and lone edges whose two triples both repeat.  One pass
-    gives every such edge its triple ids and the clause pair that the
-    first key of each triple picks.  A label run whose triples each hold
-    one clause, almost every run at uniform density, is expanded from
-    its slice of those picks (_one_clause_quads); any other run splits
-    each triple's clauses by negation parity first (_run_quads), in the
-    same order, so the budget cuts at the same tuple.  At most `budget`
-    distinct tuples are taken, in label order; returns them sorted and
-    whether the cap cut the scan.
+    label recurs, and lone edges whose two triples both repeat.  Walked
+    in (label, head) order, each edge gives every pick of one clause
+    from each of its triples, in key order, tagged with the edge's
+    position; its label run files the pick as even or odd by the two
+    clauses' negation parities, and _run_quads pairs each even pick with
+    the odd ones.  A tuple already taken is skipped before the cap: an
+    edge's own tuples arrive twice, and two labels can give one tuple.
+    At most `budget` distinct tuples are taken, label run by label run;
+    returns them sorted and whether the cap refused one.
     """
     span, m = n + 1, len(keys)
     stride = 2 * m
     triples = [keys[i] // stride for i in islice(starts, len(starts) - 1)]
-    repeats = {j for j, a, b in zip(count(), starts, islice(starts, 1, None)) if b - a > 1}
+    repeats = [t for t, a, b in zip(triples, starts, islice(starts, 1, None)) if b - a > 1]
     labels, heads = _edges(span, triples)
     counts = Counter(labels)
-    lone = zip(*_edges(span, [triples[j] for j in repeats]))  # both ends repeat
+    lone = zip(*_edges(span, repeats))  # both ends repeat
     chosen = sorted([(label, head) for label, head in zip(labels, heads) if counts[label] > 1]
                     + [(label, head) for label, head in lone if counts[label] == 1])
-    del labels, heads, counts
+    del labels, heads, counts, repeats
     number = dict(zip(triples, count()))  # triple code -> triple id
     del triples
-    # one pass: each edge's triple ids, and its one-clause pick read from
-    # each triple's first key, (negation parity, first clause, second)
-    ends: list[tuple[int, int]] = []
-    picks: list[tuple[int, int, int]] = []
-    for label, head in chosen:
-        a, b = _ends(number, span, head, *divmod(label, span))
-        x, y = keys[starts[a]], keys[starts[b]]
-        ends.append((a, b))
-        picks.append(((x // m ^ y // m) & 1, x % m, y % m))
     out: set[ClauseTuple] = set()
     # heads sort by pair within a label: the order of either end's triple
-    labels = list(map(itemgetter(0), chosen))
-    del chosen, number
-    bounds = [0, *compress(count(1), map(ne, labels, islice(labels, 1, None))), len(labels)]
-    for lo, hi in zip(bounds, islice(bounds, 1, None)):
-        same_label = ends[lo:hi]
-        if repeats.isdisjoint(chain.from_iterable(same_label)):
-            found = _one_clause_quads(picks[lo:hi])
-        else:
-            found = _run_quads(keys, starts, same_label, repeats)
-        for quad in found:
-            if len(out) >= budget:
-                return sorted(out), True
-            out.add(quad)
+    for label, run in groupby(chosen, itemgetter(0)):
+        x, y = divmod(label, span)
+        picks: tuple[list[Pick], list[Pick]] = ([], [])  # even, odd negation sum
+        for pos, (_, head) in enumerate(run):
+            a, b = _ends(number, span, head, x, y)
+            second = keys[starts[b]:starts[b + 1]]
+            for ka in keys[starts[a]:starts[a + 1]]:
+                for kb in second:
+                    picks[(ka // m ^ kb // m) & 1].append((pos, ka % m, kb % m))
+        for quad in _run_quads(*picks):
+            if quad not in out:
+                if len(out) >= budget:
+                    return sorted(out), True
+                out.add(quad)
     return sorted(out), False
 
 
@@ -282,56 +274,14 @@ def _ends(number: dict[int, int], s: int, head: int, x: int, y: int) -> tuple[in
     return number[a], number[b]
 
 
-def _one_clause_quads(picks: list[tuple[int, int, int]]) -> list[ClauseTuple]:
-    """_run_quads for a label run whose triples each hold one clause, from
-    each edge's one pick (negation parity, clause, clause): two edges
-    whose picks differ in parity make one 4-tuple, in the order
-    _run_quads yields it."""
-    return [tuple(sorted((i, j, k, l)))
-            for r, (s, i, j) in enumerate(picks)
-            for t, k, l in picks[r + 1:] if s != t]
-
-
-def _run_quads(keys: list[int], starts: list[int], same_label: list[tuple[int, int]],
-               repeats: set[int]) -> Iterator[ClauseTuple]:
-    """The 4-tuples of one label run's edges, sorted each, in a fixed
-    order: for each edge, those with each later edge, then those with
-    itself when both its triples repeat."""
-    sides = [(_members(keys, starts, a), _members(keys, starts, b))
-             for a, b in same_label]
-    picks = [_picks(a, b) for a, b in sides]
-    for r, (a, b) in enumerate(sides):
-        for other in picks[r + 1:]:
-            yield from _cross_quads(picks[r], other)
-        if same_label[r][0] in repeats and same_label[r][1] in repeats:
-            yield from _self_quads(a, b)
-
-
-def _picks(a: Side, b: Side) -> Picks:
-    """An edge's picks of one clause from each of its triples a and b,
-    as factor pairs whose products give them, by negation-sum parity."""
-    even = [(a[p], b[p]) for p in (0, 1) if a[p] and b[p]]
-    odd = [(a[p], b[1 - p]) for p in (0, 1) if a[p] and b[1 - p]]
-    return even, odd
-
-
-def _cross_quads(e: Picks, f: Picks) -> Iterator[ClauseTuple]:
-    """Sorted 4-tuples with an odd negation sum, one clause from each
-    triple of two distinct edges with one label."""
-    for s in (0, 1):
-        for x, y in e[s]:
-            for z, w in f[1 - s]:
-                for quad in product(x, y, z, w):
-                    yield tuple(sorted(quad))
-
-
-def _self_quads(a: Side, b: Side) -> Iterator[ClauseTuple]:
-    """Sorted 4-tuples with an odd negation sum, two clauses from each
-    triple of one edge: exactly one of the two pairs mixes parities."""
-    mixed = [list(product(*side)) for side in (a, b)]
-    same = [[*combinations(side[0], 2), *combinations(side[1], 2)] for side in (a, b)]
-    for p, q in chain(product(mixed[0], same[1]), product(same[0], mixed[1])):
-        yield tuple(sorted(p + q))
+def _run_quads(even: list[Pick], odd: list[Pick]) -> Iterator[ClauseTuple]:
+    """The sorted 4-tuples of one label run, lazily: each even pick with
+    each odd pick of another edge, and with each odd pick of its own edge
+    that shares no clause with it (both triples then repeat)."""
+    for p, i, j in even:
+        for q, k, l in odd:
+            if p != q or i != k and j != l:
+                yield tuple(sorted((i, j, k, l)))
 
 
 def _greedy_pack(candidates: Iterable[ClauseTuple], d: int) -> tuple[ClauseTuple, ...]:
@@ -371,10 +321,12 @@ def find_collection(
     (triples sharing two variables, see _quad_candidates), with no size
     cutoff.  No source yields longer tuples, so any k_max above 4 packs
     what 4 packs.  The larger packed t wins; a tie goes to k = 2.
-    `budget`, 0 or more, caps the 4-tuples taken, in a fixed order.
+    `budget`, 0 or more, caps the distinct 4-tuples taken, in a fixed
+    order: label runs in label order, each run's even picks in edge
+    order, each with the odd picks in edge order.
     `seed` is unused; it stays only because perfbench's calls still pass
     it.  Raises CollectionSearchError, carrying the best collection, the count
-    per source and whether the budget cut the 4-tuples short, when the
+    per source and whether the budget refused a distinct 4-tuple, when the
     best t is below t_target; raises ValueError as check_search_params.
     """
     check_search_params(k_max, d, budget)

@@ -167,9 +167,12 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     exact inequality t > d*(I + lambda*n + slack)/2.
 
     The order is 3CNF, Coll, EigValBound's dimension checks, a cheap
-    inequality, EigValBound's certification and the exact inequality.
-    The cheap one rejects t <= d*(I + lambdas[0]*n)/2 before M is
-    built for certification; every accept still passes certification.
+    inequality, V's shape, EigValBound's certification and the exact
+    inequality.  The cheap one rejects t <= d*(I + lambdas[0]*n)/2
+    before M is built for certification; every accept still passes
+    certification.  V must be n x n before M's n*n entries are built,
+    so a short file cannot make the verifier allocate memory quadratic
+    in its own size.
     I and M are rebuilt from the formula, lambda and c taken from the
     certificate: wit.imb, wit.lam, wit.c and wit.mat are never read.
     """
@@ -201,8 +204,11 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
         return Verdict(False, "inequality",
                        f"t={t} <= d*(I+lambda*n)/2 = {_show(rhs)}", threshold=rhs)
 
+    v = wit.cert.v
+    if len(v) != cnf.n or any(len(row) != cnf.n for row in v):
+        return Verdict(False, "EigValBound", "V is not n x n")
     mat = build_m(cnf)
-    # V's shape, c, the grid and |v_ij| <= 2 are checked before any product
+    # c, the grid and |v_ij| <= 2 are checked before any product
     try:
         u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
     except CertificationError as e:

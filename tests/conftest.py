@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,6 +21,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """pytest's pythonpath setting reaches this process only: the
+    interpreters that tests start import fkocert from the same tree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
+                  prepend=os.pathsep)
+        yield
 
 
 def neg_count(cl: Clause) -> int:

@@ -1,6 +1,8 @@
 import array
 import bisect
+import hashlib
 import itertools
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -34,6 +36,7 @@ from conftest import (
     shuffled_slots,
     slot_order_formulas,
 )
+from test_acceptance import _noisy_blocks
 
 POS = Clause((1, 2, 3), (1, 1, 1))
 NEG = Clause((1, 2, 3), (0, 0, 0))
@@ -378,6 +381,73 @@ def test_quad_budget_caps_count_deterministically():
     assert _index_quads(cnf, 0) == ([], True)
 
 
+# its four triples pair up under the labels {3,4} and {2,5}: both label
+# runs find the one 4-tuple
+TWICE_FOUND = Cnf(5, (
+    Clause((1, 2, 3), (0, 1, 1)),
+    Clause((1, 2, 4), (1, 1, 1)),
+    Clause((1, 3, 5), (1, 1, 1)),
+    Clause((1, 4, 5), (1, 1, 1)),
+))
+
+
+def test_budget_hit_only_when_a_new_tuple_is_refused():
+    assert _index_quads(TWICE_FOUND, 1) == ([(0, 1, 2, 3)], False)
+    assert _index_quads(TWICE_FOUND, 0) == ([], True)
+    with pytest.raises(CollectionSearchError) as ei:
+        find_collection(TWICE_FOUND, t_target=5, budget=1)
+    assert not ei.value.budget_hit and "budget not hit" in str(ei.value)
+
+
+def test_budget_of_every_distinct_tuple_is_not_hit():
+    # on four to six variables, 4-tuples recur across label runs often
+    for seed in range(200):
+        cnf = gen_random_3cnf(4 + seed % 3, 1 + seed % 16, seed)
+        full, hit = _index_quads(cnf)
+        assert not hit
+        assert _index_quads(cnf, len(full)) == (full, False)
+        if full:
+            capped, hit = _index_quads(cnf, len(full) - 1)
+            assert hit and len(capped) == len(full) - 1
+
+
+def test_repeated_one_parity_triples_expand_nothing_quickly():
+    # 300 copies of one all-positive clause on each of two triples that
+    # share a pair: 90 000 even picks and no odd one, so an expansion that
+    # scanned all pick pairs would take minutes
+    cnf = Cnf(4, (Clause((1, 2, 3), (1, 1, 1)),) * 300 + (Clause((1, 2, 4), (1, 1, 1)),) * 300)
+    start = time.perf_counter()
+    assert _index_quads(cnf, 50_000) == ([], False)
+    assert time.perf_counter() - start < 0.5
+
+
+def _search_digest(cnfs):
+    h = hashlib.sha256()
+    for cnf in cnfs:
+        h.update(repr(find_collection(cnf).tuples).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of find_collection's default tuples on each family: a change to
+# the candidate set or to the packing order shows here
+SEARCH_DIGESTS = {
+    "random n=200": ("2ddd6728de56e289a4d16a6b12b1ccabc22582d8f713579e9716dfe2c4468425",
+                     lambda: [gen_random_3cnf(200, 4995, s) for s in range(4)]),
+    "random n=28": ("d580a7df81f2df994c14fdeaf68a5995556f44aead6be5cc156919b477d4f542",
+                    lambda: [gen_random_3cnf(28, 318, s) for s in range(4)]),
+    "planted": ("f1b651910c423d9f219896263b9ac267be6cc289508d4e0ec7221a2a97dd9810",
+                lambda: [planted_block(t) for t in range(1, 9)]),
+    "noisy": ("405785c4c7951698cd83bd899dc64106f4961bb15dad1176ea0dc7150ef06ccb",
+              lambda: [_noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i) for i in range(20)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEARCH_DIGESTS))
+def test_default_search_output_is_pinned(family):
+    digest, formulas = SEARCH_DIGESTS[family]
+    assert _search_digest(formulas()) == digest
+
+
 def _pair_list(cnf):
     return [(i, j) for i, j in itertools.combinations(range(cnf.m), 2)
             if is_inconsistent_tuple(cnf, (i, j))]
@@ -499,8 +569,11 @@ def reference_triple_keys(cnf):
 
 def reference_index_quads(cnf, budget):
     """The variable-pair index before its run scans: every incidence and
-    edge decoded through groupby, every edge's label run visited.  Kept to
-    pin the tuple list, the budget flag and the label-order cut."""
+    edge decoded through groupby, every edge's label run visited.  Each
+    run pairs its even picks with its odd picks, both in edge order, the
+    picks of one edge in the order of its two triples' keys; a tuple
+    already taken is skipped before the cap.  Kept to pin the tuple list,
+    the budget flag and the cut."""
     span, m = cnf.n + 1, cnf.m
     keys = reference_triple_keys(cnf)
 
@@ -508,30 +581,9 @@ def reference_index_quads(cnf, budget):
         return t + 1 < m and keys[t + 1] // (2 * m) == keys[t] // (2 * m)
 
     def members(t):
-        side = ([], [])
-        for k in keys[t:bisect.bisect_left(keys, (keys[t] // (2 * m) + 1) * 2 * m, t)]:
-            side[k // m & 1].append(k % m)
-        return side
-
-    def picks(a, b):
-        even = [(a[p], b[p]) for p in (0, 1) if a[p] and b[p]]
-        odd = [(a[p], b[1 - p]) for p in (0, 1) if a[p] and b[1 - p]]
-        return even, odd
-
-    def cross_quads(e, f):
-        for s in (0, 1):
-            for x, y in e[s]:
-                for z, w in f[1 - s]:
-                    for quad in itertools.product(x, y, z, w):
-                        yield tuple(sorted(quad))
-
-    def self_quads(a, b):
-        mixed = [list(itertools.product(*side)) for side in (a, b)]
-        same = [[*itertools.combinations(side[0], 2), *itertools.combinations(side[1], 2)]
-                for side in (a, b)]
-        for p, q in itertools.chain(itertools.product(mixed[0], same[1]),
-                                    itertools.product(same[0], mixed[1])):
-            yield tuple(sorted(p + q))
+        """(clause, negation parity) of triple t, in key order."""
+        run = keys[t:bisect.bisect_left(keys, (keys[t] // (2 * m) + 1) * 2 * m, t)]
+        return [(k % m, k // m & 1) for k in run]
 
     starts = (t for t in range(m)
               if t == 0 or keys[t] // (2 * m) != keys[t - 1] // (2 * m))
@@ -556,18 +608,19 @@ def reference_index_quads(cnf, budget):
     for _, run in itertools.groupby(edges, lambda code: code // (m * m)):
         same_label = [divmod(code % (m * m), m) for code in run]
         twice = [repeats(a) and repeats(b) for a, b in same_label]
-        if len(same_label) == 1 and not twice[0]:
-            continue
-        sides = [(members(a), members(b)) for a, b in same_label]
-        picked = [picks(a, b) for a, b in sides]
-        for r, (a, b) in enumerate(sides):
-            found = [cross_quads(picked[r], other) for other in picked[r + 1:]]
-            if twice[r]:
-                found.append(self_quads(a, b))
-            for quad in itertools.chain(*found):
-                if len(out) >= budget:
-                    return sorted(out), True
-                out.add(quad)
+        picks = ([], [])
+        for r, (a, b) in enumerate(same_label):
+            for (i, p), (j, q) in itertools.product(members(a), members(b)):
+                picks[(p + q) % 2].append((r, i, j))
+        for (r, i, j), (s, k, l) in itertools.product(*picks):
+            if r == s and not (twice[r] and len({i, j, k, l}) == 4):
+                continue
+            quad = tuple(sorted((i, j, k, l)))
+            if quad in out:
+                continue
+            if len(out) >= budget:
+                return sorted(out), True
+            out.add(quad)
     return sorted(out), False
 
 
@@ -624,21 +677,19 @@ def test_quad_index_pinned_where_one_clause_and_repeated_runs_meet(monkeypatch):
     assert not hit
     for budget in range(1, len(full) + 1):
         assert _index_quads(MIXED_RUNS, budget) == reference_index_quads(MIXED_RUNS, budget)
-    # both expansions yield several 4-tuples from one run, so the budgets
-    # above cut inside runs of each kind
-    yields: dict[str, list[int]] = {"_one_clause_quads": [], "_run_quads": []}
+    # a run with a repeated triple (an edge with two picks) and a run
+    # without one each yield several distinct 4-tuples, so the budgets
+    # above cut inside runs of both kinds
+    yields: dict[bool, list[int]] = {False: [], True: []}
+    real = tuples_mod._run_quads
 
-    def counting(name):
-        real = getattr(tuples_mod, name)
+    def counting(even, odd):
+        quads = list(real(even, odd))
+        edges = [pos for pos, _, _ in even + odd]
+        yields[len(edges) > len(set(edges))].append(len(set(quads)))
+        return iter(quads)
 
-        def wrapped(*args):
-            quads = list(real(*args))
-            yields[name].append(len(quads))
-            return iter(quads)
-        return wrapped
-
-    for name in yields:
-        monkeypatch.setattr(tuples_mod, name, counting(name))
+    monkeypatch.setattr(tuples_mod, "_run_quads", counting)
     assert _index_quads(MIXED_RUNS) == (full, False)
     assert min(map(max, yields.values())) >= 2
 

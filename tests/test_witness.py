@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -575,6 +576,26 @@ def test_verify_rejects_non_square_v(shape):
     bad = replace(wit, cert=replace(wit.cert, v=tuple(tuple(r) for r in rows)))
     v = verify_witness(cnf, bad)
     assert v == Verdict(False, "EigValBound", "V is not n x n")
+
+
+def test_verify_refuses_empty_v_before_building_m():
+    # n lambdas of -1000, no V and no tuples pass the cheap inequality; a
+    # 14 KB file must not make the verifier build M's n*n entries
+    n = 2000
+    cnf = Cnf(n, ())
+    text = json.dumps({"n": n, "m": 0, "c": 1, "I": 0, "lambda": 0,
+                       "lambdas": [-1000] * n, "V": [],
+                       "D": {"t": 0, "k": 2, "d": 4, "tuples": []}})
+    assert len(text) < 15_000
+    wit = witness_from_json(text)
+    tracemalloc.start()
+    try:
+        verdict = verify_witness(cnf, wit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Verdict(False, "EigValBound", "V is not n x n")
+    assert peak < 4 * 2**20
 
 
 def _honest_json() -> dict:
