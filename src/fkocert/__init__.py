@@ -23,12 +23,10 @@ from .cnf import (
 )
 from .spectral import (
     CertReport,
-    CertificationError,
     SpectralCert,
     SpectralPrecisionError,
     approx_eigen,
     build_m,
-    certified_quadform_bound,
     certify_eigvalbound,
 )
 from .tuples import (
@@ -60,12 +58,10 @@ __all__ = [
     "parse_dimacs",
     "to_dimacs",
     "CertReport",
-    "CertificationError",
     "SpectralCert",
     "SpectralPrecisionError",
     "approx_eigen",
     "build_m",
-    "certified_quadform_bound",
     "certify_eigvalbound",
     "CollectionSearchError",
     "TupleCollection",

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .cnf import (Cnf, DimacsError, check_gen_params, gen_random_3cnf, imbalance,
+from .cnf import (Cnf, check_gen_params, gen_random_3cnf, imbalance,
                   parse_dimacs, to_dimacs)
 from .oracle import brute_force_report
 # approx_eigen, build_m and certify_eigvalbound stay importable from this
@@ -291,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, DimacsError, ValueError, json.JSONDecodeError) as e:
+    # DimacsError, WitnessFormatError and json's decode error are ValueErrors
+    except (OSError, ValueError) as e:
         _err(f"error: {e}")
         return 2
 

@@ -1,4 +1,4 @@
-"""Clause-polarity matrix, eigenbasis certificates, certified quadform bound.
+"""Clause-polarity matrix, eigenbasis certificates and their exact certification.
 
 The matrix M of a 3CNF K has M_ij = sum over clauses of +-1/2: +1/2 when
 x_i and x_j co-occur with different polarity, -1/2 with equal polarity.
@@ -42,11 +42,9 @@ __all__ = [
     "SpectralCert",
     "CertReport",
     "SpectralPrecisionError",
-    "CertificationError",
     "build_m",
     "approx_eigen",
     "certify_eigvalbound",
-    "certified_quadform_bound",
     "tolerances",
 ]
 
@@ -62,14 +60,6 @@ class SpectralPrecisionError(RuntimeError):
     """approx_eigen missed its precision target: the float Jacobi seed did
     not converge within _MAX_SWEEPS sweeps, or the integer refinement did
     not bring its correction below n^-(2c+4) within its step budget."""
-
-
-class CertificationError(ValueError):
-    """Certificate failed one of the three certified conditions."""
-
-    def __init__(self, report: "CertReport"):
-        super().__init__(f"certificate rejected: {report.failed_conditions()}")
-        self.report = report
 
 
 def _check_c(c: int) -> int:
@@ -374,9 +364,21 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     exactq.support_blocks), a dense V as one block of every row and
     column: both Gram deviations on the block's rows and columns, and the
     residuals of its rows at its columns and their M-neighbours, since
-    every other entry is exactly 0.  Also
-    computes the slack of certified_quadform_bound, which bounds nothing
-    on a failing report (see the module docstring).
+    every other entry is exactly 0.
+
+    The report's slack makes lambdas[0]*n + slack an upper bound on
+    max_a a^T M a when the report passes; on a failing one it bounds
+    nothing (see the module docstring).  Soundness sketch, all quantities
+    exact: write E~ = V^T V = I + R with rho = max|R|,
+    t_i = M v_i - lambda_i v_i with tau = max|t_i|, and for a sign vector
+    a put a~ = E~ a = a + Ra and c_j = <v_j, a>.  Then
+    a^T M a = a~^T M a~ - 2 a~^T M(Ra) + (Ra)^T M (Ra), and since
+    a~ = sum_j c_j v_j exactly,
+    a~^T M a~ = sum_{j,k} lambda_k c_j c_k <v_j,v_k> + a~^T sum_j c_j t_j.
+    With S = sum_j c_j^2 = a^T E~ a in [n - n^2 rho, n + n^2 rho],
+    sum_j lambda_j c_j^2 <= lambdas[0] * S, |c_j| <= 2n, and the Gram
+    deviations bounding the cross terms, every remainder collapses into
+    the slack.
     """
     n = cert.n
     if len(m) != n or any(len(row) != n for row in m):
@@ -463,28 +465,3 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
         eigen_ok=eigen_ok,
     )
 
-
-def certified_quadform_bound(
-    m: QMat, cert: SpectralCert, report: CertReport | None = None
-) -> Fraction:
-    """Certified upper bound lambdas[0]*n + slack on max_a a^T M a.
-
-    Requires a fully passing report (recomputed here when not supplied);
-    raises CertificationError otherwise.
-
-    Soundness sketch, all quantities exact: write E~ = V^T V = I + R with
-    rho = max|R|, t_i = M v_i - lambda_i v_i with tau = max|t_i|, and for
-    a sign vector a put a~ = E~ a = a + Ra and c_j = <v_j, a>.  Then
-    a^T M a = a~^T M a~ - 2 a~^T M(Ra) + (Ra)^T M (Ra), and since
-    a~ = sum_j c_j v_j exactly,
-    a~^T M a~ = sum_{j,k} lambda_k c_j c_k <v_j,v_k> + a~^T sum_j c_j t_j.
-    With S = sum_j c_j^2 = a^T E~ a in [n - n^2 rho, n + n^2 rho],
-    sum_j lambda_j c_j^2 <= lambdas[0] * S, |c_j| <= 2n, and the Gram
-    deviations bounding the cross terms, every remainder collapses into
-    the slack below.
-    """
-    if report is None:
-        report = certify_eigvalbound(m, cert)
-    if not report.passed:
-        raise CertificationError(report)
-    return cert.lambdas[0] * cert.n + report.slack

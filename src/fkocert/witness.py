@@ -35,15 +35,7 @@ from fractions import Fraction
 
 from .cnf import Cnf, imbalance
 from .exactq import QMat
-from .spectral import (
-    CertificationError,
-    SpectralCert,
-    approx_eigen,
-    build_m,
-    certified_quadform_bound,
-    certify_eigvalbound,
-    tolerances,
-)
+from .spectral import SpectralCert, approx_eigen, build_m, certify_eigvalbound, tolerances
 from .tuples import TupleCollection, check_collection, check_search_params, find_collection
 
 __all__ = [
@@ -172,7 +164,9 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     before M is built for certification; every accept still passes
     certification.  V must be n x n before M's n*n entries are built,
     so a short file cannot make the verifier allocate memory quadratic
-    in its own size.
+    in its own size.  certify_eigvalbound runs once: a precondition it
+    refuses or a failed condition in its report rejects at EigValBound,
+    and a passing report gives U = lambdas[0]*n + slack.
     I and M are rebuilt from the formula, lambda and c taken from the
     certificate: wit.imb, wit.lam, wit.c and wit.mat are never read.
     """
@@ -195,11 +189,12 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if cnf.n == 0:
         return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
 
-    # no product: U >= lambdas[0]*n, so a t at or below
-    # d*(I + lambdas[0]*n)/2 fails whatever the certificate holds
+    # no product: U = lambdas[0]*n + slack with slack >= 0, so a t at or
+    # below d*(I + lambdas[0]*n)/2 fails whatever the certificate holds
     imb = imbalance(cnf)
     t, d = wit.coll.t, wit.coll.d
-    rhs = _threshold(d, imb, wit.cert.lambdas[0] * cnf.n)
+    lam_n = wit.cert.lambdas[0] * cnf.n
+    rhs = _threshold(d, imb, lam_n)
     if not t > rhs:
         return Verdict(False, "inequality",
                        f"t={t} <= d*(I+lambda*n)/2 = {_show(rhs)}", threshold=rhs)
@@ -210,15 +205,17 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     mat = build_m(cnf)
     # c, the grid and |v_ij| <= 2 are checked before any product
     try:
-        u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
-    except CertificationError as e:
-        tol_basis, _, tol_eigen = tolerances(wit.cert)
-        return Verdict(False, "EigValBound",
-                       f"failed conditions: {e.report.failed_conditions()}; "
-                       f"rho/tol={_ratio(e.report.rho, tol_basis)}, "
-                       f"tau/tol={_ratio(e.report.tau, tol_eigen)}")
+        rep = certify_eigvalbound(mat, wit.cert)
     except ValueError as e:
         return Verdict(False, "EigValBound", str(e))
+    if not rep.passed:
+        tol_basis, _, tol_eigen = tolerances(wit.cert)
+        return Verdict(False, "EigValBound",
+                       f"failed conditions: {rep.failed_conditions()}; "
+                       f"rho/tol={_ratio(rep.rho, tol_basis)}, "
+                       f"tau/tol={_ratio(rep.tau, tol_eigen)}")
+    # the slack bounds max a^T M a only on a passing report
+    u = lam_n + rep.slack
 
     rhs = _threshold(d, imb, u)
     if not t > rhs:
@@ -230,9 +227,8 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
 
 def _ratio(x: Fraction, tol: Fraction) -> str:
     """x/tol to 3 significant digits, or as a power of two when no float
-    holds it: an exact residual can have more digits than str() allows."""
-    if not tol:
-        return "inf" if x else "0"
+    holds it: an exact residual can have more digits than str() allows.
+    tol is one of tolerances(cert), K*n^(1-c) or K*n^(3-c) with K, n > 0."""
     r = x / tol
     try:
         return f"{float(r):.3g}"

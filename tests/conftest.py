@@ -89,8 +89,8 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def certify_calls(monkeypatch) -> list:
-    """The list of certify_eigvalbound calls made through witness.py's name
-    and spectral.py's own (certified_quadform_bound's without a report)."""
+    """The list of certify_eigvalbound calls made through witness.py's
+    name, the one the verifier calls, or through spectral.py's."""
     import fkocert.spectral
     import fkocert.witness
 

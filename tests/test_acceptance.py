@@ -42,7 +42,6 @@ from fkocert import (
     witness_to_json,
 )
 from fkocert.cnf import imbalance, to_dimacs
-from fkocert.spectral import certified_quadform_bound
 from fkocert.tc0frege import Not, Sequent, free_vars
 from fkocert.cli import main as cli_main
 
@@ -310,7 +309,7 @@ def test_spectral_certification_rate_and_bound():
         if n <= 14:
             brute_checked += 1
             m2 = [[int(2 * x) for x in row] for row in mat]
-            if max_quadform(m2) > certified_quadform_bound(mat, cert, rep):
+            if max_quadform(m2) > cert.lambdas[0] * n + rep.slack:
                 bound_violations += 1
     total = len(LADDER)
     rate = (total - len(failures)) / total

@@ -1,8 +1,10 @@
 """End-to-end command-line tests driven through main()."""
 
 import ast
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import fkocert
 import fkocert.witness
 from fkocert import SpectralCert, approx_eigen, build_m, certify_eigvalbound
 from fkocert.cli import build_parser, main
@@ -104,14 +107,16 @@ def test_dense_sweep_row_certifies_nothing(capsys, monkeypatch, certify_calls):
 
 
 def test_failing_certificate_is_rejected_by_refute_and_sweep(tmp_path, capsys, monkeypatch):
-    # K3 = K4 = K5 = 0: the builder still writes its certificate, and the
-    # verifier rejects it at EigValBound once t clears d*(I+lambda*n)/2
+    # K3 = K4 = K5 = 2^-128, below every nonzero residual at n <= 8 and
+    # c = 8 (an integer over at most 2*n^(4c)): the builder still writes its
+    # certificate, and the verifier rejects it at EigValBound once t clears
+    # d*(I+lambda*n)/2
     monkeypatch.setenv("FKO_THREADS", "1")
     argv = ["sweep", "--n", "6,6,8", "--m", "24,200,200", "--seeds", "2"]
     assert main(argv) == 0
     default = capsys.readouterr().out.strip().splitlines()
     for name in ("k3", "k4", "k5"):
-        monkeypatch.setattr(SpectralCert, name, Fraction(0))
+        monkeypatch.setattr(SpectralCert, name, Fraction(1, 2**128))
     reasons = set()
     for n, m, seed in [(6, 24, 0), (6, 200, 0), (8, 200, 1)]:
         p = tmp_path / f"{n}-{m}-{seed}.cnf"
@@ -437,6 +442,18 @@ def test_pipeline_loads_no_pool_and_no_proof_checker(tmp_path, first_use):
     module_attrs = {"__all__", "__builtins__", "__cached__", "__doc__", "__file__",
                     "__loader__", "__name__", "__package__", "__path__", "__spec__"}
     assert report["names"] == sorted(set(fkocert.__all__) | submodules | module_attrs)
+
+
+def test_every_all_name_resolves():
+    # a name deleted from a module but left in an __all__ fails here
+    for info in pkgutil.iter_modules(fkocert.__path__):
+        mod = importlib.import_module(f"fkocert.{info.name}")
+        stale = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert stale == [], info.name
+    # vars(), not hasattr: a read of a tc0frege name would load it, and the
+    # lazy-load test above checks those names
+    pipeline = set(fkocert.__all__) - set(_TC0FREGE_NAMES)
+    assert sorted(pipeline - vars(fkocert).keys()) == []
 
 
 def test_sweep_with_no_seeds_writes_the_header_only(capsys):

@@ -1,6 +1,7 @@
 import ast
 import copy
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,6 @@ from fkocert import (
     FkoWitness,
     TupleCollection,
     SpectralCert,
-    CertificationError,
     Verdict,
     WitnessFormatError,
     approx_eigen,
@@ -41,7 +41,7 @@ from fkocert import (
 from fkocert.cnf import imbalance
 from fkocert.exactq import grid_denominator
 from fkocert.spectral import C_MAX
-from fkocert.spectral import certified_quadform_bound, tolerances
+from fkocert.spectral import tolerances
 from fkocert.tuples import check_collection
 from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _threshold
 from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_block
@@ -51,9 +51,11 @@ F = Fraction
 
 
 def _nae_cap(cnf, cert):
-    """(U + 3m)/4, U the certified bound: no assignment NAE-satisfies more.
-    Raises CertificationError when the certificate fails."""
-    return (certified_quadform_bound(build_m(cnf), cert) + 3 * cnf.m) / 4
+    """(U + 3m)/4, U = lambdas[0]*n + slack from a passing report: no
+    assignment NAE-satisfies more."""
+    rep = certify_eigvalbound(build_m(cnf), cert)
+    assert rep.passed, rep.failed_conditions()
+    return (cert.lambdas[0] * cnf.n + rep.slack + 3 * cnf.m) / 4
 
 
 def test_planted_block_end_to_end():
@@ -108,7 +110,7 @@ def test_build_witness_calls_no_certification():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     called |= {node.func.attr for node in ast.walk(build)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
-    assert called & {"certify_eigvalbound", "certified_quadform_bound"} == set()
+    assert "certify_eigvalbound" not in called
     assert "find_collection" in called  # the walk sees the body's calls
 
 
@@ -136,10 +138,12 @@ def _forced_failure_formulas():
 
 
 def test_failing_certificate_is_built_and_never_accepted(monkeypatch):
-    # K3 = K4 = K5 = 0: every tolerance is 0, so a certificate with any
+    # K3 = K4 = K5 = 2^-128: every tolerance is below every nonzero
+    # residual these formulas can have (n <= 10 and c = 8, so each is an
+    # integer over at most 2*n^(4c) < 2^107), so a certificate with any
     # nonzero residual fails; exact eigendata (M = 0) still passes
     for name in ("k3", "k4", "k5"):
-        monkeypatch.setattr(SpectralCert, name, F(0))
+        monkeypatch.setattr(SpectralCert, name, F(1, 2**128))
     reasons = []
     for cnf in _forced_failure_formulas():
         wit = build_witness(cnf)
@@ -180,8 +184,7 @@ def test_nae_bound_ignores_a_lowered_lambda_field(seed):
     assert _nae_cap(cnf, wit.cert) >= best
     # a lowered top eigenvalue in the certificate itself fails certification
     forged = replace(wit.cert, lambdas=wit.cert.lambdas[::-1])
-    with pytest.raises(CertificationError):
-        _nae_cap(cnf, forged)
+    assert certify_eigvalbound(build_m(cnf), forged).failed_conditions() == ["eigen"]
 
 
 @pytest.mark.parametrize("cnf", [planted_block(2), gen_random_3cnf(6, 28, 2)],
@@ -789,6 +792,42 @@ def test_huge_d_gives_a_bounded_inequality_detail():
     json.loads(verdict.to_json())
 
 
+def _pinned_verdict_witnesses():
+    """One (formula, witness) per verdict path of verify_witness."""
+    for blocks in (1, 2, 3, 4):
+        cnf = planted_block(blocks)
+        yield cnf, build_witness(cnf)
+    cnf, wit = _accepted_dense()
+    yield cnf, wit
+    for make in (_dense_text, _huge_d_text):
+        cnf, text = make()
+        yield cnf, witness_from_json(text)
+    cnf, text = _accepted_dense_text()
+    obj = json.loads(text)
+    obj["lambdas"][-1] = _huge_eigenvalue(-1)
+    yield cnf, witness_from_json(json.dumps(obj))
+    yield cnf, witness_from_json(_off_grid_v(text, 50))
+    rows = [list(r) for r in wit.cert.v]
+    rows[3][5] = F(3)
+    yield cnf, replace(wit, cert=replace(wit.cert, v=tuple(map(tuple, rows))))
+    yield cnf, replace(wit, cert=replace(wit.cert, c=C_MAX + 1))
+    yield cnf, replace(wit, cert=replace(wit.cert, v=wit.cert.v[:-1]))
+    cnf = planted_block(1)
+    wit = build_witness(cnf)
+    yield cnf, replace(wit, coll=replace(wit.coll, t=17))
+    yield cnf, replace(wit, n=4)
+
+
+def test_verdicts_are_pinned():
+    # accept, both inequalities, a failed condition, four preconditions,
+    # Coll and 3CNF: the SHA-256 of their verdict lines
+    lines = [verify_witness(cnf, wit).to_json() for cnf, wit in _pinned_verdict_witnesses()]
+    assert [json.loads(x).get("reason") for x in lines] == [
+        None] * 5 + ["inequality"] * 2 + ["EigValBound"] * 5 + ["Coll", "3CNF"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fca6dcd06e13ff22728cca659dbb544b391f56df0ef6ac7155ce7c24e36da92a"
+
+
 # ------------------------------------------ the inequality before certifying
 
 def test_near_miss_is_rejected_before_certification():
@@ -1056,15 +1095,16 @@ def reference_verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
     if cnf.n == 0:
         return Verdict(False, "EigValBound", "n=0: no eigenvalue to certify")
     try:
-        u = certified_quadform_bound(mat, wit.cert, certify_eigvalbound(mat, wit.cert))
-    except CertificationError as e:
-        tol_basis, _, tol_eigen = tolerances(wit.cert)
-        return Verdict(False, "EigValBound",
-                       f"failed conditions: {e.report.failed_conditions()}; "
-                       f"rho/tol={_ratio(e.report.rho, tol_basis)}, "
-                       f"tau/tol={_ratio(e.report.tau, tol_eigen)}")
+        rep = certify_eigvalbound(mat, wit.cert)
     except ValueError as e:
         return Verdict(False, "EigValBound", str(e))
+    if not rep.passed:
+        tol_basis, _, tol_eigen = tolerances(wit.cert)
+        return Verdict(False, "EigValBound",
+                       f"failed conditions: {rep.failed_conditions()}; "
+                       f"rho/tol={_ratio(rep.rho, tol_basis)}, "
+                       f"tau/tol={_ratio(rep.tau, tol_eigen)}")
+    u = wit.cert.lambdas[0] * cnf.n + rep.slack
     rhs = _threshold(wit.coll.d, imb, u)
     if not wit.coll.t > rhs:
         return Verdict(False, "inequality", f"t={wit.coll.t} <= d*(I+U)/2 = {_show(rhs)}")
