@@ -179,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 0:
         raise ValueError("--seeds must be nonnegative")
     for n, m in zip(ns, ms):
-        check_gen_params(n, m)
+        check_gen_params(n, m, args.seed)
     check_search_params(args.k_max, args.d, args.budget)
     jobs = [
         (n, m, args.seed + s, args.c, args.d, args.k_max, args.budget)
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a random 3CNF in DIMACS form")
     g.add_argument("--n", type=int, required=True, help="number of variables (>= 3)")
     g.add_argument("--m", type=int, required=True, help="number of clauses")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=int, required=True, help="formula seed, 0 or more")
     g.add_argument("--out", default=None, help="output path (default stdout)")
     g.set_defaults(func=cmd_gen)
 
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--m", required=True,
                     help="comma-separated clause counts (single value broadcasts)")
     sw.add_argument("--seed", type=int, default=0,
-                    help="formula seed of the first row per (n, m) pair (default 0)")
+                    help="formula seed of the first row per (n, m) pair, 0 or more "
+                         "(default 0)")
     sw.add_argument("--seeds", type=int, default=1, help="seeds per (n, m) pair, 0 or more")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     _add_builder_flags(sw)

@@ -63,6 +63,13 @@ def test_gen_rejects_tiny_n(capsys):
     assert main(["gen", "--n", "2", "--m", "5", "--seed", "0"]) == 2
 
 
+def test_gen_rejects_a_negative_seed(capsys):
+    assert main(["gen", "--n", "8", "--m", "30", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative\n"
+
+
 def test_refute_accepts_planted_block(tmp_path, capsys):
     rc = main(["refute", "--cnf", str(_block_path(tmp_path))])
     out = capsys.readouterr().out
@@ -351,7 +358,8 @@ def test_sweep_rejects_a_negative_budget_before_any_row(capsys, monkeypatch, thr
     (["--n", "60,2", "--m", "300"], "need n >= 3, got 2"),
     (["--n", "6,8", "--m", "24,-1"], "m must be nonnegative"),
     (["--n", "6", "--m", "24", "--seeds", "-2"], "--seeds must be nonnegative"),
-], ids=["n", "m", "seeds"])
+    (["--n", "8", "--m", "30", "--seed", "-1", "--seeds", "3"], "seed must be nonnegative"),
+], ids=["n", "m", "seeds", "seed"])
 def test_sweep_rejects_bad_rows_before_any_row(capsys, monkeypatch, threads, argv, err):
     import fkocert.cli as cli_mod
 

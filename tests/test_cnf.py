@@ -526,6 +526,31 @@ def test_gen_input_validation():
         gen_random_3cnf(2, 5, 0)
     with pytest.raises(ValueError):
         gen_random_3cnf(5, -1, 0)
+    # CPython seeds with |seed|, so seed -1 would draw seed 1's formula
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        gen_random_3cnf(8, 30, -1)
+
+
+class _Eight:
+    def __index__(self):
+        return 8
+
+
+@pytest.mark.parametrize("n, m, seed", [(5.0, 2, 0), (5, 2.0, 0), (5, 2, 1.5),
+                                        ("5", 2, 0), (5, 2, "0")])
+def test_gen_rejects_non_integer_parameters(n, m, seed):
+    with pytest.raises(TypeError):
+        gen_random_3cnf(n, m, seed)
+
+
+def test_gen_takes_parameters_through_index():
+    """Any __index__ type is read as its int, so the formula's n is an int
+    and its DIMACS text parses back."""
+    cnf = gen_random_3cnf(_Eight(), _Eight(), _Eight())
+    assert type(cnf.n) is int and cnf == gen_random_3cnf(8, 8, 8)
+    assert parse_dimacs(to_dimacs(cnf)) == cnf
+    assert check_gen_params(_Eight(), True) == (8, 1, 0)
+    assert check_gen_params(8, 30) == (8, 30, 0)
 
 
 def reference_gen_random_3cnf(n, m, seed):
@@ -554,13 +579,23 @@ def test_gen_matches_reference_draw_for_draw():
                    for p, q, r in [cl.pols])
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025])
+def test_gen_matches_reference_at_bit_length_boundaries(n):
+    # n.bit_length() changes between 2^j - 1 and 2^j, and at n = 2^j about
+    # half the draws are redrawn, so an off-by-one in the bit count fails
+    for m, seed in itertools.product((0, 1, 17, 318), range(4)):
+        got, want = gen_random_3cnf(n, m, seed), reference_gen_random_3cnf(n, m, seed)
+        assert got == want and repr(got) == repr(want), (n, m, seed)
+
+
 @pytest.mark.parametrize("n, m, seed, digest", [
     (200, 4995, 1, "a0dcb711161745b4333ab7dca89f347697fb5009901ee8df42f9a3b1dd738c0a"),
     (3, 50, 7, "0411abfd981b76a752b58d537c869f46dad50a160fa503f2327c59a82deb2960"),
     (28, 318, 0, "f5d9104eac45fa6c4609e9462005eb223bf656b908ccaa4eaeda0bec6f98f588"),
+    (64, 1000, 3, "b354b5fa36a9f445a17badf471c7d24e5a74a9d2a057ea30826b6817c38d2de7"),
 ])
 def test_gen_output_is_pinned(n, m, seed, digest):
-    """SHA-256 of the DIMACS text of three generated formulas, so a change
+    """SHA-256 of the DIMACS text of four generated formulas, so a change
     of the draws shows across versions, not only between two calls."""
     text = to_dimacs(gen_random_3cnf(n, m, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
