@@ -30,7 +30,7 @@ from .spectral import (  # noqa: F401
     build_m,
     certify_eigvalbound,
 )
-from .tuples import check_search_params
+from .tuples import BUDGET_MAX, check_search_params
 from .witness import (
     FkoWitness,
     build_witness,
@@ -82,6 +82,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    check_search_params(args.k_max, args.d, args.budget)
     cnf = _load_cnf(args.cnf)
     try:
         wit = _build(cnf, args)
@@ -102,6 +103,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_refute(args: argparse.Namespace) -> int:
+    check_search_params(args.k_max, args.d, args.budget)
     cnf = _load_cnf(args.cnf)
     try:
         wit = _build(cnf, args)
@@ -230,7 +232,7 @@ def _add_builder_flags(p: argparse.ArgumentParser) -> None:
                    help="largest tuple size to try, even; 2 packs pairs only, and "
                         "no source yields tuples longer than 4 (default 4)")
     p.add_argument("--budget", type=int, default=50_000,
-                   help="4-tuple candidates taken, 0 or more (default 50000)")
+                   help=f"4-tuple candidates taken, 0 to {BUDGET_MAX} (default 50000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,12 @@ Variables are numbered 1..n, polarity 1 means the positive literal x_i,
 polarity 0 the negated literal.  An assignment is a sequence of n bits
 (index i-1 holds the value of x_i); the matching sign vector uses
 a(i) = 2*A(i) - 1 in {-1, +1}.
+
+A `Cnf` holds its clauses as four parallel columns: the first, second
+and third variable of each clause, in slot order, and its polarity
+pattern, one of the eight shared POLS tuples.  The parser, the random
+model and every pipeline stage read and write those columns; the
+clauses as `Clause` objects are built only when `.clauses` is read.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import index, ne
+from operator import index, itemgetter, ne
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -54,58 +61,93 @@ class Clause:
 
 
 # The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3.  The
-# clauses parse_dimacs builds, on either path, and those gen_random_3cnf
-# draws share these tuples.
+# pols column of every Cnf built here, by Cnf(n, clauses) too, holds these
+# tuples: m references and no polarity tuple of the formula's own.
 POLS = tuple(((bits >> 2) & 1, (bits >> 1) & 1, bits & 1) for bits in range(8))
 
 
-@dataclass(frozen=True)
-class Cnf:
-    n: int
-    clauses: tuple[Clause, ...]
+Column = tuple[int, ...]
+Pols = tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+
+@dataclass(frozen=True, init=False)
+class Cnf:
+    """n variables and m clauses as four parallel columns: clause k has
+    the variables x[k], y[k] and z[k], in slot order, and the
+    polarities pols[k], one of the eight POLS tuples.
+
+    `Cnf(n, clauses)` checks n >= 0 and each clause's variables against
+    n, and fills the columns from the clauses.  Equality, hash and repr
+    are those of n and the columns, so two formulas with the same clauses
+    in the same order are equal however they were built.  `.clauses`
+    is the formula as a tuple of `Clause`s: the tuple `Cnf(n, clauses)`
+    was given, or else one built by `_clauses` on the first read and
+    kept.
+    """
+
+    n: int
+    x: Column
+    y: Column
+    z: Column
+    pols: Pols
+
+    def __init__(self, n: int, clauses: Sequence[Clause]) -> None:
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        for k, cl in enumerate(self.clauses):
-            if max(cl.vars) > self.n:
-                raise ValueError(f"clause {k} uses variable beyond n={self.n}")
+        vars_ = [cl.vars for cl in clauses]
+        for k, vs in enumerate(vars_):
+            if max(vs) > n:
+                raise ValueError(f"clause {k} uses variable beyond n={n}")
+        x, y, z = (tuple(map(itemgetter(slot), vars_)) for slot in range(3))
+        pols = tuple([POLS[4 * p + 2 * q + r] for p, q, r in (cl.pols for cl in clauses)])
+        _set_fields(self, n=n, x=x, y=y, z=z, pols=pols, clauses=clauses)
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return len(self.x)
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        return _clauses(tuple(zip(self.x, self.y, self.z)), self.pols)
 
 
 def _clauses(vars_: Sequence[tuple[int, int, int]],
              pols: Sequence[tuple[int, int, int]]) -> tuple[Clause, ...]:
     """Clause(vars_[k], pols[k]) for every k, without `__post_init__`, for
-    fields the caller has already checked.  Each field is written through
-    its slot's member descriptor, the slot the frozen-dataclass `__init__`
-    writes, so the clauses compare, hash, pickle and print alike.  Three
-    C-level passes, no bytecode per clause: one `object.__new__` per
-    clause, then one descriptor `__set__` pass per field."""
+    fields the caller has already checked: `Cnf.clauses` passes its
+    columns.  Each field is written through its slot's member
+    descriptor, the slot the frozen-dataclass `__init__` writes, so the
+    clauses compare, hash, pickle and print alike.  Three C-level passes,
+    no bytecode per clause: one `object.__new__` per clause, then one
+    descriptor `__set__` pass per field."""
     clauses = tuple(map(object.__new__, repeat(Clause, len(vars_))))
     deque(map(Clause.__dict__["vars"].__set__, clauses, vars_), maxlen=0)
     deque(map(Clause.__dict__["pols"].__set__, clauses, pols), maxlen=0)
     return clauses
 
 
-def _unchecked(n: int, clauses: tuple[Clause, ...]) -> Cnf:
-    """`Cnf(n, clauses)` without `__post_init__`, for clauses the caller
-    has already checked against n."""
-    cnf = object.__new__(Cnf)
-    object.__setattr__(cnf, "n", n)
-    object.__setattr__(cnf, "clauses", clauses)
+def _set_fields(cnf: Cnf, **fields: object) -> Cnf:
+    """Write each field through `object.__setattr__`, as a frozen
+    dataclass's own `__init__` does.  Unlike a write to `cnf.__dict__`,
+    this keeps the values inline in the instance, where CPython reads
+    them faster."""
+    for name, value in fields.items():
+        object.__setattr__(cnf, name, value)
     return cnf
+
+
+def _unchecked(n: int, x: Column, y: Column, z: Column, pols: Pols) -> Cnf:
+    """The Cnf of these columns, without the checks of `Cnf(n, clauses)`,
+    for columns the caller has already checked against n."""
+    return _set_fields(object.__new__(Cnf), n=n, x=x, y=y, z=z, pols=pols)
 
 
 def imbalance(cnf: Cnf) -> int:
     """I = sum over variables of |#positive - #negative occurrences|, in one
-    pass over the clauses: a literal of polarity p adds p + p - 1 to its
+    pass over the columns: a literal of polarity p adds p + p - 1 to its
     variable's skew."""
     skew = [0] * (cnf.n + 1)
-    for cl in cnf.clauses:
-        (u, v, w), (p, q, r) = cl.vars, cl.pols
+    for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols):
         skew[u] += p + p - 1
         skew[v] += q + q - 1
         skew[w] += r + r - 1
@@ -120,7 +162,7 @@ def parse_dimacs(text: str) -> Cnf:
 
     Clause order and literal slot order are preserved as written.  Each
     clause is checked once, here (width 3, distinct variables, range
-    1..n), and Clause and Cnf are built without repeating those checks.
+    1..n), and goes straight into the Cnf's columns: no Clause is built.
     Every integer, header count or literal, is ASCII decimal digits with
     an optional sign, "+" included: int() alone would also take "1_0"
     and non-ASCII digits.  A text whose first line is the header and
@@ -136,8 +178,10 @@ def parse_dimacs(text: str) -> Cnf:
     n = None
     m = None
     lits: list[int] = []
-    triples: list[tuple[int, int, int]] = []
-    signs: list[tuple[int, int, int]] = []
+    x: list[int] = []
+    y: list[int] = []
+    z: list[int] = []
+    pols: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -168,13 +212,15 @@ def parse_dimacs(text: str) -> Cnf:
                         f"line {lineno}: clause of width {len(lits)}, want 3"
                     )
                 p, q, r = lits
-                vars_ = (abs(p), abs(q), abs(r))
-                if len(set(vars_)) != 3:
+                u, v, w = abs(p), abs(q), abs(r)
+                if u == v or v == w or u == w:
                     raise DimacsError(f"line {lineno}: repeated variable in clause")
-                if max(vars_) > n:
+                if max(u, v, w) > n:
                     raise DimacsError(f"line {lineno}: variable beyond n={n}")
-                triples.append(vars_)
-                signs.append(POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)])
+                x.append(u)
+                y.append(v)
+                z.append(w)
+                pols.append(POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)])
                 lits = []
             else:
                 lits.append(lit)
@@ -182,9 +228,9 @@ def parse_dimacs(text: str) -> Cnf:
         raise DimacsError("missing header")
     if lits:
         raise DimacsError("trailing literals without terminating 0")
-    if m is not None and m != len(triples):
-        raise DimacsError(f"header declares {m} clauses, found {len(triples)}")
-    return _unchecked(n, _clauses(triples, signs))
+    if m is not None and m != len(x):
+        raise DimacsError(f"header declares {m} clauses, found {len(x)}")
+    return _unchecked(n, tuple(x), tuple(y), tuple(z), tuple(pols))
 
 
 def _decimal(tok: str) -> int:
@@ -205,8 +251,9 @@ def _parse_clean(text: str) -> Cnf | None:
     the tokens present, never one sized by n: a random body has at most
     2 n + 1 distinct tokens among its 4 m.  The bound |v| <= n is checked
     on that table's values, and every slot is then read from it.  Each
-    other check is one C-level pass over a stride slice of the tokens,
-    and each clause takes its polarities from POLS.  Whatever this
+    other check is one C-level pass over a stride slice of the tokens.
+    The three variable columns are C-level passes too, and each clause
+    takes its polarities from POLS; no Clause is built.  Whatever this
     accepts, the line loop would parse to the same Cnf: no token is a
     comment or a header, and str.split breaks at every line boundary
     that str.splitlines does.
@@ -231,20 +278,19 @@ def _parse_clean(text: str) -> Cnf | None:
     if any(map(lit, toks[3::4])):
         return None
     a, b, c = (list(map(lit, toks[k::4])) for k in range(3))
-    del toks  # free the 4 m token strings before the clauses are built: a lower peak
+    del toks  # free the 4 m token strings before the columns are built: a lower peak
     if not (all(a) and all(b) and all(c)):
         return None
-    x, y, z = list(map(abs, a)), list(map(abs, b)), list(map(abs, c))
+    x, y, z = tuple(map(abs, a)), tuple(map(abs, b)), tuple(map(abs, c))
     if not (all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z))):
         return None
-    pols = [POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)]
-    return _unchecked(n, _clauses(list(zip(x, y, z)), pols))
+    pols = tuple([POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in zip(a, b, c)])
+    return _unchecked(n, x, y, z, pols)
 
 
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"p cnf {cnf.n} {cnf.m}"]
-    for cl in cnf.clauses:
-        (u, v, w), (p, q, r) = cl.vars, cl.pols
+    for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols):
         lines.append(f"{u if p else -u} {v if q else -v} {w if r else -w} 0")
     return "\n".join(lines) + "\n"
 
@@ -283,12 +329,13 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
     randrange's argument handling makes it about 3x faster: n = 28,
     m = 318 takes 0.32 ms and n = 200, m = 4995 5.6 ms, against 1.02 and
     15.9 ms through randrange (medians, shared 2-vCPU Intel Xeon VM,
-    Python 3.11.7).
+    Python 3.11.7).  The draws go straight into the clause columns; no
+    Clause is built.
     """
     n, m, seed = check_gen_params(n, m, seed)
     getrandbits = random.Random(seed).getrandbits
     k = n.bit_length()
-    triples, pols = [], []
+    xs, ys, zs, pols = [], [], [], []
     for _ in range(m):
         while True:
             u = getrandbits(k)
@@ -308,9 +355,11 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
             v, w = w, v
         if u > v:
             u, v = v, u
-        triples.append((u + 1, v + 1, w + 1))
+        xs.append(u + 1)
+        ys.append(v + 1)
+        zs.append(w + 1)
         bits = getrandbits(4)
         while bits >= 8:
             bits = getrandbits(4)
         pols.append(POLS[bits])
-    return _unchecked(n, _clauses(triples, pols))
+    return _unchecked(n, tuple(xs), tuple(ys), tuple(zs), tuple(pols))

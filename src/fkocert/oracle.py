@@ -59,8 +59,8 @@ def brute_force_report(cnf: Cnf) -> tuple[bool, int, int]:
         pos = low + [full if high >> i & 1 else 0 for i in range(cnf.n - b)]
         lits = ([full ^ x for x in pos], pos)  # indexed by polarity
         sat, nae, odd = full, [], []
-        for cl in cnf.clauses:
-            x, y, z = (lits[p][v] for v, p in cl.literals())
+        for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols):
+            x, y, z = lits[p][u], lits[q][v], lits[r][w]
             some = x | y | z
             sat &= some
             _add(nae, some ^ x & y & z)

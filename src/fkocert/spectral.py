@@ -82,8 +82,7 @@ def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
     """
     n = cnf.n
     twice = [[0] * n for _ in range(n)]
-    for cl in cnf.clauses:
-        (x, y, z), (px, py, pz) = cl.vars, cl.pols
+    for x, y, z, (px, py, pz) in zip(cnf.x, cnf.y, cnf.z, cnf.pols):
         for i, pi, j, pj in ((x, px, y, py), (x, px, z, pz), (y, py, z, pz)):
             w = 1 if pi != pj else -1
             twice[i - 1][j - 1] += w

@@ -480,6 +480,33 @@ def test_build_rejects_a_negative_budget_before_spectral_work(
     assert captured.err == "error: budget must be nonnegative\n"
 
 
+@pytest.mark.parametrize("command", ["witness", "refute", "sweep"])
+def test_budget_above_the_ceiling_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    """A budget above BUDGET_MAX could keep hundreds of MB of 4-tuples:
+    refused before the formula is read, built or generated."""
+    import fkocert.cli as cli_mod
+
+    monkeypatch.setenv("FKO_THREADS", "1")
+    for name in ("_load_cnf", "build_witness", "_sweep_one"):
+        monkeypatch.setattr(cli_mod, name, _no_work)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
+    where = ["--n", "6", "--m", "24"] if command == "sweep" else ["--cnf", str(_block_path(tmp_path))]
+    assert main([command, *where, "--budget", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be at most 1000000, got 1000001\n"
+
+
+@pytest.mark.parametrize("command", ["witness", "refute", "sweep"])
+def test_budget_at_the_ceiling_is_taken(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("FKO_THREADS", "1")
+    where = ["--n", "6", "--m", "24"] if command == "sweep" else ["--cnf", str(_block_path(tmp_path))]
+    assert main([command, *where, "--budget", "1000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def test_sweep_deterministic_across_thread_counts(capsys, monkeypatch):
     argv = ["sweep", "--n", "6,8", "--m", "24", "--seeds", "2"]
     monkeypatch.setenv("FKO_THREADS", "1")

@@ -408,12 +408,11 @@ def test_clauses_are_slotted_on_every_construction_path():
         dataclasses.replace(cnf.clauses[0], pols=(2, 1, 1))
 
 
-def test_parsed_cnf_holds_under_0_55_mib():
-    """Slotted clauses: a parsed n = 200, m = 4995 Cnf holds about
-    0.45 MiB, against 0.64 MiB with a `__dict__` per clause.  The parse
-    peaks at about 1.14 MiB, because the 19 980 token strings are freed
-    before the clauses are built; held to the end, they lift it to
-    about 1.75 MiB."""
+def test_parsed_cnf_holds_under_0_2_mib():
+    """Clause columns: a parsed n = 200, m = 4995 Cnf holds about
+    0.15 MiB, four tuples of m entries, against 0.45 MiB with one
+    slotted Clause per clause.  The parse peaks under 1.25 MiB, because
+    the 19 980 token strings are freed before the columns are built."""
     text = to_dimacs(gen_random_3cnf(200, 4995, 1))
     tracemalloc.start()
     try:
@@ -422,7 +421,7 @@ def test_parsed_cnf_holds_under_0_55_mib():
     finally:
         tracemalloc.stop()
     assert cnf.m == 4995
-    assert held < 0.55 * 2**20
+    assert held < 0.2 * 2**20
     assert peak < 1.25 * 2**20
 
 
@@ -601,33 +600,133 @@ def test_gen_output_is_pinned(n, m, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_generator_and_both_parse_paths_build_clauses_in_one_call(monkeypatch):
-    """gen_random_3cnf and both parse_dimacs paths build every clause
-    through one _clauses call per formula: no Clause(...) per clause."""
+def _count_clause_builds(monkeypatch) -> list:
+    """From here on, record the size of every _clauses call and a
+    "Clause(...)" for every Clause built through its own __init__."""
     import fkocert.cnf as cnf_mod
 
-    sizes = []
+    calls = []
     real = cnf_mod._clauses
 
     def counting(vars_, pols):
-        sizes.append(len(vars_))
+        calls.append(len(vars_))
         return real(vars_, pols)
 
-    def refuse(self):
-        raise AssertionError("Clause(...) called on a checked path")
+    def post_init(self):
+        calls.append("Clause(...)")
 
+    monkeypatch.setattr(cnf_mod, "_clauses", counting)
+    monkeypatch.setattr(Clause, "__post_init__", post_init)
+    return calls
+
+
+def test_clauses_are_built_once_on_first_read(monkeypatch):
+    """gen_random_3cnf and both parse_dimacs paths fill the columns and
+    build no Clause.  The first read of `.clauses` builds them all in
+    one _clauses call; every later read returns that same tuple."""
     cnf = gen_random_3cnf(200, 4995, 1)
     text = to_dimacs(cnf)
     commented = "c a leading comment sends the text to the line loop\n" + text
     assert _parse_clean(text) is not None and _parse_clean(commented) is None
-    monkeypatch.setattr(cnf_mod, "_clauses", counting)
-    monkeypatch.setattr(Clause, "__post_init__", refuse)
-    assert gen_random_3cnf(200, 4995, 1) == cnf
-    assert sizes == [4995]
-    for how in (text, commented):
-        sizes.clear()
-        assert parse_dimacs(how) == cnf
-        assert sizes == [4995], how
+    calls = _count_clause_builds(monkeypatch)
+    for how, build in [("gen", lambda: gen_random_3cnf(200, 4995, 1)),
+                       ("whole body", lambda: parse_dimacs(text)),
+                       ("line loop", lambda: parse_dimacs(commented))]:
+        got = build()
+        assert got == cnf and calls == [], how
+        clauses = got.clauses
+        assert calls == [4995], how
+        assert got.clauses is clauses and calls == [4995], how
+        calls.clear()
+
+
+def test_no_timed_pipeline_stage_builds_a_clause(monkeypatch, capsys):
+    """Every stage the benchmark workloads time reads the columns: parse,
+    imbalance, the tuple search and its check, the builder, the witness
+    JSON round trip, the verifier and one sweep row build no Clause, and
+    neither do to_dimacs and the brute-force oracle."""
+    from fkocert import (build_witness, check_collection, find_collection,
+                         verify_witness, witness_from_json, witness_to_json)
+    from fkocert.cli import main
+
+    large = to_dimacs(gen_random_3cnf(200, 4995, 11))
+    # Cnf(n, clauses) keeps the clauses it is given: the pipeline gets text
+    planted, small = to_dimacs(planted_block(10)), to_dimacs(planted_block(2))
+    calls = _count_clause_builds(monkeypatch)
+    cnf = parse_dimacs(large)
+    assert imbalance(cnf) > 0
+    coll = find_collection(cnf, k_max=4, d=4, t_target=0, budget=50_000)
+    assert coll.t > 0 and check_collection(cnf, coll) == (True, None)
+    assert to_dimacs(cnf) == large
+    cnf = parse_dimacs(planted)
+    verdict = verify_witness(cnf, witness_from_json(witness_to_json(build_witness(cnf))))
+    assert verdict.accepted
+    assert oracle.brute_force_report(parse_dimacs(small))[0]
+    monkeypatch.setenv("FKO_THREADS", "1")
+    assert main(["sweep", "--n", "28", "--m", "318", "--seeds", "1", "--seed", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == []
+
+
+def test_cnf_contract_on_every_construction_path():
+    """The whole-body parse, the line loop, gen_random_3cnf, Cnf(n,
+    clauses), pickle and deepcopy all give the same formula: four tuple
+    columns that agree with `.clauses`, polarities that are POLS tuples,
+    equal and of one hash and repr.  Every field and `.clauses` refuse
+    assignment; Cnf(n, clauses) keeps the tuple it is given and still
+    checks n and every variable against it."""
+    cnf = gen_random_3cnf(30, 200, 4)
+    text = to_dimacs(cnf)
+    commented = "c a comment line sends the text to the line loop\n" + text
+    # fresh polarity tuples, equal to the POLS ones but not the same objects
+    given = tuple(Clause((u, v, w), tuple([p, q, r]))
+                  for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols))
+    read = gen_random_3cnf(30, 200, 4)
+    read.clauses  # pickled and copied with its clauses held, below
+    built = {
+        "whole body": parse_dimacs(text),
+        "line loop": parse_dimacs(commented),
+        "gen": gen_random_3cnf(30, 200, 4),
+        "init": Cnf(30, given),
+        "pickle": pickle.loads(pickle.dumps(gen_random_3cnf(30, 200, 4))),
+        "deepcopy": copy.deepcopy(gen_random_3cnf(30, 200, 4)),
+        "pickle, clauses read": pickle.loads(pickle.dumps(read)),
+        "deepcopy, clauses read": copy.deepcopy(read),
+    }
+    for how, got in built.items():
+        assert type(got) is Cnf and (got.n, got.m) == (30, 200), how
+        for col in (got.x, got.y, got.z, got.pols):
+            assert type(col) is tuple and len(col) == 200, how
+        # unpickling makes its own copies of the eight tuples, one each
+        shared = len(set(map(id, got.pols))) <= 8 if how.startswith("pickle") else all(
+            pol is POLS[4 * p + 2 * q + r] for pol in got.pols for p, q, r in [pol])
+        assert shared and set(got.pols) <= set(POLS), how
+        assert got == cnf and hash(got) == hash(cnf) and repr(got) == repr(cnf), how
+        assert [cl.vars for cl in got.clauses] == list(zip(got.x, got.y, got.z)), how
+        assert [cl.pols for cl in got.clauses] == list(got.pols), how
+        assert got.clauses == cnf.clauses and type(got.clauses) is tuple, how
+        for name in ("n", "x", "y", "z", "pols", "clauses"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, getattr(cnf, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, name)
+        assert got == cnf, how
+    assert built["init"].clauses is given
+    assert repr(cnf).startswith(f"Cnf(n=30, x={cnf.x!r}, y={cnf.y!r}")
+    # another clause order, slot order or polarity is another formula
+    assert Cnf(30, given[::-1]) != cnf
+    assert Cnf(30, (Clause((2, 1, 3), (1, 1, 1)),)) != Cnf(30, (Clause((1, 2, 3), (1, 1, 1)),))
+    assert Cnf(30, (Clause((1, 2, 3), (1, 1, 0)),)) != Cnf(30, (Clause((1, 2, 3), (1, 1, 1)),))
+    assert Cnf(31, given) != cnf
+    # no clause at all
+    empty = Cnf(30, ())
+    assert empty == parse_dimacs("p cnf 30 0\n") == parse_dimacs("c\np cnf 30 0\n")
+    assert empty == gen_random_3cnf(30, 0, 4)
+    assert (empty.x, empty.y, empty.z, empty.pols, empty.m) == ((), (), (), (), 0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Cnf(-1, ())
+    with pytest.raises(ValueError, match="clause 1 uses variable beyond n=30"):
+        Cnf(30, (given[0], Clause((1, 2, 31), (1, 1, 1))))
 
 
 def test_whole_body_path_decodes_each_distinct_token_once(monkeypatch):

@@ -14,6 +14,7 @@ from fkocert import (
     Cnf,
     CollectionSearchError,
     TupleCollection,
+    build_witness,
     check_collection,
     find_collection,
     gen_random_3cnf,
@@ -23,9 +24,11 @@ from fkocert import (
     to_dimacs,
 )
 from fkocert.tuples import (
+    BUDGET_MAX,
     _quad_candidates,
     _triple_keys,
     _triple_starts,
+    check_search_params,
     parity_vector,
 )
 from conftest import (
@@ -209,6 +212,18 @@ def test_find_collection_validates_parameters():
         find_collection(k, k_max=4, d=4, t_target=1, budget=-1)
     # budget 0 takes no 4-tuple; the pair still packs
     assert find_collection(k, k_max=4, d=4, t_target=1, budget=0).tuples == ((0, 1),)
+
+
+def test_budget_is_capped_at_budget_max():
+    k = Cnf(3, (POS, NEG))
+    assert BUDGET_MAX == 1_000_000
+    check_search_params(4, 4, BUDGET_MAX)
+    assert find_collection(k, budget=BUDGET_MAX).tuples == ((0, 1),)
+    for call in (lambda: check_search_params(4, 4, BUDGET_MAX + 1),
+                 lambda: find_collection(k, budget=BUDGET_MAX + 1),
+                 lambda: build_witness(k, budget=BUDGET_MAX + 1)):
+        with pytest.raises(ValueError, match="budget must be at most 1000000, got 1000001"):
+            call()
 
 
 def test_find_collection_deterministic():
