@@ -7,11 +7,17 @@ are capped by the FKO_THREADS environment variable, so output is
 byte-identical for any worker count.  The process pool and the proof
 checker are imported inside the only commands that use them, so a
 pipeline command never loads either.
+
+`witness`, `refute` and `sweep` take no builder setting: build_witness
+is a function of the formula alone, so a witness file or a CSV row
+depends only on the formula or on its (n, m, seed).  Input files are
+read as UTF-8 with an optional byte order mark.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,16 +29,12 @@ from .oracle import brute_force_report
 # approx_eigen, build_m and certify_eigvalbound stay importable from this
 # module: perfbench/spans.py traces the pipeline stages through these names
 from .spectral import (  # noqa: F401
-    C_MAX,
     SpectralPrecisionError,
-    _check_c,
     approx_eigen,
     build_m,
     certify_eigvalbound,
 )
-from .tuples import BUDGET_MAX, check_search_params
 from .witness import (
-    FkoWitness,
     build_witness,
     verify_witness,
     witness_from_json,
@@ -45,7 +47,9 @@ def _err(msg: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte order mark, which some editors write
+    # and which neither parse_dimacs nor json.loads accepts
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -59,10 +63,6 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_cnf(path: str) -> Cnf:
     return parse_dimacs(_read(path))
-
-
-def _build(cnf: Cnf, args: argparse.Namespace) -> FkoWitness:
-    return build_witness(cnf, c=args.c, d=args.d, k_max=args.k_max, budget=args.budget)
 
 
 # ----------------------------------------------------------------- commands
@@ -82,10 +82,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    check_search_params(args.k_max, args.d, args.budget)
     cnf = _load_cnf(args.cnf)
     try:
-        wit = _build(cnf, args)
+        wit = build_witness(cnf)
     except SpectralPrecisionError as e:
         _err(json.dumps({"built": False, "stage": "spectral", "detail": str(e)},
                         sort_keys=True))
@@ -103,10 +102,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_refute(args: argparse.Namespace) -> int:
-    check_search_params(args.k_max, args.d, args.budget)
     cnf = _load_cnf(args.cnf)
     try:
-        wit = _build(cnf, args)
+        wit = build_witness(cnf)
     except SpectralPrecisionError as e:
         print(json.dumps({"accepted": False, "reason": "Build", "detail": str(e)},
                          sort_keys=True))
@@ -148,15 +146,15 @@ def cmd_checkproof(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- sweep
 
 
-def _sweep_one(job: tuple[int, int, int, int, int, int, int]) -> tuple:
+def _sweep_one(job: tuple[int, int, int]) -> tuple:
     """One pipeline run: build, then verify; t_needed is the least t above
     the verifier's threshold.  A value a failed build or a failed
     certification leaves unknown is empty.  Module-level so it pickles for
     worker processes."""
-    n, m, seed, c, d, k_max, budget = job
+    n, m, seed = job
     cnf = gen_random_3cnf(n, m, seed)
     try:
-        wit = build_witness(cnf, c=c, d=d, k_max=k_max, budget=budget)
+        wit = build_witness(cnf)
     except SpectralPrecisionError:
         return (n, m, seed, "", "", "", str(imbalance(cnf)), 0)
     verdict = verify_witness(cnf, wit)
@@ -182,12 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be nonnegative")
     for n, m in zip(ns, ms):
         check_gen_params(n, m, args.seed)
-    check_search_params(args.k_max, args.d, args.budget)
-    jobs = [
-        (n, m, args.seed + s, args.c, args.d, args.k_max, args.budget)
-        for n, m in zip(ns, ms)
-        for s in range(args.seeds)
-    ]
+    jobs = [(n, m, args.seed + s) for n, m in zip(ns, ms) for s in range(args.seeds)]
     workers = min(_thread_cap(), len(jobs)) if jobs else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -217,64 +210,47 @@ def _thread_cap() -> int:
 # ------------------------------------------------------------------ parsing
 
 
-def _grid_exponent(text: str) -> int:
-    try:
-        return _check_c(int(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
-def _add_builder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=_grid_exponent, default=8,
-                   help=f"grid exponent, 1..{C_MAX} (default 8)")
-    p.add_argument("--d", type=int, default=4, help="clause reuse bound (default 4)")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max",
-                   help="largest tuple size to try, even; 2 packs pairs only, and "
-                        "no source yields tuples longer than 4 (default 4)")
-    p.add_argument("--budget", type=int, default=50_000,
-                   help=f"4-tuple candidates taken, 0 to {BUDGET_MAX} (default 50000)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fkocert",
         description="Construct and verify unsatisfiability witnesses for 3CNFs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # no option prefixes: with them, a mistyped or retired flag such as
+    # `--c` would be read as `--cnf`
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("gen", help="generate a random 3CNF in DIMACS form")
+    g = command("gen", help="generate a random 3CNF in DIMACS form")
     g.add_argument("--n", type=int, required=True, help="number of variables (>= 3)")
     g.add_argument("--m", type=int, required=True, help="number of clauses")
     g.add_argument("--seed", type=int, required=True, help="formula seed, 0 or more")
     g.add_argument("--out", default=None, help="output path (default stdout)")
     g.set_defaults(func=cmd_gen)
 
-    w = sub.add_parser("witness", help="build a witness for a DIMACS file")
+    w = command("witness", help="build a witness for a DIMACS file")
     w.add_argument("--cnf", required=True)
     w.add_argument("--out", default=None, help="output path (default stdout)")
-    _add_builder_flags(w)
     w.set_defaults(func=cmd_witness)
 
-    v = sub.add_parser("verify", help="verify a witness against a DIMACS file")
+    v = command("verify", help="verify a witness against a DIMACS file")
     v.add_argument("--cnf", required=True)
     v.add_argument("--witness", required=True)
     v.set_defaults(func=cmd_verify)
 
-    r = sub.add_parser("refute", help="build and verify in one run")
+    r = command("refute", help="build and verify in one run")
     r.add_argument("--cnf", required=True)
     r.add_argument("--out", default=None, help="also save the witness here")
-    _add_builder_flags(r)
     r.set_defaults(func=cmd_refute)
 
-    o = sub.add_parser("oracle", help="brute-force satisfiability report")
+    o = command("oracle", help="brute-force satisfiability report")
     o.add_argument("--cnf", required=True)
     o.set_defaults(func=cmd_oracle)
 
-    cp = sub.add_parser("checkproof", help="check a sequent proof file")
+    cp = command("checkproof", help="check a sequent proof file")
     cp.add_argument("proof", help="proof text file")
     cp.set_defaults(func=cmd_checkproof)
 
-    sw = sub.add_parser("sweep", help="batch pipeline runs, CSV output")
+    sw = command("sweep", help="batch pipeline runs, CSV output")
     sw.add_argument("--n", required=True, help="comma-separated variable counts")
     sw.add_argument("--m", required=True,
                     help="comma-separated clause counts (single value broadcasts)")
@@ -283,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 0)")
     sw.add_argument("--seeds", type=int, default=1, help="seeds per (n, m) pair, 0 or more")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
-    _add_builder_flags(sw)
     sw.set_defaults(func=cmd_sweep)
 
     return ap

@@ -36,7 +36,7 @@ from fractions import Fraction
 from .cnf import Cnf, imbalance
 from .exactq import QMat
 from .spectral import SpectralCert, approx_eigen, build_m, certify_eigvalbound, tolerances
-from .tuples import TupleCollection, check_collection, check_search_params, find_collection
+from .tuples import TupleCollection, check_collection, find_collection
 
 __all__ = [
     "FkoWitness",
@@ -48,6 +48,8 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
 ]
+
+GRID_EXPONENT = 8  # c of every certificate build_witness makes
 
 
 @dataclass(frozen=True)
@@ -115,18 +117,11 @@ def _threshold(d: int, imb: int, u: Fraction) -> Fraction:
     return Fraction(d) * (imb + u) / 2
 
 
-def build_witness(
-    cnf: Cnf,
-    c: int = 8,
-    d: int = 4,
-    k_max: int = 4,
-    budget: int = 50_000,
-) -> FkoWitness:
+def build_witness(cnf: Cnf) -> FkoWitness:
     """Construct the best witness the builder finds: the imbalance, M, a
-    certificate for M and the largest collection the tuple search packs.
-    Deterministic: the search packs pairs and, for k_max >= 4, the pair
-    index's 4-tuples (find_collection), so a k_max above 4 builds what 4
-    builds.
+    certificate for M at grid exponent GRID_EXPONENT and the largest
+    collection find_collection packs at its own defaults for d, k_max and
+    budget.  Deterministic: the witness depends only on the formula.
 
     The builder neither certifies the certificate nor compares t with
     d*(I+U)/2; only verify_witness does, so a near miss comes back as a
@@ -134,14 +129,12 @@ def build_witness(
     fails certification as one it rejects at `EigValBound` or earlier at
     `inequality`.  For n = 0 the certificate is empty, lambda is 0 and the
     verifier rejects it at `EigValBound`.  Raises SpectralPrecisionError
-    when approx_eigen misses its precision target, and ValueError, before
-    any work, on search parameters find_collection refuses.
+    when approx_eigen misses its precision target.
     """
-    check_search_params(k_max, d, budget)
     imb = imbalance(cnf)
     mat = build_m(cnf)
-    cert = approx_eigen(mat, c) if cnf.n else SpectralCert((), (), c)
-    coll = find_collection(cnf, k_max=k_max, d=d, t_target=0, budget=budget)
+    cert = approx_eigen(mat, GRID_EXPONENT) if cnf.n else SpectralCert((), (), GRID_EXPONENT)
+    coll = find_collection(cnf, t_target=0)
     return FkoWitness(
         n=cnf.n,
         m=cnf.m,

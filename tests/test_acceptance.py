@@ -121,7 +121,7 @@ def test_soundness_zero_tolerance():
                 counterexamples += 1
 
     for cnf in _soundness_formulas():
-        judge(cnf, build_witness(cnf, budget=20_000))
+        judge(cnf, build_witness(cnf))
 
     # adversarially mutated witnesses: donor certificates and collections
     # grafted onto satisfiable formulas, plus tampered genuine witnesses

@@ -1,7 +1,9 @@
 """End-to-end command-line tests driven through main()."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -18,7 +20,7 @@ from fkocert import SpectralCert, approx_eigen, build_m, certify_eigvalbound
 from fkocert.cli import build_parser, main
 from fkocert.cnf import gen_random_3cnf, imbalance, to_dimacs
 from fkocert.tc0frege import MAX_DEPTH
-from fkocert.witness import witness_from_json, witness_to_json
+from fkocert.witness import build_witness, witness_from_json, witness_to_json
 
 from conftest import planted_block
 from test_witness import _huge_d_text
@@ -314,6 +316,24 @@ def test_verify_huge_d_is_a_rejection(tmp_path, capsys):
     assert len(blob["threshold"]["num"]) > 4300
 
 
+def test_byte_order_mark_changes_no_output(tmp_path, capsys):
+    """A UTF-8 byte order mark before a DIMACS or witness JSON file is
+    read past: oracle, refute and verify print what they print without."""
+    wit_text = witness_to_json(build_witness(planted_block(1))) + "\n"
+    results = []
+    for bom in ("", "\ufeff"):
+        cnf_path, wit_path = tmp_path / f"f{len(bom)}.cnf", tmp_path / f"w{len(bom)}.json"
+        cnf_path.write_text(bom + to_dimacs(planted_block(1)), encoding="utf-8")
+        wit_path.write_text(bom + wit_text, encoding="utf-8")
+        for argv in (["oracle", "--cnf", cnf_path], ["refute", "--cnf", cnf_path],
+                     ["verify", "--cnf", cnf_path, "--witness", wit_path]):
+            rc = main([str(x) for x in argv])
+            results.append((rc, capsys.readouterr()))
+    assert results[:3] == results[3:]
+    assert [rc for rc, _ in results] == [0] * 6
+    assert all(captured.err == "" for _, captured in results)
+
+
 def test_missing_file_is_usage_error():
     assert main(["verify", "--cnf", "/nonexistent.cnf", "--witness", "/nonexistent.json"]) == 2
     assert main(["oracle", "--cnf", "/nonexistent.cnf"]) == 2
@@ -338,19 +358,6 @@ def test_sweep_csv_shape(capsys, monkeypatch):
 
 def _no_work(*args, **kwargs):
     raise AssertionError("ran before the parameter check")
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_rejects_a_negative_budget_before_any_row(capsys, monkeypatch, threads):
-    import fkocert.cli as cli_mod
-
-    monkeypatch.setenv("FKO_THREADS", threads)
-    monkeypatch.setattr(cli_mod, "_sweep_one", _no_work)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
-    assert main(["sweep", "--n", "6,8", "--m", "24", "--budget", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: budget must be nonnegative\n"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -469,42 +476,72 @@ def test_sweep_with_no_seeds_writes_the_header_only(capsys):
     assert capsys.readouterr().out == "n,m,seed,t_found,t_needed,lambda,imbalance,accepted\n"
 
 
-@pytest.mark.parametrize("command", ["witness", "refute"])
-def test_build_rejects_a_negative_budget_before_spectral_work(
-        tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(fkocert.witness, "approx_eigen", _no_work)
-    rc = main([command, "--cnf", str(_block_path(tmp_path)), "--budget", "-1"])
-    assert rc == 2
+def _options(command: str) -> set[str]:
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {opt for a in sub.choices[command]._actions for opt in a.option_strings
+            } - {"-h", "--help"}
+
+
+def test_builder_commands_take_no_builder_setting():
+    assert _options("witness") == _options("refute") == {"--cnf", "--out"}
+    assert _options("sweep") == {"--n", "--m", "--seed", "--seeds", "--out"}
+    assert list(inspect.signature(build_witness).parameters) == ["cnf"]
+
+
+def _refuse_before_any_work(tmp_path, capsys, monkeypatch, command, *flag):
+    """`command` with `flag` exits 2 before a formula is read, built or
+    generated.  The flag goes first: were prefixes taken, `--c` would
+    name `--cnf` and the later `--cnf` would win."""
+    import fkocert.cli as cli_mod
+
+    for name in ("_load_cnf", "build_witness", "_sweep_one"):
+        monkeypatch.setattr(cli_mod, name, _no_work)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
+    where = ["--n", "6", "--m", "24"] if command == "sweep" else ["--cnf", str(_block_path(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag, *where])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: budget must be nonnegative\n"
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["witness", "refute", "sweep"])
+@pytest.mark.parametrize("flag", [("--c", "8"), ("--d", "4"), ("--k-max", "4"), ("--budget", "1")],
+                         ids=lambda flag: flag[0])
+def test_builder_flags_exit_2(tmp_path, capsys, monkeypatch, command, flag):
+    _refuse_before_any_work(tmp_path, capsys, monkeypatch, command, *flag)
 
 
 @pytest.mark.parametrize("command", ["witness", "refute", "sweep"])
 def test_budget_above_the_ceiling_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, command):
-    """A budget above BUDGET_MAX could keep hundreds of MB of 4-tuples:
-    refused before the formula is read, built or generated."""
-    import fkocert.cli as cli_mod
-
-    monkeypatch.setenv("FKO_THREADS", "1")
-    for name in ("_load_cnf", "build_witness", "_sweep_one"):
-        monkeypatch.setattr(cli_mod, name, _no_work)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_work)
-    where = ["--n", "6", "--m", "24"] if command == "sweep" else ["--cnf", str(_block_path(tmp_path))]
-    assert main([command, *where, "--budget", "1000001"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: budget must be at most 1000000, got 1000001\n"
+    """A budget above BUDGET_MAX could keep hundreds of MB of 4-tuples.
+    No builder command takes a budget, so the option is refused before
+    the formula is read, built or generated."""
+    _refuse_before_any_work(tmp_path, capsys, monkeypatch, command, "--budget", "1000001")
 
 
-@pytest.mark.parametrize("command", ["witness", "refute", "sweep"])
-def test_budget_at_the_ceiling_is_taken(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("FKO_THREADS", "1")
-    where = ["--n", "6", "--m", "24"] if command == "sweep" else ["--cnf", str(_block_path(tmp_path))]
-    assert main([command, *where, "--budget", "1000000"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out and captured.err == ""
+# The other values the builder flags used to refuse are still refused,
+# now as unknown options, before any work.
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_rejects_a_negative_budget_before_any_row(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FKO_THREADS", threads)
+    _refuse_before_any_work(tmp_path, capsys, monkeypatch, "sweep", "--budget", "-1")
+
+
+@pytest.mark.parametrize("command", ["witness", "refute"])
+def test_build_rejects_a_negative_budget_before_spectral_work(
+        tmp_path, capsys, monkeypatch, command):
+    _refuse_before_any_work(tmp_path, capsys, monkeypatch, command, "--budget", "-1")
+
+
+@pytest.mark.parametrize("c", ["0", "65", "eight"])
+def test_builder_rejects_grid_exponent_out_of_range(tmp_path, capsys, monkeypatch, c):
+    for command in ("witness", "refute", "sweep"):
+        _refuse_before_any_work(tmp_path, capsys, monkeypatch, command, "--c", c)
 
 
 def test_sweep_deterministic_across_thread_counts(capsys, monkeypatch):
@@ -586,13 +623,6 @@ def test_verify_rejects_grid_exponent_out_of_range(tmp_path, capsys, c):
     rc = main(["verify", "--cnf", str(cnf_path), "--witness", str(wit_path)])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["reason"] == "EigValBound"
-
-
-@pytest.mark.parametrize("c", ["0", "65", "eight"])
-def test_builder_rejects_grid_exponent_out_of_range(tmp_path, c):
-    with pytest.raises(SystemExit) as exc:
-        main(["witness", "--cnf", str(_block_path(tmp_path)), "--c", c])
-    assert exc.value.code == 2
 
 
 def test_sweep_t_needed_is_least_t_above_d_i_plus_u_over_2(capsys, monkeypatch):

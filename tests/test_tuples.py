@@ -14,7 +14,6 @@ from fkocert import (
     Cnf,
     CollectionSearchError,
     TupleCollection,
-    build_witness,
     check_collection,
     find_collection,
     gen_random_3cnf,
@@ -220,8 +219,7 @@ def test_budget_is_capped_at_budget_max():
     check_search_params(4, 4, BUDGET_MAX)
     assert find_collection(k, budget=BUDGET_MAX).tuples == ((0, 1),)
     for call in (lambda: check_search_params(4, 4, BUDGET_MAX + 1),
-                 lambda: find_collection(k, budget=BUDGET_MAX + 1),
-                 lambda: build_witness(k, budget=BUDGET_MAX + 1)):
+                 lambda: find_collection(k, budget=BUDGET_MAX + 1)):
         with pytest.raises(ValueError, match="budget must be at most 1000000, got 1000001"):
             call()
 

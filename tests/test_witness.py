@@ -116,6 +116,7 @@ def test_build_witness_calls_no_certification():
 
 @pytest.mark.parametrize("params", [dict(budget=-1), dict(d=0), dict(k_max=3)])
 def test_build_witness_refuses_search_params_before_any_work(monkeypatch, params):
+    # the builder takes the formula alone: any search parameter is refused
     import fkocert.witness as witness_mod
 
     def no_work(*args, **kwargs):
@@ -123,7 +124,7 @@ def test_build_witness_refuses_search_params_before_any_work(monkeypatch, params
 
     for name in ("imbalance", "build_m", "approx_eigen", "find_collection"):
         monkeypatch.setattr(witness_mod, name, no_work)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         build_witness(gen_random_3cnf(8, 40, 0), **params)
 
 
