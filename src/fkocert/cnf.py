@@ -1,4 +1,4 @@
-"""3CNF formulas: clauses, DIMACS io, the random model and the imbalance.
+"""3CNF formulas: clause columns, DIMACS io, the random model and the imbalance.
 
 A clause holds exactly three literals over pairwise distinct variables.
 Variables are numbered 1..n, polarity 1 means the positive literal x_i,
@@ -6,25 +6,23 @@ polarity 0 the negated literal.  An assignment is a sequence of n bits
 (index i-1 holds the value of x_i); the matching sign vector uses
 a(i) = 2*A(i) - 1 in {-1, +1}.
 
-A `Cnf` holds its clauses as four parallel columns: the first, second
-and third variable of each clause, in slot order, and its polarity
-pattern, one of the eight shared POLS tuples.  The parser, the random
-model and every pipeline stage read and write those columns; the
-clauses as `Clause` objects are built only when `.clauses` is read.
+A `Cnf` holds its clauses as four parallel columns: the three variables
+of each clause, in slot order, and its polarity pattern, one of the
+eight shared POLS tuples.  `Cnf(n, rows)`, the parser and the random
+model fill them, and every pipeline stage reads them; only `.clauses`
+builds `Clause` objects.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import index, itemgetter, ne
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import index, ne
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "Clause",
     "Cnf",
     "DimacsError",
     "parse_dimacs",
@@ -41,28 +39,18 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """Three literals on distinct variables: vars (1-based), pols in {0,1}."""
+    """One element of `Cnf.clauses`: vars (1-based) and pols in {0,1}, in
+    slot order, read from columns the formula has already checked."""
 
     vars: tuple[int, int, int]
     pols: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.vars) != 3 or len(self.pols) != 3:
-            raise ValueError("clause must have exactly three literals")
-        if len(set(self.vars)) != 3:
-            raise ValueError(f"repeated variable in clause: {self.vars}")
-        if any(v < 1 for v in self.vars):
-            raise ValueError(f"variables are 1-based: {self.vars}")
-        if any(p not in (0, 1) for p in self.pols):
-            raise ValueError(f"polarities must be 0/1: {self.pols}")
 
     def literals(self) -> Iterator[tuple[int, int]]:
         return zip(self.vars, self.pols)
 
 
-# The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3.  The
-# pols column of every Cnf built here, by Cnf(n, clauses) too, holds these
-# tuples: m references and no polarity tuple of the formula's own.
+# The eight polarity patterns, POLS[bits] for bits = 4 p1 + 2 p2 + p3: the
+# pols column of every Cnf holds m references to these, no tuples of its own.
 POLS = tuple(((bits >> 2) & 1, (bits >> 1) & 1, bits & 1) for bits in range(8))
 
 
@@ -73,16 +61,14 @@ Pols = tuple[tuple[int, int, int], ...]
 @dataclass(frozen=True, init=False)
 class Cnf:
     """n variables and m clauses as four parallel columns: clause k has
-    the variables x[k], y[k] and z[k], in slot order, and the
-    polarities pols[k], one of the eight POLS tuples.
-
-    `Cnf(n, clauses)` checks n >= 0 and each clause's variables against
-    n, and fills the columns from the clauses.  Equality, hash and repr
-    are those of n and the columns, so two formulas with the same clauses
-    in the same order are equal however they were built.  `.clauses`
-    is the formula as a tuple of `Clause`s: the tuple `Cnf(n, clauses)`
-    was given, or else one built by `_clauses` on the first read and
-    kept.
+    the variables x[k], y[k] and z[k], in slot order, and the polarities
+    pols[k], one of the eight POLS tuples.  `Cnf(n, rows)` takes each
+    clause as a DIMACS-signed triple of ints, such as (1, -2, 3) for
+    x1 v ~x2 v x3, checked as `parse_dimacs` checks one: ValueError names
+    the first clause refused, and n and the literals go through
+    `operator.index`, so a float raises TypeError.  Equality, hash and
+    repr are those of n and the columns, however the formula was built.
+    `.clauses`, the formula as `Clause`s, is built on first read and kept.
     """
 
     n: int
@@ -91,16 +77,18 @@ class Cnf:
     z: Column
     pols: Pols
 
-    def __init__(self, n: int, clauses: Sequence[Clause]) -> None:
+    def __init__(self, n: int, rows: Iterable[Sequence[int]]) -> None:
+        n, rows = index(n), [tuple(map(index, row)) for row in rows]
         if n < 0:
             raise ValueError("n must be nonnegative")
-        vars_ = [cl.vars for cl in clauses]
-        for k, vs in enumerate(vars_):
-            if max(vs) > n:
-                raise ValueError(f"clause {k} uses variable beyond n={n}")
-        x, y, z = (tuple(map(itemgetter(slot), vars_)) for slot in range(3))
-        pols = tuple([POLS[4 * p + 2 * q + r] for p, q, r in (cl.pols for cl in clauses)])
-        _set_fields(self, n=n, x=x, y=y, z=z, pols=pols, clauses=clauses)
+        # a row of another width reads as variable 0, which is refused
+        x, y, z = (tuple(abs(r[s]) if len(r) == 3 else 0 for r in rows) for s in range(3))
+        bad = _first_malformed(n, x, y, z)
+        if bad is not None:
+            raise ValueError(f"clause {bad} {rows[bad]}: want three nonzero literals"
+                             f" on distinct variables in 1..{n}")
+        pols = tuple([POLS[(p > 0) * 4 + (q > 0) * 2 + (r > 0)] for p, q, r in rows])
+        _set_fields(self, n=n, x=x, y=y, z=z, pols=pols)
 
     @property
     def m(self) -> int:
@@ -108,37 +96,30 @@ class Cnf:
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        return _clauses(tuple(zip(self.x, self.y, self.z)), self.pols)
+        return tuple(map(Clause, zip(self.x, self.y, self.z), self.pols))
 
 
-def _clauses(vars_: Sequence[tuple[int, int, int]],
-             pols: Sequence[tuple[int, int, int]]) -> tuple[Clause, ...]:
-    """Clause(vars_[k], pols[k]) for every k, without `__post_init__`, for
-    fields the caller has already checked: `Cnf.clauses` passes its
-    columns.  Each field is written through its slot's member
-    descriptor, the slot the frozen-dataclass `__init__` writes, so the
-    clauses compare, hash, pickle and print alike.  Three C-level passes,
-    no bytecode per clause: one `object.__new__` per clause, then one
-    descriptor `__set__` pass per field."""
-    clauses = tuple(map(object.__new__, repeat(Clause, len(vars_))))
-    deque(map(Clause.__dict__["vars"].__set__, clauses, vars_), maxlen=0)
-    deque(map(Clause.__dict__["pols"].__set__, clauses, pols), maxlen=0)
-    return clauses
+def _first_malformed(n: int, x: Column, y: Column, z: Column) -> int | None:
+    """The index of the first clause whose variables are not pairwise
+    distinct in 1..n, or None: C-level passes over the columns, and a
+    clause loop only once they have found one."""
+    if all(map(ne, x, y)) and all(map(ne, y, z)) and all(map(ne, x, z)) and (
+            min(chain(x, y, z), default=1) >= 1 and max(chain(x, y, z), default=0) <= n):
+        return None
+    return next(k for k, (u, v, w) in enumerate(zip(x, y, z))
+                if u == v or v == w or u == w or not 1 <= min(u, v, w) <= max(u, v, w) <= n)
 
 
 def _set_fields(cnf: Cnf, **fields: object) -> Cnf:
-    """Write each field through `object.__setattr__`, as a frozen
-    dataclass's own `__init__` does.  Unlike a write to `cnf.__dict__`,
-    this keeps the values inline in the instance, where CPython reads
-    them faster."""
+    """Write each field through `object.__setattr__`, as a frozen dataclass's
+    own `__init__` does: inline in the instance, where CPython reads it faster."""
     for name, value in fields.items():
         object.__setattr__(cnf, name, value)
     return cnf
 
 
 def _unchecked(n: int, x: Column, y: Column, z: Column, pols: Pols) -> Cnf:
-    """The Cnf of these columns, without the checks of `Cnf(n, clauses)`,
-    for columns the caller has already checked against n."""
+    """The Cnf of columns the caller has checked, without `Cnf(n, rows)`'s checks."""
     return _set_fields(object.__new__(Cnf), n=n, x=x, y=y, z=z, pols=pols)
 
 
@@ -161,8 +142,7 @@ def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF, requiring width-3 clauses on distinct variables.
 
     Clause order and literal slot order are preserved as written.  Each
-    clause is checked once, here (width 3, distinct variables, range
-    1..n), and goes straight into the Cnf's columns: no Clause is built.
+    clause is checked once, here: width 3, distinct variables in 1..n.
     Every integer, header count or literal, is ASCII decimal digits with
     an optional sign, "+" included: int() alone would also take "1_0"
     and non-ASCII digits.  A text whose first line is the header and
@@ -253,7 +233,7 @@ def _parse_clean(text: str) -> Cnf | None:
     on that table's values, and every slot is then read from it.  Each
     other check is one C-level pass over a stride slice of the tokens.
     The three variable columns are C-level passes too, and each clause
-    takes its polarities from POLS; no Clause is built.  Whatever this
+    takes its polarities from POLS.  Whatever this
     accepts, the line loop would parse to the same Cnf: no token is a
     comment or a header, and str.split breaks at every line boundary
     that str.splitlines does.
@@ -329,8 +309,7 @@ def gen_random_3cnf(n: int, m: int, seed: int) -> Cnf:
     randrange's argument handling makes it about 3x faster: n = 28,
     m = 318 takes 0.32 ms and n = 200, m = 4995 5.6 ms, against 1.02 and
     15.9 ms through randrange (medians, shared 2-vCPU Intel Xeon VM,
-    Python 3.11.7).  The draws go straight into the clause columns; no
-    Clause is built.
+    Python 3.11.7).
     """
     n, m, seed = check_gen_params(n, m, seed)
     getrandbits = random.Random(seed).getrandbits

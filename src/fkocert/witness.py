@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .cnf import Cnf, imbalance
+from .cnf import Cnf, _first_malformed, imbalance
 from .exactq import QMat
 from .spectral import SpectralCert, approx_eigen, build_m, certify_eigvalbound, tolerances
 from .tuples import TupleCollection, check_collection, find_collection
@@ -168,9 +168,9 @@ def verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
         return Verdict(False, "3CNF",
                        f"witness is for n={wit.n}, m={wit.m}, "
                        f"formula has n={cnf.n}, m={cnf.m}")
-    for k, (u, v, w) in enumerate(zip(cnf.x, cnf.y, cnf.z)):
-        if u == v or v == w or u == w or not (1 <= min(u, v, w) <= max(u, v, w) <= cnf.n):
-            return Verdict(False, "3CNF", f"clause {k} malformed")
+    k = _first_malformed(cnf.n, cnf.x, cnf.y, cnf.z)
+    if k is not None:
+        return Verdict(False, "3CNF", f"clause {k} malformed")
 
     ok, why = check_collection(cnf, wit.coll)
     if not ok:

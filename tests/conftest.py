@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fkocert import Clause, Cnf, gen_random_3cnf
+from fkocert import Cnf, gen_random_3cnf
+from fkocert.cnf import POLS, Clause
 from fkocert.oracle import brute_force_report
 
 settings.register_profile(
@@ -38,35 +39,41 @@ def neg_count(cl: Clause) -> int:
     return 3 - sum(cl.pols)
 
 
+def signed(vars_: Sequence[int], pols: Sequence[int]) -> tuple[int, ...]:
+    """The DIMACS-signed row of the variables vars_ under the polarities
+    pols, as Cnf(n, rows) takes it: signed((1, 2, 3), (1, 0, 1)) is
+    (1, -2, 3)."""
+    return tuple(v if p else -v for v, p in zip(vars_, pols))
+
+
+def signed_rows(cnf: Cnf) -> list[tuple[int, ...]]:
+    """cnf's clauses as DIMACS-signed rows: Cnf(cnf.n, signed_rows(cnf))
+    == cnf."""
+    return list(map(signed, zip(cnf.x, cnf.y, cnf.z), cnf.pols))
+
+
 def planted_block(blocks: int) -> Cnf:
     """`blocks` disjoint variable triples, each carrying all 8 polarity
     patterns — unsatisfiable, perfectly balanced, and M = 0."""
-    clauses = []
-    for b in range(blocks):
-        trip = (3 * b + 1, 3 * b + 2, 3 * b + 3)
-        for bits in range(8):
-            clauses.append(Clause(trip, (bits >> 2 & 1, bits >> 1 & 1, bits & 1)))
-    return Cnf(3 * blocks, tuple(clauses))
+    return Cnf(3 * blocks, [signed((3 * b + 1, 3 * b + 2, 3 * b + 3), POLS[bits])
+                            for b in range(blocks) for bits in range(8)])
 
 
 def slot_order_cnf() -> Cnf:
     """Each of the 6 slot orders of the triple {2, 5, 7} under each of
     the 8 polarity patterns: 48 clauses, n = 8."""
-    return Cnf(8, tuple(Clause(trip, (bits >> 2 & 1, bits >> 1 & 1, bits & 1))
-                        for trip in itertools.permutations((2, 5, 7))
-                        for bits in range(8)))
+    return Cnf(8, [signed(trip, POLS[bits])
+                   for trip in itertools.permutations((2, 5, 7)) for bits in range(8)])
 
 
 def shuffled_slots(cnf: Cnf, seed: int) -> Cnf:
     """cnf with each clause's three literals moved to a random slot order,
     each variable keeping its polarity."""
     rng = random.Random(seed)
-    clauses = []
-    for cl in cnf.clauses:
-        lits = list(cl.literals())
-        rng.shuffle(lits)
-        clauses.append(Clause(*zip(*lits)))
-    return Cnf(cnf.n, tuple(clauses))
+    rows = [list(row) for row in signed_rows(cnf)]
+    for row in rows:
+        rng.shuffle(row)
+    return Cnf(cnf.n, rows)
 
 
 def slot_order_formulas() -> dict[str, Cnf]:

@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from fkocert import (
-    Clause,
     Cnf,
     CollectionSearchError,
     FkoWitness,
@@ -30,19 +29,23 @@ from fkocert import (
     build_m,
     build_witness,
     certify_eigvalbound,
-    check_proof,
-    decide_constant_formula,
-    eval_formula,
-    eval_sequent,
     find_collection,
     gen_random_3cnf,
-    parse_proof,
-    substitute,
     verify_witness,
     witness_to_json,
 )
 from fkocert.cnf import imbalance, to_dimacs
-from fkocert.tc0frege import Not, Sequent, free_vars
+from fkocert.tc0frege import (
+    Not,
+    Sequent,
+    check_proof,
+    decide_constant_formula,
+    eval_formula,
+    eval_sequent,
+    free_vars,
+    parse_proof,
+    substitute,
+)
 from fkocert.cli import main as cli_main
 
 from conftest import (
@@ -55,6 +58,8 @@ from conftest import (
     not3xor_counts,
     planted_block,
     sat_literal_counts,
+    signed,
+    signed_rows,
 )
 from test_tc0frege import LIBRARY, _mutants, _random_constant
 
@@ -77,11 +82,11 @@ def _noisy_blocks(blocks: int, extra: int, seed: int) -> Cnf:
     but with nonzero imbalance and spectrum — real acceptances."""
     base = planted_block(blocks)
     rng = random.Random(seed)
-    clauses = list(base.clauses)
+    clauses = signed_rows(base)
     for _ in range(extra):
-        vs = tuple(sorted(rng.sample(range(1, base.n + 1), 3)))
-        clauses.append(Clause(vs, tuple(rng.randrange(2) for _ in range(3))))
-    return Cnf(base.n, tuple(clauses))
+        vs = sorted(rng.sample(range(1, base.n + 1), 3))
+        clauses.append(signed(vs, [rng.randrange(2) for _ in range(3)]))
+    return Cnf(base.n, clauses)
 
 
 # ----------------------------------------------------------- criterion 1
@@ -330,25 +335,21 @@ def _random_inconsistent_tuple(rng: random.Random, n: int, k: int) -> Cnf:
     times, total negation count odd.  Built by completing k-1 random
     clauses with a closing clause on the odd-occupancy variables."""
     while True:
-        clauses = [
-            Clause(tuple(sorted(rng.sample(range(1, n + 1), 3))),
-                   tuple(rng.randrange(2) for _ in range(3)))
-            for _ in range(k - 1)
-        ]
+        clauses = [signed(sorted(rng.sample(range(1, n + 1), 3)),
+                          [rng.randrange(2) for _ in range(3)])
+                   for _ in range(k - 1)]
         occ = {}
-        for cl in clauses:
-            for v in cl.vars:
-                occ[v] = occ.get(v, 0) ^ 1
+        for row in clauses:
+            for lit in row:
+                occ[abs(lit)] = occ.get(abs(lit), 0) ^ 1
         odd = sorted(v for v, bit in occ.items() if bit)
         if len(odd) != 3:
             continue
-        negs = sum(map(neg_count, clauses))
+        negs = sum(lit < 0 for row in clauses for lit in row)
         pols = [rng.randrange(2) for _ in range(3)]
-        closing = Clause(tuple(odd), tuple(pols))
-        if (negs + neg_count(closing)) % 2 == 0:
+        if (negs + 3 - sum(pols)) % 2 == 0:
             pols[0] ^= 1
-            closing = Clause(tuple(odd), tuple(pols))
-        return Cnf(n, tuple(clauses) + (closing,))
+        return Cnf(n, clauses + [signed(odd, pols)])
 
 
 def test_3xor_lemma_exhaustive():

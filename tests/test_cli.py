@@ -408,55 +408,36 @@ def test_sweep_still_runs_rows_in_a_process_pool(capsys, monkeypatch):
 _FOOTPRINT = """\
 import json, sys
 import fkocert, fkocert.cli
-names, public = dir(fkocert), list(fkocert.__all__)
 refute = fkocert.cli.main(["refute", "--cnf", sys.argv[1]])
+top = hasattr(fkocert, "Top")
 heavy = ["multiprocessing", "concurrent.futures.process", "fkocert.tc0frege"]
 loaded = [name for name in heavy if name in sys.modules]
-if sys.argv[2] == "checkproof":
-    fkocert.cli.main(["checkproof", sys.argv[3]])
-else:
-    fkocert.Top
+checkproof = fkocert.cli.main(["checkproof", sys.argv[2]])
 print(json.dumps({
-    "refute": refute, "loaded": loaded, "names": names,
+    "refute": refute, "loaded": loaded, "checkproof": checkproof,
     "checker": "fkocert.tc0frege" in sys.modules,
-    "same": dir(fkocert) == names and fkocert.__all__ == public,
-    "lazy": sorted(n for n in public if getattr(fkocert, n) is
-                   getattr(fkocert.tc0frege, n, None)),
+    "top": [top, hasattr(fkocert, "Top")],
 }))
 """
 
-_TC0FREGE_NAMES = [
-    "Bot", "CheckResult", "Not", "ProofStep", "Sequent", "TcProof", "Th", "Top", "Var",
-    "check_proof", "decide_constant_formula", "eval_formula", "eval_sequent",
-    "format_proof", "parse_proof", "substitute",
-]
 
-
-@pytest.mark.parametrize("first_use", ["checkproof", "Top"])
-def test_pipeline_loads_no_pool_and_no_proof_checker(tmp_path, first_use):
+def test_pipeline_loads_no_pool_and_no_proof_checker(tmp_path):
     """In a fresh interpreter, `import fkocert, fkocert.cli` and a refute
-    run load neither the process pool nor tc0frege; checkproof, or a read
-    of `fkocert.Top`, loads the checker.  dir() lists the package's names
-    and submodules before that load, and neither it nor __all__ changes."""
+    run load neither the process pool nor tc0frege, and checkproof loads
+    the checker.  The package re-exports none of the checker's names:
+    `fkocert.Top` is no attribute, before that load or after it."""
     proof = tmp_path / "ok.prf"
     proof.write_text(PROOF_OK)
-    argv = [str(_block_path(tmp_path)), first_use, str(proof)]
+    argv = [str(_block_path(tmp_path)), str(proof)]
     run = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     report = json.loads(lines[-1])
     assert json.loads(lines[0])["accepted"] is True
-    if first_use == "checkproof":
-        assert json.loads(lines[1]) == {"valid": True, "steps": 4}
-    assert (report["refute"], report["loaded"]) == (0, [])
-    assert (report["checker"], report["same"]) == (True, True)
-    assert report["lazy"] == _TC0FREGE_NAMES
-    submodules = {"cli", "cnf", "exactq", "oracle", "spectral", "tc0frege", "tuples",
-                  "witness"}
-    module_attrs = {"__all__", "__builtins__", "__cached__", "__doc__", "__file__",
-                    "__loader__", "__name__", "__package__", "__path__", "__spec__"}
-    assert report["names"] == sorted(set(fkocert.__all__) | submodules | module_attrs)
+    assert json.loads(lines[1]) == {"valid": True, "steps": 4}
+    assert (report["refute"], report["loaded"], report["checkproof"]) == (0, [], 0)
+    assert (report["checker"], report["top"]) == (True, [False, False])
 
 
 def test_every_all_name_resolves():
@@ -465,10 +446,9 @@ def test_every_all_name_resolves():
         mod = importlib.import_module(f"fkocert.{info.name}")
         stale = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert stale == [], info.name
-    # vars(), not hasattr: a read of a tc0frege name would load it, and the
-    # lazy-load test above checks those names
-    pipeline = set(fkocert.__all__) - set(_TC0FREGE_NAMES)
-    assert sorted(pipeline - vars(fkocert).keys()) == []
+    assert [n for n in fkocert.__all__ if not hasattr(fkocert, n)] == []
+    # the proof checker's names are its own, not the package's
+    assert set(fkocert.__all__).isdisjoint(fkocert.tc0frege.__all__)
 
 
 def test_sweep_with_no_seeds_writes_the_header_only(capsys):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 
 import fkocert.oracle as oracle
-from fkocert import Clause, Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
-from fkocert.cnf import POLS, _clauses, _parse_clean, check_gen_params, imbalance
+from fkocert import Cnf, DimacsError, gen_random_3cnf, parse_dimacs, to_dimacs
+from fkocert.cnf import POLS, Clause, _parse_clean, check_gen_params, imbalance
 from conftest import (
     all_assignments,
     brute_force_unsat,
@@ -31,6 +31,8 @@ from conftest import (
     planted_block,
     sat_literal_counts,
     shuffled_slots,
+    signed,
+    signed_rows,
     slot_order_cnf,
     slot_order_formulas,
     table_report,
@@ -50,22 +52,33 @@ def lit_positions(cnf, var, pol):
     return out
 
 
-C123 = Clause((1, 2, 3), (1, 1, 1))          # x1 v x2 v x3
-C1n23 = Clause((1, 2, 3), (1, 0, 1))         # x1 v ~x2 v x3
-NEG = Clause((1, 2, 3), (0, 0, 0))           # ~x1 v ~x2 v ~x3
+# x1 v x2 v x3, x1 v ~x2 v x3 and ~x1 v ~x2 v ~x3
+C123, C1n23, NEG = Cnf(3, [(1, 2, 3), (1, -2, 3), (-1, -2, -3)]).clauses
 
 
 def test_clause_validation():
-    with pytest.raises(ValueError):
-        Clause((1, 1, 2), (1, 1, 1))
-    with pytest.raises(ValueError):
-        Clause((0, 1, 2), (1, 1, 1))
-    with pytest.raises(ValueError):
-        Clause((1, 2, 3), (1, 2, 1))
-    with pytest.raises(ValueError):
-        Cnf(3, (Clause((1, 2, 4), (1, 1, 1)),))
-    with pytest.raises(ValueError):
-        Cnf(-1, ())
+    """Cnf(n, rows) refuses each row that parse_dimacs refuses, with a
+    ValueError naming the clause's index and the row as given."""
+    for bad in [(1, 2),          # width 2
+                (1, 2, 3, 4),    # width 4
+                (),              # width 0
+                (1, 0, 2),       # a 0 literal
+                (1, -1, 2),      # a repeated variable, opposite signs
+                (2, 3, 2),       # a repeated variable, first and last slot
+                (1, 2, 5),       # a variable above n
+                (-5, 2, 3)]:     # a negative literal above n
+        with pytest.raises(ValueError, match=rf"^clause 1 {re.escape(repr(bad))}: want three"):
+            Cnf(4, [(1, 2, -3), bad])
+        with pytest.raises(DimacsError):
+            parse_dimacs(f"p cnf 4 2\n1 2 -3 0\n{' '.join(map(str, bad))} 0\n")
+    for n, rows in [(-1, ()), (-1, [(1, 2, 3)]), (-4, [(1, 2, 3)])]:
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            Cnf(n, rows)
+    # n and the literals go through operator.index; a Clause is no row
+    for n, rows in [(4.0, ()), (4, [(1, 2.0, 3)]), (4, ["123"]), (3, [C123])]:
+        with pytest.raises(TypeError):
+            Cnf(n, rows)
+    assert Cnf(_Eight(), [(_Eight(), -1, 2)]) == Cnf(8, [(8, -1, 2)])
 
 
 def test_predicate_examples():
@@ -94,18 +107,18 @@ def test_predicates_partition_by_true_count():
 
 
 def test_lit_positions():
-    k1 = Cnf(3, (C123,))
+    k1 = Cnf(3, [(1, 2, 3)])
     assert lit_positions(k1, 1, 1) == {(0, 1)}
     assert lit_positions(k1, 1, 0) == set()
-    k2 = Cnf(3, (C123, Clause((1, 2, 3), (0, 1, 1))))
+    k2 = Cnf(3, [(1, 2, 3), (-1, 2, 3)])
     assert lit_positions(k2, 1, 0) == {(1, 1)}
 
 
 def test_count_sat_literals():
-    k = Cnf(3, (C123,))
+    k = Cnf(3, [(1, 2, 3)])
     assert count_sat_literals(k, (1, 1, 1)) == 3
     assert count_sat_literals(k, (0, 0, 0)) == 0
-    pair = Cnf(3, (C123, NEG))
+    pair = Cnf(3, [(1, 2, 3), (-1, -2, -3)])
     for a in all_assignments(3):
         assert count_sat_literals(pair, a) == 3
 
@@ -118,20 +131,20 @@ def test_sat_literals_partition_identity():
 
 
 def test_count_nae():
-    k = Cnf(3, (C123,))
+    k = Cnf(3, [(1, 2, 3)])
     assert count_nae(k, (1, 1, 1)) == 0
     assert count_nae(k, (1, 0, 0)) == 1
     assert count_nae(planted_block(1), (1, 0, 0)) == 6
 
 
 def test_imbalance():
-    k = Cnf(3, (C123, Clause((1, 2, 3), (0, 1, 0))))
+    k = Cnf(3, [(1, 2, 3), (-1, 2, -3)])
     assert i_imbalance(k, 2) == 2
     assert i_imbalance(k, 1) == 0
     assert imbalance(k) == 2
     assert imbalance(Cnf(4, ())) == 0
     assert i_imbalance(Cnf(4, ()), 2) == 0
-    assert imbalance(Cnf(3, (C123,))) == 3
+    assert imbalance(Cnf(3, [(1, 2, 3)])) == 3
     assert imbalance(planted_block(1)) == 0
 
 
@@ -155,7 +168,7 @@ def test_dimacs_round_trip_manual():
     text = "c a comment\np cnf 4 2\n1 -2 3 0\n-1 2 4 0\n"
     cnf = parse_dimacs(text)
     assert cnf.n == 4 and cnf.m == 2
-    assert cnf.clauses[0] == Clause((1, 2, 3), (1, 0, 1))
+    assert cnf.clauses[0] == C1n23 and signed_rows(cnf) == [(1, -2, 3), (-1, 2, 4)]
     assert parse_dimacs(to_dimacs(cnf)) == cnf
 
 
@@ -187,7 +200,7 @@ def _reference_int(tok):
 
 def reference_parse_dimacs(text):
     """The parser as it was before the one-check-per-clause fast path:
-    every clause checked here, then again by Clause and Cnf.  Integers
+    every clause checked here, then again by Cnf(n, rows).  Integers
     are read by _reference_int, not by int(), which would also take
     "1_0" and non-ASCII digits."""
     n = None
@@ -224,12 +237,11 @@ def reference_parse_dimacs(text):
                         f"line {lineno}: clause of width {len(lits)}, want 3"
                     )
                 vars_ = tuple([abs(x) for x in lits])
-                pols = tuple([1 if x > 0 else 0 for x in lits])
                 if len(set(vars_)) != 3:
                     raise DimacsError(f"line {lineno}: repeated variable in clause")
                 if max(vars_) > n:
                     raise DimacsError(f"line {lineno}: variable beyond n={n}")
-                clauses.append(Clause(vars_, pols))
+                clauses.append(tuple(lits))
                 lits = []
             else:
                 lits.append(lit)
@@ -239,7 +251,7 @@ def reference_parse_dimacs(text):
         raise DimacsError("trailing literals without terminating 0")
     if m is not None and m != len(clauses):
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    return Cnf(n, tuple(clauses))
+    return Cnf(n, clauses)
 
 
 @st.composite
@@ -363,20 +375,19 @@ def test_clean_text_is_parsed_whole_onto_the_shared_pols():
 
 
 def test_clauses_are_slotted_on_every_construction_path():
-    """Clause(...), both parse_dimacs paths, gen_random_3cnf and _clauses
-    build slotted clauses that still compare, hash, pickle, copy, replace
-    and refuse assignment like the frozen dataclass they are; every path
-    but Clause(...) itself puts one of the eight POLS tuples in pols."""
+    """Cnf(n, rows), both parse_dimacs paths and gen_random_3cnf give
+    `.clauses` of slotted clauses that still compare, hash, pickle, copy,
+    replace and refuse assignment like the frozen dataclass they are;
+    every path puts one of the eight POLS tuples in pols."""
     cnf = gen_random_3cnf(30, 200, 4)
     text = to_dimacs(cnf)
     commented = "c a comment line sends the text to the line loop\n" + text
     assert _parse_clean(text) is not None and _parse_clean(commented) is None
     built = {
-        "init": tuple(Clause(cl.vars, cl.pols) for cl in cnf.clauses),
+        "rows": Cnf(30, signed_rows(cnf)).clauses,
         "whole body": parse_dimacs(text).clauses,
         "line loop": parse_dimacs(commented).clauses,
         "gen": gen_random_3cnf(30, 200, 4).clauses,
-        "_clauses": _clauses([cl.vars for cl in cnf.clauses], [cl.pols for cl in cnf.clauses]),
     }
     for how, clauses in built.items():
         assert type(clauses) is tuple and clauses == cnf.clauses, how
@@ -400,12 +411,10 @@ def test_clauses_are_slotted_on_every_construction_path():
         assert clauses == cnf.clauses, how
     # no clause at all on any path
     empty = to_dimacs(gen_random_3cnf(30, 0, 4))
-    assert gen_random_3cnf(30, 0, 4).clauses == () == _clauses([], [])
+    assert gen_random_3cnf(30, 0, 4).clauses == () == Cnf(30, []).clauses
     assert parse_dimacs(empty).clauses == () == parse_dimacs("c\n" + empty).clauses
     flipped = dataclasses.replace(cnf.clauses[0], pols=(1, 1, 1))
-    assert flipped == Clause(cnf.clauses[0].vars, (1, 1, 1))
-    with pytest.raises(ValueError):
-        dataclasses.replace(cnf.clauses[0], pols=(2, 1, 1))
+    assert (flipped.vars, flipped.pols) == (cnf.clauses[0].vars, (1, 1, 1))
 
 
 def test_parsed_cnf_holds_under_0_2_mib():
@@ -435,7 +444,7 @@ def test_huge_header_count_allocates_nothing_sized_by_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert one == Cnf(10**9, (Clause((1, 2, 3), (1, 1, 1)),))
+    assert one == Cnf(10**9, [(1, 2, 3)])
     assert empty == Cnf(10**9, ())
     assert peak < 2**20
 
@@ -449,8 +458,8 @@ def cnfs(draw):
         trip = tuple(sorted(draw(
             st.sets(st.integers(1, n), min_size=3, max_size=3))))
         pols = tuple(draw(st.tuples(*[st.integers(0, 1)] * 3)))
-        clauses.append(Clause(trip, pols))
-    return Cnf(n, tuple(clauses))
+        clauses.append(signed(trip, pols))
+    return Cnf(n, clauses)
 
 
 @given(cnfs())
@@ -488,7 +497,7 @@ def test_imbalance_and_dimacs_match_references_in_every_slot_order():
         text = to_dimacs(cnf)
         assert text == reference_to_dimacs(cnf), name
         assert parse_dimacs(text) == cnf, name
-    skewed = Cnf(8, slot_order_cnf().clauses[::8])  # all-negative, every slot order
+    skewed = Cnf(8, signed_rows(slot_order_cnf())[::8])  # all-negative, every slot order
     assert imbalance(skewed) == reference_imbalance(skewed) == 18
 
 
@@ -555,7 +564,7 @@ def test_gen_takes_parameters_through_index():
 def reference_gen_random_3cnf(n, m, seed):
     """gen_random_3cnf as it drew before its clauses were built in one
     pass: a set of three draws, redrawn until it holds three variables,
-    then sorted(); the clauses through Clause(...) and its checks."""
+    then sorted(); the clauses through Cnf(n, rows) and its checks."""
     check_gen_params(n, m)
     rng = random.Random(seed)
     clauses = []
@@ -565,8 +574,8 @@ def reference_gen_random_3cnf(n, m, seed):
             if len(trip) == 3:
                 break
         vars_ = tuple(sorted(trip))
-        clauses.append(Clause(vars_, POLS[rng.randrange(8)]))
-    return Cnf(n, tuple(clauses))
+        clauses.append(signed(vars_, POLS[rng.randrange(8)]))
+    return Cnf(n, clauses)
 
 
 def test_gen_matches_reference_draw_for_draw():
@@ -601,42 +610,41 @@ def test_gen_output_is_pinned(n, m, seed, digest):
 
 
 def _count_clause_builds(monkeypatch) -> list:
-    """From here on, record the size of every _clauses call and a
-    "Clause(...)" for every Clause built through its own __init__."""
+    """From here on, record the vars of every Clause that fkocert.cnf
+    builds: a counting stand-in takes the class's place there."""
     import fkocert.cnf as cnf_mod
 
     calls = []
-    real = cnf_mod._clauses
+    real = cnf_mod.Clause
 
     def counting(vars_, pols):
-        calls.append(len(vars_))
+        calls.append(vars_)
         return real(vars_, pols)
 
-    def post_init(self):
-        calls.append("Clause(...)")
-
-    monkeypatch.setattr(cnf_mod, "_clauses", counting)
-    monkeypatch.setattr(Clause, "__post_init__", post_init)
+    monkeypatch.setattr(cnf_mod, "Clause", counting)
     return calls
 
 
 def test_clauses_are_built_once_on_first_read(monkeypatch):
-    """gen_random_3cnf and both parse_dimacs paths fill the columns and
-    build no Clause.  The first read of `.clauses` builds them all in
-    one _clauses call; every later read returns that same tuple."""
+    """gen_random_3cnf, both parse_dimacs paths and Cnf(n, rows) fill the
+    columns and build no Clause.  The first read of `.clauses` builds
+    one per clause; every later read returns that same tuple."""
     cnf = gen_random_3cnf(200, 4995, 1)
     text = to_dimacs(cnf)
     commented = "c a leading comment sends the text to the line loop\n" + text
+    rows = signed_rows(cnf)
     assert _parse_clean(text) is not None and _parse_clean(commented) is None
     calls = _count_clause_builds(monkeypatch)
     for how, build in [("gen", lambda: gen_random_3cnf(200, 4995, 1)),
                        ("whole body", lambda: parse_dimacs(text)),
-                       ("line loop", lambda: parse_dimacs(commented))]:
+                       ("line loop", lambda: parse_dimacs(commented)),
+                       ("rows", lambda: Cnf(200, rows))]:
         got = build()
         assert got == cnf and calls == [], how
         clauses = got.clauses
-        assert calls == [4995], how
-        assert got.clauses is clauses and calls == [4995], how
+        assert calls == list(zip(cnf.x, cnf.y, cnf.z)), how
+        assert got.clauses is clauses and len(calls) == 4995, how
+        assert clauses == cnf.clauses and type(clauses[0]) is Clause, how
         calls.clear()
 
 
@@ -650,7 +658,7 @@ def test_no_timed_pipeline_stage_builds_a_clause(monkeypatch, capsys):
     from fkocert.cli import main
 
     large = to_dimacs(gen_random_3cnf(200, 4995, 11))
-    # Cnf(n, clauses) keeps the clauses it is given: the pipeline gets text
+    # every formula comes from text, as in a benchmark op
     planted, small = to_dimacs(planted_block(10)), to_dimacs(planted_block(2))
     calls = _count_clause_builds(monkeypatch)
     cnf = parse_dimacs(large)
@@ -669,25 +677,22 @@ def test_no_timed_pipeline_stage_builds_a_clause(monkeypatch, capsys):
 
 
 def test_cnf_contract_on_every_construction_path():
-    """The whole-body parse, the line loop, gen_random_3cnf, Cnf(n,
-    clauses), pickle and deepcopy all give the same formula: four tuple
-    columns that agree with `.clauses`, polarities that are POLS tuples,
-    equal and of one hash and repr.  Every field and `.clauses` refuse
-    assignment; Cnf(n, clauses) keeps the tuple it is given and still
-    checks n and every variable against it."""
+    """The whole-body parse, the line loop, gen_random_3cnf, Cnf(n, rows),
+    pickle and deepcopy all give the same formula: four tuple columns
+    that agree with `.clauses`, polarities that are POLS tuples, equal
+    and of one hash and repr.  Every field and `.clauses` refuse
+    assignment; Cnf(n, rows) takes any iterable of signed rows."""
     cnf = gen_random_3cnf(30, 200, 4)
     text = to_dimacs(cnf)
     commented = "c a comment line sends the text to the line loop\n" + text
-    # fresh polarity tuples, equal to the POLS ones but not the same objects
-    given = tuple(Clause((u, v, w), tuple([p, q, r]))
-                  for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols))
+    rows = signed_rows(cnf)
     read = gen_random_3cnf(30, 200, 4)
     read.clauses  # pickled and copied with its clauses held, below
     built = {
         "whole body": parse_dimacs(text),
         "line loop": parse_dimacs(commented),
         "gen": gen_random_3cnf(30, 200, 4),
-        "init": Cnf(30, given),
+        "rows": Cnf(30, (list(row) for row in rows)),
         "pickle": pickle.loads(pickle.dumps(gen_random_3cnf(30, 200, 4))),
         "deepcopy": copy.deepcopy(gen_random_3cnf(30, 200, 4)),
         "pickle, clauses read": pickle.loads(pickle.dumps(read)),
@@ -711,13 +716,13 @@ def test_cnf_contract_on_every_construction_path():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(got, name)
         assert got == cnf, how
-    assert built["init"].clauses is given
+    assert built["rows"] == parse_dimacs(to_dimacs(built["rows"]))
     assert repr(cnf).startswith(f"Cnf(n=30, x={cnf.x!r}, y={cnf.y!r}")
     # another clause order, slot order or polarity is another formula
-    assert Cnf(30, given[::-1]) != cnf
-    assert Cnf(30, (Clause((2, 1, 3), (1, 1, 1)),)) != Cnf(30, (Clause((1, 2, 3), (1, 1, 1)),))
-    assert Cnf(30, (Clause((1, 2, 3), (1, 1, 0)),)) != Cnf(30, (Clause((1, 2, 3), (1, 1, 1)),))
-    assert Cnf(31, given) != cnf
+    assert Cnf(30, rows[::-1]) != cnf
+    assert Cnf(30, [(2, 1, 3)]) != Cnf(30, [(1, 2, 3)])
+    assert Cnf(30, [(1, 2, -3)]) != Cnf(30, [(1, 2, 3)])
+    assert Cnf(31, rows) != cnf
     # no clause at all
     empty = Cnf(30, ())
     assert empty == parse_dimacs("p cnf 30 0\n") == parse_dimacs("c\np cnf 30 0\n")
@@ -725,8 +730,8 @@ def test_cnf_contract_on_every_construction_path():
     assert (empty.x, empty.y, empty.z, empty.pols, empty.m) == ((), (), (), (), 0)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Cnf(-1, ())
-    with pytest.raises(ValueError, match="clause 1 uses variable beyond n=30"):
-        Cnf(30, (given[0], Clause((1, 2, 31), (1, 1, 1))))
+    with pytest.raises(ValueError, match=r"^clause 1 \(1, 2, 31\): "):
+        Cnf(30, [rows[0], (1, 2, 31)])
 
 
 def test_whole_body_path_decodes_each_distinct_token_once(monkeypatch):
@@ -773,7 +778,7 @@ def test_oracle_counting_agrees_with_direct():
 
 def test_brute_force_unsat():
     assert brute_force_unsat(planted_block(1))
-    assert not brute_force_unsat(Cnf(3, (C123,)))
+    assert not brute_force_unsat(Cnf(3, [(1, 2, 3)]))
     assert not brute_force_unsat(Cnf(3, ()))
     with pytest.raises(ValueError, match="n=26 exceeds brute-force cap 25"):
         brute_force_unsat(gen_random_3cnf(26, 10, 0))
@@ -782,7 +787,7 @@ def test_brute_force_unsat():
 @pytest.mark.parametrize("chunk_bits", [2, 20])
 def test_brute_force_report_matches_per_assignment_counts(monkeypatch, chunk_bits):
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-    cases = [Cnf(3, ()), Cnf(3, (C123,)), planted_block(1), planted_block(2)]
+    cases = [Cnf(3, ()), Cnf(3, [(1, 2, 3)]), planted_block(1), planted_block(2)]
     cases += [gen_random_3cnf(n, m, seed) for n, m in [(3, 4), (6, 18), (9, 40)]
               for seed in range(3)]
     for cnf in cases:
@@ -805,12 +810,12 @@ def oracle_cnfs(draw):
     all eight polarity patterns, so unsatisfiable formulas come up too."""
     n = draw(st.integers(3, 12))
     triple = st.sets(st.integers(1, n), min_size=3, max_size=3).map(sorted)
-    clauses = [Clause(tuple(draw(triple)), draw(st.tuples(*[st.integers(0, 1)] * 3)))
+    clauses = [signed(draw(triple), draw(st.tuples(*[st.integers(0, 1)] * 3)))
                for _ in range(draw(st.integers(0, 40)))]
     if draw(st.booleans()):
-        trip = tuple(draw(triple))
-        clauses += [Clause(trip, (b >> 2 & 1, b >> 1 & 1, b & 1)) for b in range(8)]
-    return Cnf(n, tuple(draw(st.permutations(clauses))))
+        trip = draw(triple)
+        clauses += [signed(trip, POLS[b]) for b in range(8)]
+    return Cnf(n, draw(st.permutations(clauses)))
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3, 20])
@@ -831,20 +836,20 @@ def _on_used_vars(cnf: Cnf) -> Cnf:
     same clauses on fewer assignments, so the same three counts."""
     used = sorted({v for cl in cnf.clauses for v in cl.vars})
     rename = {v: i + 1 for i, v in enumerate(used)}
-    return Cnf(len(used), tuple(Clause(tuple(rename[v] for v in cl.vars), cl.pols)
-                                for cl in cnf.clauses))
+    return Cnf(len(used), [signed([rename[v] for v in cl.vars], cl.pols)
+                           for cl in cnf.clauses])
 
 
 def test_brute_force_report_across_blocks():
     # n = 21 and 22 at the default 2^20-assignment blocks: x_21 and x_22
     # are constant within a block and change between blocks
     assert oracle._CHUNK_BITS == 20
-    block = [Clause((20, 21, 22), (b >> 2 & 1, b >> 1 & 1, b & 1)) for b in range(8)]
-    cases = [Cnf(21, ()), Cnf(22, ()), Cnf(22, tuple(block)),
-             Cnf(22, tuple(block[:7]) + (Clause((1, 2, 21), (0, 1, 0)),)),
-             Cnf(21, (Clause((19, 20, 21), (1, 0, 1)),) * 3)]
+    block = [signed((20, 21, 22), POLS[b]) for b in range(8)]
+    cases = [Cnf(21, ()), Cnf(22, ()), Cnf(22, block),
+             Cnf(22, block[:7] + [(-1, 2, -21)]),
+             Cnf(21, [(19, -20, 21)] * 3)]
     cases += [gen_random_3cnf(n, 5, seed) for n in (21, 22) for seed in range(3)]
     for cnf in cases:
         want = table_report(_on_used_vars(cnf)) if cnf.m else (False, 0, 0)
         assert oracle.brute_force_report(cnf) == want, cnf
-    assert oracle.brute_force_report(Cnf(22, tuple(block)))[0]
+    assert oracle.brute_force_report(Cnf(22, block))[0]

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 import fkocert.spectral as spectral
 from fkocert import (
-    Clause,
     Cnf,
     SpectralCert,
     SpectralPrecisionError,
@@ -20,9 +19,18 @@ from fkocert import (
     certify_eigvalbound,
     gen_random_3cnf,
 )
+from fkocert.cnf import POLS
 from fkocert.exactq import gram_dev, grid_denominator, snap_to_grid
 from fkocert.spectral import CertReport
-from conftest import all_assignments, count_nae, max_quadform, planted_block, to_signs
+from conftest import (
+    all_assignments,
+    count_nae,
+    max_quadform,
+    planted_block,
+    signed,
+    signed_rows,
+    to_signs,
+)
 from test_acceptance import (
     _honest_cert,
     _ladder_formulas,
@@ -37,7 +45,7 @@ HALF = F(1, 2)
 
 
 def test_build_m_single_clause_mixed():
-    cnf = Cnf(3, (Clause((1, 2, 3), (1, 0, 1)),))  # x1 v ~x2 v x3
+    cnf = Cnf(3, [(1, -2, 3)])  # x1 v ~x2 v x3
     m = build_m(cnf)
     assert m[0][1] == HALF and m[1][0] == HALF
     assert m[0][2] == -HALF and m[2][0] == -HALF
@@ -46,7 +54,7 @@ def test_build_m_single_clause_mixed():
 
 
 def test_build_m_single_clause_all_positive():
-    cnf = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)),))
+    cnf = Cnf(3, [(1, 2, 3)])
     m = build_m(cnf)
     for i in range(3):
         for j in range(3):
@@ -98,14 +106,14 @@ def repeated_clause_formulas(draw):
     """n <= 10, clauses over all 8 polarity patterns, some repeated."""
     n = draw(st.integers(3, 10))
     clause = st.builds(
-        lambda vs, bits: Clause(tuple(vs), (bits >> 2 & 1, bits >> 1 & 1, bits & 1)),
+        lambda vs, bits: signed(vs, POLS[bits]),
         st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
         st.integers(0, 7),
     )
     clauses = draw(st.lists(clause, max_size=30))
     if clauses:
         clauses += draw(st.lists(st.sampled_from(clauses), max_size=10))
-    return Cnf(n, tuple(draw(st.permutations(clauses))))
+    return Cnf(n, draw(st.permutations(clauses)))
 
 
 @settings(max_examples=200)
@@ -121,8 +129,8 @@ def test_build_m_matches_fraction_reference_on_bench_shapes():
         # dense-sweep / dense-verify: n = 28, m = floor(3 n^1.4)
         _assert_same_m(gen_random_3cnf(28, math.floor(3 * 28 ** 1.4), seed))
         # planted-refute: 10 blocks of all 8 patterns plus n/6 uniform clauses
-        extra = gen_random_3cnf(30, 5, seed).clauses
-        _assert_same_m(Cnf(30, planted_block(10).clauses + extra))
+        extra = signed_rows(gen_random_3cnf(30, 5, seed))
+        _assert_same_m(Cnf(30, signed_rows(planted_block(10)) + extra))
 
 
 def test_quadform_counts_nae():
@@ -640,7 +648,7 @@ def test_approx_eigen_certifies_degenerate_spectra():
     _assert_certifies(mat([[0, 1], [1, 0]]))                        # exchange
     ones = _assert_certifies(mat([[1] * 7 for _ in range(7)]))      # rank one
     assert ones.lambdas == (7,) + (0,) * 6
-    clause_m = build_m(Cnf(3, (Clause((1, 2, 3), (1, 0, 1)),)))
+    clause_m = build_m(Cnf(3, [(1, -2, 3)]))
     copies = _assert_certifies(_block_diagonal(clause_m, 4))        # repeated
     assert len(set(copies.lambdas)) == 2
 
@@ -648,13 +656,9 @@ def test_approx_eigen_certifies_degenerate_spectra():
 def test_approx_eigen_certifies_noisy_planted_block():
     # three blocks whose M cancels plus three clauses across them: M has a
     # large exact zero eigenspace
-    extra = (
-        Clause((1, 4, 7), (1, 0, 1)),
-        Clause((2, 5, 8), (0, 0, 1)),
-        Clause((7, 8, 9), (1, 1, 0)),
-    )
+    extra = [(1, -4, 7), (-2, -5, 8), (7, 8, -9)]
     base = planted_block(3)
-    cnf = Cnf(base.n, base.clauses + extra)
+    cnf = Cnf(base.n, signed_rows(base) + extra)
     m = build_m(cnf)
     cert = _assert_certifies(m)
     assert cert.lambdas.count(0) >= 2
@@ -749,7 +753,7 @@ def test_single_component_matches_whole_matrix_seed(n):
 def _multi_component_matrices():
     for seed in range(6):  # the planted-refute shape: n = 30, n // 6 extra
         yield build_m(_noisy_blocks(10, 5, seed))
-    clause_m = build_m(Cnf(3, (Clause((1, 2, 3), (1, 0, 1)),)))
+    clause_m = build_m(Cnf(3, [(1, -2, 3)]))
     for copies in (2, 5, 9):
         yield _block_diagonal(clause_m, copies)
 

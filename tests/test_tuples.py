@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 
 from fkocert import (
-    Clause,
     Cnf,
     CollectionSearchError,
     TupleCollection,
@@ -22,6 +21,7 @@ from fkocert import (
     parse_dimacs,
     to_dimacs,
 )
+from fkocert.cnf import Clause
 from fkocert.tuples import (
     BUDGET_MAX,
     _quad_candidates,
@@ -36,17 +36,19 @@ from conftest import (
     neg_count,
     planted_block,
     shuffled_slots,
+    signed,
+    signed_rows,
     slot_order_formulas,
 )
 from test_acceptance import _noisy_blocks
 
-POS = Clause((1, 2, 3), (1, 1, 1))
-NEG = Clause((1, 2, 3), (0, 0, 0))
-ONE_NEG = Clause((1, 2, 3), (1, 0, 1))
+POS = (1, 2, 3)
+NEG = (-1, -2, -3)
+ONE_NEG = (1, -2, 3)
 
 
 def test_parity_vector_values():
-    k = Cnf(4, (ONE_NEG, NEG, Clause((1, 2, 4), (1, 1, 1))))
+    k = Cnf(4, (ONE_NEG, NEG, (1, 2, 4)))
     # bit 0 = negation parity, bits 1..n = variable occurrence
     assert parity_vector(k, 0) == 0b1111
     assert parity_vector(k, 1) == 0b1111  # three negations, odd
@@ -63,7 +65,7 @@ def _is_even(cnf, indices):
 
 
 def test_even_and_inconsistent_pairs():
-    k = Cnf(3, (POS, NEG, ONE_NEG, Clause((1, 2, 3), (1, 1, 0))))
+    k = Cnf(3, (POS, NEG, ONE_NEG, (1, 2, -3)))
     assert _is_even(k, (0, 0))
     assert not is_inconsistent_tuple(k, (0, 0))
     assert is_inconsistent_tuple(k, (0, 1))       # 3 negations
@@ -73,13 +75,13 @@ def test_even_and_inconsistent_pairs():
 
 
 def test_uneven_tuple():
-    k = Cnf(4, (POS, Clause((1, 2, 4), (1, 1, 1))))
+    k = Cnf(4, (POS, (1, 2, 4)))
     assert not _is_even(k, (0, 1))                # x3, x4 appear once
     assert not is_inconsistent_tuple(k, (0, 1))
 
 
 def test_tuple_index_range():
-    k = Cnf(3, (POS,))
+    k = Cnf(3, [POS])
     with pytest.raises(IndexError):
         is_inconsistent_tuple(k, (0, 5))
 
@@ -159,7 +161,7 @@ def test_find_collection_two_blocks():
 
 
 def test_find_collection_single_clause_fails():
-    k = Cnf(3, (POS,))
+    k = Cnf(3, [POS])
     with pytest.raises(CollectionSearchError) as ei:
         find_collection(k, k_max=4, d=4, t_target=1)
     assert ei.value.best.t == 0
@@ -180,10 +182,10 @@ def test_find_collection_quad_only():
     k = Cnf(
         6,
         (
-            Clause((1, 2, 3), (0, 1, 1)),
-            Clause((1, 2, 4), (1, 1, 1)),
-            Clause((3, 5, 6), (1, 1, 1)),
-            Clause((4, 5, 6), (1, 1, 1)),
+            (-1, 2, 3),
+            (1, 2, 4),
+            (3, 5, 6),
+            (4, 5, 6),
         ),
     )
     with pytest.raises(CollectionSearchError):
@@ -258,10 +260,10 @@ def test_xor_lemma_on_quad():
     k = Cnf(
         6,
         (
-            Clause((1, 2, 3), (0, 1, 1)),
-            Clause((1, 2, 4), (1, 1, 1)),
-            Clause((3, 5, 6), (1, 1, 1)),
-            Clause((4, 5, 6), (1, 1, 1)),
+            (-1, 2, 3),
+            (1, 2, 4),
+            (3, 5, 6),
+            (4, 5, 6),
         ),
     )
     for a in all_assignments(6):
@@ -323,8 +325,8 @@ def small_cnfs(draw):
     for _ in range(m):
         trip = tuple(draw(st.permutations(sorted(draw(st.sampled_from(pool))))))
         pols = draw(st.tuples(*[st.integers(0, 1)] * 3))
-        clauses.append(Clause(trip, pols))
-    return Cnf(n, tuple(clauses))
+        clauses.append(signed(trip, pols))
+    return Cnf(n, clauses)
 
 
 @settings(max_examples=300)
@@ -350,10 +352,10 @@ def test_quad_index_matches_reference_on_random_formulas():
 def test_quad_index_misses_pasch_configuration():
     # every two of the four clauses share exactly one variable
     pasch = Cnf(6, (
-        Clause((1, 2, 3), (0, 1, 1)),
-        Clause((1, 4, 5), (1, 1, 1)),
-        Clause((2, 4, 6), (1, 1, 1)),
-        Clause((3, 5, 6), (1, 1, 1)),
+        (-1, 2, 3),
+        (1, 4, 5),
+        (2, 4, 6),
+        (3, 5, 6),
     ))
     assert is_inconsistent_tuple(pasch, (0, 1, 2, 3))
     assert reference_quad_candidates(pasch, 10**9) == [(0, 1, 2, 3)]
@@ -363,10 +365,10 @@ def test_quad_index_misses_pasch_configuration():
 def test_quad_index_two_clauses_from_each_triple():
     # {1,2,3} twice and {1,2,4} twice: one edge taken with itself
     k = Cnf(4, (
-        Clause((1, 2, 3), (1, 1, 1)),
-        Clause((1, 2, 3), (0, 1, 1)),
-        Clause((1, 2, 4), (1, 1, 1)),
-        Clause((1, 2, 4), (1, 1, 1)),
+        (1, 2, 3),
+        (-1, 2, 3),
+        (1, 2, 4),
+        (1, 2, 4),
     ))
     assert _index_quads(k) == ([(0, 1, 2, 3)], False)
 
@@ -397,10 +399,10 @@ def test_quad_budget_caps_count_deterministically():
 # its four triples pair up under the labels {3,4} and {2,5}: both label
 # runs find the one 4-tuple
 TWICE_FOUND = Cnf(5, (
-    Clause((1, 2, 3), (0, 1, 1)),
-    Clause((1, 2, 4), (1, 1, 1)),
-    Clause((1, 3, 5), (1, 1, 1)),
-    Clause((1, 4, 5), (1, 1, 1)),
+    (-1, 2, 3),
+    (1, 2, 4),
+    (1, 3, 5),
+    (1, 4, 5),
 ))
 
 
@@ -428,7 +430,7 @@ def test_repeated_one_parity_triples_expand_nothing_quickly():
     # 300 copies of one all-positive clause on each of two triples that
     # share a pair: 90 000 even picks and no odd one, so an expansion that
     # scanned all pick pairs would take minutes
-    cnf = Cnf(4, (Clause((1, 2, 3), (1, 1, 1)),) * 300 + (Clause((1, 2, 4), (1, 1, 1)),) * 300)
+    cnf = Cnf(4, [(1, 2, 3)] * 300 + [(1, 2, 4)] * 300)
     start = time.perf_counter()
     assert _index_quads(cnf, 50_000) == ([], False)
     assert time.perf_counter() - start < 0.5
@@ -487,12 +489,12 @@ def test_no_source_finds_the_six_tuple_at_k6():
     # sharing two variables: the only even tuple is all six, and neither
     # the pairs nor the pair index yields it (a known miss, like Pasch)
     six = Cnf(9, (
-        Clause((1, 2, 3), (0, 1, 1)),
-        Clause((1, 4, 5), (1, 1, 1)),
-        Clause((2, 6, 7), (1, 1, 1)),
-        Clause((3, 8, 9), (1, 1, 1)),
-        Clause((4, 6, 8), (1, 1, 1)),
-        Clause((5, 7, 9), (1, 1, 1)),
+        (-1, 2, 3),
+        (1, 4, 5),
+        (2, 6, 7),
+        (3, 8, 9),
+        (4, 6, 8),
+        (5, 7, 9),
     ))
     assert is_inconsistent_tuple(six, range(6))
     with pytest.raises(CollectionSearchError) as ei:
@@ -638,16 +640,16 @@ def reference_index_quads(cnf, budget):
 
 
 PASCH = Cnf(6, (
-    Clause((1, 2, 3), (0, 1, 1)),
-    Clause((1, 4, 5), (1, 1, 1)),
-    Clause((2, 4, 6), (1, 1, 1)),
-    Clause((3, 5, 6), (1, 1, 1)),
+    (-1, 2, 3),
+    (1, 4, 5),
+    (2, 4, 6),
+    (3, 5, 6),
 ))
 SELF_EDGE = Cnf(4, (
-    Clause((1, 2, 3), (1, 1, 1)),
-    Clause((1, 2, 3), (0, 1, 1)),
-    Clause((1, 2, 4), (1, 1, 1)),
-    Clause((1, 2, 4), (1, 1, 1)),
+    (1, 2, 3),
+    (-1, 2, 3),
+    (1, 2, 4),
+    (1, 2, 4),
 ))
 
 
@@ -673,13 +675,13 @@ def test_quad_index_pinned_on_repeated_triples(cnf, budget):
 # labels {5,6} and {5,7} mix one-clause and repeated triples, and the run
 # of label {6,7} holds only one-clause triples
 MIXED_RUNS = Cnf(7, (
-    Clause((1, 2, 5), (1, 1, 1)), Clause((1, 2, 5), (0, 1, 1)),
-    Clause((1, 2, 6), (1, 1, 1)),
-    Clause((3, 4, 5), (1, 1, 1)), Clause((3, 4, 6), (0, 1, 1)),
-    Clause((1, 3, 5), (1, 1, 1)), Clause((1, 3, 6), (1, 1, 1)),
-    Clause((2, 4, 5), (0, 1, 1)), Clause((2, 4, 6), (1, 1, 1)),
-    Clause((1, 2, 7), (1, 1, 1)), Clause((3, 4, 7), (0, 1, 1)),
-    Clause((1, 3, 7), (1, 0, 1)), Clause((2, 4, 7), (1, 1, 1)),
+    (1, 2, 5), (-1, 2, 5),
+    (1, 2, 6),
+    (3, 4, 5), (-3, 4, 6),
+    (1, 3, 5), (1, 3, 6),
+    (-2, 4, 5), (2, 4, 6),
+    (1, 2, 7), (-3, 4, 7),
+    (1, -3, 7), (2, 4, 7),
 ))
 
 
@@ -712,19 +714,18 @@ def _planted_square(base, last):
     thirds x and y make two edges labelled {x,y}, and both triples on
     {a,b} hold two clauses, of mixed and of equal negation parity."""
     a, b, c, d, x, y = range(base, base + 6)
-    return [Clause((a, b, x), (1, 1, 1)), Clause((a, b, x), (0, 1, 1)),
-            Clause((a, b, y), (1, 1, 1)), Clause((a, b, y), (0, 0, 1)),
-            Clause((c, d, x), (1, 1, 1)), Clause((c, d, y), (1, 1, last))]
+    return [(a, b, x), (-a, b, x), (a, b, y), (-a, -b, y), (c, d, x),
+            signed((c, d, y), (1, 1, last))]
 
 
 def test_quad_index_pinned_past_one_int_digit():
     # at n = 1100, pair*(n+1) + third passes 2^30 once the pair's first
     # variable reaches 886: those incidence codes are two-digit ints
     n, s = 1100, 1101
-    clauses = list(gen_random_3cnf(n, 400, 7).clauses)
+    clauses = signed_rows(gen_random_3cnf(n, 400, 7))
     for k, base in enumerate((3, 900, 1000, 1090)):
         clauses += _planted_square(base, k % 2)
-    cnf = Cnf(n, tuple(clauses))
+    cnf = Cnf(n, clauses)
     assert (1090 * s + 1091) * s + 1094 >= 2**30
     full, hit = _index_quads(cnf)
     assert not hit
@@ -738,11 +739,9 @@ def test_quad_index_pinned_past_one_int_digit():
 # the pairs {1,2} and {7,8} each carry the thirds 3, 4, 5 and 6, so each
 # pair run holds four triples and the run scan reaches offset 3; every
 # label {x,y} on 3..6 is on two edges, and {1,2,3} holds two clauses
-LONG_RUNS = Cnf(8, tuple(
-    [Clause((1, 2, 3), (0, 1, 1))]
-    + [Clause((1, 2, x), (1, 1, x % 2)) for x in (3, 4, 5, 6)]
-    + [Clause((7, 8, x), (1, 1, 1)) for x in (3, 4, 5, 6)]
-))
+LONG_RUNS = Cnf(8, [(-1, 2, 3)]
+                + [signed((1, 2, x), (1, 1, x % 2)) for x in (3, 4, 5, 6)]
+                + [(7, 8, x) for x in (3, 4, 5, 6)])
 
 
 def test_quad_index_pinned_on_long_pair_runs():

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import assume, given, settings
 
 from fkocert import (
-    Clause,
     Cnf,
     FkoWitness,
     TupleCollection,
@@ -38,13 +37,13 @@ from fkocert import (
     witness_from_json,
     witness_to_json,
 )
-from fkocert.cnf import imbalance
+from fkocert.cnf import _unchecked, imbalance
 from fkocert.exactq import grid_denominator
 from fkocert.spectral import C_MAX
 from fkocert.spectral import tolerances
 from fkocert.tuples import check_collection
 from fkocert.witness import _rat_in, _rat_out, _ratio, _show, _threshold
-from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_block
+from conftest import brute_force_unsat, nae_counts, not3xor_counts, planted_block, signed_rows
 from test_acceptance import _noisy_blocks
 
 F = Fraction
@@ -161,7 +160,7 @@ def test_failing_certificate_is_built_and_never_accepted(monkeypatch):
 def test_single_clause_fails_at_collection():
     # no inconsistent tuple exists: the builder returns t = 0, the verifier
     # rejects it at the inequality
-    cnf = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)),))
+    cnf = Cnf(3, [(1, 2, 3)])
     wit = build_witness(cnf)
     assert wit.coll.t == 0
     verdict = verify_witness(cnf, wit)
@@ -251,6 +250,22 @@ def test_verify_rejects_shape_mismatch():
     bad = replace(wit, m=9)
     v = verify_witness(cnf, bad)
     assert not v.accepted and v.reason == "3CNF"
+
+
+def test_verify_names_the_first_malformed_clause():
+    """Columns no constructor would give, set past its checks: the
+    verifier rejects at 3CNF and names the first malformed clause, for a
+    repeated variable, variable 0, one above n or a negative one."""
+    cnf = planted_block(2)
+    wit = build_witness(cnf)
+    for k, bad in [(0, (1, 1, 2)), (3, (2, 3, 2)), (5, (0, 2, 3)), (9, (4, 5, 7)),
+                   (14, (-4, 5, 6))]:
+        x, y, z = map(list, (cnf.x, cnf.y, cnf.z))
+        x[k], y[k], z[k] = bad
+        for _ in range(2):
+            forged = _unchecked(cnf.n, tuple(x), tuple(y), tuple(z), cnf.pols)
+            assert verify_witness(forged, wit) == Verdict(False, "3CNF", f"clause {k} malformed")
+            x[15] = y[15]  # then a second malformed clause, after the first
 
 
 def test_verify_rejects_inflated_t():
@@ -343,7 +358,7 @@ def test_verify_rejects_short_collection():
 
 
 def test_verifier_never_accepts_satisfiable_with_forged_fields():
-    sat = Cnf(3, (Clause((1, 2, 3), (1, 1, 1)),) * 4)
+    sat = Cnf(3, [(1, 2, 3)] * 4)
     assert not brute_force_unsat(sat)
     donor = planted_block(1)
     wit = build_witness(donor)
@@ -351,9 +366,9 @@ def test_verifier_never_accepts_satisfiable_with_forged_fields():
     assert not v.accepted
     # a satisfiable neighbour of the donor and its own witness, with a
     # declared I and lambda that would put d*(I+U)/2 far below t if read
-    clauses = list(donor.clauses)
+    clauses = signed_rows(donor)
     clauses[0] = clauses[1]
-    sat = Cnf(3, tuple(clauses))
+    sat = Cnf(3, clauses)
     assert not brute_force_unsat(sat)
     wit = build_witness(sat)
     want = verify_witness(sat, wit)
@@ -690,9 +705,9 @@ def _accepted_dense() -> tuple[Cnf, FkoWitness]:
     variable triples, and a witness the verifier accepts.  A block adds
     16 tuples and changes neither n, M nor I, so t clears d*(I+U)/2."""
     dense, _ = _dense_text()
-    blocks = planted_block(9).clauses
-    cnf = Cnf(dense.n, dense.clauses + tuple(
-        blocks[8 * (b % 9) + i] for b in range(40) for i in range(8)))
+    blocks = signed_rows(planted_block(9))
+    cnf = Cnf(dense.n, signed_rows(dense) + [
+        blocks[8 * (b % 9) + i] for b in range(40) for i in range(8)])
     return cnf, build_witness(cnf)
 
 
@@ -927,7 +942,7 @@ def _blocks_grown(*calls: str) -> list[int]:
         "import sys\n"
         "from fkocert import (build_m, approx_eigen, certify_eigvalbound,\n"
         "                     gen_random_3cnf, find_collection, witness_from_json,\n"
-        "                     witness_to_json, Clause, Cnf, FkoWitness)\n"
+        "                     witness_to_json, Cnf, FkoWitness)\n"
         "cnf = gen_random_3cnf(12, 100, 1)\n"
         "mat = build_m(cnf)\n"
         "cert = approx_eigen(mat, 8)\n"
@@ -935,9 +950,9 @@ def _blocks_grown(*calls: str) -> list[int]:
         "wit = FkoWitness(n=12, m=100, c=8, imb=0, mat=None, cert=cert,\n"
         "                 lam=cert.lambdas[0], coll=coll)\n"
         "text = witness_to_json(wit)\n"
-        "pmat = build_m(Cnf(30, tuple(Clause((3 * b + 1, 3 * b + 2, 3 * b + 3),\n"
-        "                                    (s >> 2 & 1, s >> 1 & 1, s & 1))\n"
-        "                             for b in range(10) for s in range(8))))\n"
+        "pmat = build_m(Cnf(30, [[v if s >> (3 * b + 3 - v) & 1 else -v\n"
+        "                         for v in (3 * b + 1, 3 * b + 2, 3 * b + 3)]\n"
+        "                        for b in range(10) for s in range(8)]))\n"
         "pcert = approx_eigen(pmat, 8)\n"
         f"for f in ({', '.join(f'lambda: {call}' for call in calls)},):\n"
         "    f()\n"
@@ -1007,11 +1022,11 @@ def mutated_witnesses(draw):
     if draw(st.booleans()):
         sat = gen_random_3cnf(n, m, draw(st.integers(0, 10**6)))
     else:
-        clauses = list(planted_block(blocks).clauses)
+        clauses = signed_rows(planted_block(blocks))
         for b in range(blocks):
             lost, kept = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
             clauses[8 * b + lost] = clauses[8 * b + kept]
-        sat = Cnf(n, tuple(clauses))
+        sat = Cnf(n, clauses)
     assume(not brute_force_unsat(sat))
     obj = _planted_json(blocks)
     if draw(st.booleans()):
@@ -1056,10 +1071,10 @@ def test_mutated_witness_never_raises_or_accepts_satisfiable(case):
 
 def test_unmutated_planted_witness_rejects_satisfiable_neighbour():
     for blocks in (1, 4):
-        clauses = list(planted_block(blocks).clauses)
+        clauses = signed_rows(planted_block(blocks))
         for b in range(blocks):
             clauses[8 * b] = clauses[8 * b + 1]
-        sat = Cnf(3 * blocks, tuple(clauses))
+        sat = Cnf(3 * blocks, clauses)
         assert not brute_force_unsat(sat)
         wit = witness_from_json(json.dumps(_planted_json(blocks)))
         assert verify_witness(planted_block(blocks), wit).accepted
