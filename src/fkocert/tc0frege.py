@@ -3,9 +3,13 @@
 Formulas are built from constants T/F, variables p_i, negation, and
 threshold connectives Th_i(A_1,...,A_n), true when at least i children
 are true; boundary semantics make Th_0(...) true and Th_i(...) with
-i > n false.  Sequents are ordered pairs of formula sequences; position
-bookkeeping is explicit (exchange/contraction are rules, not conventions),
-so every inference has to match its rule shape exactly.
+i > n false.  Every formula is valid by construction: building one with
+an index that is not a nonnegative int, or one nesting past MAX_DEPTH,
+raises.  So nothing that takes a formula checks it again, no walk
+recurses past the bound, and a formula's text parses back to it.
+Sequents are ordered pairs of formula sequences; position bookkeeping is
+explicit (exchange/contraction are rules, not conventions), so every
+inference has to match its rule shape exactly.
 
 `check_proof` validates a proof line by line; `decide_constant_formula`
 produces, for any variable-free formula, a checkable proof of it or of
@@ -14,7 +18,7 @@ proof, which preserves validity (every rule derives its premises from
 its conclusion by structural operations, and substitution commutes with
 them and preserves equality).
 
-Proof text format (one step per line, 1-based ids):
+Proof text format (one step per line, 1-based ids, ASCII digits):
 
     1: axiom |- p1 --> p1
     2: not-right(1) |-  --> ~p1, p1
@@ -24,11 +28,11 @@ Proof text format (one step per line, 1-based ids):
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 import weakref
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
@@ -62,12 +66,15 @@ __all__ = [
 ]
 
 
+# nesting bound, far above the constant depth of TC0 formulas; no formula
+# nests deeper, so no walk over one recurses past it
+MAX_DEPTH = 100
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # held from lookup to insertion, so that two threads building one formula
 # get one object; re-entrant, since a collection run while it is held may
 # call finalizers that build formulas
 _INTERNED_LOCK = threading.RLock()
-_depth = attrgetter("depth")
+_depth = operator.attrgetter("depth")
 
 
 class _Formula:
@@ -78,9 +85,12 @@ class _Formula:
     O(1) however the formula shares its subformulas.  The table holds its
     formulas weakly, keyed by class and fields.  `depth` is the nesting
     depth, set at construction from the children's: 0 for a leaf, else 1 +
-    the largest child depth."""
+    the largest child depth, and never above MAX_DEPTH."""
 
     __slots__ = ("depth", "__weakref__")
+
+    def __new__(cls) -> TcFormula:  # Top and Bot; Var, Not and Th take fields
+        return _intern(cls)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"formulas are immutable: cannot assign to {name!r}")
@@ -89,24 +99,32 @@ class _Formula:
         raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
 
 
-def _new(key: tuple, depth: int, **fields: object) -> TcFormula:
-    """A new formula of class key[0] with these fields, interned by key.
-    Callers look the key up first, holding the lock:
-    `with _INTERNED_LOCK: return _INTERNED.get(key) or _new(...)`."""
-    f = object.__new__(key[0])
-    for name, value in fields.items():
-        object.__setattr__(f, name, value)
-    object.__setattr__(f, "depth", depth)
-    _INTERNED[key] = f
-    return f
+def _children(f: TcFormula) -> tuple[TcFormula, ...]:
+    return f.children if isinstance(f, Th) else (f.child,) if isinstance(f, Not) else ()
+
+
+def _intern(cls: type, *fields: object, depth: int | None = None) -> TcFormula:
+    """The live formula of class cls with these fields, in slot order, or
+    a new one, which alone reads its children for its depth, unless given
+    it; ValueError, storing nothing, when that depth passes MAX_DEPTH."""
+    key = (cls, *fields)
+    with _INTERNED_LOCK:
+        f = _INTERNED.get(key)
+        if f is None:
+            f = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(f, name, value)
+            if depth is None:
+                depth = 1 + max(map(_depth, _children(f)), default=-1)
+            if depth > MAX_DEPTH:
+                raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
+            object.__setattr__(f, "depth", depth)
+            _INTERNED[key] = f
+        return f
 
 
 class Top(_Formula):
     __slots__ = ()
-
-    def __new__(cls) -> Top:
-        with _INTERNED_LOCK:
-            return _INTERNED.get((cls,)) or _new((cls,), 0)
 
     def __repr__(self) -> str:
         return "T"
@@ -114,10 +132,6 @@ class Top(_Formula):
 
 class Bot(_Formula):
     __slots__ = ()
-
-    def __new__(cls) -> Bot:
-        with _INTERNED_LOCK:
-            return _INTERNED.get((cls,)) or _new((cls,), 0)
 
     def __repr__(self) -> str:
         return "F"
@@ -127,9 +141,10 @@ class Var(_Formula):
     __slots__ = ("index",)
 
     def __new__(cls, index: int) -> Var:
-        key = (cls, index)
-        with _INTERNED_LOCK:
-            return _INTERNED.get(key) or _new(key, 0, index=index)
+        index = operator.index(index)
+        if index < 0:
+            raise ValueError("variable index must be nonnegative")
+        return _intern(cls, index)
 
     def __repr__(self) -> str:
         return f"p{self.index}"
@@ -139,9 +154,7 @@ class Not(_Formula):
     __slots__ = ("child",)
 
     def __new__(cls, child: TcFormula) -> Not:
-        key = (cls, child)
-        with _INTERNED_LOCK:
-            return _INTERNED.get(key) or _new(key, child.depth + 1, child=child)
+        return _intern(cls, child)
 
     def __repr__(self) -> str:
         return f"~{self.child!r}"
@@ -151,41 +164,19 @@ class Th(_Formula):
     __slots__ = ("i", "children")
 
     def __new__(cls, i: int, children: Iterable[TcFormula]) -> Th:
+        i = operator.index(i)
         if i < 0:
             raise ValueError("threshold index must be nonnegative")
-        children = tuple(children)
-        key = (cls, i, children)
-        with _INTERNED_LOCK:
-            return _INTERNED.get(key) or _new(
-                key, 1 + max(map(_depth, children), default=-1), i=i, children=children)
+        return _intern(cls, i, tuple(children))
 
     def __repr__(self) -> str:
         return f"Th{self.i}({', '.join(map(repr, self.children))})"
-
-
-def _th(i: int, children: tuple[TcFormula, ...], depth: int) -> Th:
-    """Th(i, children), given its nesting depth.  The emitter knows the
-    depth of every suffix of a Th's children, so the suffixes it builds
-    skip the pass over their children that Th() makes."""
-    key = (Th, i, children)
-    with _INTERNED_LOCK:
-        return _INTERNED.get(key) or _new(key, depth, i=i, children=children)
 
 
 TcFormula = Top | Bot | Var | Not | Th
 T = TypeVar("T")
 TOP = Top()
 BOT = Bot()
-# nesting bound, far above the constant depth of TC0 formulas: parse_proof
-# refuses deeper text, check_proof a step holding a deeper formula, and
-# free_vars, eval_formula, format_formula, substitute_formula, substitute
-# and decide_constant_formula a deeper formula, so none of them recurses
-# past it
-MAX_DEPTH = 100
-
-
-def _children(f: TcFormula) -> tuple[TcFormula, ...]:
-    return f.children if isinstance(f, Th) else (f.child,) if isinstance(f, Not) else ()
 
 
 def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]:
@@ -201,14 +192,8 @@ def _once(visit: Callable[[TcFormula, Callable], T]) -> Callable[[TcFormula], T]
     return walk
 
 
-def _check_depth(f: TcFormula) -> None:
-    if f.depth > MAX_DEPTH:
-        raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
-
-
 def free_vars(f: TcFormula) -> set[int]:
-    """Variable indices in f; ValueError when f nests past MAX_DEPTH."""
-    _check_depth(f)
+    """Variable indices in f."""
 
     def names(f: TcFormula, walk: Callable[[TcFormula], set[int]]) -> set[int]:
         return {f.index} if isinstance(f, Var) else set().union(*map(walk, _children(f)))
@@ -217,13 +202,8 @@ def free_vars(f: TcFormula) -> set[int]:
 
 
 def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
-    """f's truth value; ValueError on an unbound variable or when f nests
-    past MAX_DEPTH."""
-    _check_depth(f)
-    return _eval(f, assignment)
+    """f's truth value; ValueError on an unbound variable."""
 
-
-def _eval(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
     def value(f: TcFormula, walk: Callable[[TcFormula], bool]) -> bool:
         if isinstance(f, Top):
             return True
@@ -444,9 +424,6 @@ RULES: dict[str, Builder] = {
 
 def _step_error(steps: Sequence[ProofStep], idx: int) -> str | None:
     step = steps[idx]
-    # the cited premises precede the step, so each was checked as a step
-    if any(f.depth > MAX_DEPTH for f in step.seq.ante + step.seq.succ):
-        return f"a formula nests deeper than {MAX_DEPTH}"
     build = _axiom if step.rule == "axiom" else RULES.get(step.rule)
     if build is None:
         return "unknown rule"
@@ -480,16 +457,9 @@ def check_proof(proof: TcProof) -> CheckResult:
 # ------------------------------------------------------------- substitution
 
 
-def substitute_formula(
-    f: TcFormula, mapping: Mapping[int, bool]
-) -> TcFormula:
-    """f with the mapped variables replaced by T or F; ValueError when f
-    nests past MAX_DEPTH."""
-    _check_depth(f)
-    return _substitute(f, mapping)
+def substitute_formula(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
+    """f with the mapped variables replaced by T or F."""
 
-
-def _substitute(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
     def rebuilt(f: TcFormula, walk: Callable[[TcFormula], TcFormula]) -> TcFormula:
         if isinstance(f, Var):
             if f.index in mapping:
@@ -498,7 +468,7 @@ def _substitute(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
         if isinstance(f, Not):
             return Not(walk(f.child))
         if isinstance(f, Th):
-            return Th(f.i, tuple([walk(ch) for ch in f.children]))
+            return Th(f.i, map(walk, f.children))
         return f
 
     return _once(rebuilt)(f)
@@ -506,8 +476,7 @@ def _substitute(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
 
 def substitute(proof: TcProof, mapping: Mapping[int, bool]) -> TcProof:
     """Replace variables by constants everywhere; validity is preserved
-    and the proof does not grow.  ValueError when a formula nests past
-    MAX_DEPTH."""
+    and the proof does not grow."""
 
     def sub_seq(seq: Sequent) -> Sequent:
         return Sequent(
@@ -570,7 +539,7 @@ class _Emitter:
         side = "right" if value else "left"
         kids, w = f.children, len(f.children)
         must, alt = (-1, 0) if value else (0, -1)
-        has = [_eval(ch, {}) == value for ch in kids]
+        has = [eval_formula(ch, {}) == value for ch in kids]
 
         def axiom(k: int, j: int) -> bool:
             return k == 0 if value else k > w - j
@@ -589,13 +558,13 @@ class _Emitter:
         for j in reversed(range(w + 1)):
             tail, level = kids[j:], {}
             for k in sorted(need[j]):
-                g = _th(k, tail, deep[j])
+                g = _intern(Th, k, tail, depth=deep[j])
                 if axiom(k, j):
                     level[k] = self.add(_side(value, (g,)), "axiom")
                     continue
                 # the rule wants (alt, head); weakening adds its formula at
                 # the front of a succedent and the end of an antecedent
-                pair = (_th(k + alt, rest, deep[j + 1]), kids[j])
+                pair = (_intern(Th, k + alt, rest, depth=deep[j + 1]), kids[j])
                 weak = pair if has[j] == value else pair[::-1]
                 got = self.prove(kids[j], value) if has[j] else done[k + alt]
                 e = self.add(_side(value, weak), f"weaken-{side}", got)
@@ -611,13 +580,12 @@ class _Emitter:
 def decide_constant_formula(f: TcFormula) -> TcProof:
     """For a variable-free formula, a checkable proof of --> f when f is
     true, and of --> ~f when false; of f --> when f is false and ~f would
-    nest past MAX_DEPTH.  No step nests deeper than its last, so the proof
-    passes check_proof.  ValueError when f itself nests past MAX_DEPTH."""
+    nest past MAX_DEPTH.  The proof passes check_proof."""
     names = free_vars(f)
     if names:
         raise ValueError(f"formula has free variables: {sorted(names)}")
     em = _Emitter()
-    value = _eval(f, {})
+    value = eval_formula(f, {})
     below = em.prove(f, value)
     if not value and f.depth < MAX_DEPTH:  # ~f nests one deeper than f
         em.add(Sequent((), (Not(f),)), "not-right", below)
@@ -627,7 +595,7 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
 # ---------------------------------------------------------------- text form
 
 
-_TOKEN = re.compile(r"\s*(Th\d+|p\d+|T|F|~|\(|\)|,)")
+_TOKEN = re.compile(r"\s*(Th\d+|p\d+|T|F|~|\(|\)|,)", re.ASCII)
 
 
 class _FormulaParser:
@@ -644,6 +612,7 @@ class _FormulaParser:
         return m.group(1)
 
     def parse(self, depth: int = 0) -> TcFormula:
+        # counted here, not left to construction: the parse recurses first
         if depth > MAX_DEPTH:
             raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
         tok = self._next()
@@ -687,8 +656,7 @@ def parse_formula(text: str) -> TcFormula:
 
 
 def format_formula(f: TcFormula) -> str:
-    """f in the text form; ValueError when f nests past MAX_DEPTH."""
-    _check_depth(f)
+    """f in the text form, which parse_formula reads back to f."""
     return repr(f)
 
 
@@ -722,7 +690,7 @@ def format_sequent(seq: Sequent) -> str:
 
 
 _STEP = re.compile(
-    r"^\s*(\d+)\s*:\s*([a-z-]+)\s*(?:\(([\d\s,]*)\))?\s*\|-\s*(.*)$"
+    r"^\s*(\d+)\s*:\s*([a-z-]+)\s*(?:\(([\d\s,]*)\))?\s*\|-\s*(.*)$", re.ASCII
 )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fkocert import Cnf, gen_random_3cnf
-from fkocert.cnf import POLS, Clause
+from fkocert.cnf import POLS
 from fkocert.oracle import brute_force_report
 
 settings.register_profile(
@@ -34,9 +34,9 @@ def _src_on_child_path():
         yield
 
 
-def neg_count(cl: Clause) -> int:
-    """The number of negated literals in cl."""
-    return 3 - sum(cl.pols)
+def neg_count(row: Sequence[int]) -> int:
+    """The number of negated literals in a signed row."""
+    return sum(lit < 0 for lit in row)
 
 
 def signed(vars_: Sequence[int], pols: Sequence[int]) -> tuple[int, ...]:
@@ -115,51 +115,46 @@ def certify_calls(monkeypatch) -> list:
 
 # ------------------------------------------ per-assignment clause counts
 # An assignment is a sequence of n bits, index i-1 holding x_i; its sign
-# vector is a(i) = 2*A(i) - 1.
+# vector is a(i) = 2*A(i) - 1.  A clause is a signed row, as signed_rows
+# gives it.
 
 
-def lit_true(assignment: Sequence[int], var: int, pol: int) -> bool:
-    return assignment[var - 1] == pol
+def lit_true(assignment: Sequence[int], lit: int) -> bool:
+    """The signed literal lit (x_i for i, ~x_i for -i) is true."""
+    return assignment[abs(lit) - 1] == (lit > 0)
 
 
-def true_literal_count(clause: Clause, assignment: Sequence[int]) -> int:
-    return sum(1 for v, p in clause.literals() if lit_true(assignment, v, p))
+def true_literal_count(row: Sequence[int], assignment: Sequence[int]) -> int:
+    return sum(lit_true(assignment, lit) for lit in row)
 
 
-def not_sat(clause: Clause, assignment: Sequence[int]) -> bool:
+def not_sat(row: Sequence[int], assignment: Sequence[int]) -> bool:
     """All three literals false."""
-    return true_literal_count(clause, assignment) == 0
+    return true_literal_count(row, assignment) == 0
 
 
-def is_nae(clause: Clause, assignment: Sequence[int]) -> bool:
+def is_nae(row: Sequence[int], assignment: Sequence[int]) -> bool:
     """Not-all-equal satisfied: literal values neither all true nor all false."""
-    return true_literal_count(clause, assignment) in (1, 2)
+    return true_literal_count(row, assignment) in (1, 2)
 
 
-def is_3xor(clause: Clause, assignment: Sequence[int]) -> bool:
+def is_3xor(row: Sequence[int], assignment: Sequence[int]) -> bool:
     """Odd number (1 or 3) of true literals."""
-    return true_literal_count(clause, assignment) % 2 == 1
+    return true_literal_count(row, assignment) % 2 == 1
 
 
 def count_sat_literals(cnf: Cnf, assignment: Sequence[int]) -> int:
-    return sum(true_literal_count(cl, assignment) for cl in cnf.clauses)
+    return sum(true_literal_count(row, assignment) for row in signed_rows(cnf))
 
 
 def count_nae(cnf: Cnf, assignment: Sequence[int]) -> int:
-    return sum(1 for cl in cnf.clauses if is_nae(cl, assignment))
+    return sum(1 for row in signed_rows(cnf) if is_nae(row, assignment))
 
 
 def i_imbalance(cnf: Cnf, var: int) -> int:
     """|#positive occurrences of x_var - #negative occurrences|."""
-    pos = neg = 0
-    for cl in cnf.clauses:
-        for v, p in cl.literals():
-            if v == var:
-                if p:
-                    pos += 1
-                else:
-                    neg += 1
-    return abs(pos - neg)
+    return abs(sum(1 if lit > 0 else -1
+                   for row in signed_rows(cnf) for lit in row if abs(lit) == var))
 
 
 def to_signs(assignment: Sequence[int]) -> tuple[int, ...]:
@@ -197,10 +192,10 @@ def truth_table(cnf: Cnf) -> np.ndarray:
         raise ValueError("truth_table is for small n")
     idx = np.arange(1 << cnf.n, dtype=np.int64)
     rows = []
-    for cl in cnf.clauses:
+    for row in signed_rows(cnf):
         cnt = np.zeros(idx.shape, dtype=np.uint8)
-        for v, p in cl.literals():
-            cnt += (((idx >> (v - 1)) & 1) == p).astype(np.uint8)
+        for lit in row:
+            cnt += (((idx >> (abs(lit) - 1)) & 1) == (lit > 0)).astype(np.uint8)
         rows.append(cnt)
     return np.array(rows, dtype=np.uint8).reshape(cnf.m, 1 << cnf.n)
 

@@ -216,9 +216,9 @@ def test_nae_identity_exact():
         )
         total = np.zeros(1 << n, dtype=np.int64)
         nae_total = np.zeros(1 << n, dtype=np.int64)
-        for cl in cnf.clauses:
-            x, y, z = (v - 1 for v in cl.vars)
-            px, py, pz = cl.pols
+        for row in signed_rows(cnf):
+            x, y, z = (abs(lit) - 1 for lit in row)
+            px, py, pz = (int(lit > 0) for lit in row)
             exy = 1 if px != py else -1
             exz = 1 if px != pz else -1
             eyz = 1 if py != pz else -1
@@ -360,15 +360,16 @@ def test_3xor_lemma_exhaustive():
         k = rng.choice((2, 4, 6))
         n = rng.randint(max(4, k), 10)
         tup = _random_inconsistent_tuple(rng, n, k)
+        rows = signed_rows(tup)
         occ = [0] * (tup.n + 1)
-        for cl in tup.clauses:
-            for v in cl.vars:
-                occ[v] ^= 1
+        for row in rows:
+            for lit in row:
+                occ[abs(lit)] ^= 1
         assert not any(occ)
-        assert sum(map(neg_count, tup.clauses)) % 2 == 1
+        assert sum(map(neg_count, rows)) % 2 == 1
         tuples += 1
         for a in all_assignments(tup.n):
-            if all(is_3xor(cl, a) for cl in tup.clauses):
+            if all(is_3xor(row, a) for row in rows):
                 holes += 1
                 break
     _report(

@@ -292,6 +292,16 @@ def test_checkproof_malformed_is_usage_error(tmp_path):
     assert main(["checkproof", str(p)]) == 2
 
 
+def test_checkproof_reads_ascii_digits_only(tmp_path, capsys):
+    # Arabic-Indic digits for the step id 1 and for p3: int() reads any
+    # Unicode digit, the proof parser ASCII ones only
+    p = tmp_path / "digits.prf"
+    p.write_text("\u0661: axiom |- p\u0663 --> p3\n", encoding="utf-8")
+    assert main(["checkproof", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: malformed proof line")
+
+
 @pytest.mark.parametrize("depth", [400, 100_000])
 def test_checkproof_deep_nesting_is_usage_error(tmp_path, capsys, depth):
     # both depths are past MAX_DEPTH, so the parser refuses them

@@ -44,16 +44,13 @@ def lit_positions(cnf, var, pol):
 
     Slots are 1-based.
     """
-    out = set()
-    for k, cl in enumerate(cnf.clauses):
-        for slot, (v, p) in enumerate(cl.literals(), start=1):
-            if v == var and p == pol:
-                out.add((k, slot))
-    return out
+    lit = var if pol else -var
+    return {(k, slot) for k, row in enumerate(signed_rows(cnf))
+            for slot, got in enumerate(row, start=1) if got == lit}
 
 
 # x1 v x2 v x3, x1 v ~x2 v x3 and ~x1 v ~x2 v ~x3
-C123, C1n23, NEG = Cnf(3, [(1, 2, 3), (1, -2, 3), (-1, -2, -3)]).clauses
+C123, C1n23, NEG = (1, 2, 3), (1, -2, 3), (-1, -2, -3)
 
 
 def test_clause_validation():
@@ -75,7 +72,7 @@ def test_clause_validation():
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
             Cnf(n, rows)
     # n and the literals go through operator.index; a Clause is no row
-    for n, rows in [(4.0, ()), (4, [(1, 2.0, 3)]), (4, ["123"]), (3, [C123])]:
+    for n, rows in [(4.0, ()), (4, [(1, 2.0, 3)]), (4, ["123"]), (3, Cnf(3, [C123]).clauses)]:
         with pytest.raises(TypeError):
             Cnf(n, rows)
     assert Cnf(_Eight(), [(_Eight(), -1, 2)]) == Cnf(8, [(8, -1, 2)])
@@ -98,12 +95,12 @@ def test_predicate_examples():
 def test_predicates_partition_by_true_count():
     cnf = gen_random_3cnf(6, 25, 3)
     for a in all_assignments(6):
-        for cl in cnf.clauses:
-            k = true_literal_count(cl, a)
+        for row in signed_rows(cnf):
+            k = true_literal_count(row, a)
             assert 0 <= k <= 3
-            assert is_nae(cl, a) == (k in (1, 2))
-            assert is_3xor(cl, a) == (k in (1, 3))
-            assert not_sat(cl, a) == (k == 0)
+            assert is_nae(row, a) == (k in (1, 2))
+            assert is_3xor(row, a) == (k in (1, 3))
+            assert not_sat(row, a) == (k == 0)
 
 
 def test_lit_positions():
@@ -168,7 +165,8 @@ def test_dimacs_round_trip_manual():
     text = "c a comment\np cnf 4 2\n1 -2 3 0\n-1 2 4 0\n"
     cnf = parse_dimacs(text)
     assert cnf.n == 4 and cnf.m == 2
-    assert cnf.clauses[0] == C1n23 and signed_rows(cnf) == [(1, -2, 3), (-1, 2, 4)]
+    assert cnf.clauses[0] == Cnf(3, [C1n23]).clauses[0]
+    assert signed_rows(cnf) == [(1, -2, 3), (-1, 2, 4)]
     assert parse_dimacs(to_dimacs(cnf)) == cnf
 
 
@@ -475,19 +473,19 @@ def test_imbalance_is_sum_of_per_variable_imbalances(cnf):
 
 
 def reference_imbalance(cnf):
-    """imbalance through Clause.literals(), one literal at a time."""
+    """imbalance through the signed rows, one literal at a time."""
     skew = [0] * (cnf.n + 1)
-    for cl in cnf.clauses:
-        for v, p in cl.literals():
-            skew[v] += 1 if p else -1
+    for row in signed_rows(cnf):
+        for lit in row:
+            skew[abs(lit)] += 1 if lit > 0 else -1
     return sum(map(abs, skew))
 
 
 def reference_to_dimacs(cnf):
-    """to_dimacs through Clause.literals(), one joined literal at a time."""
+    """to_dimacs through the signed rows, one joined literal at a time."""
     lines = [f"p cnf {cnf.n} {cnf.m}"]
-    for cl in cnf.clauses:
-        lines.append(" ".join(str(v if p else -v) for v, p in cl.literals()) + " 0")
+    for row in signed_rows(cnf):
+        lines.append(" ".join(map(str, row)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -514,17 +512,17 @@ def test_gen_deterministic_and_well_formed():
     b = gen_random_3cnf(10, 200, 42)
     assert a == b
     assert a.n == 10 and a.m == 200
-    for cl in a.clauses:
-        assert len(set(cl.vars)) == 3
-        assert all(1 <= v <= 10 for v in cl.vars)
+    for row in signed_rows(a):
+        assert len({abs(lit) for lit in row}) == 3
+        assert all(1 <= abs(lit) <= 10 for lit in row)
     assert gen_random_3cnf(10, 200, 43) != a
 
 
 def test_gen_polarity_frequencies():
     cnf = gen_random_3cnf(10, 10_000, 7)
     counts = [0] * 8
-    for cl in cnf.clauses:
-        counts[cl.pols[0] * 4 + cl.pols[1] * 2 + cl.pols[2]] += 1
+    for p, q, r in cnf.pols:
+        counts[p * 4 + q * 2 + r] += 1
     for k in counts:
         assert abs(k / 10_000 - 0.125) < 0.02
 
@@ -773,7 +771,7 @@ def test_oracle_counting_agrees_with_direct():
         assert sat[idx] == count_sat_literals(cnf, a)
         assert nae[idx] == count_nae(cnf, a)
         assert x3[idx] == sum(
-            1 for cl in cnf.clauses if not is_3xor(cl, a))
+            1 for row in signed_rows(cnf) if not is_3xor(row, a))
 
 
 def test_brute_force_unsat():
@@ -834,10 +832,11 @@ def test_brute_force_report_matches_tables(chunk_bits):
 def _on_used_vars(cnf: Cnf) -> Cnf:
     """cnf over its used variables only, renumbered 1..k in order: the
     same clauses on fewer assignments, so the same three counts."""
-    used = sorted({v for cl in cnf.clauses for v in cl.vars})
+    rows = signed_rows(cnf)
+    used = sorted({abs(lit) for row in rows for lit in row})
     rename = {v: i + 1 for i, v in enumerate(used)}
-    return Cnf(len(used), [signed([rename[v] for v in cl.vars], cl.pols)
-                           for cl in cnf.clauses])
+    return Cnf(len(used), [[rename[lit] if lit > 0 else -rename[-lit] for lit in row]
+                           for row in rows])
 
 
 def test_brute_force_report_across_blocks():

@@ -83,12 +83,11 @@ def test_build_m_symmetric_zero_diag():
 def reference_build_m(cnf):
     n = cnf.n
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for cl in cnf.clauses:
-        lits = list(cl.literals())
+    for row in signed_rows(cnf):
         for s in range(3):
             for t in range(s + 1, 3):
-                (vi, pi), (vj, pj) = lits[s], lits[t]
-                w = HALF if pi != pj else -HALF
+                vi, vj = abs(row[s]), abs(row[t])
+                w = HALF if (row[s] > 0) != (row[t] > 0) else -HALF
                 rows[vi - 1][vj - 1] += w
                 rows[vj - 1][vi - 1] += w
     return tuple(tuple(row) for row in rows)

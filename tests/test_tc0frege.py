@@ -519,10 +519,61 @@ def test_parse_formula_examples():
     assert parse_formula("Th0()") == Th(0, ())
 
 
-@pytest.mark.parametrize("bad", ["", "Th2(p1", "p", "Th(p1)", "T F", "q1"])
+@pytest.mark.parametrize("bad", ["", "Th2(p1", "p", "Th(p1)", "T F", "q1",
+                                 "p\u0663", "Th\u0661(p\u0662)"])
 def test_parse_formula_rejects(bad):
+    # digits are ASCII only: the Arabic-Indic p3 and Th1(p2) are refused
     with pytest.raises(ValueError):
         parse_formula(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0661: axiom |- p\u0663 --> p3",
+    "1: axiom |- p1 --> p1\n2: weaken-left(\u0661) |- p1, p1 --> p1",
+], ids=["step id and variable", "premise"])
+def test_parse_proof_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        parse_proof(text)
+
+
+@st.composite
+def _formulas(draw, depth: int = 4) -> TcFormula:
+    """Any formula up to `depth` deep, over indices far past one digit."""
+    kind = draw(st.sampled_from(["T", "F", "p", "~", "Th"] if depth else ["T", "F", "p"]))
+    if kind in ("T", "F"):
+        return TOP if kind == "T" else BOT
+    if kind == "p":
+        return Var(draw(st.integers(0, 10**30)))
+    if kind == "~":
+        return Not(draw(_formulas(depth - 1)))
+    kids = draw(st.lists(_formulas(depth - 1), max_size=3))
+    return Th(draw(st.integers(0, 10**30)), kids)
+
+
+@given(_formulas())
+def test_every_formula_reads_back_from_its_text(f):
+    assert parse_formula(format_formula(f)) is f
+
+
+_BAD_INDICES = [(1.5, TypeError), (2.0, TypeError), ("1", TypeError), (-1, ValueError)]
+
+
+@pytest.mark.parametrize("index,error", _BAD_INDICES, ids=["1.5", "2.0", "str", "-1"])
+@pytest.mark.parametrize("build", [Var, lambda i: Th(i, (TOP,))], ids=["Var", "Th"])
+def test_construction_refuses_an_index_that_is_not_a_nonnegative_int(build, index, error):
+    with pytest.raises(error):
+        build(index)
+
+
+def test_an_int_like_index_builds_the_formula_of_its_int():
+    # operator.index turns an index into a plain int before the lookup, so
+    # no formula keyed by 2.0 or True can stand in for the one of its int
+    with pytest.raises(TypeError):
+        Var(2.0)
+    assert format_formula(Var(2)) == "p2"
+    assert Var(True) is Var(1) and type(Var(True).index) is int
+    assert Th(True, (TOP,)) is Th(1, (TOP,))
+    assert format_formula(Th(True, (TOP,))) == "Th1(T)"
 
 
 def test_parse_sequent():
@@ -582,28 +633,68 @@ def test_max_depth_formulas_parse_and_check(nest):
     assert check_proof(proof) == CheckResult(True)
 
 
+# each chain wraps its formula once a step, so step k builds depth k
+_CHAINS = {
+    "not": (Var(1), Not),
+    "th": (Var(1), lambda f: Th(1, (TOP, f))),
+    "constant": (BOT, lambda f: Th(1, (f,))),
+    "shared": (TOP, lambda f: Th(2, (f, f))),  # 2^k paths, k + 1 nodes
+}
+
+
+def _deepest(chain: str, steps: int) -> TcFormula:
+    """The last formula that a `steps`-step loop over the chain builds.
+    Construction must refuse step MAX_DEPTH + 1, with a message that names
+    no formula, and must store nothing for it, so that building it again
+    is refused again.  Depths are compared, never formulas, so that a
+    failure does not print one with 2^100 paths."""
+    f, wrap = _CHAINS[chain]
+    depths = []
+    with pytest.raises(ValueError) as refused:
+        for _ in range(steps):
+            f = wrap(f)
+            depths.append(f.depth)
+    assert str(refused.value) == f"formula nests deeper than {MAX_DEPTH}"
+    assert depths == list(range(1, MAX_DEPTH + 1))
+    with pytest.raises(ValueError, match=f"^formula nests deeper than {MAX_DEPTH}$"):
+        wrap(f)
+    return f
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_no_formula_nests_past_max_depth(chain):
+    assert _deepest(chain, 100_000).depth == MAX_DEPTH
+
+
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 400, 100_000])
 @pytest.mark.parametrize("nest", [_nested_not, _nested_th])
 def test_check_proof_rejects_built_formulas_past_max_depth(depth, nest):
-    f = nest(depth)
+    # check_proof has no depth verdict of its own: a formula past the
+    # bound is refused while it is built, so no step can hold one, and a
+    # step holding the deepest one is judged by its rule alone
+    with pytest.raises(ValueError, match=f"^formula nests deeper than {MAX_DEPTH}$"):
+        nest(depth)
+    f = nest(MAX_DEPTH)
     ok = ProofStep(Sequent((Var(1),), (Var(1),)), "axiom")
-    for steps, idx in [
-        ((ProofStep(Sequent((f,), (f,)), "axiom"),), 0),
-        ((ok, ProofStep(Sequent((Var(1),), (Var(1), f)), "weaken-right", (0,))), 1),
-    ]:
-        res = check_proof(TcProof(steps))
-        assert not res.valid and res.step == idx
-        assert res.message == (f"step {idx + 1}: {steps[idx].rule}: "
-                               f"a formula nests deeper than {MAX_DEPTH}")
+    assert check_proof(TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),))) == CheckResult(True)
+    for rule, want in [("weaken-right", CheckResult(True)),
+                       ("weaken-left", CheckResult(False, 1, "step 2: weaken-left: premise "
+                                                  "1 (step 1) differs in its antecedent"))]:
+        step = ProofStep(Sequent((Var(1),), (f, Var(1))), rule, (0,))
+        assert check_proof(TcProof((ok, step))) == want
 
 
 def test_check_proof_depth_walk_visits_shared_subformulas_once():
-    # 2^100 000 leaves as a tree, 100 001 distinct nodes
-    f: TcFormula = Var(1)
-    for _ in range(100_000):
-        f = Th(2, (f, f))
-    res = check_proof(TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),)))
-    assert not res.valid and res.step == 0
+    # no depth walk is left: depths are set at construction, which refuses
+    # the shared chain's step 101, and check_proof reads none of the 2^100
+    # paths of the deepest one
+    f = _deepest("shared", 100_000)
+    steps = (ProofStep(Sequent((f,), (f,)), "axiom"),
+             ProofStep(Sequent((f, Var(1)), (f,)), "weaken-left", (0,)))
+    start = time.perf_counter()
+    res = check_proof(TcProof(steps))
+    assert time.perf_counter() - start < 1.0
+    assert res == CheckResult(True)
 
 
 def _constant_chain(depth: int, leaf: TcFormula) -> TcFormula:
@@ -633,7 +724,8 @@ _WALKERS = {
     "free_vars": free_vars,
     "eval_formula": lambda f: eval_formula(f, {1: True}),
     "format_formula": format_formula,
-    "decide_constant_formula": decide_constant_formula,
+    "decide_constant_formula": lambda f: decide_constant_formula(
+        substitute_formula(f, {1: True})),
     "substitute_formula": lambda f: substitute_formula(f, {1: True}),
     "substitute": lambda f: substitute(
         TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),)), {1: True}),
@@ -641,12 +733,12 @@ _WALKERS = {
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1_000, 100_000])
-@pytest.mark.parametrize("nest", [_nested_not, _nested_th, lambda k: _constant_chain(k, BOT)],
-                         ids=["not", "th", "constant"])
+@pytest.mark.parametrize("chain", ["not", "th", "constant"])
 @pytest.mark.parametrize("walker", sorted(_WALKERS))
-def test_walkers_refuse_formulas_past_max_depth(walker, nest, depth):
-    with pytest.raises(ValueError, match=f"nests deeper than {MAX_DEPTH}"):
-        _WALKERS[walker](nest(depth))
+def test_walkers_refuse_formulas_past_max_depth(walker, chain, depth):
+    # the walkers have no depth check of their own: construction stops
+    # each chain at MAX_DEPTH, and they walk the deepest formula it builds
+    _WALKERS[walker](_deepest(chain, depth))
 
 
 @pytest.mark.parametrize("nest", [_nested_not, _nested_th])
@@ -760,17 +852,20 @@ def test_check_proof_scans_a_wide_threshold_once():
 def test_a_children_tuple_known_from_an_earlier_step_still_counts_its_head(depth):
     # step 2's Th puts a deep head in front of step 1's children, so its
     # depth is the head's plus one, not that of step 1's Th; one past the
-    # bound is refused before its rule is read
+    # bound is refused while it is built, though step 1's Th is live
     tail = (Var(1), TOP)
     first = Th(1, tail)
-    wide = Th(1, (_nested_not(depth),) + tail)
-    steps = (ProofStep(Sequent((first,), (first,)), "axiom"),
-             ProofStep(Sequent((first, wide), (first,)), "weaken-left", (0,)))
+    head = _nested_not(depth)
     if depth < MAX_DEPTH:
+        wide = Th(1, (head,) + tail)
+        assert wide.depth == depth + 1
+        steps = (ProofStep(Sequent((first,), (first,)), "axiom"),
+                 ProofStep(Sequent((first, wide), (first,)), "weaken-left", (0,)))
         assert check_proof(TcProof(steps)) == CheckResult(True)
     else:
-        assert check_proof(TcProof(steps)) == CheckResult(
-            False, 1, f"step 2: weaken-left: a formula nests deeper than {MAX_DEPTH}")
+        with pytest.raises(ValueError, match=f"^formula nests deeper than {MAX_DEPTH}$"):
+            Th(1, (head,) + tail)
+    assert first.depth == 1
 
 
 # --------------------------------------------------------------- interning
@@ -842,7 +937,9 @@ def test_depth_is_set_at_construction():
     assert TOP.depth == BOT.depth == Var(1).depth == Th(1, ()).depth == 0
     assert Not(Var(1)).depth == 1
     assert Th(1, (TOP, _nested_not(5), Var(2))).depth == 6
-    assert _nested_th(100_000).depth == 100_000
+    assert _nested_th(MAX_DEPTH).depth == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"^formula nests deeper than {MAX_DEPTH}$"):
+        _nested_th(100_000)
 
 
 def test_decided_proof_formulas_have_their_depths():

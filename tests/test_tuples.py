@@ -88,10 +88,10 @@ def test_tuple_index_range():
 
 def reference_parity_vector(cnf, index):
     """parity_vector through the negation count, one variable at a time."""
-    cl = cnf.clauses[index]
-    bits = neg_count(cl) & 1
-    for v in cl.vars:
-        bits |= 1 << v
+    row = signed((cnf.x[index], cnf.y[index], cnf.z[index]), cnf.pols[index])
+    bits = neg_count(row) & 1
+    for lit in row:
+        bits |= 1 << abs(lit)
     return bits
 
 
@@ -251,9 +251,10 @@ def test_xor_lemma_exhaustive_on_planted_pairs():
     # with an even number of true literals
     k = planted_block(1)
     coll = find_collection(k, k_max=2, d=4, t_target=16)
+    rows = signed_rows(k)
     for a in all_assignments(3):
         for tup in coll.tuples:
-            assert any(not is_3xor(k.clauses[i], a) for i in tup)
+            assert any(not is_3xor(rows[i], a) for i in tup)
 
 
 def test_xor_lemma_on_quad():
@@ -266,8 +267,9 @@ def test_xor_lemma_on_quad():
             (4, 5, 6),
         ),
     )
+    rows = signed_rows(k)
     for a in all_assignments(6):
-        assert any(not is_3xor(k.clauses[i], a) for i in (0, 1, 2, 3))
+        assert any(not is_3xor(rows[i], a) for i in (0, 1, 2, 3))
 
 
 # ------------------------------------------------- variable-pair quad index
@@ -306,8 +308,10 @@ def _index_quads(cnf, budget=10**9):
 def _two_shared_pairing(cnf, quad):
     """Some split of quad into two pairs whose clauses each share exactly
     two variables: the 4-tuples the variable-pair index can see."""
+    cols = list(zip(cnf.x, cnf.y, cnf.z))
+
     def share_two(i, j):
-        return len(set(cnf.clauses[i].vars) & set(cnf.clauses[j].vars)) == 2
+        return len(set(cols[i]) & set(cols[j])) == 2
     a, b, c, d = quad
     return any(share_two(*p) and share_two(*q)
                for p, q in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))))
@@ -575,9 +579,9 @@ def reference_triple_keys(cnf):
     """_triple_keys through sorted() and the negation count."""
     span, m = cnf.n + 1, cnf.m
     keys = []
-    for idx, cl in enumerate(cnf.clauses):
-        u, v, w = sorted(cl.vars)
-        keys.append((((u * span + v) * span + w) * 2 + (neg_count(cl) & 1)) * m + idx)
+    for idx, row in enumerate(signed_rows(cnf)):
+        u, v, w = sorted(map(abs, row))
+        keys.append((((u * span + v) * span + w) * 2 + (neg_count(row) & 1)) * m + idx)
     keys.sort()
     return keys
 

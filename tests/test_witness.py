@@ -1092,8 +1092,8 @@ def reference_verify_witness(cnf: Cnf, wit: FkoWitness) -> Verdict:
         return Verdict(False, "3CNF",
                        f"witness is for n={wit.n}, m={wit.m}, "
                        f"formula has n={cnf.n}, m={cnf.m}")
-    for k, cl in enumerate(cnf.clauses):
-        if len(set(cl.vars)) != 3 or not (1 <= min(cl.vars) <= max(cl.vars) <= cnf.n):
+    for k, vars_ in enumerate(zip(cnf.x, cnf.y, cnf.z)):
+        if len(set(vars_)) != 3 or not (1 <= min(vars_) <= max(vars_) <= cnf.n):
             return Verdict(False, "3CNF", f"clause {k} malformed")
     ok, why = check_collection(cnf, wit.coll)
     if not ok:
