@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 
 from .cnf import Cnf
 from .exactq import (
     QMat,
+    QVec,
     _connected,
     gram_dev,
     grid_denominator,
@@ -93,9 +94,17 @@ def build_m(cnf: Cnf) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _int_matrix(m: QMat) -> tuple[list[list[int]], int]:
-    """(A, m_den) with m == A / m_den, m_den the lcm of m's denominators."""
-    m_den = math.lcm(*[x.denominator for row in m for x in row])
-    return [[x.numerator * (m_den // x.denominator) for x in row] for row in m], m_den
+    """(A, m_den) with m == A / m_den, m_den the lcm of m's denominators.
+
+    Each distinct entry object is read once, and each entry is then mapped
+    to its int by id in C-level passes.  build_m shares one Fraction per
+    value, so on its output only a handful of entries are read.
+    """
+    objs = dict(zip(map(id, chain.from_iterable(m)), chain.from_iterable(m)))
+    dens = [x.denominator for x in objs.values()]
+    m_den = math.lcm(*dens)
+    ints = dict(zip(objs, [x.numerator * (m_den // d) for x, d in zip(objs.values(), dens)]))
+    return [list(map(ints.__getitem__, map(id, row))) for row in m], m_den
 
 
 @dataclass(frozen=True)
@@ -215,11 +224,8 @@ def _sparse_rows(a: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     and resized, and when freed it goes to the interpreter's tuple free
     list for its final length, so each call would leave its memory there.
     """
-    out = []
-    for row in a:
-        cols = [j for j, v in enumerate(row) if v]
-        out.append((cols, [row[j] for j in cols]))
-    return out
+    cols = range(len(a[0])) if a else ()
+    return [(list(compress(cols, row)), list(compress(row, row))) for row in a]
 
 
 def _to_fixed(x: float, f_bits: int) -> int:
@@ -310,6 +316,11 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
        F = ceil((2c+4)*log2 n) + 64, run until the correction is below
        n^-(2c+4) at every component order; then the rows are snapped.
 
+    An isolated vertex i, a one-vertex component, skips phase 2 and the
+    snap: its eigenpair is exactly (m_ii, e_i), the pair refinement of
+    its seed [[1.0]] returns.  Most of a planted formula's variables are
+    isolated.
+
     Raises SpectralPrecisionError when either phase misses its target.
     """
     n = len(m)
@@ -328,13 +339,21 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
     steps = 2 + f_bits // 40
     grid = grid_denominator(n, c)
     one = 1 << f_bits
-    zero = Fraction(0)
+    zero, unit = Fraction(0), Fraction(1)
     lams: list[Fraction] = [zero] * n
     vecs: list[tuple[Fraction, ...]] = [()] * n
     for comp in _components(a):
         sub = [[a[p][q] for q in comp] for p in comp]
-        xs = [[_to_fixed(x, f_bits) for x in row]
-              for row in _jacobi_seed([[x / m_den for x in row] for row in sub], _MAX_SWEEPS)]
+        seed = _jacobi_seed([[x / m_den for x in row] for row in sub], _MAX_SWEEPS)
+        if len(comp) == 1:
+            # an isolated vertex's eigenpair is (m_ii, e_i): refining its
+            # seed [[1.0]] finds R = E = 0 and the quotient a_ii / m_den
+            (i,) = comp
+            row = [zero] * n
+            row[i] = unit
+            lams[i], vecs[i] = Fraction(sub[0][0], m_den), tuple(row)
+            continue
+        xs = [[_to_fixed(x, f_bits) for x in row] for row in seed]
         quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
         for idx, i in enumerate(comp):
             row = [zero] * n
@@ -343,7 +362,8 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
             xs[idx] = None
             lams[i], vecs[i] = quotients[idx], tuple(row)
 
-    order = sorted(range(n), key=lambda i: (-lams[i], i))
+    # stable: equal eigenvalues keep index order
+    order = sorted(range(n), key=lams.__getitem__, reverse=True)
     lambdas = tuple([snap_to_grid(lams[i], n, c) for i in order])
     rows = tuple([vecs[i] for i in order])
     return SpectralCert(lambdas, rows, c)
@@ -352,18 +372,48 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
 # ------------------------------------------------------ exact certification
 
 
+def _grid_ints(grid: int, lambdas: QVec, v: QMat) -> list[list[int]]:
+    """lambdas and V's rows times grid, as int rows, each entry read once.
+
+    Raises ValueError naming the first entry off the 1/grid grid, and
+    then, when all are on it, the first |v_ij| > 2.
+    """
+    bound = 2 * grid
+    big = None
+    out = []
+    for i, row in enumerate((lambdas, *v)):
+        ints = []  # len(ints) is the column of x
+        for x in row:
+            p = x.numerator
+            if p:  # a zero's denominator is 1
+                d = x.denominator
+                if grid % d:
+                    name = f"V[{i - 1}]" if i else "lambdas"
+                    raise ValueError(f"{name}[{len(ints)}] is off the 1/n^(2c) grid")
+                p *= grid // d
+                if i and big is None and abs(p) > bound:
+                    big = (i - 1, len(ints))
+            ints.append(p)
+        out.append(ints)
+    if big is not None:
+        raise ValueError("|V[%d][%d]| > 2" % big)
+    return out
+
+
 def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     """Check the certificate conditions in exact arithmetic.
 
     Raises ValueError, before any product is formed, on mismatched shapes,
     c outside 1..C_MAX, or an entry off the 1/n^(2c) grid or with
-    |v_ij| > 2, naming it.  Every entry is then scaled once by G = n^(2c),
-    so the products are int dot products and the residuals int maxima over
-    one denominator.  The products run per support block of V (see
-    exactq.support_blocks), a dense V as one block of every row and
-    column: both Gram deviations on the block's rows and columns, and the
-    residuals of its rows at its columns and their M-neighbours, since
-    every other entry is exactly 0.
+    |v_ij| > 2, naming it.  One pass reads each entry of lambdas and V
+    once, checks it and scales it by G = n^(2c), so the products are int
+    dot products and the residuals int maxima over one denominator.  The
+    products run per support block of V (see exactq.support_blocks), a
+    dense V as one block of every row and column: both Gram deviations on
+    the block's rows and columns, and the residuals of its rows at its
+    columns and their M-neighbours, since every other entry is exactly 0.
+    A block of one row and one column, v_i = x e_k, as an isolated vertex
+    of M gives, has both in closed form, with no per-block set-up.
 
     The report's slack makes lambdas[0]*n + slack an upper bound on
     max_a a^T M a when the report passes; on a failing one it bounds
@@ -390,16 +440,7 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     _check_c(c)
 
     grid = grid_denominator(n, c)
-    for name, row in [("lambdas", lambdas), *[(f"V[{i}]", row) for i, row in enumerate(v)]]:
-        for j, x in enumerate(row):
-            if grid % x.denominator:
-                raise ValueError(f"{name}[{j}] is off the 1/n^(2c) grid")
-    lam = [x.numerator * (grid // x.denominator) for x in lambdas]
-    w = [[x.numerator * (grid // x.denominator) for x in row] for row in v]
-    bound = 2 * grid
-    big = [(i, j) for i, row in enumerate(w) for j, x in enumerate(row) if abs(x) > bound]
-    if big:
-        raise ValueError("|V[%d][%d]| > 2" % big[0])
+    lam, *w = _grid_ints(grid, lambdas, v)
     g2 = grid * grid
     a, m_den = _int_matrix(m)
     m_sparse = _sparse_rows(a)
@@ -412,6 +453,17 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     reach = [list(compress(range(n), col)) for col in zip(*a)]
     rho = off = diag = resid = 0
     for rows, cols in support_blocks(w):
+        if len(rows) == len(cols) == 1:
+            # v_i = x e_k: its Gram deviation is |x^2 - G^2| and its
+            # residual at ell is |G A[ell][k] x - m_den lam_i x [ell = k]|
+            (i,), (k,) = rows, cols
+            x = w[i][k]
+            dev = abs(x * x - g2)
+            rho, diag = max(rho, dev), max(diag, dev)
+            resid = max(resid, abs(x) * max([
+                abs(grid * a[k][k] - m_den * lam[i]),
+                *[grid * abs(a[ell][k]) for ell in reach[k] if ell != k]]))
+            continue
         block = [[w[i][k] for k in cols] for i in rows]
         block_t = [[w[i][k] for i in rows] for k in cols]
         # a list, not a map: a star-unpacked iterator builds a resized
@@ -442,8 +494,8 @@ def certify_eigvalbound(m: QMat, cert: SpectralCert) -> CertReport:
     eigen_ok = tau <= tol_eigen and descending
 
     mu = Fraction(max([max(max(row), -min(row)) for row in a]), m_den)
-    lam_abs = max(abs(x) for x in lambdas)
-    lam1 = max(lambdas)
+    lam_abs = Fraction(max(map(abs, lam)), grid)
+    lam1 = Fraction(max(lam), grid)
     nrho = n * rho
     slack = (
         abs(lam1) * n * nrho

@@ -596,6 +596,9 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
 
 
 _TOKEN = re.compile(r"\s*(Th\d+|p\d+|T|F|~|\(|\)|,)", re.ASCII)
+# what \s matches under re.ASCII: every strip() of proof text strips
+# these, not str.strip()'s Unicode spaces, so the text has one space rule
+_SPACE = " \t\n\r\f\v"
 
 
 class _FormulaParser:
@@ -644,7 +647,7 @@ class _FormulaParser:
         raise ValueError(f"unexpected token {tok!r}")
 
     def done(self) -> bool:
-        return self.pos >= len(self.text) or self.text[self.pos:].strip() == ""
+        return self.pos >= len(self.text) or self.text[self.pos:].strip(_SPACE) == ""
 
 
 def parse_formula(text: str) -> TcFormula:
@@ -661,14 +664,14 @@ def format_formula(f: TcFormula) -> str:
 
 
 def _split_formulas(text: str) -> tuple[TcFormula, ...]:
-    text = text.strip()
+    text = text.strip(_SPACE)
     if not text:
         return ()
     out: list[TcFormula] = []
     p = _FormulaParser(text)
     while True:
         out.append(p.parse())
-        rest = text[p.pos:].strip()
+        rest = text[p.pos:].strip(_SPACE)
         if not rest:
             return tuple(out)
         if not rest.startswith(","):
@@ -699,7 +702,7 @@ def parse_proof(text: str) -> TcProof:
     to earlier ids."""
     steps: list[ProofStep] = []
     for raw in text.splitlines():
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line or line.startswith("#"):
             continue
         m = _STEP.match(line)

@@ -13,9 +13,9 @@ import math
 import pytest
 
 from fkocert.cli import main
-from fkocert.cnf import gen_random_3cnf, to_dimacs
+from fkocert.cnf import Cnf, gen_random_3cnf, to_dimacs
 
-from conftest import planted_block
+from conftest import planted_block, signed_rows
 
 
 def _sha256(text: str) -> str:
@@ -33,7 +33,10 @@ def _dense(n: int) -> int:
      "c6d0183f0736b4fe76bf5a502c6deb1ebd418e87e7461a720907116660456e67"),
     (lambda: gen_random_3cnf(28, _dense(28), 0),
      "a085c3df03540e0c3e698b783c05bb9de606c3e91910209bb5c72501f9427243"),
-], ids=["block1", "block3", "dense28"])
+    # isolated vertices plus a component: the planted-refute shape
+    (lambda: Cnf(30, signed_rows(planted_block(10)) + signed_rows(gen_random_3cnf(30, 5, 0))),
+     "271939ee354e1c8ab4b1e87a373b2dc13cfcd417eb8b88b6a1d2cca9d5f2e9de"),
+], ids=["block1", "block3", "dense28", "noisy30"])
 def test_witness_json_is_pinned(tmp_path, capsys, make, digest):
     path = tmp_path / "f.cnf"
     path.write_text(to_dimacs(make()))

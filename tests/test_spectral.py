@@ -132,6 +132,38 @@ def test_build_m_matches_fraction_reference_on_bench_shapes():
         _assert_same_m(Cnf(30, signed_rows(planted_block(10)) + extra))
 
 
+def _reference_int_matrix(m):
+    m_den = math.lcm(*[Fraction(x).denominator for row in m for x in row])
+    return [[int(Fraction(x) * m_den) for x in row] for row in m], m_den
+
+
+@st.composite
+def entry_matrices(draw):
+    """Square matrices whose entries are a few shared objects, fresh
+    objects equal to those, ints and fractions of mixed denominators; with
+    `even`, every entry is an even half-integer, as in 2M when all of M's
+    entries are integers, so the denominator is 1."""
+    n = draw(st.integers(1, 6))
+    even = draw(st.booleans())
+    value = (st.integers(-4, 4).map(lambda k: F(2 * k, 2)) if even else
+             st.fractions(min_value=-3, max_value=3, max_denominator=12))
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    entry = st.one_of(
+        st.sampled_from(pool),  # one of the shared objects
+        st.sampled_from(pool).map(lambda x: F(x.numerator, x.denominator)),  # a copy
+        value,
+        st.integers(-5, 5),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(entry_matrices())
+def test_int_matrix_matches_fraction_reference(m):
+    a, m_den = spectral._int_matrix(m)
+    assert (a, m_den) == _reference_int_matrix(m)
+    assert all(type(x) is int for row in a for x in row)
+
+
 def test_quadform_counts_nae():
     # a^T M a = 4*count_nae - 3m, assignment signs a(i) = 2A(i)-1
     cnf = gen_random_3cnf(6, 22, 8)
@@ -529,6 +561,32 @@ def test_planted_certification_works_within_blocks(monkeypatch):
     assert sum(work) < n * n * (n + 1) / 10
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_one_entry_blocks_match_fraction_reference(data):
+    # V is a scaled signed permutation, so every support block is one row
+    # and one column; M has a diagonal and off-diagonal entries, so each
+    # block's residual reads its column's M-neighbours.  The closed forms
+    # must give the reference's report without any Gram product.
+    n = data.draw(st.integers(1, 5))
+    c = data.draw(st.integers(1, 2))
+    grid = n ** (2 * c)
+    upper = {(i, j): F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 2, 3])))
+             for i in range(n) for j in range(i, n)}
+    m = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    perm = data.draw(st.permutations(range(n)))
+    on_grid = st.integers(-2 * grid, 2 * grid).filter(bool).map(lambda k: F(k, grid))
+    v = tuple(tuple(data.draw(on_grid) if k == perm[i] else F(0) for k in range(n))
+              for i in range(n))
+    near = st.one_of(on_grid, st.sampled_from([m[k][k] for k in perm]))
+    lambdas = tuple(data.draw(near) for _ in range(n))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "gram_dev", lambda *args: calls.append(args) or gram_dev(*args))
+        _assert_same_report(m, SpectralCert(lambdas, v, c))
+    assert calls == []
+
+
 # ------------------------------------------ fixed-point Jacobi reference
 # A cyclic Jacobi on ints at the 2^F scale, in the rotation order of
 # approx_eigen's float seed.  On matrices with well-separated eigenvalues
@@ -778,6 +836,34 @@ def test_jacobi_seed_runs_once_per_component(monkeypatch):
         approx_eigen(m, 8)
         sizes = [len(comp) for comp in spectral._components(spectral._int_matrix(m)[0])]
         assert orders == sizes
+
+
+def test_isolated_vertices_get_exact_eigenpairs():
+    # vertices 0, 3, 4 and 5 are isolated, with diagonals 1/3, 0, -5/2 and
+    # 7; vertices 1 and 2 form one component.  The grid 6^(2c) holds
+    # every diagonal exactly.
+    n = 6
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, x in [(0, F(1, 3)), (1, F(1)), (4, F(-5, 2)), (5, F(7))]:
+        rows[i][i] = x
+    rows[1][2] = rows[2][1] = HALF
+    m = tuple(map(tuple, rows))
+    for c in (1, 8):
+        cert = approx_eigen(m, c)
+        for i in (0, 3, 4, 5):
+            e_i = tuple(F(int(k == i)) for k in range(n))
+            assert cert.lambdas[cert.v.index(e_i)] == m[i][i]
+        assert certify_eigvalbound(m, cert).passed
+
+    # the refinement the shortcut skips returns the same pair
+    a, m_den = spectral._int_matrix(m)
+    c = 8
+    f_bits = (2 * c + 4) * math.ceil(math.log2(n)) + 64
+    thresh = (1 << f_bits) // n ** (2 * c + 4)
+    for i in (0, 3, 4, 5):
+        xs = [[1 << f_bits]]
+        assert spectral._refine([[a[i][i]]], m_den, xs, f_bits, thresh, 4) == [F(a[i][i], m_den)]
+        assert xs == [[1 << f_bits]]
 
 
 @st.composite

@@ -536,6 +536,28 @@ def test_parse_proof_reads_ascii_digits_only(text):
         parse_proof(text)
 
 
+@pytest.mark.parametrize("text", [
+    "\u00a0p1 --> p1",
+    "p1 --> p1\u00a0",
+    "p1\u00a0--> p1",
+    "Th1(p1,\u00a0p2) --> p1",
+    "\u2003p1, p2 --> p1",
+])
+def test_parse_sequent_reads_ascii_spaces_only(text):
+    # a no-break or em space is no space, at an end or between tokens
+    with pytest.raises(ValueError):
+        parse_sequent(text)
+    assert parse_sequent(text.replace("\u00a0", " ").replace("\u2003", "\t")).succ
+
+
+def test_parse_proof_reads_ascii_spaces_only():
+    assert parse_proof(" \t1: axiom |- p1 --> p1\r\n").steps
+    with pytest.raises(ValueError):
+        parse_proof("\u00a01: axiom |- p1 --> p1")
+    with pytest.raises(ValueError):
+        parse_formula("p1\u00a0")
+
+
 @st.composite
 def _formulas(draw, depth: int = 4) -> TcFormula:
     """Any formula up to `depth` deep, over indices far past one digit."""
