@@ -7,9 +7,10 @@ the number of clauses A NAE-satisfies, so an upper bound on the quadratic
 form over sign vectors caps how many clauses any assignment can
 NAE-satisfy.
 
-A certificate is a snapped approximate eigendecomposition (lambdas, V)
-whose quality is *certified* in exact rational arithmetic; the certified
-residuals feed an explicit slack term such that
+A certificate is a snapped approximate eigendecomposition (lambdas, V),
+which approx_eigen builds from a float Householder-QL seed and an
+exact-int refinement.  Its quality is *certified* in exact rational
+arithmetic; the certified residuals feed an explicit slack term such that
 
     max over a in {-1,+1}^n of a^T M a  <=  lambdas[0] * n + slack
 
@@ -34,9 +35,9 @@ from .exactq import (
     _connected,
     gram_dev,
     grid_denominator,
-    snap_to_grid,
     support_blocks,
 )
+from .symeig import SpectralPrecisionError, eigenvectors
 
 __all__ = [
     "C_MAX",
@@ -53,14 +54,6 @@ DEFAULT_K = Fraction(16)
 # largest grid exponent c accepted: certificates live on the 1/n^(2c) grid,
 # so c bounds the size of every integer the certification forms
 C_MAX = 64
-# sweeps the float Jacobi seed of approx_eigen may run before it gives up
-_MAX_SWEEPS = 64
-
-
-class SpectralPrecisionError(RuntimeError):
-    """approx_eigen missed its precision target: the float Jacobi seed did
-    not converge within _MAX_SWEEPS sweeps, or the integer refinement did
-    not bring its correction below n^-(2c+4) within its step budget."""
 
 
 def _check_c(c: int) -> int:
@@ -162,54 +155,6 @@ class CertReport:
 _EPS = 2.0 ** -52
 
 
-def _jacobi_seed(a: list[list[float]], max_sweeps: int) -> list[list[float]]:
-    """Cyclic Jacobi on floats, in place; returns the eigenvector estimates
-    as rows.
-
-    Sweeps run until the off-diagonal Frobenius mass of `a` is below
-    n * 2^-52 * ||a||_F; rotations on entries below 2^-52 * ||a||_F are
-    skipped, so an exact zero, whose rotation would divide by zero, is
-    never rotated.
-    """
-    n = len(a)
-    norm2 = sum(x * x for row in a for x in row)
-    thresh2 = (n * _EPS) ** 2 * norm2
-    skip2 = _EPS * _EPS * norm2
-    jt = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for _ in range(max_sweeps):
-        if 2 * sum(x * x for p in range(n) for x in a[p][p + 1:]) <= thresh2:
-            return jt
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rp, rq = a[p], a[q]
-                apq = rp[q]
-                if apq * apq <= skip2:
-                    continue
-                app, aqq = rp[p], rq[q]
-                beta = (aqq - app) / (2 * apq)
-                t = 1 / (abs(beta) + math.sqrt(beta * beta + 1))
-                if beta < 0:
-                    t = -t
-                cos = 1 / math.sqrt(t * t + 1)
-                sin = t * cos
-                rp, rq = a[p], a[q] = (
-                    [cos * x - sin * y for x, y in zip(rp, rq)],
-                    [sin * x + cos * y for x, y in zip(rp, rq)],
-                )
-                for row, x, y in zip(a, rp, rq):
-                    row[p] = x
-                    row[q] = y
-                rp[p] = app - t * apq
-                rq[q] = aqq + t * apq
-                rp[q] = rq[p] = 0.0
-                jp, jq = jt[p], jt[q]
-                jt[p] = [cos * x - sin * y for x, y in zip(jp, jq)]
-                jt[q] = [sin * x + cos * y for x, y in zip(jp, jq)]
-    raise SpectralPrecisionError(
-        f"float Jacobi did not converge within {max_sweeps} sweeps (n={n})"
-    )
-
-
 def _components(a: list[list[int]]) -> list[list[int]]:
     """Index sets of the connected components of a's nonzero pattern."""
     n = len(a)
@@ -235,7 +180,7 @@ def _to_fixed(x: float, f_bits: int) -> int:
 
 
 def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
-            thresh: int, steps: int) -> list[Fraction]:
+            thresh: int, steps: int) -> list[tuple[int, int]]:
     """Ogita-Aishima refinement (RefSyEv) of eigenvector estimates, in place.
 
     `a / m_den` is the symmetric matrix and `xs` holds the estimates as
@@ -247,9 +192,10 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
     X <- X + X E in ints.  delta is the bound 2(||S - diag(lam)|| +
     ||A|| ||R||) of Ogita & Aishima, in Frobenius norms, plus the float
     rounding of the lam_i, so an exactly repeated eigenvalue is always one
-    cluster.  Returns the exact Rayleigh quotients of the last step once
-    max |E| * 2^f_bits < thresh; raises SpectralPrecisionError after
-    `steps` steps.
+    cluster.  Returns the exact Rayleigh quotients of the last step, as
+    int pairs (h, d) for h / d, once max |E| * 2^f_bits < thresh; raises
+    SpectralPrecisionError after `steps` steps.  Its float sums are loops,
+    as in symeig.
     """
     s = len(xs)
     one2 = 1 << (2 * f_bits)
@@ -274,9 +220,14 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
                 sm[i][j] = sm[j][i] = h / s_den
         lam = [h / d for h, d in quotients]
         # S - diag(lam) has the off-diagonal of S and the diagonal -lam_i R_ii
-        dev2 = sum(x * x for i, row in enumerate(sm) for j, x in enumerate(row) if i != j)
-        dev2 += sum((li * r[i][i]) ** 2 for i, li in enumerate(lam))
-        r2 = sum(x * x for row in r for x in row)
+        dev2 = diag2 = r2 = 0.0
+        for i, (row, rrow) in enumerate(zip(sm, r)):
+            for j, (x, y) in enumerate(zip(row, rrow)):
+                if i != j:
+                    dev2 += x * x
+                r2 += y * y
+            diag2 += (lam[i] * rrow[i]) ** 2
+        dev2 += diag2
         delta = 2 * (math.sqrt(dev2) + norm_a * math.sqrt(r2)) + 16 * _EPS * norm_a
         # column j of E reads only row j of the symmetric R and S; rows are
         # dropped as they are used, and X is updated one row at a time
@@ -295,10 +246,31 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
             for x, col in zip(xs, ecols):
                 x[k] += (sum(map(mul, row, col)) + half) >> f_bits
         if big < thresh:
-            return [Fraction(h, d) for h, d in quotients]
+            return quotients
     raise SpectralPrecisionError(
         f"refinement did not reach 2^-{f_bits} * {thresh} within {steps} steps"
     )
+
+
+def _snap_quotients(quotients: list[tuple[int, int]], grid: int, f_bits: int,
+                    thresh: int) -> list[int]:
+    """Each refined quotient h / d times grid, rounded to the nearest int.
+
+    A quotient at most thresh / 2^f_bits, the refinement's precision,
+    below a midpoint of the grid rounds up, as snap_to_grid does on an
+    exact tie: an eigenvalue that lies on a midpoint then snaps up
+    wherever the refinement leaves its quotient.
+    """
+    keys = []
+    for h, d in quotients:
+        num, den = 2 * h * grid, 2 * d
+        k = (num + d) // den
+        # h / d lies gap / (den * grid) below the midpoint (k + 1/2) / grid
+        gap = (2 * k + 1) * d - num
+        if gap << f_bits <= den * grid * thresh:
+            k += 1
+        keys.append(k)
+    return keys
 
 
 def approx_eigen(m: QMat, c: int) -> SpectralCert:
@@ -310,16 +282,22 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
     bit-deterministic.  Each connected component of m's nonzero pattern is
     solved on its own submatrix, in two phases:
 
-    1. a cyclic Jacobi on floats (at most _MAX_SWEEPS sweeps) gives
-       eigenvector estimates good to about k * 2^-52 at component order k;
+    1. Householder tridiagonalisation and implicit-shift QL on floats
+       (EISPACK's tred2 and tql2) give eigenvector estimates good to
+       about k * 2^-52 at component order k;
     2. Ogita-Aishima refinement steps on ints over 2^F, with
        F = ceil((2c+4)*log2 n) + 64, run until the correction is below
-       n^-(2c+4) at every component order; then the rows are snapped.
+       n^-(2c+4) at every component order; then the rows and the
+       Rayleigh quotients are snapped in ints (see _snap_quotients).
 
-    An isolated vertex i, a one-vertex component, skips phase 2 and the
-    snap: its eigenpair is exactly (m_ii, e_i), the pair refinement of
-    its seed [[1.0]] returns.  Most of a planted formula's variables are
-    isolated.
+    An isolated vertex i, a one-vertex component, skips phase 2: its
+    eigenpair is exactly (m_ii, e_i), the pair refinement of its seed
+    [[1.0]] returns.  Most of a planted formula's variables are isolated.
+
+    Every row of V is then negated if its first nonzero entry is
+    negative, which fixes the sign the seed leaves free; the verifier
+    does not read it.  Rows are sorted by snapped eigenvalue, descending,
+    and equal ones keep index order.
 
     Raises SpectralPrecisionError when either phase misses its target.
     """
@@ -338,33 +316,39 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
     # a float correction gains at least ~40 bits a step, so F bounds the steps
     steps = 2 + f_bits // 40
     grid = grid_denominator(n, c)
-    one = 1 << f_bits
+    half = 1 << (f_bits - 1)
     zero, unit = Fraction(0), Fraction(1)
-    lams: list[Fraction] = [zero] * n
+    keys = [0] * n  # lambda_i * grid, snapped
     vecs: list[tuple[Fraction, ...]] = [()] * n
     for comp in _components(a):
         sub = [[a[p][q] for q in comp] for p in comp]
-        seed = _jacobi_seed([[x / m_den for x in row] for row in sub], _MAX_SWEEPS)
+        seed = eigenvectors([[x / m_den for x in row] for row in sub])
         if len(comp) == 1:
             # an isolated vertex's eigenpair is (m_ii, e_i): refining its
-            # seed [[1.0]] finds R = E = 0 and the quotient a_ii / m_den
+            # seed [[1.0]] finds R = E = 0 and the quotient a_ii / m_den,
+            # which snaps as snap_to_grid does
             (i,) = comp
             row = [zero] * n
             row[i] = unit
-            lams[i], vecs[i] = Fraction(sub[0][0], m_den), tuple(row)
+            keys[i] = (2 * sub[0][0] * grid + m_den) // (2 * m_den)
+            vecs[i] = tuple(row)
             continue
         xs = [[_to_fixed(x, f_bits) for x in row] for row in seed]
         quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
-        for idx, i in enumerate(comp):
-            row = [zero] * n
-            for k, xk in zip(comp, xs[idx]):  # snap_to_grid(xk / one), in ints
-                row[k] = Fraction((2 * xk * grid + one) // (2 * one), grid)
+        comp_keys = _snap_quotients(quotients, grid, f_bits, thresh)
+        for idx, (i, key) in enumerate(zip(comp, comp_keys)):
+            ints = [(xk * grid + half) >> f_bits for xk in xs[idx]]  # xk / 2^F, snapped
             xs[idx] = None
-            lams[i], vecs[i] = quotients[idx], tuple(row)
+            if next(filter(None, ints), 0) < 0:  # comp ascends: the row's first nonzero
+                ints = [-x for x in ints]
+            row = [zero] * n
+            for k, x in zip(comp, ints):
+                row[k] = Fraction(x, grid)
+            keys[i], vecs[i] = key, tuple(row)
 
     # stable: equal eigenvalues keep index order
-    order = sorted(range(n), key=lams.__getitem__, reverse=True)
-    lambdas = tuple([snap_to_grid(lams[i], n, c) for i in order])
+    order = sorted(range(n), key=keys.__getitem__, reverse=True)
+    lambdas = tuple([Fraction(keys[i], grid) for i in order])
     rows = tuple([vecs[i] for i in order])
     return SpectralCert(lambdas, rows, c)
 

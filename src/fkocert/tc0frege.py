@@ -699,9 +699,10 @@ _STEP = re.compile(
 
 def parse_proof(text: str) -> TcProof:
     """Parse the line format; ids must be 1..N in order, premises refer
-    to earlier ids."""
+    to earlier ids.  Lines end at "\\n" only, not at every separator
+    str.splitlines() knows; a "\\r" before it is stripped as a space."""
     steps: list[ProofStep] = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip(_SPACE)
         if not line or line.startswith("#"):
             continue

@@ -15,6 +15,9 @@ from fkocert import Cnf, gen_random_3cnf
 from fkocert.cnf import POLS
 from fkocert.oracle import brute_force_report
 
+# re-exported: the test modules import these from conftest
+from formulas import planted_block, signed, signed_rows  # noqa: F401
+
 settings.register_profile(
     "det",
     derandomize=True,
@@ -37,26 +40,6 @@ def _src_on_child_path():
 def neg_count(row: Sequence[int]) -> int:
     """The number of negated literals in a signed row."""
     return sum(lit < 0 for lit in row)
-
-
-def signed(vars_: Sequence[int], pols: Sequence[int]) -> tuple[int, ...]:
-    """The DIMACS-signed row of the variables vars_ under the polarities
-    pols, as Cnf(n, rows) takes it: signed((1, 2, 3), (1, 0, 1)) is
-    (1, -2, 3)."""
-    return tuple(v if p else -v for v, p in zip(vars_, pols))
-
-
-def signed_rows(cnf: Cnf) -> list[tuple[int, ...]]:
-    """cnf's clauses as DIMACS-signed rows: Cnf(cnf.n, signed_rows(cnf))
-    == cnf."""
-    return list(map(signed, zip(cnf.x, cnf.y, cnf.z), cnf.pols))
-
-
-def planted_block(blocks: int) -> Cnf:
-    """`blocks` disjoint variable triples, each carrying all 8 polarity
-    patterns — unsatisfiable, perfectly balanced, and M = 0."""
-    return Cnf(3 * blocks, [signed((3 * b + 1, 3 * b + 2, 3 * b + 3), POLS[bits])
-                            for b in range(blocks) for bits in range(8)])
 
 
 def slot_order_cnf() -> Cnf:

@@ -71,7 +71,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _honest_cert(cnf: Cnf):
-    """M and its c=8 Jacobi certificate, cached per formula so that the
+    """M and its c=8 approx_eigen certificate, cached per formula so that the
     Fraction-reference check in test_spectral reuses the gate's work."""
     mat = build_m(cnf)
     return mat, approx_eigen(mat, 8)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import fkocert.spectral as spectral
+import fkocert.symeig as symeig
 from fkocert import (
     Cnf,
     SpectralCert,
@@ -200,7 +201,7 @@ def test_approx_eigen_zero_and_one_by_one():
     snapped = approx_eigen(mat([[F(3, 4)]]), 3)
     assert snapped.lambdas == (1,)
 
-    # the general Jacobi and refinement path gives the snapped entry and
+    # the general seed and refinement path gives the snapped entry and
     # the unit vector, which certify with U >= x, the largest a*x*a
     for x in (F(0), F(1, 2), F(-1, 2), F(-3, 2), F(7), F(-1, 3), F(5, 7),
               F(10**30 + 1, 2)):
@@ -221,7 +222,7 @@ def test_approx_eigen_rejects_bad_input():
 
 
 def test_approx_eigen_precision_failure(monkeypatch):
-    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 0)
+    monkeypatch.setattr(symeig, "_QL_MAX_ITER", 0)
     with pytest.raises(SpectralPrecisionError):
         approx_eigen(mat([[0, 1], [1, 0]]), 4)
 
@@ -431,7 +432,7 @@ def _assert_same_report(m, cert):
 @st.composite
 def certificates(draw):
     """A half-integer symmetric M and a rational certificate for it: the
-    honest Jacobi output with some entries overwritten, or arbitrary
+    honest approx_eigen output with some entries overwritten, or arbitrary
     data -- on- and off-grid entries, mixed denominators, |v| up to 3,
     lambdas in any order -- plus K multipliers, including 0, to set on
     SpectralCert while the two are compared."""
@@ -588,9 +589,17 @@ def test_one_entry_blocks_match_fraction_reference(data):
 
 
 # ------------------------------------------ fixed-point Jacobi reference
-# A cyclic Jacobi on ints at the 2^F scale, in the rotation order of
-# approx_eigen's float seed.  On matrices with well-separated eigenvalues
-# both snap to the same grid certificate.
+# A cyclic Jacobi on ints at the 2^F scale, independent of approx_eigen's
+# float seed and refinement.  On matrices with well-separated eigenvalues
+# both snap to the same grid certificate once each row's sign is fixed as
+# approx_eigen fixes it (see first_nonzero_positive).
+
+
+def first_nonzero_positive(cert: SpectralCert) -> SpectralCert:
+    """cert with every V row whose first nonzero entry is negative negated."""
+    rows = tuple(tuple(-x for x in row) if next(filter(None, row), 0) < 0 else row
+                 for row in cert.v)
+    return replace(cert, v=rows)
 
 
 def _round_div(a: int, b: int) -> int:
@@ -681,7 +690,7 @@ def test_approx_eigen_matches_fixed_point_reference(n):
     m_clauses = math.floor(3 * n ** 1.4)
     for seed in range(6):
         m = build_m(gen_random_3cnf(n, m_clauses, seed))
-        assert approx_eigen(m, 8) == reference_approx_eigen(m, 8), seed
+        assert approx_eigen(m, 8) == first_nonzero_positive(reference_approx_eigen(m, 8)), seed
 
 
 def _assert_certifies(m, c=8):
@@ -722,33 +731,27 @@ def test_approx_eigen_certifies_noisy_planted_block():
 
 
 # ----------------------------------- whole-matrix float seed reference
-# approx_eigen before it solved each connected component on its own: one
-# float Jacobi over the whole matrix, then refinement per component.  On a
+# approx_eigen without its split into connected components: one float
+# seed over the whole matrix, then one refinement of all n rows.  On a
 # single-component matrix both run the same computation.
 
 
-def whole_matrix_approx_eigen(m, c, max_sweeps=64) -> SpectralCert:
+def whole_matrix_approx_eigen(m, c) -> SpectralCert:
     n = len(m)
     a, m_den = spectral._int_matrix(m)
-    seed = spectral._jacobi_seed([[x / m_den for x in row] for row in a], max_sweeps)
+    seed = symeig.eigenvectors([[x / m_den for x in row] for row in a])
     f_bits = (2 * c + 4) * max(1, math.ceil(math.log2(n))) + 64
     thresh = (1 << f_bits) // n ** (2 * c + 4)
     steps = 2 + f_bits // 40
     grid = grid_denominator(n, c)
     one = 1 << f_bits
-    lams, vecs = [F(0)] * n, [()] * n
-    for comp in spectral._components(a):
-        xs = [[spectral._to_fixed(seed[i][k], f_bits) for k in comp] for i in comp]
-        sub = [[a[p][q] for q in comp] for p in comp]
-        quotients = spectral._refine(sub, m_den, xs, f_bits, thresh, steps)
-        for idx, i in enumerate(comp):
-            row = [F(0)] * n
-            for k, xk in zip(comp, xs[idx]):
-                row[k] = F((2 * xk * grid + one) // (2 * one), grid)
-            lams[i], vecs[i] = quotients[idx], tuple(row)
-    order = sorted(range(n), key=lambda i: (-lams[i], i))
-    return SpectralCert(tuple(snap_to_grid(lams[i], n, c) for i in order),
-                        tuple(vecs[i] for i in order), c)
+    xs = [[spectral._to_fixed(x, f_bits) for x in row] for row in seed]
+    quotients = spectral._refine(a, m_den, xs, f_bits, thresh, steps)
+    keys = spectral._snap_quotients(quotients, grid, f_bits, thresh)
+    vecs = [tuple(F((2 * xk * grid + one) // (2 * one), grid) for xk in x) for x in xs]
+    order = sorted(range(n), key=lambda i: (-keys[i], i))
+    return first_nonzero_positive(SpectralCert(
+        tuple(F(keys[i], grid) for i in order), tuple(vecs[i] for i in order), c))
 
 
 def _union_find_components(a):
@@ -822,15 +825,15 @@ def test_multi_component_matches_whole_matrix_seed_lambdas():
         assert cert.lambdas == whole_matrix_approx_eigen(m, 8).lambdas
 
 
-def test_jacobi_seed_runs_once_per_component(monkeypatch):
+def test_seed_runs_once_per_component(monkeypatch):
     orders = []
-    seed = spectral._jacobi_seed
+    seed = symeig.eigenvectors
 
-    def counted(a, max_sweeps):
+    def counted(a):
         orders.append(len(a))
-        return seed(a, max_sweeps)
+        return seed(a)
 
-    monkeypatch.setattr(spectral, "_jacobi_seed", counted)
+    monkeypatch.setattr(spectral, "eigenvectors", counted)
     for m in [*_multi_component_matrices(), build_m(gen_random_3cnf(12, 60, 0))]:
         orders.clear()
         approx_eigen(m, 8)
@@ -862,8 +865,67 @@ def test_isolated_vertices_get_exact_eigenpairs():
     thresh = (1 << f_bits) // n ** (2 * c + 4)
     for i in (0, 3, 4, 5):
         xs = [[1 << f_bits]]
-        assert spectral._refine([[a[i][i]]], m_den, xs, f_bits, thresh, 4) == [F(a[i][i], m_den)]
+        [(h, d)] = spectral._refine([[a[i][i]]], m_den, xs, f_bits, thresh, 4)
+        assert F(h, d) == F(a[i][i], m_den)
         assert xs == [[1 << f_bits]]
+
+
+def test_eigenvalue_on_a_grid_midpoint_snaps_up():
+    # five copies of one clause's M, each with eigenvalues 1/2, 1/2 and -1.
+    # The grid G = 15^16 is odd, so 1/2 is the midpoint of (G - 1)/2 / G
+    # and (G + 1)/2 / G, and a refined quotient lands a hair to one side
+    m = _block_diagonal(build_m(Cnf(3, [(1, -2, 3)])), 5)
+    cert = _assert_certifies(m)
+    assert 15 ** 16 == 2 * 3284204177856445312 + 1
+    assert cert.lambdas == (F(3284204177856445313, 15 ** 16),) * 10 + (F(-1),) * 5
+
+
+def test_snap_quotients_rounds_up_within_the_refinement_precision():
+    # grid 10 and precision thresh / 2^f_bits = 1/1024: quotients h / 10240
+    # sit at h / 1024 grid units, and h is within the precision of a
+    # midpoint (2k + 1) * 512 when it is at most 10 below it
+    f_bits, grid, d = 10, 10, 10240
+    cases = [(512, 1, 1), (511, 1, 0), (502, 1, 0), (501, 0, 0), (0, 0, 0),
+             (1537, 2, 2), (1536, 2, 2), (1526, 2, 1), (1525, 1, 1),
+             (-512, 0, 0), (-513, 0, -1), (-522, 0, -1), (-523, -1, -1)]
+    quotients = [(h, d) for h, _, _ in cases]
+    assert spectral._snap_quotients(quotients, grid, f_bits, 1) == [k for _, k, _ in cases]
+    # with no precision to spare only an exact tie rounds up, as snap_to_grid does
+    exact = [k for _, _, k in cases]
+    assert spectral._snap_quotients(quotients, grid, f_bits, 0) == exact
+    assert [math.floor(F(h * grid, d) + HALF) for h, _, _ in cases] == exact
+
+
+def _sign_cases():
+    for n in (4, 12, 28):
+        yield build_m(gen_random_3cnf(n, math.floor(3 * n ** 1.4), 1))
+    yield from _multi_component_matrices()
+    yield build_m(planted_block(2))
+    yield mat([[0, 1], [1, 0]])
+    yield mat([[0, -1], [-1, 0]])
+
+
+def test_every_v_row_starts_with_a_positive_entry():
+    for m in _sign_cases():
+        cert = approx_eigen(m, 8)
+        assert all(next(filter(None, row)) > 0 for row in cert.v)
+
+
+def test_approx_eigen_sums_no_floats(monkeypatch):
+    # CPython 3.12 made float sum() compensated, so a float sum() would
+    # make the certificate depend on the Python release
+    summed = []
+
+    def int_sum(items, start=0):
+        items = list(items)
+        summed.extend(map(type, items))
+        return sum(items, start)
+
+    for module in (spectral, symeig):
+        monkeypatch.setattr(module, "sum", int_sum, raising=False)
+    for m in _sign_cases():
+        approx_eigen(m, 8)
+    assert summed and set(summed) == {int}
 
 
 @st.composite

@@ -550,6 +550,17 @@ def test_parse_sequent_reads_ascii_spaces_only(text):
     assert parse_sequent(text.replace("\u00a0", " ").replace("\u2003", "\t")).succ
 
 
+@pytest.mark.parametrize("sep", ["\x85", "\x1c", "\x1d", "\x1e", "\u2028", "\u2029",
+                                 "\x0b", "\x0c", "\r"])
+def test_parse_proof_ends_lines_at_newline_only(sep):
+    # str.splitlines() breaks at each of these; joined by one, the two
+    # steps are one malformed line
+    steps = ["1: axiom |- p1 --> p1", "2: weaken-left(1) |- p1, p1 --> p1"]
+    assert len(parse_proof("\n".join(steps)).steps) == 2
+    with pytest.raises(ValueError):
+        parse_proof(sep.join(steps))
+
+
 def test_parse_proof_reads_ascii_spaces_only():
     assert parse_proof(" \t1: axiom |- p1 --> p1\r\n").steps
     with pytest.raises(ValueError):
