@@ -2,12 +2,13 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.
 Certificate entries live on the grid of integer multiples of 1/n^(2c);
-`snap_to_grid` rounds onto that grid.  The verifier checks that grid
-first and then scales every entry once by the one grid denominator, so
-its cubic work runs as exact integer dot products over a single known
-scale: `gram_dev` takes rows of Python ints.  `support_blocks` splits a
-matrix into the blocks of its nonzero pattern; a Gram matrix, of rows or
-of columns, is exactly 0 between blocks, so the verifier runs `gram_dev`
+`snap_up_to_grid` rounds up onto that grid, and the builder snaps to it
+in ints (see spectral).  The verifier checks that grid first and then
+scales every entry once by the one grid denominator, so its cubic work
+runs as exact integer dot products over a single known scale:
+`gram_dev` takes rows of Python ints.  `support_blocks` splits a matrix
+into the blocks of its nonzero pattern; a Gram matrix, of rows or of
+columns, is exactly 0 between blocks, so the verifier runs `gram_dev`
 on each block alone.  One union-find, `_connected`, splits both V here
 and M into its components for the builder's eigensolver.  No float and
 no third-party code enters any accept/reject decision.
@@ -27,18 +28,11 @@ QMat = Sequence[Sequence[Fraction]]
 __all__ = [
     "QVec",
     "QMat",
-    "rat",
     "gram_dev",
     "support_blocks",
     "grid_denominator",
-    "snap_to_grid",
     "snap_up_to_grid",
 ]
-
-
-def rat(x) -> Fraction:
-    """Coerce ints, floats, strings, or Fractions to an exact Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def gram_dev(rows: Sequence[Sequence[int]], one: int) -> tuple[int, int]:
@@ -107,23 +101,10 @@ def grid_denominator(n: int, c: int) -> int:
     return n ** (2 * c)
 
 
-def snap_to_grid(x, n: int, c: int) -> Fraction:
-    """Nearest integer multiple of 1/n^(2c) to x (ties round up).
-
-    The result is always within 1/n^(2c) of x.
-    """
-    d = grid_denominator(n, c)
-    scaled = rat(x) * d
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    return Fraction(q, d)
-
-
 def snap_up_to_grid(x, n: int, c: int) -> Fraction:
     """Least integer multiple of 1/n^(2c) that is >= x."""
     d = grid_denominator(n, c)
-    scaled = rat(x) * d
+    scaled = Fraction(x) * d
     q, r = divmod(scaled.numerator, scaled.denominator)
     if r:
         q += 1

@@ -252,25 +252,16 @@ def _refine(a: list[list[int]], m_den: int, xs: list[list[int]], f_bits: int,
     )
 
 
-def _snap_quotients(quotients: list[tuple[int, int]], grid: int, f_bits: int,
-                    thresh: int) -> list[int]:
-    """Each refined quotient h / d times grid, rounded to the nearest int.
+def _snap(h: int, d: int, grid: int, f_bits: int, thresh: int) -> int:
+    """h / d times grid, d > 0, rounded to the nearest int.
 
-    A quotient at most thresh / 2^f_bits, the refinement's precision,
-    below a midpoint of the grid rounds up, as snap_to_grid does on an
-    exact tie: an eigenvalue that lies on a midpoint then snaps up
-    wherever the refinement leaves its quotient.
+    A value at most thresh / 2^f_bits, the refinement's precision, below
+    a midpoint of the grid rounds up, as an exact tie does: a value that
+    lies on a midpoint then snaps up wherever the refinement leaves it.
+    The window is below 1/n^4 of a grid step for n >= 2; an exact value
+    snaps with thresh = 0.
     """
-    keys = []
-    for h, d in quotients:
-        num, den = 2 * h * grid, 2 * d
-        k = (num + d) // den
-        # h / d lies gap / (den * grid) below the midpoint (k + 1/2) / grid
-        gap = (2 * k + 1) * d - num
-        if gap << f_bits <= den * grid * thresh:
-            k += 1
-        keys.append(k)
-    return keys
+    return (((2 * h * grid + d) << f_bits) + 2 * d * grid * thresh) // (d << (f_bits + 1))
 
 
 def approx_eigen(m: QMat, c: int) -> SpectralCert:
@@ -287,12 +278,15 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
        about k * 2^-52 at component order k;
     2. Ogita-Aishima refinement steps on ints over 2^F, with
        F = ceil((2c+4)*log2 n) + 64, run until the correction is below
-       n^-(2c+4) at every component order; then the rows and the
-       Rayleigh quotients are snapped in ints (see _snap_quotients).
+       n^-(2c+4) at every component order.
 
-    An isolated vertex i, a one-vertex component, skips phase 2: its
-    eigenpair is exactly (m_ii, e_i), the pair refinement of its seed
-    [[1.0]] returns.  Most of a planted formula's variables are isolated.
+    An isolated vertex i, a one-vertex component, skips both phases: its
+    eigenpair is exactly (m_ii, e_i), so it enters as the row 2^F e_i and
+    the quotient m_ii.  Most of a planted formula's variables are isolated.
+    Every component then snaps its Rayleigh quotients and its rows in
+    ints by one rule, _snap; a V entry snaps by magnitude and keeps its
+    sign, so a value on a grid midpoint snaps away from zero whatever
+    sign and refinement noise it carries.
 
     Every row of V is then negated if its first nonzero entry is
     negative, which fixes the sign the seed leaves free; the verifier
@@ -316,35 +310,33 @@ def approx_eigen(m: QMat, c: int) -> SpectralCert:
     # a float correction gains at least ~40 bits a step, so F bounds the steps
     steps = 2 + f_bits // 40
     grid = grid_denominator(n, c)
-    half = 1 << (f_bits - 1)
-    zero, unit = Fraction(0), Fraction(1)
+    one = 1 << f_bits
+    zero = Fraction(0)
     keys = [0] * n  # lambda_i * grid, snapped
     vecs: list[tuple[Fraction, ...]] = [()] * n
     for comp in _components(a):
-        sub = [[a[p][q] for q in comp] for p in comp]
-        seed = eigenvectors([[x / m_den for x in row] for row in sub])
         if len(comp) == 1:
-            # an isolated vertex's eigenpair is (m_ii, e_i): refining its
-            # seed [[1.0]] finds R = E = 0 and the quotient a_ii / m_den,
-            # which snaps as snap_to_grid does
+            # (m_ii, e_i) is exact, so it snaps with no window: at n = 1
+            # thresh / 2^F is a whole grid step
             (i,) = comp
-            row = [zero] * n
-            row[i] = unit
-            keys[i] = (2 * sub[0][0] * grid + m_den) // (2 * m_den)
-            vecs[i] = tuple(row)
-            continue
-        xs = [[_to_fixed(x, f_bits) for x in row] for row in seed]
-        quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
-        comp_keys = _snap_quotients(quotients, grid, f_bits, thresh)
-        for idx, (i, key) in enumerate(zip(comp, comp_keys)):
-            ints = [(xk * grid + half) >> f_bits for xk in xs[idx]]  # xk / 2^F, snapped
+            xs, quotients, tol = [[one]], [(a[i][i], m_den)], 0
+        else:
+            sub = [[a[p][q] for q in comp] for p in comp]
+            seed = eigenvectors([[x / m_den for x in row] for row in sub])
+            xs = [[_to_fixed(x, f_bits) for x in row] for row in seed]
+            quotients = _refine(sub, m_den, xs, f_bits, thresh, steps)
+            tol = thresh
+        for idx, (i, (h, d)) in enumerate(zip(comp, quotients)):
+            # by magnitude, so that negating a row commutes with the snap
+            ints = [_snap(abs(x), one, grid, f_bits, tol) for x in xs[idx]]
+            ints = [-k if x < 0 else k for k, x in zip(ints, xs[idx])]
             xs[idx] = None
             if next(filter(None, ints), 0) < 0:  # comp ascends: the row's first nonzero
                 ints = [-x for x in ints]
             row = [zero] * n
             for k, x in zip(comp, ints):
                 row[k] = Fraction(x, grid)
-            keys[i], vecs[i] = key, tuple(row)
+            keys[i], vecs[i] = _snap(h, d, grid, f_bits, tol), tuple(row)
 
     # stable: equal eigenvalues keep index order
     order = sorted(range(n), key=keys.__getitem__, reverse=True)

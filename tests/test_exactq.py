@@ -12,8 +12,6 @@ from fkocert.exactq import (
     _connected,
     gram_dev,
     grid_denominator,
-    rat,
-    snap_to_grid,
     snap_up_to_grid,
     support_blocks,
 )
@@ -23,7 +21,7 @@ from fkocert.exactq import (
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in entries)
+    return tuple(map(Fraction, entries))
 
 
 def mat(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
@@ -54,7 +52,18 @@ def norm_inf(v: QVec) -> Fraction:
 
 def is_grid_multiple(x: Fraction, n: int, c: int) -> bool:
     """True iff x * n^(2c) is an integer."""
-    return grid_denominator(n, c) % rat(x).denominator == 0
+    return grid_denominator(n, c) % Fraction(x).denominator == 0
+
+
+def snap_to_grid(x, n: int, c: int) -> Fraction:
+    """Nearest integer multiple of 1/n^(2c) to x, ties rounding up: the
+    tests' reference for the builder's int snap."""
+    d = grid_denominator(n, c)
+    scaled = Fraction(x) * d
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r >= scaled.denominator:
+        q += 1
+    return Fraction(q, d)
 
 
 F = Fraction
@@ -138,8 +147,7 @@ def test_snap_examples():
 
 
 def test_snap_ties_go_up():
-    # 1/8 is exactly between 1/16-grid points 1/16 and 2/16... no: between
-    # grid points of spacing 1/16?  1/8 = 2/16 lies on the grid; use 3/32.
+    # the grid is 1/16 at n = c = 2, and 3/32 lies midway between 1/16 and 2/16
     assert snap_to_grid(F(3, 32), 2, 2) == F(2, 16)
 
 
@@ -167,11 +175,6 @@ def test_quadform_matches_double_loop(entries):
     m = mat(rows)
     direct = sum(a[i] * rows[i][j] * a[j] for i in range(n) for j in range(n))
     assert quadratic_form(a, m) == direct
-
-
-def test_rat_accepts_ints_and_strings():
-    assert rat(3) == 3
-    assert rat("7/2") == F(7, 2)
 
 
 def _reference_components(size, links):

@@ -19,9 +19,10 @@ from fkocert import (
     build_witness,
     certify_eigvalbound,
     gen_random_3cnf,
+    verify_witness,
 )
 from fkocert.cnf import POLS
-from fkocert.exactq import gram_dev, grid_denominator, snap_to_grid
+from fkocert.exactq import gram_dev, grid_denominator
 from fkocert.spectral import CertReport
 from conftest import (
     all_assignments,
@@ -39,7 +40,7 @@ from test_acceptance import (
     _noisy_blocks,
     _soundness_formulas,
 )
-from test_exactq import inner_prod, is_grid_multiple, mat, quadratic_form, vec
+from test_exactq import inner_prod, is_grid_multiple, mat, quadratic_form, snap_to_grid, vec
 
 F = Fraction
 HALF = F(1, 2)
@@ -201,8 +202,8 @@ def test_approx_eigen_zero_and_one_by_one():
     snapped = approx_eigen(mat([[F(3, 4)]]), 3)
     assert snapped.lambdas == (1,)
 
-    # the general seed and refinement path gives the snapped entry and
-    # the unit vector, which certify with U >= x, the largest a*x*a
+    # a one-vertex matrix snaps its entry and keeps the unit vector,
+    # which certify with U >= x, the largest a*x*a
     for x in (F(0), F(1, 2), F(-1, 2), F(-3, 2), F(7), F(-1, 3), F(5, 7),
               F(10**30 + 1, 2)):
         for c in (1, 2, 8, 64):
@@ -747,8 +748,10 @@ def whole_matrix_approx_eigen(m, c) -> SpectralCert:
     one = 1 << f_bits
     xs = [[spectral._to_fixed(x, f_bits) for x in row] for row in seed]
     quotients = spectral._refine(a, m_den, xs, f_bits, thresh, steps)
-    keys = spectral._snap_quotients(quotients, grid, f_bits, thresh)
-    vecs = [tuple(F((2 * xk * grid + one) // (2 * one), grid) for xk in x) for x in xs]
+    keys = [spectral._snap(h, d, grid, f_bits, thresh) for h, d in quotients]
+    vecs = [tuple(F(spectral._snap(xk, one, grid, f_bits, thresh) if xk >= 0
+                    else -spectral._snap(-xk, one, grid, f_bits, thresh), grid) for xk in x)
+            for x in xs]
     order = sorted(range(n), key=lambda i: (-keys[i], i))
     return first_nonzero_positive(SpectralCert(
         tuple(F(keys[i], grid) for i in order), tuple(vecs[i] for i in order), c))
@@ -837,8 +840,9 @@ def test_seed_runs_once_per_component(monkeypatch):
     for m in [*_multi_component_matrices(), build_m(gen_random_3cnf(12, 60, 0))]:
         orders.clear()
         approx_eigen(m, 8)
-        sizes = [len(comp) for comp in spectral._components(spectral._int_matrix(m)[0])]
-        assert orders == sizes
+        comps = spectral._components(spectral._int_matrix(m)[0])
+        # a one-vertex component is an exact eigenpair and gets no seed
+        assert orders == [len(comp) for comp in comps if len(comp) > 1]
 
 
 def test_isolated_vertices_get_exact_eigenpairs():
@@ -880,7 +884,67 @@ def test_eigenvalue_on_a_grid_midpoint_snaps_up():
     assert cert.lambdas == (F(3284204177856445313, 15 ** 16),) * 10 + (F(-1),) * 5
 
 
-def test_snap_quotients_rounds_up_within_the_refinement_precision():
+def _k4_and_isolated_vertex():
+    """n = 5: a K4 component with entries 1/2, and vertex 4 isolated.  Its
+    top eigenpair is 3/2 and (1/2, 1/2, 1/2, 1/2, 0), and 1/2 lies on a
+    midpoint of the odd grid G = 5^16."""
+    return tuple(tuple(HALF if i != j and max(i, j) < 4 else F(0) for j in range(5))
+                 for i in range(5))
+
+
+def test_v_entries_on_a_grid_midpoint_snap_alike():
+    cert = _assert_certifies(_k4_and_isolated_vertex())
+    assert 5 ** 16 == 2 * 76293945312 + 1
+    assert cert.lambdas[0] == F(228881835938, 5 ** 16)  # 3/2, a midpoint too
+    assert cert.v[0] == (F(76293945313, 5 ** 16),) * 4 + (0,)
+
+
+def test_snap_does_not_follow_seed_noise(monkeypatch):
+    # the refinement leaves each value within its precision, but where in
+    # that window follows the seed; no snap may
+    m = _k4_and_isolated_vertex()
+    cert = approx_eigen(m, 8)
+    seed = symeig.eigenvectors
+    for k in range(1, 21):
+        def noisy(a, k=k):
+            return [[x + (-1) ** (i + j) * k * 1e-13 for j, x in enumerate(row)]
+                    for i, row in enumerate(seed(a))]
+
+        monkeypatch.setattr(spectral, "eigenvectors", noisy)
+        perturbed = approx_eigen(m, 8)
+        assert perturbed.lambdas == cert.lambdas, k
+        assert perturbed.v[0] == cert.v[0], k  # the simple eigenvalue's row
+
+
+# n = 9 planted formulas: rng = random.Random(seed), then planted_clauses(rng,
+# rng.randrange(1, 4), rng.randrange(0, 4)) from perfbench/workloads.py
+_PLANTED_9 = {
+    103: [(2, -4, 5), (-3, -7, 8), (-2, 4, -6), (1, -6, -9), (-1, 6, -9), (1, -6, 9),
+          (-2, -4, 5), (-2, 4, -5), (2, 4, 5), (-2, -4, -5), (2, -4, -5), (3, -7, -8),
+          (-1, 6, 9), (-2, 4, 5), (3, 7, 8), (1, 6, -9), (3, -7, 8), (-2, -8, -9),
+          (-1, -6, 9), (-1, -6, -9), (1, 6, 9), (-3, -7, -8), (-3, 7, 8), (3, 7, -8),
+          (-2, -7, 9), (-3, 7, -8), (2, 4, -5)],
+    105: [(-4, -8, 9), (4, 8, 9), (5, 6, 7), (-1, -2, -3), (7, 8, -9), (-1, 2, -3),
+          (1, -2, -3), (5, -6, -7), (1, 2, 3), (-4, 8, -9), (4, -8, -9), (1, 2, -3),
+          (4, -8, 9), (5, 6, -7), (5, -6, 7), (1, 3, -9), (-5, 6, 7), (-1, 2, 3),
+          (-5, 6, -7), (-1, -2, 3), (-5, -6, -7), (-4, -8, -9), (-5, -6, 7),
+          (-4, 8, 9), (1, -2, 3), (4, 8, -9)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PLANTED_9))
+def test_planted_half_entries_snap_by_magnitude(seed):
+    # each witness has four V entries of magnitude 1/2, on a midpoint of
+    # the odd grid G = 9^16, two of each sign: all four snap away from 0
+    cnf = Cnf(9, _PLANTED_9[seed])
+    wit = build_witness(cnf)
+    assert 9 ** 16 == 2 * 926510094425920 + 1
+    near = [x for row in wit.cert.v for x in row if abs(abs(x) - HALF) < F(1, 10**6)]
+    assert sorted(near) == [F(-926510094425921, 9 ** 16)] * 2 + [F(926510094425921, 9 ** 16)] * 2
+    assert verify_witness(cnf, wit).accepted
+
+
+def test_snap_rounds_up_within_the_refinement_precision():
     # grid 10 and precision thresh / 2^f_bits = 1/1024: quotients h / 10240
     # sit at h / 1024 grid units, and h is within the precision of a
     # midpoint (2k + 1) * 512 when it is at most 10 below it
@@ -888,11 +952,10 @@ def test_snap_quotients_rounds_up_within_the_refinement_precision():
     cases = [(512, 1, 1), (511, 1, 0), (502, 1, 0), (501, 0, 0), (0, 0, 0),
              (1537, 2, 2), (1536, 2, 2), (1526, 2, 1), (1525, 1, 1),
              (-512, 0, 0), (-513, 0, -1), (-522, 0, -1), (-523, -1, -1)]
-    quotients = [(h, d) for h, _, _ in cases]
-    assert spectral._snap_quotients(quotients, grid, f_bits, 1) == [k for _, k, _ in cases]
+    assert [spectral._snap(h, d, grid, f_bits, 1) for h, _, _ in cases] == [k for _, k, _ in cases]
     # with no precision to spare only an exact tie rounds up, as snap_to_grid does
     exact = [k for _, _, k in cases]
-    assert spectral._snap_quotients(quotients, grid, f_bits, 0) == exact
+    assert [spectral._snap(h, d, grid, f_bits, 0) for h, _, _ in cases] == exact
     assert [math.floor(F(h * grid, d) + HALF) for h, _, _ in cases] == exact
 
 
