@@ -16,10 +16,11 @@ builds `Clause` objects.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import index, ne
+from itertools import chain, compress
+from operator import index, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -124,15 +125,14 @@ def _unchecked(n: int, x: Column, y: Column, z: Column, pols: Pols) -> Cnf:
 
 
 def imbalance(cnf: Cnf) -> int:
-    """I = sum over variables of |#positive - #negative occurrences|, in one
-    pass over the columns: a literal of polarity p adds p + p - 1 to its
-    variable's skew."""
-    skew = [0] * (cnf.n + 1)
-    for u, v, w, (p, q, r) in zip(cnf.x, cnf.y, cnf.z, cnf.pols):
-        skew[u] += p + p - 1
-        skew[v] += q + q - 1
-        skew[w] += r + r - 1
-    return sum(map(abs, skew))
+    """I = sum over variables of |#positive - #negative occurrences|, that
+    is |2 #positive - #occurrences|, from two C-level counts over the
+    columns that key only the variables present: the memory follows m,
+    whatever n the header gives."""
+    occurrences = Counter(chain(cnf.x, cnf.y, cnf.z))
+    positive = Counter(compress(chain(cnf.x, cnf.y, cnf.z),
+                                chain(*(map(itemgetter(s), cnf.pols) for s in range(3)))))
+    return sum(abs(2 * positive[v] - k) for v, k in occurrences.items())
 
 
 # ---------------------------------------------------------------- DIMACS --

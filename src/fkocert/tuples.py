@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, groupby, islice, repeat
-from operator import floordiv, itemgetter, ne
+from operator import eq, floordiv, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .cnf import Cnf
@@ -128,7 +128,7 @@ def check_collection(
 # ------------------------------------------------------------------ search
 
 
-Side = tuple[list[int], list[int]]  # a triple's clauses: even, odd negation count
+Runs = tuple[list[int], list[int], list[int]]  # _triple_runs: codes, starts, repeated
 # an edge's pick: (edge position in its label run, clause of the edge's
 # first triple, clause of its second)
 Pick = tuple[int, int, int]
@@ -153,38 +153,34 @@ def _triple_keys(cnf: Cnf) -> list[int]:
     return keys
 
 
-def _triple_starts(keys: list[int]) -> list[int]:
-    """Where each triple's run of keys starts, ascending, then len(keys):
-    triple j holds keys[starts[j]:starts[j + 1]]; one C-level scan."""
+def _triple_runs(keys: list[int]) -> Runs:
+    """The triple index (codes, starts, repeated) of the sorted keys: run j
+    is keys[starts[j]:starts[j + 1]], the triple of code codes[j] (strictly
+    ascending), starts[-1] = len(keys), and repeated lists the runs of 2+."""
     m = len(keys)
-    if not m:
-        return [0]
     triples = list(map(floordiv, keys, repeat(2 * m)))
-    return [0, *compress(count(1), map(ne, triples, islice(triples, 1, None))), m]
+    new = bytes(map(ne, triples, [-1, *triples]))  # key i starts a run
+    more = map(eq, triples, islice(triples, 1, None))  # key i + 1 is in key i's run
+    repeated = list(compress(count(), compress(more, new)))
+    return list(compress(triples, new)), [*compress(count(), new), m], repeated
 
 
-def _members(keys: list[int], starts: list[int], j: int) -> Side:
-    """Clause indices of triple j with an even and with an odd negation
-    count."""
+def _pair_candidates(keys: list[int], runs: Runs) -> list[ClauseTuple]:
+    """All inconsistent 2-tuples: two clauses of one repeated triple, one
+    with an odd and one with an even negation count."""
     m = len(keys)
-    side: Side = ([], [])
-    for k in keys[starts[j]:starts[j + 1]]:
-        side[k // m & 1].append(k % m)
-    return side
-
-
-def _pair_candidates(keys: list[int], starts: list[int]) -> list[ClauseTuple]:
-    """All inconsistent 2-tuples: same variable triple, odd negation sum."""
+    _, starts, repeated = runs
     out: list[ClauseTuple] = []
-    for j in range(len(starts) - 1):
-        if starts[j + 1] - starts[j] > 1:
-            even, odd = _members(keys, starts, j)
-            out += [(i, k) if i < k else (k, i) for i in odd for k in even]
+    for j in repeated:
+        # (2*code + negation parity, clause) of each of the run's keys
+        run = [divmod(k, m) for k in keys[starts[j]:starts[j + 1]]]
+        out += [(i, k) if i < k else (k, i)
+                for p, i in run if p & 1 for q, k in run if not q & 1]
     return out
 
 
 def _quad_candidates(
-    n: int, keys: list[int], starts: list[int], budget: int
+    n: int, keys: list[int], runs: Runs, budget: int
 ) -> tuple[list[ClauseTuple], bool]:
     """Inconsistent 4-tuples from a variable-pair index over the triples.
 
@@ -202,31 +198,29 @@ def _quad_candidates(
 
     With s = n + 1, a triple u < v < w has the code (u*s + v)*s + w and
     the incidences pair*s + third for its pairs u*s + v, u*s + w and
-    v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges reads
-    every edge off them as its label x*s + y and head pair*s + x.  Only
-    edges that can yield a tuple get triple ids, by code: those whose
-    label recurs, and lone edges whose two triples both repeat.  Walked
-    in (label, head) order, each edge gives every pick of one clause
-    from each of its triples, in key order, tagged with the edge's
-    position; its label run files the pick as even or odd by the two
-    clauses' negation parities, and _run_quads pairs each even pick with
-    the odd ones.  A tuple already taken is skipped before the cap: an
-    edge's own tuples arrive twice, and two labels can give one tuple.
+    v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges makes
+    them from the codes of `runs`, _triple_runs(keys), and reads every
+    edge off them as its label x*s + y and head pair*s + x.  Only edges
+    that can yield a tuple get triple ids, by code: those whose label
+    recurs, and lone edges whose two triples are both in `repeated`.
+    Walked in (label, head) order, each edge gives every pick of one
+    clause from each of its triples, in key order, tagged with the
+    edge's position; its label run files the pick as even or odd by the
+    two clauses' negation parities, and _run_quads pairs each even pick
+    with the odd ones.  A tuple already taken is skipped before the cap:
+    an edge's own tuples arrive twice, and two labels can give one tuple.
     At most `budget` distinct tuples are taken, label run by label run;
     returns them sorted and whether the cap refused one.
     """
     span, m = n + 1, len(keys)
-    stride = 2 * m
-    triples = [keys[i] // stride for i in islice(starts, len(starts) - 1)]
-    repeats = [t for t, a, b in zip(triples, starts, islice(starts, 1, None)) if b - a > 1]
-    labels, heads = _edges(span, triples)
+    codes, starts, repeated = runs
+    labels, heads = _edges(span, codes)
     counts = Counter(labels)
-    lone = zip(*_edges(span, repeats))  # both ends repeat
+    lone = zip(*_edges(span, [codes[j] for j in repeated]))  # both ends repeat
     chosen = sorted([(label, head) for label, head in zip(labels, heads) if counts[label] > 1]
                     + [(label, head) for label, head in lone if counts[label] == 1])
-    del labels, heads, counts, repeats
-    number = dict(zip(triples, count()))  # triple code -> triple id
-    del triples
+    del labels, heads, counts
+    number = dict(zip(codes, count()))  # triple code -> triple id
     out: set[ClauseTuple] = set()
     # heads sort by pair within a label: the order of either end's triple
     for label, run in groupby(chosen, itemgetter(0)):
@@ -337,13 +331,13 @@ def find_collection(
     """
     check_search_params(k_max, d, budget)
     keys = _triple_keys(cnf)
-    starts = _triple_starts(keys)
-    pairs = sorted(_pair_candidates(keys, starts))
+    runs = _triple_runs(keys)
+    pairs = sorted(_pair_candidates(keys, runs))
     quads: list[ClauseTuple] = []
     quads_hit = False
     k, packed = 2, _greedy_pack(pairs, d)
     if k_max >= 4:
-        quads, quads_hit = _quad_candidates(cnf.n, keys, starts, budget)
+        quads, quads_hit = _quad_candidates(cnf.n, keys, runs, budget)
         packed_quads = _greedy_pack(quads, d)
         if len(packed_quads) > len(packed):
             k, packed = 4, packed_quads

@@ -447,6 +447,21 @@ def test_huge_header_count_allocates_nothing_sized_by_n():
     assert peak < 2**20
 
 
+def test_imbalance_memory_follows_m_not_n():
+    """Skews are counted for the variables present only: one clause under
+    n = 10^6 peaks well under 1 MiB, where a skew per variable 1..n
+    would take about 8 MB."""
+    cnf = Cnf(10**6, [(1, 2, 3)])
+    tracemalloc.start()
+    try:
+        got = imbalance(cnf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 3
+    assert peak < 2**20
+
+
 @st.composite
 def cnfs(draw):
     n = draw(st.integers(3, 8))

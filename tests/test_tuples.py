@@ -24,9 +24,10 @@ from fkocert import (
 from fkocert.cnf import Clause
 from fkocert.tuples import (
     BUDGET_MAX,
+    _pair_candidates,
     _quad_candidates,
     _triple_keys,
-    _triple_starts,
+    _triple_runs,
     check_search_params,
     parity_vector,
 )
@@ -302,7 +303,7 @@ def reference_quad_candidates(cnf, budget):
 
 def _index_quads(cnf, budget=10**9):
     keys = _triple_keys(cnf)
-    return _quad_candidates(cnf.n, keys, _triple_starts(keys), budget)
+    return _quad_candidates(cnf.n, keys, _triple_runs(keys), budget)
 
 
 def _two_shared_pairing(cnf, quad):
@@ -762,14 +763,81 @@ def test_quad_index_transient_memory_stays_small():
     # every list at once
     cnf = gen_random_3cnf(200, 4995, 1)
     keys = _triple_keys(cnf)
-    starts = _triple_starts(keys)
-    _quad_candidates(cnf.n, keys, starts, 50_000)
+    runs = _triple_runs(keys)
+    _quad_candidates(cnf.n, keys, runs, 50_000)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _quad_candidates(cnf.n, keys, starts, 50_000)
+        _quad_candidates(cnf.n, keys, runs, 50_000)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+# ---------------------------------------------------------- the triple index
+
+
+def reference_triple_runs(cnf):
+    """(code, clause indices) of each triple in code order, through
+    groupby over the reference keys."""
+    m = cnf.m
+    runs = itertools.groupby(reference_triple_keys(cnf), lambda k: k // (2 * m))
+    return [(code, [k % m for k in run]) for code, run in runs]
+
+
+def _check_triple_runs(cnf):
+    keys = _triple_keys(cnf)
+    codes, starts, repeated = _triple_runs(keys)
+    want = reference_triple_runs(cnf)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert starts[0] == 0 and starts[-1] == cnf.m == len(keys)
+    assert [(c, [k % cnf.m for k in keys[a:b]])
+            for c, a, b in zip(codes, starts, starts[1:])] == want
+    assert repeated == [j for j, (_, run) in enumerate(want) if len(run) > 1]
+    return codes, starts, repeated
+
+
+def test_triple_runs_on_no_clause_and_one_clause():
+    assert _check_triple_runs(Cnf(5, ())) == ([], [0], [])
+    # {2,3,5} at n = 5, s = 6: (2*6 + 3)*6 + 5
+    assert _check_triple_runs(Cnf(5, [(5, -2, 3)])) == ([95], [0, 1], [])
+
+
+def test_triple_runs_when_every_clause_shares_one_triple():
+    cnf = Cnf(3, [(1, 2, 3), (-3, 2, 1), (2, -1, -3), (3, 1, 2), (-1, -2, -3)])
+    assert _check_triple_runs(cnf) == ([(1 * 4 + 2) * 4 + 3], [0, 5], [0])
+
+
+def test_triple_runs_on_runs_of_both_parities():
+    # {1,2,3} holds two even and one odd negation count, {1,2,4} only odd
+    # ones, {1,3,4} one clause, {2,3,4} an even and an odd one
+    cnf = Cnf(4, [(-2, 3, 4), (1, 2, 3), (1, 3, 4), (-1, 2, 4), (1, -2, -3),
+                  (-1, 2, 3), (2, -4, 1), (2, 3, 4)])
+    codes, starts, repeated = _check_triple_runs(cnf)
+    assert starts == [0, 3, 5, 6, 8]
+    assert repeated == [0, 1, 3]
+    keys = _triple_keys(cnf)
+    assert [[k // cnf.m & 1 for k in keys[a:b]] for a, b in zip(starts, starts[1:])] == [
+        [0, 0, 1], [1, 1], [0], [0, 1]]
+
+
+@settings(max_examples=300)
+@given(small_cnfs())
+def test_triple_runs_match_reference(cnf):
+    _check_triple_runs(cnf)
+
+
+def test_triple_runs_match_reference_on_random_formulas():
+    for n, m, seed in ((6, 40, 0), (28, 318, 1), (200, 4995, 2)):
+        _check_triple_runs(gen_random_3cnf(n, m, seed))
+
+
+@settings(max_examples=300)
+@given(small_cnfs())
+def test_pair_candidates_match_brute_force(cnf):
+    keys = _triple_keys(cnf)
+    pairs = _pair_candidates(keys, _triple_runs(keys))
+    assert sorted(pairs) == _pair_list(cnf)
+    assert len(set(pairs)) == len(pairs)
