@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, groupby, islice, repeat
-from operator import eq, floordiv, itemgetter, ne
+from itertools import compress, count, groupby, islice
+from operator import itemgetter, ne, not_
 from typing import Iterable, Iterator, Sequence
 
-from .cnf import Cnf
+from .cnf import POLS, Cnf
 
 ClauseTuple = tuple[int, ...]
 
@@ -128,59 +128,57 @@ def check_collection(
 # ------------------------------------------------------------------ search
 
 
-Runs = tuple[list[int], list[int], list[int]]  # _triple_runs: codes, starts, repeated
+_ODD = {pol: (sum(pol) + 1) & 1 for pol in POLS}  # negation parity, as in parity_vector
 # an edge's pick: (edge position in its label run, clause of the edge's
 # first triple, clause of its second)
 Pick = tuple[int, int, int]
 
 
-def _triple_keys(cnf: Cnf) -> list[int]:
-    """One int per clause, (sorted variable triple, negation parity, clause
-    index), in ascending order: each triple's clauses form a run, even
-    negation counts first.  Three compare-swaps sort each triple, and
-    the negation parity is that of parity_vector."""
-    span, m = cnf.n + 1, cnf.m
-    keys = []
-    for idx, (u, v, w, (p, q, r)) in enumerate(zip(cnf.x, cnf.y, cnf.z, cnf.pols)):
+def _triple_index(cnf: Cnf) -> tuple[list[int], dict[int, int], dict[int, ClauseTuple]]:
+    """The triple index (codes, first, multi).  With s = n + 1, a clause on
+    the variables u < v < w has the triple code (u*s + v)*s + w, from
+    three compare-swaps.  codes lists the distinct codes in ascending
+    order, first maps each code to its first clause, and multi maps each
+    code of two or more clauses to all of them, even negation counts
+    first, each parity in index order.  Only those clauses are sorted:
+    by parity, then stably by first clause, a one-digit int key even
+    where codes pass 2^30 (n > 1022), which leaves multi, and so the
+    pairs, close to sorted order."""
+    s, per = cnf.n + 1, []
+    for u, v, w in zip(cnf.x, cnf.y, cnf.z):
         if u > v:
             u, v = v, u
         if v > w:
             v, w = w, v
         if u > v:
             u, v = v, u
-        keys.append((((u * span + v) * span + w) * 2 + ((p + q + r + 1) & 1)) * m + idx)
-    keys.sort()
-    return keys
+        per.append((u * s + v) * s + w)
+    first = dict(zip(reversed(per), reversed(range(len(per)))))  # keeps a key's last value
+    multi: dict[int, ClauseTuple] = {}
+    if len(first) < len(per):
+        lead = list(map(first.__getitem__, per))  # each clause's triple's first clause
+        leads = set(compress(lead, map(ne, lead, count())))  # those of repeated triples
+        members = list(compress(count(), map(leads.__contains__, lead)))
+        odd = bytes(map(_ODD.__getitem__, map(cnf.pols.__getitem__, members)))
+        ordered = sorted([*compress(members, map(not_, odd)), *compress(members, odd)],
+                         key=lead.__getitem__)
+        for i, run in groupby(ordered, lead.__getitem__):
+            multi[per[i]] = tuple(run)  # of ints: the garbage collector untracks it
+    return sorted(first), first, multi
 
 
-def _triple_runs(keys: list[int]) -> Runs:
-    """The triple index (codes, starts, repeated) of the sorted keys: run j
-    is keys[starts[j]:starts[j + 1]], the triple of code codes[j] (strictly
-    ascending), starts[-1] = len(keys), and repeated lists the runs of 2+."""
-    m = len(keys)
-    triples = list(map(floordiv, keys, repeat(2 * m)))
-    new = bytes(map(ne, triples, [-1, *triples]))  # key i starts a run
-    more = map(eq, triples, islice(triples, 1, None))  # key i + 1 is in key i's run
-    repeated = list(compress(count(), compress(more, new)))
-    return list(compress(triples, new)), [*compress(count(), new), m], repeated
-
-
-def _pair_candidates(keys: list[int], runs: Runs) -> list[ClauseTuple]:
+def _pair_candidates(cnf: Cnf, multi: dict[int, ClauseTuple]) -> list[ClauseTuple]:
     """All inconsistent 2-tuples: two clauses of one repeated triple, one
     with an odd and one with an even negation count."""
-    m = len(keys)
-    _, starts, repeated = runs
-    out: list[ClauseTuple] = []
-    for j in repeated:
-        # (2*code + negation parity, clause) of each of the run's keys
-        run = [divmod(k, m) for k in keys[starts[j]:starts[j + 1]]]
-        out += [(i, k) if i < k else (k, i)
-                for p, i in run if p & 1 for q, k in run if not q & 1]
+    pols, out = cnf.pols, []
+    for run in multi.values():
+        even = [i for i in run if not _ODD[pols[i]]]  # the run's first clauses
+        out += [(i, k) if i < k else (k, i) for i in run[len(even):] for k in even]
     return out
 
 
 def _quad_candidates(
-    n: int, keys: list[int], runs: Runs, budget: int
+    cnf: Cnf, index: tuple[list[int], dict[int, int], dict[int, ClauseTuple]], budget: int
 ) -> tuple[list[ClauseTuple], bool]:
     """Inconsistent 4-tuples from a variable-pair index over the triples.
 
@@ -199,39 +197,40 @@ def _quad_candidates(
     With s = n + 1, a triple u < v < w has the code (u*s + v)*s + w and
     the incidences pair*s + third for its pairs u*s + v, u*s + w and
     v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges makes
-    them from the codes of `runs`, _triple_runs(keys), and reads every
+    them from the codes of `index`, _triple_index(cnf), and reads every
     edge off them as its label x*s + y and head pair*s + x.  Only edges
-    that can yield a tuple get triple ids, by code: those whose label
-    recurs, and lone edges whose two triples are both in `repeated`.
-    Walked in (label, head) order, each edge gives every pick of one
-    clause from each of its triples, in key order, tagged with the
-    edge's position; its label run files the pick as even or odd by the
-    two clauses' negation parities, and _run_quads pairs each even pick
-    with the odd ones.  A tuple already taken is skipped before the cap:
-    an edge's own tuples arrive twice, and two labels can give one tuple.
+    that can yield a tuple are kept: those whose label recurs, and lone
+    edges whose two triples are both in `multi`.  Walked in (label, head)
+    order, each edge finds its two triples' codes (_ends), takes their
+    clauses from `multi`, or else the one in `first`, and gives every
+    pick of one clause from each, even negation counts first, tagged
+    with the edge's position; its label run files the pick as even or
+    odd by the two clauses' negation parities, and _run_quads pairs each
+    even pick with the odd ones.  A tuple already taken is skipped before
+    the cap: an edge's own tuples arrive twice, and two labels can give
+    one tuple.
     At most `budget` distinct tuples are taken, label run by label run;
     returns them sorted and whether the cap refused one.
     """
-    span, m = n + 1, len(keys)
-    codes, starts, repeated = runs
+    span, pols = cnf.n + 1, cnf.pols
+    codes, first, multi = index
     labels, heads = _edges(span, codes)
     counts = Counter(labels)
-    lone = zip(*_edges(span, [codes[j] for j in repeated]))  # both ends repeat
+    lone = zip(*_edges(span, sorted(multi)))  # both ends repeat
     chosen = sorted([(label, head) for label, head in zip(labels, heads) if counts[label] > 1]
                     + [(label, head) for label, head in lone if counts[label] == 1])
     del labels, heads, counts
-    number = dict(zip(codes, count()))  # triple code -> triple id
     out: set[ClauseTuple] = set()
     # heads sort by pair within a label: the order of either end's triple
     for label, run in groupby(chosen, itemgetter(0)):
         x, y = divmod(label, span)
         picks: tuple[list[Pick], list[Pick]] = ([], [])  # even, odd negation sum
         for pos, (_, head) in enumerate(run):
-            a, b = _ends(number, span, head, x, y)
-            second = keys[starts[b]:starts[b + 1]]
-            for ka in keys[starts[a]:starts[a + 1]]:
-                for kb in second:
-                    picks[(ka // m ^ kb // m) & 1].append((pos, ka % m, kb % m))
+            a, b = _ends(span, head, x, y)
+            second = multi.get(b) or (first[b],)
+            for i in multi.get(a) or (first[a],):
+                for j in second:
+                    picks[_ODD[pols[i]] ^ _ODD[pols[j]]].append((pos, i, j))
         for quad in _run_quads(*picks):
             if quad not in out:
                 if len(out) >= budget:
@@ -264,12 +263,12 @@ def _edges(s: int, triples: list[int]) -> tuple[list[int], list[int]]:
     return labels, heads
 
 
-def _ends(number: dict[int, int], s: int, head: int, x: int, y: int) -> tuple[int, int]:
-    """The ids of the triples of head's pair with x and with y, by code."""
+def _ends(s: int, head: int, x: int, y: int) -> tuple[int, int]:
+    """The codes of the triples of head's pair with x and with y."""
     p, q = divmod(head // s, s)  # head is pair*s + x
     a = head if x > q else (p * s + x) * s + q if x > p else (x * s + p) * s + q
     b = head - x + y if y > q else (p * s + y) * s + q if y > p else (y * s + p) * s + q
-    return number[a], number[b]
+    return a, b
 
 
 def _run_quads(even: list[Pick], odd: list[Pick]) -> Iterator[ClauseTuple]:
@@ -315,12 +314,14 @@ def find_collection(
 ) -> TupleCollection:
     """Search for a (t, k, d)-collection with t >= t_target and k <= k_max.
 
-    Deterministic.  Two sources, each packed greedily in sorted order:
-    k = 2, every inconsistent pair (two clauses on one variable triple);
-    and for k_max >= 4, k = 4, the 4-tuples of a variable-pair index
-    (triples sharing two variables, see _quad_candidates), with no size
-    cutoff.  No source yields longer tuples, so any k_max above 4 packs
-    what 4 packs.  The larger packed t wins; a tie goes to k = 2.
+    Deterministic.  Two sources read one triple index (_triple_index: the
+    triple codes, each triple's clause, each repeated triple's clauses),
+    and each is packed greedily in sorted order: k = 2, every
+    inconsistent pair (two clauses of one repeated triple); and for
+    k_max >= 4, k = 4, the 4-tuples of a variable-pair index over the
+    codes (see _quad_candidates), with no size cutoff.  No source yields
+    longer tuples, so any k_max above 4 packs what 4 packs.  The larger
+    packed t wins; a tie goes to k = 2.
     `budget`, 0 to BUDGET_MAX, caps the distinct 4-tuples taken, in a fixed
     order: label runs in label order, each run's even picks in edge
     order, each with the odd picks in edge order.
@@ -330,14 +331,13 @@ def find_collection(
     best t is below t_target; raises ValueError as check_search_params.
     """
     check_search_params(k_max, d, budget)
-    keys = _triple_keys(cnf)
-    runs = _triple_runs(keys)
-    pairs = sorted(_pair_candidates(keys, runs))
+    index = _triple_index(cnf)
+    pairs = sorted(_pair_candidates(cnf, index[2]))
     quads: list[ClauseTuple] = []
     quads_hit = False
     k, packed = 2, _greedy_pack(pairs, d)
     if k_max >= 4:
-        quads, quads_hit = _quad_candidates(cnf.n, keys, runs, budget)
+        quads, quads_hit = _quad_candidates(cnf, index, budget)
         packed_quads = _greedy_pack(quads, d)
         if len(packed_quads) > len(packed):
             k, packed = 4, packed_quads

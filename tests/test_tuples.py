@@ -2,6 +2,7 @@ import array
 import bisect
 import hashlib
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -26,8 +27,7 @@ from fkocert.tuples import (
     BUDGET_MAX,
     _pair_candidates,
     _quad_candidates,
-    _triple_keys,
-    _triple_runs,
+    _triple_index,
     check_search_params,
     parity_vector,
 )
@@ -302,8 +302,7 @@ def reference_quad_candidates(cnf, budget):
 
 
 def _index_quads(cnf, budget=10**9):
-    keys = _triple_keys(cnf)
-    return _quad_candidates(cnf.n, keys, _triple_runs(keys), budget)
+    return _quad_candidates(cnf, _triple_index(cnf), budget)
 
 
 def _two_shared_pairing(cnf, quad):
@@ -448,8 +447,18 @@ def _search_digest(cnfs):
     return h.hexdigest()
 
 
+def _shuffled_noisy(blocks, extra, seed):
+    """_noisy_blocks with its literals in random slots and its clauses in
+    random order."""
+    rows = signed_rows(shuffled_slots(_noisy_blocks(blocks, extra, seed), seed))
+    random.Random(seed).shuffle(rows)
+    return Cnf(3 * blocks, rows)
+
+
 # SHA-256 of find_collection's default tuples on each family: a change to
-# the candidate set or to the packing order shows here
+# the candidate set or to the packing order shows here.  At n = 1000 the
+# triple codes are still one-digit ints (below 2^30); in the noisy
+# families of 1000 and 1100 blocks most clauses sit on repeated triples.
 SEARCH_DIGESTS = {
     "random n=200": ("2ddd6728de56e289a4d16a6b12b1ccabc22582d8f713579e9716dfe2c4468425",
                      lambda: [gen_random_3cnf(200, 4995, s) for s in range(4)]),
@@ -459,6 +468,11 @@ SEARCH_DIGESTS = {
                 lambda: [planted_block(t) for t in range(1, 9)]),
     "noisy": ("405785c4c7951698cd83bd899dc64106f4961bb15dad1176ea0dc7150ef06ccb",
               lambda: [_noisy_blocks(3 + i % 3, 2 + i % 4, seed=7000 + i) for i in range(20)]),
+    "random n=1000": ("995dabdea33afa7a84a35691e0925c27083fb19e3a9a86721c51ef34bdd4b9f6",
+                      lambda: [gen_random_3cnf(1000, 47546, 0)]),
+    "noisy 1000 blocks": ("48bac4189f47070b0c99de21b5e9970f781a469dfe8b2bf23473d1ab0f6958eb",
+                          lambda: [_shuffled_noisy(1000 + 100 * i, 300, 7100 + i)
+                                   for i in range(2)]),
 }
 
 
@@ -521,7 +535,7 @@ def test_collection_ignores_seed_and_k_max_above_four(n, m, seed):
 
 def test_parity_and_keys_match_references_in_every_slot_order():
     for name, cnf in slot_order_formulas().items():
-        assert _triple_keys(cnf) == reference_triple_keys(cnf), name
+        _check_triple_index(cnf)
         assert ([parity_vector(cnf, i) for i in range(cnf.m)]
                 == [reference_parity_vector(cnf, i) for i in range(cnf.m)]), name
 
@@ -577,7 +591,9 @@ def test_check_collection_computes_each_parity_once(monkeypatch):
 
 
 def reference_triple_keys(cnf):
-    """_triple_keys through sorted() and the negation count."""
+    """One sort key per clause, ((code*2 + negation parity)*m + index),
+    ascending, through sorted() and the negation count: each triple's
+    clauses form a run, even negation counts first."""
     span, m = cnf.n + 1, cnf.m
     keys = []
     for idx, row in enumerate(signed_rows(cnf)):
@@ -762,14 +778,13 @@ def test_quad_index_transient_memory_stays_small():
     # each list is freed once read; 3 MiB catches a layout that holds
     # every list at once
     cnf = gen_random_3cnf(200, 4995, 1)
-    keys = _triple_keys(cnf)
-    runs = _triple_runs(keys)
-    _quad_candidates(cnf.n, keys, runs, 50_000)
+    index = _triple_index(cnf)
+    _quad_candidates(cnf, index, 50_000)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _quad_candidates(cnf.n, keys, runs, 50_000)
+        _quad_candidates(cnf, index, 50_000)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -787,57 +802,62 @@ def reference_triple_runs(cnf):
     return [(code, [k % m for k in run]) for code, run in runs]
 
 
-def _check_triple_runs(cnf):
-    keys = _triple_keys(cnf)
-    codes, starts, repeated = _triple_runs(keys)
+def _check_triple_index(cnf):
+    """_triple_index against the reference keys: the codes ascending and
+    distinct, every triple's first clause (a lone triple's only one), and
+    each repeated triple's clauses in key order, even negation counts
+    first, each parity by index."""
+    codes, first, multi = _triple_index(cnf)
     want = reference_triple_runs(cnf)
     assert all(a < b for a, b in zip(codes, codes[1:]))
-    assert starts[0] == 0 and starts[-1] == cnf.m == len(keys)
-    assert [(c, [k % cnf.m for k in keys[a:b]])
-            for c, a, b in zip(codes, starts, starts[1:])] == want
-    assert repeated == [j for j, (_, run) in enumerate(want) if len(run) > 1]
-    return codes, starts, repeated
+    assert codes == [code for code, _ in want]
+    assert first == {code: min(run) for code, run in want}
+    assert multi == {code: tuple(run) for code, run in want if len(run) > 1}
+    return codes, first, multi
 
 
-def test_triple_runs_on_no_clause_and_one_clause():
-    assert _check_triple_runs(Cnf(5, ())) == ([], [0], [])
+def test_triple_index_on_no_clause_and_one_clause():
+    assert _check_triple_index(Cnf(5, ())) == ([], {}, {})
     # {2,3,5} at n = 5, s = 6: (2*6 + 3)*6 + 5
-    assert _check_triple_runs(Cnf(5, [(5, -2, 3)])) == ([95], [0, 1], [])
+    assert _check_triple_index(Cnf(5, [(5, -2, 3)])) == ([95], {95: 0}, {})
 
 
-def test_triple_runs_when_every_clause_shares_one_triple():
+def test_triple_index_when_every_clause_shares_one_triple():
+    # negation counts 0, 1, 2, 0, 3
     cnf = Cnf(3, [(1, 2, 3), (-3, 2, 1), (2, -1, -3), (3, 1, 2), (-1, -2, -3)])
-    assert _check_triple_runs(cnf) == ([(1 * 4 + 2) * 4 + 3], [0, 5], [0])
+    code = (1 * 4 + 2) * 4 + 3
+    assert _check_triple_index(cnf) == ([code], {code: 0}, {code: (0, 2, 3, 1, 4)})
 
 
-def test_triple_runs_on_runs_of_both_parities():
+def test_triple_index_on_runs_of_both_parities():
     # {1,2,3} holds two even and one odd negation count, {1,2,4} only odd
     # ones, {1,3,4} one clause, {2,3,4} an even and an odd one
     cnf = Cnf(4, [(-2, 3, 4), (1, 2, 3), (1, 3, 4), (-1, 2, 4), (1, -2, -3),
                   (-1, 2, 3), (2, -4, 1), (2, 3, 4)])
-    codes, starts, repeated = _check_triple_runs(cnf)
-    assert starts == [0, 3, 5, 6, 8]
-    assert repeated == [0, 1, 3]
-    keys = _triple_keys(cnf)
-    assert [[k // cnf.m & 1 for k in keys[a:b]] for a, b in zip(starts, starts[1:])] == [
-        [0, 0, 1], [1, 1], [0], [0, 1]]
+    codes, first, multi = _check_triple_index(cnf)
+    # s = 5: {1,2,3} 38, {1,2,4} 39, {1,3,4} 44, {2,3,4} 69
+    assert codes == [38, 39, 44, 69]
+    assert first == {38: 1, 39: 3, 44: 2, 69: 0}
+    assert multi == {38: (1, 4, 5), 39: (3, 6), 69: (7, 0)}
+    assert [[parity_vector(cnf, i) & 1 for i in multi[code]] for code in (38, 39, 69)] == [
+        [0, 0, 1], [1, 1], [0, 1]]
 
 
 @settings(max_examples=300)
 @given(small_cnfs())
-def test_triple_runs_match_reference(cnf):
-    _check_triple_runs(cnf)
+def test_triple_index_matches_reference(cnf):
+    _check_triple_index(cnf)
 
 
-def test_triple_runs_match_reference_on_random_formulas():
+def test_triple_index_matches_reference_on_random_formulas():
     for n, m, seed in ((6, 40, 0), (28, 318, 1), (200, 4995, 2)):
-        _check_triple_runs(gen_random_3cnf(n, m, seed))
+        _check_triple_index(gen_random_3cnf(n, m, seed))
+    _check_triple_index(_shuffled_noisy(40, 30, 3))
 
 
 @settings(max_examples=300)
 @given(small_cnfs())
 def test_pair_candidates_match_brute_force(cnf):
-    keys = _triple_keys(cnf)
-    pairs = _pair_candidates(keys, _triple_runs(keys))
+    pairs = _pair_candidates(cnf, _triple_index(cnf)[2])
     assert sorted(pairs) == _pair_list(cnf)
     assert len(set(pairs)) == len(pairs)
