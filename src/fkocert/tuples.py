@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, groupby, islice
-from operator import itemgetter, ne, not_
+from itertools import compress, count, groupby, islice, repeat
+from operator import eq, floordiv, gt, itemgetter, ne, not_
 from typing import Iterable, Iterator, Sequence
 
 from .cnf import POLS, Cnf
@@ -188,50 +188,54 @@ def _quad_candidates(
     (distinct) triples makes an even 4-tuple; an edge taken with itself
     gives two clauses from each of its two triples.  Those with an odd
     negation sum are kept.  Edges join triples, not clauses, so a
-    repeated triple costs nothing until its clauses are drawn.
-
-    Not found: four clauses in which every two share exactly one variable
+    repeated triple costs nothing until its clauses are drawn.  Not
+    found: four clauses in which every two share exactly one variable
     (Pasch configurations), and two same-triple pairs on triples that
     share fewer than two variables.
 
-    With s = n + 1, a triple u < v < w has the code (u*s + v)*s + w and
-    the incidences pair*s + third for its pairs u*s + v, u*s + w and
-    v*s + w, one-digit ints (below 2^30) for n <= 1022.  _edges makes
-    them from the codes of `index`, _triple_index(cnf), and reads every
-    edge off them as its label x*s + y and head pair*s + x.  Only edges
-    that can yield a tuple are kept: those whose label recurs, and lone
-    edges whose two triples are both in `multi`.  Walked in (label, head)
-    order, each edge finds its two triples' codes (_ends), takes their
-    clauses from `multi`, or else the one in `first`, and gives every
-    pick of one clause from each, even negation counts first, tagged
-    with the edge's position; its label run files the pick as even or
-    odd by the two clauses' negation parities, and _run_quads pairs each
-    even pick with the odd ones.  A tuple already taken is skipped before
-    the cap: an edge's own tuples arrive twice, and two labels can give
-    one tuple.
-    At most `budget` distinct tuples are taken, label run by label run;
-    returns them sorted and whether the cap refused one.
+    _edges reads every edge off the codes of `index`, _triple_index(cnf),
+    as its label x*s + y and head pair*s + x (s = n + 1).  Kept are the
+    edges whose label recurs, and lone edges whose two triples both are
+    in `multi`.  Walked in (label, head) order, each edge rebuilds its
+    triples' codes from head and label.  Two triples outside `multi`, as
+    on almost every edge of a random formula, give one pick, their
+    clauses in `first`; else every pick of one clause from each, even
+    negation counts first.  Picks are tagged with the edge's position,
+    filed as even or odd by their negation sum, and _run_quads pairs
+    each even pick of a label run with its odd ones.  A tuple already
+    taken is skipped before the cap: an edge's own tuples arrive twice,
+    and two labels can give one tuple.  At most `budget` distinct tuples
+    are taken, label run by label run; returns them sorted and whether
+    the cap refused one.
     """
-    span, pols = cnf.n + 1, cnf.pols
+    s, pols = cnf.n + 1, cnf.pols
     codes, first, multi = index
-    labels, heads = _edges(span, codes)
+    labels, heads = _edges(s, codes)
     counts = Counter(labels)
-    lone = zip(*_edges(span, sorted(multi)))  # both ends repeat
-    chosen = sorted([(label, head) for label, head in zip(labels, heads) if counts[label] > 1]
-                    + [(label, head) for label, head in lone if counts[label] == 1])
+    lone = zip(*_edges(s, sorted(multi)))  # both ends repeat
+    recur = map(gt, map(counts.__getitem__, labels), repeat(1))
+    chosen = sorted([*compress(zip(labels, heads), recur),
+                     *[(label, head) for label, head in lone if counts[label] == 1]])
     del labels, heads, counts
     out: set[ClauseTuple] = set()
     # heads sort by pair within a label: the order of either end's triple
     for label, run in groupby(chosen, itemgetter(0)):
-        x, y = divmod(label, span)
-        picks: tuple[list[Pick], list[Pick]] = ([], [])  # even, odd negation sum
+        x, y = divmod(label, s)
+        even: list[Pick] = []  # picks of an even negation sum
+        odd: list[Pick] = []
         for pos, (_, head) in enumerate(run):
-            a, b = _ends(span, head, x, y)
-            second = multi.get(b) or (first[b],)
-            for i in multi.get(a) or (first[a],):
-                for j in second:
-                    picks[_ODD[pols[i]] ^ _ODD[pols[j]]].append((pos, i, j))
-        for quad in _run_quads(*picks):
+            p, q = divmod(head // s, s)  # head is (p*s + q)*s + x
+            a = head if x > q else (p * s + x) * s + q if x > p else (x * s + p) * s + q
+            b = head - x + y if y > q else (p * s + y) * s + q if y > p else (y * s + p) * s + q
+            if a in multi or b in multi:
+                second = multi.get(b) or (first[b],)
+                for i in multi.get(a) or (first[a],):
+                    for j in second:
+                        (odd if _ODD[pols[i]] ^ _ODD[pols[j]] else even).append((pos, i, j))
+            else:
+                i, j = first[a], first[b]
+                (odd if _ODD[pols[i]] ^ _ODD[pols[j]] else even).append((pos, i, j))
+        for quad in _run_quads(even, odd):
             if quad not in out:
                 if len(out) >= budget:
                     return sorted(out), True
@@ -241,34 +245,30 @@ def _quad_candidates(
 
 def _edges(s: int, triples: list[int]) -> tuple[list[int], list[int]]:
     """Labels x*s + y (x < y) and heads pair*s + x of every edge among
-    these triples.  Offset 1 of the sorted incidences joins neighbours
-    in a pair run; offset k chains k such edges, where k - 1 chained."""
+    these triples.  Sorted, their incidences pair*s + third (one-digit
+    ints for n <= 1022) hold each pair's triples as a run, which C-level
+    passes over the pair keys find; offset k in a run chains k edges."""
     square = s * s
     # (u*s + v)*s + w, then (u*s + w)*s + v and (v*s + w)*s + u
     codes = [*triples, *[t + (t % s - t // s % s) * (s - 1) for t in triples],
              *[t % square * s + t // square for t in triples]]
     codes.sort()
-    same = bytes([a // s == b // s for a, b in zip(codes, islice(codes, 1, None))])
+    keys = list(map(floordiv, codes, repeat(s)))
+    same = bytes(map(eq, keys, islice(keys, 1, None)))
+    del keys
     heads = list(compress(codes, same))
     tails = list(compress(islice(codes, 1, None), same))
     del codes, same  # the incidences outside every run go
     labels = [h % s * s + t % s for h, t in zip(heads, tails)]
     # edge j reaches offset k + 1 if edge j + k starts at j + k - 1's end (codes are distinct)
-    ones, hits, step = len(heads), range(len(heads)), 1
+    ones, step = len(heads), 2
+    hits = list(compress(range(ones), map(eq, tails, islice(heads, 1, None))))
     while hits:
-        hits = [j for j in hits if j + step < ones and tails[j + step - 1] == heads[j + step]]
-        step += 1
         labels += [heads[j] % s * s + tails[j + step - 1] % s for j in hits]
         heads += [heads[j] for j in hits]
+        hits = [j for j in hits if j + step < ones and tails[j + step - 1] == heads[j + step]]
+        step += 1
     return labels, heads
-
-
-def _ends(s: int, head: int, x: int, y: int) -> tuple[int, int]:
-    """The codes of the triples of head's pair with x and with y."""
-    p, q = divmod(head // s, s)  # head is pair*s + x
-    a = head if x > q else (p * s + x) * s + q if x > p else (x * s + p) * s + q
-    b = head - x + y if y > q else (p * s + y) * s + q if y > p else (y * s + p) * s + q
-    return a, b
 
 
 def _run_quads(even: list[Pick], odd: list[Pick]) -> Iterator[ClauseTuple]:

@@ -1,5 +1,6 @@
 import array
 import bisect
+import collections
 import hashlib
 import itertools
 import random
@@ -25,6 +26,7 @@ from fkocert import (
 from fkocert.cnf import Clause
 from fkocert.tuples import (
     BUDGET_MAX,
+    _edges,
     _pair_candidates,
     _quad_candidates,
     _triple_index,
@@ -739,14 +741,20 @@ def _planted_square(base, last):
             signed((c, d, y), (1, 1, last))]
 
 
+def _squares_past_one_int_digit():
+    """400 random clauses at n = 1100 and four planted squares, three of
+    them on variables above 886."""
+    clauses = signed_rows(gen_random_3cnf(1100, 400, 7))
+    for k, base in enumerate((3, 900, 1000, 1090)):
+        clauses += _planted_square(base, k % 2)
+    return Cnf(1100, clauses)
+
+
 def test_quad_index_pinned_past_one_int_digit():
     # at n = 1100, pair*(n+1) + third passes 2^30 once the pair's first
     # variable reaches 886: those incidence codes are two-digit ints
-    n, s = 1100, 1101
-    clauses = signed_rows(gen_random_3cnf(n, 400, 7))
-    for k, base in enumerate((3, 900, 1000, 1090)):
-        clauses += _planted_square(base, k % 2)
-    cnf = Cnf(n, clauses)
+    s = 1101
+    cnf = _squares_past_one_int_digit()
     assert (1090 * s + 1091) * s + 1094 >= 2**30
     full, hit = _index_quads(cnf)
     assert not hit
@@ -789,6 +797,58 @@ def test_quad_index_transient_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+# ------------------------------------------------------------ the label graph
+
+
+def reference_edges(s, triples):
+    """(label, head) of every edge among these variable sets, counted,
+    brute force: two distinct triples that share exactly two variables
+    p < q, with the thirds x < y, give the label x*s + y and the head
+    (p*s + q)*s + x."""
+    edges = collections.Counter()
+    for a, b in itertools.combinations(set(triples), 2):
+        if len(a & b) == 2:
+            p, q = sorted(a & b)
+            x, y = sorted(a ^ b)
+            edges[x * s + y, (p * s + q) * s + x] += 1
+    return edges
+
+
+def _check_edges(cnf):
+    """_edges on every triple's code and on the repeated triples' codes
+    alone, each against the brute-force edges of those triples."""
+    s = cnf.n + 1
+    triples = collections.Counter(frozenset(map(abs, row)) for row in signed_rows(cnf))
+    codes, _, multi = _triple_index(cnf)
+    edges = collections.Counter(zip(*_edges(s, codes)))
+    assert edges == reference_edges(s, triples)
+    repeated = [t for t, count in triples.items() if count > 1]
+    assert collections.Counter(zip(*_edges(s, sorted(multi)))) == reference_edges(s, repeated)
+    return edges
+
+
+@settings(max_examples=300)
+@given(small_cnfs())
+def test_edges_match_brute_force(cnf):
+    _check_edges(cnf)
+
+
+def test_edges_on_long_pair_runs():
+    edges = _check_edges(LONG_RUNS)
+    # the thirds 3 and 6 of pairs {1,2} and {7,8} are three apart in
+    # their runs, so these two edges come from offset 3
+    s = 9
+    assert edges[3 * s + 6, (1 * s + 2) * s + 3] == 1
+    assert edges[3 * s + 6, (7 * s + 8) * s + 3] == 1
+    assert len(edges) == 2 * 6  # each pair's four triples, two at a time
+
+
+def test_edges_past_one_int_digit():
+    edges = _check_edges(_squares_past_one_int_digit())
+    # each square gives an edge on {a,b} and one on {c,d}, both labelled {x,y}
+    assert sum(1 for _, head in edges if head >= 2**30) >= 4
 
 
 # ---------------------------------------------------------- the triple index
