@@ -33,6 +33,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
@@ -201,8 +202,9 @@ def free_vars(f: TcFormula) -> set[int]:
     return _once(names)(f)
 
 
-def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
-    """f's truth value; ValueError on an unbound variable."""
+def _evaluation(assignment: Mapping[int, bool]) -> Callable[[TcFormula], bool]:
+    """One memoised walk giving formulas' truth values under assignment;
+    ValueError on an unbound variable."""
 
     def value(f: TcFormula, walk: Callable[[TcFormula], bool]) -> bool:
         if isinstance(f, Top):
@@ -216,19 +218,17 @@ def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
         if isinstance(f, Not):
             return not walk(f.child)
         if isinstance(f, Th):
-            need = f.i
-            if need == 0:
-                return True
-            true_so_far = 0
-            for ch in f.children:
-                if walk(ch):
-                    true_so_far += 1
-                    if true_so_far >= need:
-                        return True
-            return False
+            # the walk stops at the f.i-th true child
+            trues = filter(None, map(walk, f.children))
+            return f.i == 0 or any(islice(trues, f.i - 1, None))
         raise TypeError(f"not a formula: {f!r}")
 
-    return _once(value)(f)
+    return _once(value)
+
+
+def eval_formula(f: TcFormula, assignment: Mapping[int, bool]) -> bool:
+    """f's truth value; ValueError on an unbound variable."""
+    return _evaluation(assignment)(f)
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,10 @@ class Sequent:
 
 
 def eval_sequent(seq: Sequent, assignment: Mapping[int, bool]) -> bool:
-    """Conjunction of the antecedent implies disjunction of the succedent."""
-    if not all(eval_formula(a, assignment) for a in seq.ante):
-        return True
-    return any(eval_formula(s, assignment) for s in seq.succ)
+    """Conjunction of the antecedent implies disjunction of the succedent,
+    by one walk over both sides."""
+    value = _evaluation(assignment)
+    return not all(map(value, seq.ante)) or any(map(value, seq.succ))
 
 
 @dataclass(frozen=True)
@@ -457,38 +457,34 @@ def check_proof(proof: TcProof) -> CheckResult:
 # ------------------------------------------------------------- substitution
 
 
-def substitute_formula(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
-    """f with the mapped variables replaced by T or F."""
+def _substitution(mapping: Mapping[int, bool]) -> Callable[[TcFormula], TcFormula]:
+    """One memoised walk replacing the mapped variables by T or F."""
 
     def rebuilt(f: TcFormula, walk: Callable[[TcFormula], TcFormula]) -> TcFormula:
-        if isinstance(f, Var):
-            if f.index in mapping:
-                return TOP if mapping[f.index] else BOT
-            return f
+        if isinstance(f, Var) and f.index in mapping:
+            return TOP if mapping[f.index] else BOT
         if isinstance(f, Not):
             return Not(walk(f.child))
         if isinstance(f, Th):
             return Th(f.i, map(walk, f.children))
         return f
 
-    return _once(rebuilt)(f)
+    return _once(rebuilt)
+
+
+def substitute_formula(f: TcFormula, mapping: Mapping[int, bool]) -> TcFormula:
+    """f with the mapped variables replaced by T or F."""
+    return _substitution(mapping)(f)
 
 
 def substitute(proof: TcProof, mapping: Mapping[int, bool]) -> TcProof:
-    """Replace variables by constants everywhere; validity is preserved
-    and the proof does not grow."""
-
-    def sub_seq(seq: Sequent) -> Sequent:
-        return Sequent(
-            tuple(substitute_formula(a, mapping) for a in seq.ante),
-            tuple(substitute_formula(s, mapping) for s in seq.succ),
-        )
-
-    return TcProof(
-        tuple(
-            ProofStep(sub_seq(st.seq), st.rule, st.premises) for st in proof.steps
-        )
-    )
+    """Replace variables by constants everywhere, by one walk over the
+    whole proof; validity is preserved and the proof does not grow."""
+    sub = _substitution(mapping)
+    return TcProof(tuple(
+        ProofStep(Sequent(tuple(map(sub, st.seq.ante)), tuple(map(sub, st.seq.succ))),
+                  st.rule, st.premises)
+        for st in proof.steps))
 
 
 # ------------------------------------------------- deciding constant formulas
@@ -507,6 +503,7 @@ class _Emitter:
     def __init__(self) -> None:
         self.steps: list[ProofStep] = []
         self._memo: dict[tuple[bool, TcFormula], int] = {}
+        self.value = _evaluation({})  # one walk for the whole decision
 
     def add(self, seq: Sequent, rule: str, *premises: int) -> int:
         self.steps.append(ProofStep(seq, rule, premises))
@@ -539,7 +536,7 @@ class _Emitter:
         side = "right" if value else "left"
         kids, w = f.children, len(f.children)
         must, alt = (-1, 0) if value else (0, -1)
-        has = [eval_formula(ch, {}) == value for ch in kids]
+        has = [self.value(ch) == value for ch in kids]
 
         def axiom(k: int, j: int) -> bool:
             return k == 0 if value else k > w - j
@@ -581,11 +578,10 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
     """For a variable-free formula, a checkable proof of --> f when f is
     true, and of --> ~f when false; of f --> when f is false and ~f would
     nest past MAX_DEPTH.  The proof passes check_proof."""
-    names = free_vars(f)
-    if names:
+    if names := free_vars(f):
         raise ValueError(f"formula has free variables: {sorted(names)}")
     em = _Emitter()
-    value = eval_formula(f, {})
+    value = em.value(f)
     below = em.prove(f, value)
     if not value and f.depth < MAX_DEPTH:  # ~f nests one deeper than f
         em.add(Sequent((), (Not(f),)), "not-right", below)
@@ -595,67 +591,71 @@ def decide_constant_formula(f: TcFormula) -> TcProof:
 # ---------------------------------------------------------------- text form
 
 
-_TOKEN = re.compile(r"\s*(Th\d+|p\d+|T|F|~|\(|\)|,)", re.ASCII)
+# one token per match, the last "" at the end of the text; any other
+# character is a token of its own, so findall reads the whole text and
+# the parser refuses what it cannot read by name
+_TOKEN = re.compile(r"\s*(Th\d+|p\d+|-->|[TF~(),]|\Z|.)", re.ASCII | re.DOTALL)
 # what \s matches under re.ASCII: every strip() of proof text strips
 # these, not str.strip()'s Unicode spaces, so the text has one space rule
 _SPACE = " \t\n\r\f\v"
 
 
-class _FormulaParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+def _said(tok: str) -> str:
+    return repr(tok) if tok else "the end of the text"
 
-    def _next(self, peek: bool = False) -> str | None:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            return None
-        if not peek:
-            self.pos = m.end()
-        return m.group(1)
 
-    def parse(self, depth: int = 0) -> TcFormula:
+def _lists(text: str) -> list[tuple[TcFormula, ...]]:
+    """The formula lists of text, by one grammar; a "-->" inside a
+    threshold's parentheses is an error.
+
+        text    := list ("-->" list)*
+        list    := empty | formula ("," formula)*
+        formula := T | F | p<i> | ~formula | Th<i>(list)
+    """
+    take = iter(_TOKEN.findall(text)).__next__
+
+    def formula(tok: str, depth: int) -> TcFormula:
         # counted here, not left to construction: the parse recurses first
         if depth > MAX_DEPTH:
             raise ValueError(f"formula nests deeper than {MAX_DEPTH}")
-        tok = self._next()
-        if tok is None:
-            raise ValueError(f"expected formula at {self.text[self.pos:]!r}")
-        if tok == "T":
-            return TOP
-        if tok == "F":
-            return BOT
+        if tok in ("T", "F"):
+            return TOP if tok == "T" else BOT
         if tok == "~":
-            return Not(self.parse(depth + 1))
-        if tok.startswith("p"):
+            return Not(formula(take(), depth + 1))
+        if tok[:1] == "p" and tok != "p":
             return Var(int(tok[1:]))
-        if tok.startswith("Th"):
-            i = int(tok[2:])
-            if self._next() != "(":
-                raise ValueError("expected '(' after threshold")
-            children: list[TcFormula] = []
-            if self._next(peek=True) == ")":
-                self._next()
-                return Th(i, ())
-            while True:
-                children.append(self.parse(depth + 1))
-                sep = self._next()
-                if sep == ")":
-                    return Th(i, tuple(children))
-                if sep != ",":
-                    raise ValueError(f"expected ',' or ')' in threshold, got {sep!r}")
-        raise ValueError(f"unexpected token {tok!r}")
+        if tok[:2] == "Th":
+            if (after := take()) != "(":
+                raise ValueError(f"expected '(' after {tok}, got {_said(after)}")
+            kids, end = items(take(), depth + 1)
+            if end != ")":
+                raise ValueError(f"expected ',' or ')' in {tok}(...), got {_said(end)}")
+            return Th(int(tok[2:]), kids)
+        raise ValueError(f"expected a formula, got {_said(tok)}")
 
-    def done(self) -> bool:
-        return self.pos >= len(self.text) or self.text[self.pos:].strip(_SPACE) == ""
+    def items(tok: str, depth: int) -> tuple[tuple[TcFormula, ...], str]:
+        """The list that starts at tok, and the token after it."""
+        out: list[TcFormula] = []
+        if tok not in (")", "-->", ""):
+            out.append(formula(tok, depth))
+            while (tok := take()) == ",":
+                out.append(formula(take(), depth))
+        return tuple(out), tok
+
+    lists, tok = [], "-->"
+    while tok == "-->":
+        side, tok = items(take(), 0)
+        lists.append(side)
+    if tok:
+        raise ValueError(f"expected ',' or '-->', got {_said(tok)}")
+    return lists
 
 
 def parse_formula(text: str) -> TcFormula:
-    p = _FormulaParser(text)
-    f = p.parse()
-    if not p.done():
-        raise ValueError(f"trailing input after formula: {text[p.pos:]!r}")
-    return f
+    lists = _lists(text)
+    if [len(side) for side in lists] != [1]:
+        raise ValueError(f"expected one formula: {text!r}")
+    return lists[0][0]
 
 
 def format_formula(f: TcFormula) -> str:
@@ -663,27 +663,11 @@ def format_formula(f: TcFormula) -> str:
     return repr(f)
 
 
-def _split_formulas(text: str) -> tuple[TcFormula, ...]:
-    text = text.strip(_SPACE)
-    if not text:
-        return ()
-    out: list[TcFormula] = []
-    p = _FormulaParser(text)
-    while True:
-        out.append(p.parse())
-        rest = text[p.pos:].strip(_SPACE)
-        if not rest:
-            return tuple(out)
-        if not rest.startswith(","):
-            raise ValueError(f"expected ',' between formulas, got {rest!r}")
-        p.pos = text.index(",", p.pos) + 1
-
-
 def parse_sequent(text: str) -> Sequent:
-    if "-->" not in text:
-        raise ValueError(f"sequent needs '-->': {text!r}")
-    left, right = text.split("-->", 1)
-    return Sequent(_split_formulas(left), _split_formulas(right))
+    lists = _lists(text)
+    if len(lists) != 2:
+        raise ValueError(f"a sequent has one '-->', got {len(lists) - 1}")
+    return Sequent(*lists)
 
 
 def format_sequent(seq: Sequent) -> str:

@@ -292,6 +292,16 @@ def test_checkproof_malformed_is_usage_error(tmp_path):
     assert main(["checkproof", str(p)]) == 2
 
 
+def test_checkproof_malformed_sequent_is_usage_error(tmp_path, capsys):
+    # the one formula-list rule refuses a "-->" inside a threshold
+    p = tmp_path / "arrow.prf"
+    p.write_text("1: axiom |- Th1(p1 --> p1) --> p1\n")
+    assert main(["checkproof", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected ',' or ')' in Th1(...), got '-->'\n"
+
+
 def test_checkproof_reads_ascii_digits_only(tmp_path, capsys):
     # Arabic-Indic digits for the step id 1 and for p3: int() reads any
     # Unicode digit, the proof parser ASCII ones only

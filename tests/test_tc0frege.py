@@ -12,6 +12,7 @@ the checker rather than a statistical observation.
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -429,6 +430,30 @@ def test_substitute_formula_partial():
     assert free_vars(g) == {2}
 
 
+class _CountedLookups(dict):
+    """A mapping that counts the `in` tests made on it."""
+
+    contains = 0
+
+    def __contains__(self, key):
+        self.contains += 1
+        return super().__contains__(key)
+
+
+def test_substitute_and_eval_sequent_walk_each_variable_once_per_call():
+    # 100 steps and 200 occurrences share one formula over p1 and p2: one
+    # walk per call tests each variable once, not once per occurrence
+    f = Th(2, (Var(1), Var(2)))
+    proof = TcProof((ProofStep(Sequent((f,), (f,)), "axiom"),) * 100)
+    mapping = _CountedLookups({1: True, 2: True})
+    subbed = substitute(proof, mapping)
+    assert mapping.contains == 2
+    assert subbed.final == Sequent((Th(2, (TOP, TOP)),), (Th(2, (TOP, TOP)),))
+    assignment = _CountedLookups({1: True, 2: True})
+    assert eval_sequent(Sequent((f,) * 100, (f,) * 100), assignment)
+    assert assignment.contains == 2
+
+
 # ------------------------------------------------- constant-formula proofs
 
 
@@ -615,6 +640,35 @@ def test_parse_sequent():
     assert parse_sequent(" --> ") == Sequent((), ())
     with pytest.raises(ValueError):
         parse_sequent("p1, p2")
+
+
+# each malformed sequent, with the end of its error, which names the
+# offending token
+_MALFORMED_SEQUENTS = [
+    (", p1 --> p1", "got ','"),
+    ("p1, --> p1", "got '-->'"),
+    ("p1 --> p1,", "got the end of the text"),
+    ("p1,, p2 --> p1", "got ','"),
+    ("p1 --> p1 --> p1", "one '-->', got 2"),
+    ("Th1(p1 --> p2)", "in Th1(...), got '-->'"),
+    ("Th1(p1 --> p1", "in Th1(...), got '-->'"),
+    ("--> Th1(p1", "in Th1(...), got the end of the text"),
+    ("p1) --> p1", "got ')'"),
+    ("Th1(,p1) --> p1", "got ','"),
+]
+
+
+@pytest.mark.parametrize("text,end", _MALFORMED_SEQUENTS)
+def test_parse_sequent_rejects(text, end):
+    with pytest.raises(ValueError, match=re.escape(end) + "$"):
+        parse_sequent(text)
+
+
+@given(st.lists(_formulas(), max_size=3), st.lists(_formulas(), max_size=3))
+def test_every_sequent_reads_back_from_its_text(ante, succ):
+    # empty sides included, down to the bare "-->"
+    s = Sequent(tuple(ante), tuple(succ))
+    assert parse_sequent(format_sequent(s)) == s
 
 
 @pytest.mark.parametrize("name,text", LIBRARY, ids=[n for n, _ in LIBRARY])
